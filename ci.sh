@@ -247,4 +247,18 @@ awk -v c="$CC" -v w="$CW" 'BEGIN { exit !(w <= 0.8 * c) }' || {
 }
 echo "ok: warm = $CW ns <= 0.8x cold = $CC ns (hit rate $HR)"
 
+echo "== request-parse scaling gate (migd/parse_request_1m vs _256k, <= 6x)"
+# The daemon parses every job request line with obs::json. A 4x longer
+# line may cost at most 6x as much: a linear parser gives about 4x, a
+# quadratic one about 16x. Both rows come from the same run, so the
+# ratio needs no machine-speed constant.
+R256=$(mean_of "migd/parse_request_256k")
+R1M=$(mean_of "migd/parse_request_1m")
+[ -n "$R256" ] && [ -n "$R1M" ] || { echo "missing migd/parse_request rows in BENCH_micro.json"; exit 1; }
+awk -v a="$R256" -v b="$R1M" 'BEGIN { exit !(b <= 6 * a) }' || {
+    echo "FAIL: migd/parse_request_1m ($R1M ns) past 6x migd/parse_request_256k ($R256 ns)"
+    exit 1
+}
+echo "ok: parse_request_1m = $R1M ns <= 6x parse_request_256k = $R256 ns"
+
 echo "CI OK"

@@ -358,10 +358,10 @@ fn main() {
     let cache_passes = cli::parse_pipeline("fhash!:TFD").unwrap();
     ms.push(bench("cache/cold_mult_big@1", || {
         let svc = cli::service::OptService::new(None);
-        let (result, _, cached) = svc
+        let job = svc
             .run_job(black_box(mult), &cache_passes, 1, None)
             .expect("pure rewrite pipeline");
-        black_box((result.num_gates(), cached))
+        black_box((job.result.num_gates(), job.cached))
     }));
     let cache_file = std::env::temp_dir().join(format!("bench_mig_{}.cache", std::process::id()));
     std::fs::remove_file(&cache_file).ok();
@@ -373,11 +373,11 @@ fn main() {
     let warm_before = obs::metrics::global_snapshot();
     ms.push(bench("cache/warm_mult_big@1", || {
         let svc = cli::service::OptService::new(Some(cache_file.clone()));
-        let (result, _, cached) = svc
+        let job = svc
             .run_job(black_box(mult), &cache_passes, 1, None)
             .expect("pure rewrite pipeline");
-        assert!(cached, "warm row must be a result-tier hit");
-        black_box(result.num_gates())
+        assert!(job.cached, "warm row must be a result-tier hit");
+        black_box(job.result.num_gates())
     }));
     let warm_delta = obs::metrics::global_snapshot().since(&warm_before);
     std::fs::remove_file(&cache_file).ok();
@@ -425,6 +425,25 @@ fn main() {
     ms.push(migd_row);
     migd::shutdown(&migd_sock).expect("daemon shutdown");
     migd_thread.join().expect("daemon thread");
+
+    // Request-parse scaling rows: `migd::parse_request` on a job whose
+    // BLIF circuit is 256 KiB and 1 MiB. A linear parser costs about 4x
+    // more on the larger line and a quadratic one about 16x; the ci.sh
+    // scaling gate holds the ratio at or under 6x.
+    let chain_text = |n: usize| io::blif::Blif::from_mig(&ripple_chain(n), "bench").to_text();
+    let probe = chain_text(1024).len();
+    for (label, bytes) in [("256k", 256usize << 10), ("1m", 1 << 20)] {
+        let line = migd::render_request(&migd::Request::Job(migd::JobRequest {
+            id: format!("parse_{label}"),
+            pipeline: "fhash!:TFD".into(),
+            threads: 1,
+            format: "blif".into(),
+            circuit: chain_text(bytes * 1024 / probe),
+        }));
+        ms.push(bench(&format!("migd/parse_request_{label}"), || {
+            migd::parse_request(black_box(&line)).is_ok()
+        }));
+    }
 
     // Derived-rate context rows from the metric registry: one
     // instrumented sched/chain512@4 run contributes regions/sec,

@@ -3,7 +3,7 @@
 //! the shared [`OptService`](crate::service::OptService), and streams
 //! the JSONL trace/metric lines the job produced back to the client.
 
-use crate::service::OptService;
+use crate::service::{OptService, CACHE_MODEL};
 use mig::Mig;
 use std::sync::Arc;
 use std::time::Instant;
@@ -108,18 +108,23 @@ impl migd::JobRunner for PipelineRunner {
             emit(line);
         }
         // Persist what this job learned before answering, so a daemon
-        // kill right after the reply never loses warm state.
+        // kill right after the reply never loses warm state. A job that
+        // learned nothing leaves the file alone.
         if self.service.flush().is_err() {
             emit("{\"type\":\"counter\",\"name\":\"cache.flush_failed\",\"value\":1}");
         }
         match run {
-            Ok((result, _reports, cached)) => migd::JobOutcome {
+            Ok(job) => migd::JobOutcome {
                 ok: true,
-                size: result.num_gates() as u64,
-                depth: u64::from(result.depth()),
+                size: job.result.num_gates() as u64,
+                depth: u64::from(job.result.depth()),
+                // Cacheable jobs carry the stored text; render only the
+                // rest.
+                circuit: job.circuit.unwrap_or_else(|| {
+                    io::blif::Blif::from_mig(&job.result, CACHE_MODEL).to_text()
+                }),
                 runtime_ns: t0.elapsed().as_nanos() as u64,
-                cached,
-                circuit: io::blif::Blif::from_mig(&result, "migopt").to_text(),
+                cached: job.cached,
                 error: String::new(),
             },
             Err(e) => migd::JobOutcome::failed(e.to_string()),

@@ -368,7 +368,7 @@ fn main() -> ExitCode {
     let run = match &service {
         Some(s) => s
             .run_job(&input, &passes, args.threads, None)
-            .map(|(result, reports, _cached)| (result, reports)),
+            .map(|job| (job.result, job.reports)),
         None => run_pipeline_jobs(&input, &passes, args.threads),
     };
     let (result, reports) = match run {

@@ -6,7 +6,8 @@
 //! `&self` atomics (lock-free, read-mostly), the result store is a
 //! read-mostly `RwLock` map, and flushing to the cache file is
 //! serialized by a dedicated mutex — concurrent daemon jobs never block
-//! each other on the hot path.
+//! each other on the hot path. A flush after a job that learned nothing
+//! costs a file stamp check.
 
 use crate::{Pass, PassReport, PipelineError};
 use mig::Mig;
@@ -48,16 +49,65 @@ fn job_pipeline_key(passes: &[Pass], default_threads: usize) -> String {
     format!("{} #j{}", rendered.join("; "), default_threads)
 }
 
-/// The model name result records serialize under — fixed so the cache
-/// key and the stored circuit text are independent of input file names.
-const CACHE_MODEL: &str = "migopt";
+/// The result-tier key material of a job: a binary encoding of the
+/// input graph — input and output counts, every gate's id and fanin
+/// literals in topological order, then the output literals, which is
+/// what its BLIF text carries — followed by the resolved pipeline.
+fn key_material(input: &Mig, pipeline: &str) -> Vec<u8> {
+    let order = input.topo_gates_shared();
+    let mut out =
+        Vec::with_capacity(12 + 16 * order.len() + 4 * input.num_outputs() + pipeline.len());
+    for n in [input.num_inputs(), input.num_outputs(), order.len()] {
+        out.extend_from_slice(&(n as u32).to_le_bytes());
+    }
+    for &g in order.iter() {
+        out.extend_from_slice(&g.to_le_bytes());
+        for s in input.fanins(g) {
+            out.extend_from_slice(&(s.code() as u32).to_le_bytes());
+        }
+    }
+    for o in input.outputs() {
+        out.extend_from_slice(&(o.code() as u32).to_le_bytes());
+    }
+    out.extend_from_slice(pipeline.as_bytes());
+    out
+}
+
+/// The model name result records serialize under — fixed so the stored
+/// circuit text is independent of input file names.
+pub(crate) const CACHE_MODEL: &str = "migopt";
+
+/// One job run through [`OptService::run_job`].
+#[derive(Debug)]
+pub struct JobRun {
+    /// The optimized circuit.
+    pub result: Mig,
+    /// One report per executed pass; a result-tier hit has a single
+    /// synthetic `cached` report.
+    pub reports: Vec<PassReport>,
+    /// Whether the result came from the result tier.
+    pub cached: bool,
+    /// For result-cacheable pipelines, `result` as the BLIF text (model
+    /// `migopt`) the result tier stores; writing `result` gives the same
+    /// text.
+    pub circuit: Option<String>,
+}
+
+/// What this service last wrote to its cache file.
+struct Flushed {
+    /// [`OptService::generation`] read just before the write.
+    generation: u64,
+    stamp: fcache::FileStamp,
+    entries: usize,
+}
 
 /// A warm engine + result store + optional backing cache file.
 pub struct OptService {
     engine: fhash::FunctionalHashing,
     results: fcache::ResultStore,
     cache_path: Option<PathBuf>,
-    flush_lock: Mutex<()>,
+    /// Serializes flushes and remembers the last one.
+    flushed: Mutex<Option<Flushed>>,
 }
 
 impl OptService {
@@ -79,7 +129,7 @@ impl OptService {
             engine,
             results,
             cache_path,
-            flush_lock: Mutex::new(()),
+            flushed: Mutex::new(None),
         }
     }
 
@@ -97,15 +147,14 @@ impl OptService {
     /// stored circuit (re-verified against `input` by random simulation
     /// — a corrupt or colliding record is rejected, counted and
     /// recomputed, never served); a miss runs the pipeline on the warm
-    /// engine and installs the result. The returned flag says whether
-    /// the result came from the cache; on a hit the reports collapse to
-    /// one synthetic entry.
+    /// engine and installs the result.
     ///
     /// Determinism: stored results were produced by the same resolved
-    /// pipeline at the same thread count on a bit-identical input (both
-    /// hashes plus the pipeline rendering match), and BLIF write→parse
-    /// is a fixed point — so serving from the cache yields the same
-    /// output file a fresh run would produce.
+    /// pipeline at the same thread count on a structurally identical
+    /// input (both hashes plus the pipeline rendering match), and the
+    /// stored text is a fixed point of BLIF parse→write — so serving
+    /// from the cache yields the same output file a fresh run would
+    /// produce.
     ///
     /// # Errors
     ///
@@ -117,15 +166,11 @@ impl OptService {
         passes: &[Pass],
         default_threads: usize,
         on_pass: Option<&mut dyn FnMut(&PassReport)>,
-    ) -> Result<(Mig, Vec<PassReport>, bool), PipelineError> {
-        let cacheable = result_cacheable(passes);
+    ) -> Result<JobRun, PipelineError> {
         let mut keys = None;
-        if cacheable {
+        if result_cacheable(passes) {
             let pipeline = job_pipeline_key(passes, default_threads.max(1));
-            let input_text = io::blif::Blif::from_mig(input, CACHE_MODEL).to_text();
-            let mut material = Vec::with_capacity(input_text.len() + pipeline.len());
-            material.extend_from_slice(input_text.as_bytes());
-            material.extend_from_slice(pipeline.as_bytes());
+            let material = key_material(input, &pipeline);
             let key = fcache::fnv1a(fcache::FNV_BASIS, &material);
             let check = fcache::fnv1a(fcache::FNV_CHECK_BASIS, &material);
             if let Some(rec) = self.results.get(key, check, &pipeline) {
@@ -145,11 +190,15 @@ impl OptService {
                             note: "whole-job result served from the cache".to_string(),
                             metrics: obs::Delta::default(),
                         };
-                        let reports = vec![report];
                         if let Some(cb) = on_pass {
-                            cb(&reports[0]);
+                            cb(&report);
                         }
-                        return Ok((result, reports, true));
+                        return Ok(JobRun {
+                            result,
+                            reports: vec![report],
+                            cached: true,
+                            circuit: Some(rec.circuit),
+                        });
                     }
                     None => {
                         // The record matched its hashes but not the
@@ -162,33 +211,41 @@ impl OptService {
             obs::metrics::add(Metric::CacheResultMisses, 1);
             keys = Some((key, check, pipeline));
         }
-        let (mut result, reports) = crate::run_pipeline_session(
+        let (result, reports) = crate::run_pipeline_session(
             input,
             passes,
             default_threads,
             Some(&self.engine),
             on_pass,
         )?;
-        if let Some((key, check, pipeline)) = keys {
-            let circuit = io::blif::Blif::from_mig(&result, CACHE_MODEL).to_text();
-            // Normalize through the stored text (BLIF write→parse→write
-            // is a text-level fixed point): in-place rewriting leaves
-            // node numbering dependent on rewrite history, so without
-            // this a later warm hit would return an isomorphic graph
-            // with different slot ids than the cold run wrote.
-            if let Ok(normalized) = io::blif::Blif::parse(&circuit).and_then(|b| b.to_mig()) {
-                result = normalized;
-            }
-            self.results.put(fcache::ResRecord {
-                key,
-                check,
-                pipeline,
-                size: result.num_gates() as u32,
-                depth: result.depth(),
-                circuit,
+        let Some((key, check, pipeline)) = keys else {
+            return Ok(JobRun {
+                result,
+                reports,
+                cached: false,
+                circuit: None,
             });
-        }
-        Ok((result, reports, false))
+        };
+        // In-place rewriting leaves node numbering dependent on rewrite
+        // history. Store and return the graph the BLIF text reads back
+        // as instead, so a later hit parses the stored text into the
+        // same graph this cold run returns.
+        let result = io::blif::round_trip(&result);
+        let circuit = io::blif::Blif::from_mig(&result, CACHE_MODEL).to_text();
+        self.results.put(fcache::ResRecord {
+            key,
+            check,
+            pipeline,
+            size: result.num_gates() as u32,
+            depth: result.depth(),
+            circuit: circuit.clone(),
+        });
+        Ok(JobRun {
+            result,
+            reports,
+            cached: false,
+            circuit: Some(circuit),
+        })
     }
 
     /// Parses a stored result circuit and verifies it against the job
@@ -204,10 +261,23 @@ impl OptService {
         Some(result)
     }
 
+    /// What this service has learned so far, as a counter that grows
+    /// with every NPN-memo or signature fill and every result record
+    /// inserted or replaced.
+    fn generation(&self) -> u64 {
+        self.engine.cache_generation() + self.results.generation()
+    }
+
     /// Writes the warm state back to the cache file: engine spill plus
-    /// result records, reconciled against whatever is on disk (entries
-    /// another process flushed meanwhile are kept; on key conflicts the
-    /// in-memory state wins). No-op without a cache path.
+    /// result records. Returns the number of entries the file holds.
+    ///
+    /// Skips the write when nothing was learned since this service's
+    /// last flush and the file still carries the stamp of that write.
+    /// Otherwise, if the file is not the one this service last wrote
+    /// (another process flushed, or this is the first flush), its
+    /// entries are merged into the service first (on key conflicts the
+    /// in-memory state wins), so the rewrite keeps them. No-op without
+    /// a cache path.
     ///
     /// # Errors
     ///
@@ -216,14 +286,30 @@ impl OptService {
         let Some(path) = &self.cache_path else {
             return Ok(0);
         };
-        let _serialize = self.flush_lock.lock().expect("flush lock poisoned");
+        let mut last = self.flushed.lock().expect("flush lock poisoned");
+        match last.as_ref() {
+            Some(f) if fcache::FileStamp::read(path).as_ref() == Some(&f.stamp) => {
+                if f.generation == self.generation() {
+                    return Ok(f.entries);
+                }
+            }
+            _ => {
+                if let Ok(disk) = fcache::load_path(path) {
+                    self.engine.import_cache(&disk);
+                    self.results.install(disk.results);
+                }
+            }
+        }
+        let generation = self.generation();
         let mut data = fcache::CacheData::default();
         self.engine.export_cache_into(&mut data);
         data.results = self.results.export();
-        if let Ok(disk) = fcache::load_path(path) {
-            data.merge_missing(disk);
-        }
-        fcache::save_path(path, &data)?;
+        let stamp = fcache::save_path(path, &data)?;
+        *last = Some(Flushed {
+            generation,
+            stamp,
+            entries: data.len(),
+        });
         Ok(data.len())
     }
 }

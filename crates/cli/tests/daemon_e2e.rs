@@ -1,7 +1,8 @@
 //! End-to-end tests of the persistent optimization cache and the
 //! `migd` daemon: cold/warm bit-identity, result-tier hits, graceful
-//! cold starts from corrupt cache files, SAT-proved equivalence of
-//! daemon-served results, and per-job stream validation.
+//! cold starts from corrupt cache files, when a flush rewrites the
+//! file, SAT-proved equivalence of daemon-served results, and per-job
+//! stream validation.
 
 use cli::daemon::PipelineRunner;
 use cli::service::OptService;
@@ -117,25 +118,49 @@ fn service_warm_run_is_bit_identical_and_marked_cached() {
     let passes = cli::parse_pipeline("strash; fhash!:TFD; size!; compact").unwrap();
 
     let cold_svc = OptService::new(Some(cache.clone()));
-    let (cold, cold_reports, cold_cached) = cold_svc.run_job(&input, &passes, 1, None).unwrap();
-    assert!(!cold_cached, "first run must execute");
-    assert_eq!(cold_reports.len(), passes.len());
+    let cold = cold_svc.run_job(&input, &passes, 1, None).unwrap();
+    assert!(!cold.cached, "first run must execute");
+    assert_eq!(cold.reports.len(), passes.len());
     assert!(cold_svc.flush().unwrap() > 0, "flush persists entries");
 
     // A fresh service over the same cache file answers from the result
     // tier with the exact same graph.
     let warm_svc = OptService::new(Some(cache.clone()));
-    let (warm, warm_reports, warm_cached) = warm_svc.run_job(&input, &passes, 1, None).unwrap();
-    assert!(warm_cached, "second run must be a result-tier hit");
-    assert_eq!(warm_reports.len(), 1, "hit collapses to a synthetic report");
-    assert_eq!(warm_reports[0].pass, "cached");
-    assert_eq!(fingerprint(&cold), fingerprint(&warm));
+    let warm = warm_svc.run_job(&input, &passes, 1, None).unwrap();
+    assert!(warm.cached, "second run must be a result-tier hit");
+    assert_eq!(warm.reports.len(), 1, "hit collapses to a synthetic report");
+    assert_eq!(warm.reports[0].pass, "cached");
+    assert_eq!(fingerprint(&cold.result), fingerprint(&warm.result));
     assert_eq!(
-        io::blif::Blif::from_mig(&cold, "m").to_text(),
-        io::blif::Blif::from_mig(&warm, "m").to_text(),
+        io::blif::Blif::from_mig(&cold.result, "m").to_text(),
+        io::blif::Blif::from_mig(&warm.result, "m").to_text(),
         "written artifacts are byte-identical"
     );
+    // Both carry the stored text, which is what writing the graph gives.
+    assert_eq!(cold.circuit, warm.circuit);
+    assert_eq!(
+        warm.circuit.as_deref(),
+        Some(
+            io::blif::Blif::from_mig(&warm.result, "migopt")
+                .to_text()
+                .as_str()
+        )
+    );
     std::fs::remove_file(&cache).ok();
+}
+
+/// Three damaged copies of a valid cache file: truncated, one payload
+/// byte flipped, and the version word bumped.
+fn corruptions(valid: &[u8]) -> Vec<(&'static str, Vec<u8>)> {
+    let mut flipped = valid.to_vec();
+    *flipped.last_mut().unwrap() ^= 0x40;
+    let mut bumped = valid.to_vec();
+    bumped[8] = 0xEE; // first byte of the little-endian version word
+    vec![
+        ("truncated", valid[..valid.len() / 2].to_vec()),
+        ("flipped payload byte", flipped),
+        ("version bumped", bumped),
+    ]
 }
 
 #[test]
@@ -149,25 +174,11 @@ fn corrupt_cache_file_cold_starts_and_heals_on_flush() {
     // variant must cold-start (no panic, no stale data) and count a
     // rejection.
     let seed_svc = OptService::new(Some(cache.clone()));
-    let (reference, _, _) = seed_svc.run_job(&input, &passes, 1, None).unwrap();
+    let reference = seed_svc.run_job(&input, &passes, 1, None).unwrap().result;
     seed_svc.flush().unwrap();
     let valid = std::fs::read(&cache).unwrap();
 
-    let corruptions: Vec<(&str, Vec<u8>)> = vec![
-        ("truncated", valid[..valid.len() / 2].to_vec()),
-        ("flipped payload byte", {
-            let mut b = valid.clone();
-            let last = b.len() - 1;
-            b[last] ^= 0x40;
-            b
-        }),
-        ("version bumped", {
-            let mut b = valid.clone();
-            b[8] = 0xEE; // first byte of the little-endian version word
-            b
-        }),
-    ];
-    for (what, bytes) in corruptions {
+    for (what, bytes) in corruptions(&valid) {
         std::fs::write(&cache, &bytes).unwrap();
         let before = obs::metrics::global_snapshot();
         let svc = OptService::new(Some(cache.clone()));
@@ -175,14 +186,158 @@ fn corrupt_cache_file_cold_starts_and_heals_on_flush() {
             .since(&before)
             .get(obs::Metric::CacheRejected);
         assert!(rejected > 0, "{what}: load must count a rejection");
-        let (result, _, cached) = svc.run_job(&input, &passes, 1, None).unwrap();
-        assert!(!cached, "{what}: nothing may survive to serve a hit");
-        assert_eq!(fingerprint(&result), fingerprint(&reference), "{what}");
+        let job = svc.run_job(&input, &passes, 1, None).unwrap();
+        assert!(!job.cached, "{what}: nothing may survive to serve a hit");
+        assert_eq!(fingerprint(&job.result), fingerprint(&reference), "{what}");
         // Flushing the recomputed state heals the file in place.
         svc.flush().unwrap();
         let healed = OptService::new(Some(cache.clone()));
-        let (_, _, warm) = healed.run_job(&input, &passes, 1, None).unwrap();
-        assert!(warm, "{what}: flush must rewrite a loadable file");
+        let warm = healed.run_job(&input, &passes, 1, None).unwrap();
+        assert!(warm.cached, "{what}: flush must rewrite a loadable file");
+    }
+    std::fs::remove_file(&cache).ok();
+}
+
+/// Bytes, modification time and inode of a file. A flush writes a
+/// temp file and renames it over the old one, so a rewrite changes the
+/// inode even within one tick of the filesystem's clock.
+fn file_state(path: &Path) -> (Vec<u8>, std::time::SystemTime, u64) {
+    use std::os::unix::fs::MetadataExt;
+    let meta = std::fs::metadata(path).unwrap();
+    (
+        std::fs::read(path).unwrap(),
+        meta.modified().unwrap(),
+        meta.ino(),
+    )
+}
+
+/// Overwrites `path` in place with `bytes`, as another program would,
+/// and waits until the modification time has moved: an overwrite of
+/// the same length and header within one clock tick is, by design,
+/// indistinguishable from the file a flush left.
+fn overwrite_later(path: &Path, bytes: &[u8]) {
+    let before = std::fs::metadata(path).unwrap().modified().unwrap();
+    loop {
+        std::fs::write(path, bytes).unwrap();
+        if std::fs::metadata(path).unwrap().modified().unwrap() != before {
+            return;
+        }
+        std::thread::sleep(std::time::Duration::from_millis(1));
+    }
+}
+
+#[test]
+fn result_tier_hits_leave_the_cache_file_untouched() {
+    let _serial = lock();
+    let cache = tmp("svc_hits.cache");
+    std::fs::remove_file(&cache).ok();
+    let input = io::read_mig_path(benchmarks_dir().join("adder8.aag")).unwrap();
+    let passes = cli::parse_pipeline("strash; fhash!:TFD").unwrap();
+
+    let svc = OptService::new(Some(cache.clone()));
+    assert!(!svc.run_job(&input, &passes, 1, None).unwrap().cached);
+    let entries = svc.flush().unwrap();
+    let written = file_state(&cache);
+    for _ in 0..3 {
+        std::thread::sleep(std::time::Duration::from_millis(5));
+        assert!(svc.run_job(&input, &passes, 1, None).unwrap().cached);
+        assert_eq!(svc.flush().unwrap(), entries);
+    }
+    assert!(
+        file_state(&cache) == written,
+        "a result-tier hit must not rewrite the cache file"
+    );
+
+    // The same through a daemon over the file: after its first flush,
+    // repeat jobs are hits and leave the file alone.
+    let (socket, handle) = start_daemon("hits", 1, Some(cache.clone()));
+    let req = blif_job("h0", &input, "strash; fhash!:TFD", 1);
+    let (first, _) = submit_captured(&socket, &req);
+    assert!(first.outcome.cached);
+    let served = file_state(&cache);
+    for k in 1..3 {
+        std::thread::sleep(std::time::Duration::from_millis(5));
+        let req = migd::JobRequest {
+            id: format!("h{k}"),
+            ..req.clone()
+        };
+        let (again, _) = submit_captured(&socket, &req);
+        assert!(again.outcome.cached);
+        assert_eq!(again.outcome.circuit, first.outcome.circuit);
+    }
+    assert!(
+        file_state(&cache) == served,
+        "daemon hits must not rewrite the cache file"
+    );
+    stop_daemon(&socket, handle);
+    std::fs::remove_file(&cache).ok();
+}
+
+#[test]
+fn two_services_flushing_one_file_alternately_keep_the_union() {
+    let _serial = lock();
+    let cache = tmp("svc_union.cache");
+    std::fs::remove_file(&cache).ok();
+    let passes = cli::parse_pipeline("strash; fhash!:TFD").unwrap();
+    let inputs: Vec<Mig> = ["full_adder.aag", "adder8.aag", "mult4.aig", "adder4.blif"]
+        .iter()
+        .map(|f| io::read_mig_path(benchmarks_dir().join(f)).unwrap())
+        .collect();
+
+    // Both start cold, then take turns: each learns one result and
+    // flushes over the file the other one wrote last.
+    let services = [
+        OptService::new(Some(cache.clone())),
+        OptService::new(Some(cache.clone())),
+    ];
+    for (k, input) in inputs.iter().enumerate() {
+        let svc = &services[k % 2];
+        assert!(!svc.run_job(input, &passes, 1, None).unwrap().cached);
+        svc.flush().unwrap();
+    }
+    // The first service learned nothing since its last flush, but the
+    // second one wrote after it: flushing still merges, not skips.
+    assert_eq!(services[0].flush().unwrap(), services[1].flush().unwrap());
+    assert_eq!(
+        fcache::load_path(&cache).unwrap().results.len(),
+        inputs.len()
+    );
+    let fresh = OptService::new(Some(cache.clone()));
+    for (k, input) in inputs.iter().enumerate() {
+        let job = fresh.run_job(input, &passes, 1, None).unwrap();
+        assert!(job.cached, "input {k} lost from the union");
+    }
+    std::fs::remove_file(&cache).ok();
+}
+
+#[test]
+fn a_file_overwritten_from_outside_is_healed_by_the_next_flush() {
+    let _serial = lock();
+    let cache = tmp("svc_outside.cache");
+    std::fs::remove_file(&cache).ok();
+    let input = io::read_mig_path(benchmarks_dir().join("full_adder.aag")).unwrap();
+    let passes = cli::parse_pipeline("fhash!:T").unwrap();
+    let svc = OptService::new(Some(cache.clone()));
+    svc.run_job(&input, &passes, 1, None).unwrap();
+    svc.flush().unwrap();
+    let valid = std::fs::read(&cache).unwrap();
+
+    // The flipped payload byte keeps the valid file's length and header:
+    // only the modification time tells the two apart.
+    for (what, bytes) in corruptions(&valid) {
+        overwrite_later(&cache, &bytes);
+        // Nothing new was learned, yet the file is not the one this
+        // service wrote.
+        svc.flush().unwrap();
+        assert!(
+            std::fs::read(&cache).unwrap() == valid,
+            "{what}: flush must rewrite the service's entries"
+        );
+        let healed = OptService::new(Some(cache.clone()));
+        assert!(
+            healed.run_job(&input, &passes, 1, None).unwrap().cached,
+            "{what}: the rewritten file must load"
+        );
     }
     std::fs::remove_file(&cache).ok();
 }

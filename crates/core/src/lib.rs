@@ -230,6 +230,20 @@ impl FunctionalHashing {
     /// therefore never change an optimization result, only fail to speed
     /// one up). Bumps `cache.loaded` / `cache.rejected` accordingly.
     pub fn warm_from_cache(&self, data: &fcache::CacheData) -> (usize, usize) {
+        let (loaded, rejected) = self.import_cache(data);
+        if loaded > 0 {
+            obs::metrics::add(obs::Metric::CacheLoaded, loaded as u64);
+        }
+        if rejected > 0 {
+            obs::metrics::add(obs::Metric::CacheRejected, rejected as u64);
+        }
+        (loaded, rejected)
+    }
+
+    /// [`FunctionalHashing::warm_from_cache`] without the metric bumps:
+    /// returns `(installed, rejected)` entries. Resident entries win over
+    /// conflicting imported ones.
+    pub fn import_cache(&self, data: &fcache::CacheData) -> (usize, usize) {
         let (mut loaded, mut rejected) = self.canon.import_memo(&data.npn);
         for &(f, w) in &data.sig {
             let stored = fcache::SigRecord::unpack(w);
@@ -241,12 +255,6 @@ impl FunctionalHashing {
                 rejected += 1;
             }
         }
-        if loaded > 0 {
-            obs::metrics::add(obs::Metric::CacheLoaded, loaded as u64);
-        }
-        if rejected > 0 {
-            obs::metrics::add(obs::Metric::CacheRejected, rejected as u64);
-        }
         (loaded, rejected)
     }
 
@@ -255,6 +263,14 @@ impl FunctionalHashing {
     pub fn export_cache_into(&self, data: &mut fcache::CacheData) {
         data.npn = self.canon.export_memo();
         data.sig = self.sig.export();
+    }
+
+    /// A counter that grows whenever the NPN memo or the signature table
+    /// learns an entry. Read it before
+    /// [`FunctionalHashing::export_cache_into`]: an equal later reading
+    /// means the export still holds all warm state.
+    pub fn cache_generation(&self) -> u64 {
+        self.canon.generation() + self.sig.generation()
     }
 
     /// Optimizes a copy of `mig` with the chosen variant; the result has

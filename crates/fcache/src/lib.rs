@@ -10,8 +10,8 @@
 //!   (size/depth/per-input depths). A hit replaces the whole
 //!   canonize-then-database-lookup sequence of `Replacement::prepare`.
 //! * [`ResultStore`] — whole-job results keyed by a hash of (input
-//!   circuit text, resolved pipeline, thread count), so a repeated job
-//!   skips re-canonization and candidate scoring entirely.
+//!   circuit structure, resolved pipeline, thread count), so a repeated
+//!   job skips re-canonization and candidate scoring entirely.
 //!
 //! The file format follows the `npndb` persistence idiom — plain
 //! read/write, no mmap, validation on load — but is binary for
@@ -24,16 +24,24 @@
 //! transform, the fhash engine re-derives each signature record against
 //! its database, and result-tier hits are re-verified against the job's
 //! input by random simulation before being served.
+//!
+//! Both tiers and the NPN memo count what they learn in a generation
+//! (`generation()`), and [`save_path`] returns a [`FileStamp`] of the
+//! bytes it wrote: together they let a writer skip a flush that would
+//! rewrite the file it already holds.
 
 use obs::Metric;
 use std::collections::HashMap;
+use std::io::{Read, Write};
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::RwLock;
 
-/// Bumped whenever the serialized layout changes; files with any other
-/// version are rejected wholesale (graceful cold start, no migration).
-pub const FORMAT_VERSION: u32 = 1;
+/// Bumped whenever the serialized layout or the meaning of a key
+/// changes; files with any other version are rejected wholesale
+/// (graceful cold start, no migration). Version 2 keys results by the
+/// input graph's structure instead of its BLIF text.
+pub const FORMAT_VERSION: u32 = 2;
 
 const MAGIC: &[u8; 8] = b"MIGFCACH";
 const HEADER_LEN: usize = 8 + 4 + 4 + 4 + 4 + 8;
@@ -153,6 +161,11 @@ impl SigRecord {
 /// racing fills store identical words.
 pub struct SigTable {
     slots: Box<[AtomicU64]>,
+    /// Slot writes that changed a slot (see [`SigTable::generation`]).
+    /// Bumped with `Release` after the slot store and read with
+    /// `Acquire`, so a reader that sees a count also sees the slots it
+    /// counts.
+    fills: AtomicU64,
 }
 
 impl std::fmt::Debug for SigTable {
@@ -174,7 +187,15 @@ impl SigTable {
     pub fn new() -> Self {
         SigTable {
             slots: (0..1usize << 16).map(|_| AtomicU64::new(0)).collect(),
+            fills: AtomicU64::new(0),
         }
+    }
+
+    /// A counter that grows whenever a slot changes. Read it before
+    /// [`SigTable::export`]: an equal later reading means the export
+    /// still holds every slot.
+    pub fn generation(&self) -> u64 {
+        self.fills.load(Ordering::Acquire)
     }
 
     /// Looks up the record for a signature.
@@ -187,7 +208,9 @@ impl SigTable {
     #[inline]
     pub fn put(&self, f: u16, rec: &SigRecord) {
         if let Some(w) = rec.pack() {
-            self.slots[f as usize].store(w, Ordering::Relaxed);
+            if self.slots[f as usize].swap(w, Ordering::Relaxed) != w {
+                self.fills.fetch_add(1, Ordering::Release);
+            }
         }
     }
 
@@ -203,6 +226,7 @@ impl SigTable {
             return true;
         }
         slot.store(w, Ordering::Relaxed);
+        self.fills.fetch_add(1, Ordering::Release);
         true
     }
 
@@ -239,7 +263,8 @@ impl SigTable {
 /// One cached whole-job result.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ResRecord {
-    /// FNV-1a over the job key material (input text, pipeline, threads).
+    /// FNV-1a over the job key material (input structure, pipeline,
+    /// threads).
     pub key: u64,
     /// Independent second hash over the same material (collision check).
     pub check: u64,
@@ -260,6 +285,9 @@ pub struct ResRecord {
 #[derive(Default)]
 pub struct ResultStore {
     map: RwLock<HashMap<u64, ResRecord>>,
+    /// Inserted or replaced records (see [`ResultStore::generation`]),
+    /// with the same `Release`/`Acquire` pairing as `SigTable::fills`.
+    changes: AtomicU64,
 }
 
 impl ResultStore {
@@ -282,6 +310,15 @@ impl ResultStore {
     pub fn put(&self, rec: ResRecord) {
         let mut map = self.map.write().expect("result store poisoned");
         map.insert(rec.key, rec);
+        self.changes.fetch_add(1, Ordering::Release);
+    }
+
+    /// A counter that grows whenever a record is inserted or replaced
+    /// (a count of records would miss a replacement). Read it before
+    /// [`ResultStore::export`]: an equal later reading means the export
+    /// still holds every record.
+    pub fn generation(&self) -> u64 {
+        self.changes.load(Ordering::Acquire)
     }
 
     /// Number of cached results.
@@ -313,6 +350,7 @@ impl ResultStore {
                 r
             });
         }
+        self.changes.fetch_add(n as u64, Ordering::Release);
         n
     }
 }
@@ -342,21 +380,6 @@ impl CacheData {
     /// Whether every section is empty.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
-    }
-
-    /// Adds entries from `other` whose keys `self` does not already
-    /// hold (the flush-time reconciliation: in-memory state wins over
-    /// what another process wrote meanwhile).
-    pub fn merge_missing(&mut self, other: CacheData) {
-        let have: std::collections::HashSet<u16> = self.npn.iter().map(|&(f, _)| f).collect();
-        self.npn
-            .extend(other.npn.into_iter().filter(|(f, _)| !have.contains(f)));
-        let have: std::collections::HashSet<u16> = self.sig.iter().map(|&(f, _)| f).collect();
-        self.sig
-            .extend(other.sig.into_iter().filter(|(f, _)| !have.contains(f)));
-        let have: std::collections::HashSet<u64> = self.results.iter().map(|r| r.key).collect();
-        self.results
-            .extend(other.results.into_iter().filter(|r| !have.contains(&r.key)));
     }
 }
 
@@ -556,19 +579,60 @@ pub fn load_or_cold(path: &Path) -> CacheData {
     }
 }
 
-/// Atomically writes a cache file (sibling temp file + rename) and
-/// bumps `cache.flushed` by the entry count.
+/// Identifies one written version of a cache file: its length,
+/// modification time and header. The header holds the section counts
+/// and the payload checksum, so two versions with equal stamps hold the
+/// same entries, short of a same-length rewrite with a colliding
+/// checksum in the same modification-time tick.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct FileStamp {
+    len: u64,
+    modified: std::time::SystemTime,
+    header: [u8; HEADER_LEN],
+}
+
+impl FileStamp {
+    /// The stamp of the file at `path` as it is now; `None` when the
+    /// file cannot be read or is shorter than a header.
+    pub fn read(path: &Path) -> Option<FileStamp> {
+        let mut file = std::fs::File::open(path).ok()?;
+        let meta = file.metadata().ok()?;
+        let mut header = [0u8; HEADER_LEN];
+        file.read_exact(&mut header).ok()?;
+        Some(FileStamp {
+            len: meta.len(),
+            modified: meta.modified().ok()?,
+            header,
+        })
+    }
+}
+
+/// Atomically writes a cache file (sibling temp file + rename), bumps
+/// `cache.flushed` by the entry count and returns the stamp of the
+/// bytes written.
 ///
 /// # Errors
 ///
 /// Propagates filesystem errors; the destination is never left
 /// half-written.
-pub fn save_path(path: &Path, data: &CacheData) -> std::io::Result<()> {
+pub fn save_path(path: &Path, data: &CacheData) -> std::io::Result<FileStamp> {
     let tmp = path.with_extension("tmp");
-    std::fs::write(&tmp, to_bytes(data))?;
+    let bytes = to_bytes(data);
+    let mut file = std::fs::File::create(&tmp)?;
+    file.write_all(&bytes)?;
+    // Renaming keeps the modification time, so this is the stamp the
+    // destination will carry.
+    let modified = file.metadata()?.modified()?;
+    drop(file);
     std::fs::rename(&tmp, path)?;
     obs::metrics::add(Metric::CacheFlushed, data.len() as u64);
-    Ok(())
+    let mut header = [0u8; HEADER_LEN];
+    header.copy_from_slice(&bytes[..HEADER_LEN]);
+    Ok(FileStamp {
+        len: bytes.len() as u64,
+        modified,
+        header,
+    })
 }
 
 #[cfg(test)]
@@ -742,16 +806,53 @@ mod tests {
     }
 
     #[test]
-    fn merge_missing_keeps_self_entries() {
-        let mut a = sample_data();
-        let mut b = sample_data();
-        b.npn.push((0x0002, 0x9999_0001));
-        b.npn[0].1 = 0xffff_ffff; // conflicting value for a key `a` holds
-        b.results[0].size = 999; // conflicting result for the same key
-        a.merge_missing(b);
-        assert_eq!(a.npn.len(), 3);
-        assert_eq!(a.npn[0].1, 0x1234_5601); // self won
-        assert_eq!(a.results.len(), 1);
-        assert_eq!(a.results[0].size, 42); // self won
+    fn generations_grow_with_every_change() {
+        let t = SigTable::new();
+        let r = sample_record();
+        t.put(0x17ac, &r);
+        let g = t.generation();
+        assert!(g > 0);
+        // Rewriting a slot with the word it holds learns nothing.
+        t.put(0x17ac, &r);
+        assert!(t.install_packed(0x17ac, r.pack().unwrap()));
+        assert_eq!(t.generation(), g);
+        t.put(0x17ac, &SigRecord { rep: 1, ..r });
+        assert!(t.install_packed(9, r.pack().unwrap()));
+        assert_eq!(t.generation(), g + 2);
+
+        let s = ResultStore::new();
+        let rec = sample_data().results.remove(0);
+        s.put(rec.clone());
+        assert_eq!(s.generation(), 1);
+        // A replacement keeps the record count but is still a change.
+        s.put(ResRecord {
+            size: 41,
+            ..rec.clone()
+        });
+        assert_eq!((s.len(), s.generation()), (1, 2));
+        // Installing a record under a key the store holds keeps the
+        // resident one and learns nothing.
+        assert_eq!(s.install(vec![rec.clone()]), 0);
+        assert_eq!(s.get(rec.key, rec.check, &rec.pipeline).unwrap().size, 41);
+        assert_eq!(s.generation(), 2);
+        assert_eq!(s.install(vec![ResRecord { key: 1, ..rec }]), 1);
+        assert_eq!(s.generation(), 3);
+    }
+
+    #[test]
+    fn save_path_stamp_matches_the_file_until_it_is_rewritten() {
+        let dir = std::env::temp_dir().join(format!("fcache_stamp_{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("cache.migcache");
+        assert_eq!(FileStamp::read(&path), None);
+        let stamp = save_path(&path, &sample_data()).unwrap();
+        assert_eq!(FileStamp::read(&path), Some(stamp.clone()));
+        // Different bytes of the same length: the header differs.
+        let mut other = sample_data();
+        other.npn[0].1 ^= 0x100;
+        let rewritten = save_path(&path, &other).unwrap();
+        assert_ne!(rewritten, stamp);
+        assert_eq!(FileStamp::read(&path), Some(rewritten));
+        std::fs::remove_dir_all(&dir).ok();
     }
 }

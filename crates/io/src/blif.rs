@@ -444,6 +444,29 @@ impl Blif {
     }
 }
 
+/// The graph that [`Blif::from_mig`] text of `mig` reads back as
+/// through [`Blif::to_mig`], built without the text: every gate is
+/// re-created in the writer's topological order through [`Mig::maj`],
+/// as the reader rebuilds each majority table, so slot numbers come out
+/// dense and independent of `mig`'s rewrite history.
+pub fn round_trip(mig: &Mig) -> Mig {
+    let mut out = Mig::new(mig.num_inputs());
+    let mut map = vec![Signal::ZERO; mig.num_nodes()];
+    for i in 0..mig.num_inputs() {
+        map[i + 1] = out.input(i);
+    }
+    let mapped =
+        |map: &[Signal], s: Signal| map[s.node() as usize].complement_if(s.is_complemented());
+    for &g in mig.topo_gates_shared().iter() {
+        let [a, b, c] = mig.fanins(g);
+        map[g as usize] = out.maj(mapped(&map, a), mapped(&map, b), mapped(&map, c));
+    }
+    for &o in mig.outputs() {
+        out.add_output(mapped(&map, o));
+    }
+    out
+}
+
 /// Builds the function of one cover over mapped input signals.
 ///
 /// Three-input covers realizing a (possibly input/output-complemented)

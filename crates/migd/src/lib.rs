@@ -29,7 +29,7 @@
 
 use obs::json::{self, escape, Value};
 use std::collections::VecDeque;
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufRead, BufReader, Read, Write};
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -39,6 +39,14 @@ use std::time::Duration;
 /// Per-connection read timeout: a client that connects and then stalls
 /// must not pin a worker forever.
 const READ_TIMEOUT: Duration = Duration::from_secs(60);
+
+/// Longest request line a worker reads, newline included; a longer line
+/// is answered with an error result instead of growing a buffer for as
+/// long as the client keeps sending. `Blif::from_mig` writes about 47
+/// bytes per gate, so the largest corpus job (`ctrl:32:16:3000`, 729k
+/// gates) is about 35 MB of BLIF, plus one escape byte per line on the
+/// wire; 128 MiB leaves more than three times that.
+pub const MAX_REQUEST_BYTES: u64 = 128 << 20;
 
 /// An optimization job as received on the wire.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -128,7 +136,7 @@ pub fn render_request(req: &Request) -> String {
 ///
 /// A human-readable description of the first defect found.
 pub fn parse_request(line: &str) -> Result<Request, String> {
-    let v = json::parse(line)?;
+    let mut v = json::parse(line)?;
     let ty = v
         .get("type")
         .and_then(Value::as_str)
@@ -137,12 +145,6 @@ pub fn parse_request(line: &str) -> Result<Request, String> {
         "ping" => Ok(Request::Ping),
         "shutdown" => Ok(Request::Shutdown),
         "job" => {
-            let field = |k: &str| {
-                v.get(k)
-                    .and_then(Value::as_str)
-                    .map(str::to_owned)
-                    .ok_or(format!("job missing string field \"{k}\""))
-            };
             let threads = match v.get("threads") {
                 None => 1,
                 Some(t) => t
@@ -158,6 +160,8 @@ pub fn parse_request(line: &str) -> Result<Request, String> {
                     .map(str::to_owned)
                     .ok_or("job field \"format\" must be a string")?,
             };
+            let mut field =
+                |k: &str| take_str(&mut v, k).ok_or(format!("job missing string field \"{k}\""));
             Ok(Request::Job(JobRequest {
                 id: field("id")?,
                 pipeline: field("pipeline")?,
@@ -167,6 +171,16 @@ pub fn parse_request(line: &str) -> Result<Request, String> {
             }))
         }
         other => Err(format!("unknown request type \"{other}\"")),
+    }
+}
+
+/// Moves the string member `key` out of object `v`, so a large value
+/// such as a circuit is not copied again.
+fn take_str(v: &mut Value, key: &str) -> Option<String> {
+    let Value::Obj(members) = v else { return None };
+    match members.iter_mut().find(|(k, _)| k == key) {
+        Some((_, Value::Str(s))) => Some(std::mem::take(s)),
+        _ => None,
     }
 }
 
@@ -205,31 +219,23 @@ pub struct JobResult {
 /// Parses a terminal `result` line; `None` when the line is some other
 /// stream line (a span or counter).
 pub fn parse_result(line: &str) -> Option<JobResult> {
-    let v = json::parse(line).ok()?;
+    let mut v = json::parse(line).ok()?;
     if v.get("type").and_then(Value::as_str)? != "result" {
         return None;
     }
-    let id = v.get("name").and_then(Value::as_str)?.to_owned();
-    let status = v.get("status").and_then(Value::as_str)?;
-    let num = |k: &str| v.get(k).and_then(Value::as_i64).unwrap_or(0) as u64;
-    let s = |k: &str| {
-        v.get(k)
-            .and_then(Value::as_str)
-            .unwrap_or_default()
-            .to_owned()
+    let num = |v: &Value, k: &str| v.get(k).and_then(Value::as_i64).unwrap_or(0) as u64;
+    let mut outcome = JobOutcome {
+        ok: v.get("status").and_then(Value::as_str)? == "ok",
+        size: num(&v, "size"),
+        depth: num(&v, "depth"),
+        runtime_ns: num(&v, "runtime_ns"),
+        cached: matches!(v.get("cached"), Some(Value::Bool(true))),
+        ..JobOutcome::default()
     };
-    Some(JobResult {
-        id,
-        outcome: JobOutcome {
-            ok: status == "ok",
-            size: num("size"),
-            depth: num("depth"),
-            runtime_ns: num("runtime_ns"),
-            cached: matches!(v.get("cached"), Some(Value::Bool(true))),
-            circuit: s("circuit"),
-            error: s("error"),
-        },
-    })
+    let id = take_str(&mut v, "name")?;
+    outcome.circuit = take_str(&mut v, "circuit").unwrap_or_default();
+    outcome.error = take_str(&mut v, "error").unwrap_or_default();
+    Some(JobResult { id, outcome })
 }
 
 // ---------------------------------------------------------------------
@@ -296,7 +302,8 @@ pub fn serve(socket: &Path, workers: usize, runner: Arc<dyn JobRunner>) -> std::
         let socket = socket.to_path_buf();
         pool.push(std::thread::spawn(move || {
             while let Some(stream) = queue.pop() {
-                if handle_connection(stream, worker, runner.as_ref()) == Handled::Shutdown {
+                let handled = handle_connection(stream, worker, runner.as_ref(), MAX_REQUEST_BYTES);
+                if handled == Handled::Shutdown {
                     stop.store(true, Ordering::SeqCst);
                     // Unblock the accept loop so it can observe `stop`.
                     drop(UnixStream::connect(&socket));
@@ -327,15 +334,27 @@ enum Handled {
     Shutdown,
 }
 
-fn handle_connection(stream: UnixStream, worker: usize, runner: &dyn JobRunner) -> Handled {
+/// Serves the one request of a connection, reading at most `max_line`
+/// bytes of it.
+fn handle_connection(
+    stream: UnixStream,
+    worker: usize,
+    runner: &dyn JobRunner,
+    max_line: u64,
+) -> Handled {
     stream.set_read_timeout(Some(READ_TIMEOUT)).ok();
     let mut reader = BufReader::new(match stream.try_clone() {
         Ok(s) => s,
         Err(_) => return Handled::Served,
     });
     let mut writer = stream;
-    let mut line = String::new();
-    if reader.read_line(&mut line).is_err() {
+    let mut line = Vec::new();
+    if reader
+        .by_ref()
+        .take(max_line)
+        .read_until(b'\n', &mut line)
+        .is_err()
+    {
         return Handled::Served;
     }
     let mut send = |l: &str| {
@@ -345,7 +364,14 @@ fn handle_connection(stream: UnixStream, worker: usize, runner: &dyn JobRunner) 
         let _ = writer.write_all(b"\n");
         let _ = writer.flush();
     };
-    match parse_request(line.trim_end()) {
+    let request = if line.len() as u64 == max_line && !line.ends_with(b"\n") {
+        Err(format!("request line longer than {max_line} bytes"))
+    } else {
+        std::str::from_utf8(&line)
+            .map_err(|e| format!("request line is not UTF-8: {e}"))
+            .and_then(|l| parse_request(l.trim_end()))
+    };
+    match request {
         Err(e) => {
             send(&render_result("?", &JobOutcome::failed(e)));
             Handled::Served
@@ -565,6 +591,68 @@ mod tests {
         shutdown(&socket).unwrap();
         server.join().unwrap().unwrap();
         assert!(!socket.exists());
+    }
+
+    #[test]
+    fn deeply_nested_request_gets_an_error_and_the_daemon_keeps_serving() {
+        let socket = sock("deep");
+        let server = start(&socket, 1);
+        wait_for(&socket);
+
+        // Unbounded, this nesting would overflow the worker's stack and
+        // abort the whole process.
+        let mut s = UnixStream::connect(&socket).unwrap();
+        s.write_all(format!("{}\n", "[".repeat(10_000)).as_bytes())
+            .unwrap();
+        let mut line = String::new();
+        BufReader::new(s).read_line(&mut line).unwrap();
+        let result = parse_result(line.trim_end()).unwrap();
+        assert!(!result.outcome.ok);
+        assert!(result.outcome.error.contains("nesting"), "{line}");
+
+        let result = submit(&socket, &sample_job("after"), |_| {}).unwrap();
+        assert!(result.outcome.ok);
+        shutdown(&socket).unwrap();
+        server.join().unwrap().unwrap();
+    }
+
+    #[test]
+    fn over_long_request_line_gets_an_error_result() {
+        const CAP: u64 = 1024;
+        let serve_one = |request: Vec<u8>| {
+            let (client, server) = UnixStream::pair().unwrap();
+            let worker = std::thread::spawn(move || handle_connection(server, 0, &ToyRunner, CAP));
+            // The client keeps sending past the cap; the worker stops
+            // reading there, answers and hangs up.
+            let mut writer = client.try_clone().unwrap();
+            let sender = std::thread::spawn(move || drop(writer.write_all(&request)));
+            let result = BufReader::new(client)
+                .lines()
+                .find_map(|l| parse_result(&l.unwrap()))
+                .unwrap();
+            assert!(worker.join().unwrap() == Handled::Served);
+            sender.join().unwrap();
+            result
+        };
+
+        let mut long = render_request(&Request::Job(sample_job("long"))).into_bytes();
+        long.resize(long.len() + 64 * CAP as usize, b' ');
+        long.push(b'\n');
+        let result = serve_one(long);
+        assert!(!result.outcome.ok);
+        assert!(
+            result.outcome.error.contains("longer than 1024 bytes"),
+            "{}",
+            result.outcome.error
+        );
+
+        // A line of exactly the cap, newline included, is still served.
+        let mut exact = render_request(&Request::Job(sample_job("exact"))).into_bytes();
+        exact.resize(CAP as usize - 1, b' ');
+        exact.push(b'\n');
+        let result = serve_one(exact);
+        assert!(result.outcome.ok, "{}", result.outcome.error);
+        assert_eq!(result.id, "exact");
     }
 
     #[test]

@@ -48,10 +48,20 @@ impl Value {
     }
 }
 
+/// Deepest array/object nesting [`parse`] accepts. Our documents nest
+/// about four levels; the bound keeps a hostile line of brackets from
+/// recursing through the parsing thread's stack.
+pub const MAX_DEPTH: usize = 128;
+
 /// Parses one JSON document (trailing whitespace allowed, nothing else).
+/// Runs in time linear in `text`.
 pub fn parse(text: &str) -> Result<Value, String> {
     let bytes = text.as_bytes();
-    let mut p = Parser { bytes, pos: 0 };
+    let mut p = Parser {
+        bytes,
+        pos: 0,
+        depth: 0,
+    };
     p.skip_ws();
     let v = p.value()?;
     p.skip_ws();
@@ -64,6 +74,8 @@ pub fn parse(text: &str) -> Result<Value, String> {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects currently open.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -106,8 +118,22 @@ impl Parser<'_> {
 
     fn value(&mut self) -> Result<Value, String> {
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(open @ (b'{' | b'[')) => {
+                if self.depth == MAX_DEPTH {
+                    return Err(format!(
+                        "nesting deeper than {MAX_DEPTH} at byte {}",
+                        self.pos
+                    ));
+                }
+                self.depth += 1;
+                let v = if open == b'{' {
+                    self.object()
+                } else {
+                    self.array()
+                };
+                self.depth -= 1;
+                v
+            }
             Some(b'"') => Ok(Value::Str(self.string()?)),
             Some(b't') => self.literal("true", Value::Bool(true)),
             Some(b'f') => self.literal("false", Value::Bool(false)),
@@ -176,48 +202,45 @@ impl Parser<'_> {
         self.expect(b'"')?;
         let mut out = String::new();
         loop {
-            match self.peek() {
-                None => return Err("unterminated string".into()),
-                Some(b'"') => {
-                    self.pos += 1;
-                    return Ok(out);
+            // Copy the unescaped run up to the next quote or backslash in
+            // one step. Both are ASCII, so the run ends on a character
+            // boundary and only its own bytes need a UTF-8 check.
+            let start = self.pos;
+            let run = self.bytes[start..]
+                .iter()
+                .position(|&b| b == b'"' || b == b'\\')
+                .ok_or("unterminated string")?;
+            let text = std::str::from_utf8(&self.bytes[start..start + run])
+                .map_err(|e| format!("invalid UTF-8 at byte {}", start + e.valid_up_to()))?;
+            out.push_str(text);
+            self.pos = start + run + 1;
+            if self.bytes[start + run] == b'"' {
+                return Ok(out);
+            }
+            let esc = self.peek().ok_or("unterminated escape")?;
+            self.pos += 1;
+            match esc {
+                b'"' => out.push('"'),
+                b'\\' => out.push('\\'),
+                b'/' => out.push('/'),
+                b'b' => out.push('\u{8}'),
+                b'f' => out.push('\u{c}'),
+                b'n' => out.push('\n'),
+                b'r' => out.push('\r'),
+                b't' => out.push('\t'),
+                b'u' => {
+                    let hex = self
+                        .bytes
+                        .get(self.pos..self.pos + 4)
+                        .ok_or("truncated \\u escape")?;
+                    let hex = std::str::from_utf8(hex).map_err(|e| e.to_string())?;
+                    let code = u32::from_str_radix(hex, 16).map_err(|e| e.to_string())?;
+                    self.pos += 4;
+                    // Surrogate pairs don't occur in our exports;
+                    // map lone surrogates to the replacement char.
+                    out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
                 }
-                Some(b'\\') => {
-                    self.pos += 1;
-                    let esc = self.peek().ok_or("unterminated escape")?;
-                    self.pos += 1;
-                    match esc {
-                        b'"' => out.push('"'),
-                        b'\\' => out.push('\\'),
-                        b'/' => out.push('/'),
-                        b'b' => out.push('\u{8}'),
-                        b'f' => out.push('\u{c}'),
-                        b'n' => out.push('\n'),
-                        b'r' => out.push('\r'),
-                        b't' => out.push('\t'),
-                        b'u' => {
-                            let hex = self
-                                .bytes
-                                .get(self.pos..self.pos + 4)
-                                .ok_or("truncated \\u escape")?;
-                            let hex = std::str::from_utf8(hex).map_err(|e| e.to_string())?;
-                            let code = u32::from_str_radix(hex, 16).map_err(|e| e.to_string())?;
-                            self.pos += 4;
-                            // Surrogate pairs don't occur in our exports;
-                            // map lone surrogates to the replacement char.
-                            out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
-                        }
-                        other => return Err(format!("bad escape '\\{}'", other as char)),
-                    }
-                }
-                Some(_) => {
-                    // Consume one UTF-8 scalar.
-                    let rest = &self.bytes[self.pos..];
-                    let s = std::str::from_utf8(rest).map_err(|e| e.to_string())?;
-                    let c = s.chars().next().unwrap();
-                    out.push(c);
-                    self.pos += c.len_utf8();
-                }
+                other => return Err(format!("bad escape '\\{}'", other as char)),
             }
         }
     }
@@ -283,5 +306,64 @@ mod tests {
         let doc = format!("{{\"k\": \"{}\"}}", escape(s));
         let v = parse(&doc).unwrap();
         assert_eq!(v.get("k").unwrap().as_str(), Some(s));
+    }
+
+    #[test]
+    fn nesting_is_bounded_with_a_positioned_error() {
+        let nested = |n: usize| "[".repeat(n) + &"]".repeat(n);
+        assert!(parse(&nested(MAX_DEPTH)).is_ok());
+        let err = parse(&nested(MAX_DEPTH + 1)).unwrap_err();
+        assert!(
+            err.contains(&format!("byte {MAX_DEPTH}")),
+            "error names the offending byte: {err}"
+        );
+        // A line of brackets deep enough to overflow a thread stack is
+        // rejected, not recursed into.
+        let err = parse(&"[".repeat(10_000)).unwrap_err();
+        assert!(err.contains("nesting deeper than"), "{err}");
+        let err = parse(&"{\"a\":".repeat(10_000)).unwrap_err();
+        assert!(err.contains("nesting deeper than"), "{err}");
+    }
+
+    /// One random string for the round-trip property: runs of ASCII,
+    /// characters `escape` rewrites, raw control characters and 2-, 3-
+    /// and 4-byte UTF-8 characters, in random order, so runs end right
+    /// before an escape and at the end of the string.
+    fn random_string(rng: &mut testrand::Rng) -> String {
+        const PIECES: [&str; 12] = [
+            "\"", "\\", "\n", "\r", "\t", "/", "\u{0}", "\u{1f}", "\u{7f}", "é", "€", "𝄞",
+        ];
+        let mut s = String::new();
+        for _ in 0..rng.range(0, 12) {
+            match rng.below(3) {
+                0 => {
+                    for _ in 0..rng.range(1, 8) {
+                        s.push(char::from(b' ' + rng.below(95) as u8));
+                    }
+                }
+                1 => s.push(char::from(rng.below(0x20) as u8)),
+                _ => s.push_str(PIECES[rng.usize_below(PIECES.len())]),
+            }
+        }
+        s
+    }
+
+    #[test]
+    fn random_strings_round_trip_through_escape_and_parse() {
+        let mut rng = testrand::Rng::new(0x15_0A5C);
+        for case in 0..2000 {
+            let s = random_string(&mut rng);
+            let quoted = format!("\"{}\"", escape(&s));
+            assert_eq!(
+                parse(&quoted),
+                Ok(Value::Str(s.clone())),
+                "case {case}: {quoted:?}"
+            );
+            let doc = format!("{{\"k\":[\"{}\",1]}}", escape(&s));
+            let v = parse(&doc).unwrap_or_else(|e| panic!("case {case}: {e}"));
+            assert_eq!(v.get("k").unwrap().as_arr().unwrap()[0].as_str(), Some(&*s));
+            // Cut short, the same text is an error, never a panic.
+            assert!(parse(&quoted[..quoted.len() - 1]).is_err(), "case {case}");
+        }
     }
 }

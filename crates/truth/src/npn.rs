@@ -8,7 +8,7 @@
 //! back onto concrete cut leaves.
 
 use crate::TruthTable;
-use std::sync::atomic::{AtomicU32, Ordering};
+use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 
 /// Maximum variable count supported by the exhaustive canonizer.
 pub const MAX_NPN_VARS: usize = 5;
@@ -261,6 +261,10 @@ pub struct Npn4Canonizer {
     /// of functions actually seen are ever touched). Shared-reference
     /// safe: `canonize` is pure, so racing fills store identical values.
     memo: Box<[AtomicU32]>,
+    /// Memo slots filled (see [`Npn4Canonizer::generation`]). Bumped
+    /// with `Release` after the slot store and read with `Acquire`, so a
+    /// reader that sees a count also sees the slots it counts.
+    fills: AtomicU64,
 }
 
 impl Default for Npn4Canonizer {
@@ -296,7 +300,18 @@ impl Npn4Canonizer {
             }
         }
         let memo = (0..1usize << 16).map(|_| AtomicU32::new(0)).collect();
-        Npn4Canonizer { maps, memo }
+        Npn4Canonizer {
+            maps,
+            memo,
+            fills: AtomicU64::new(0),
+        }
+    }
+
+    /// A counter that grows whenever a memo slot fills. Read it before
+    /// [`Npn4Canonizer::export_memo`]: an equal later reading means the
+    /// export still holds every filled slot.
+    pub fn generation(&self) -> u64 {
+        self.fills.load(Ordering::Acquire)
     }
 
     /// Canonizes a 16-bit truth table, returning the representative and the
@@ -331,6 +346,7 @@ impl Npn4Canonizer {
         }
         let packed = u32::from(best) << 16 | (best_idx as u32) << 2 | u32::from(out_neg) << 1 | 1;
         self.memo[f as usize].store(packed, Ordering::Relaxed);
+        self.fills.fetch_add(1, Ordering::Release);
         let mut best_t = self.maps[best_idx].1;
         best_t.output_neg = out_neg;
         (best, best_t)
@@ -423,6 +439,7 @@ impl Npn4Canonizer {
                 continue;
             }
             self.memo[f as usize].store(packed, Ordering::Relaxed);
+            self.fills.fetch_add(1, Ordering::Release);
             installed += 1;
         }
         (installed, rejected)
@@ -576,6 +593,22 @@ mod tests {
         for (&f, want) in funcs.iter().zip(&expected) {
             assert_eq!(&warm.canonize(f), want, "f = {f:04x}");
         }
+    }
+
+    #[test]
+    fn memo_generation_counts_fills_only() {
+        let canon = Npn4Canonizer::new();
+        assert_eq!(canon.generation(), 0);
+        canon.canonize(0xcafe);
+        canon.canonize(0x1234);
+        assert_eq!(canon.generation(), 2);
+        // Memo hits and agreeing re-imports learn nothing.
+        canon.canonize(0xcafe);
+        assert_eq!(canon.import_memo(&canon.export_memo()), (2, 0));
+        assert_eq!(canon.generation(), 2);
+        let warm = Npn4Canonizer::new();
+        warm.import_memo(&canon.export_memo());
+        assert_eq!(warm.generation(), 2);
     }
 
     #[test]

@@ -65,13 +65,32 @@ echo "== generated-corpus smoke: compact pass on synthesized instances"
 # deep stacked arithmetic (hyp) and control-dominated logic (ctrl),
 # through the convergence scheduler, a mid-pipeline compact and a
 # budgeted SAT equivalence check (random simulation always runs in
-# full; exit code 2 = counterexample fails CI here).
+# full; exit code 2 = counterexample fails CI here). The ctrl instance
+# must come back proved, not UNKNOWN.
 GEN=./target/release/gen_bench
 for spec in hyp:24 ctrl:8:6:150:7; do
     g="$TRACE_DIR/$(echo "$spec" | tr ':' '_').blif"
     "$GEN" "$spec" "$g"
     echo "-- migopt -i $g -p \"fhash!:B@4; compact; algebraic@4; cec:50000\""
-    "$MIGOPT" -q -i "$g" -p "fhash!:B@4; compact; algebraic@4; cec:50000"
+    "$MIGOPT" -i "$g" -p "fhash!:B@4; compact; algebraic@4; cec:50000" > "$g.log"
+    tail -n 1 "$g.log"
+done
+grep -q "equivalent (SAT proof)" "$TRACE_DIR/ctrl_8_6_150_7.blif.log" || {
+    echo "FAIL: cec:50000 did not prove the optimized ctrl:8:6:150:7"; exit 1;
+}
+
+echo "== SAT-sweeping proof gate: mult:8 and hyp:8 prove at 16,000 conflicts"
+# SAT sweeping merges the optimized nodes into their input counterparts,
+# so both must prove well inside the budget.
+for spec in mult:8 hyp:8; do
+    g="$TRACE_DIR/$(echo "$spec" | tr ':' '_').blif"
+    "$GEN" "$spec" "$g"
+    echo "-- migopt -j 2 -i $g -p \"fhash!:TFD; algebraic; fhash!:B; cec:16000\""
+    "$MIGOPT" -j 2 -i "$g" -p "fhash!:TFD; algebraic; fhash!:B; cec:16000" > "$g.log"
+    tail -n 1 "$g.log"
+    grep -q "equivalent (SAT proof)" "$g.log" || {
+        echo "FAIL: cec:16000 did not prove the optimized $spec"; exit 1;
+    }
 done
 
 echo "== migd daemon smoke: serve, repeat job, stream lint, warm-runtime gate"

@@ -182,7 +182,7 @@ fn sharded_algebraic_is_deterministic_and_never_worse_than_serial() {
 
 #[test]
 fn wide_adder_script_proved_equivalent_by_sat() {
-    // 24 inputs — beyond exhaustive simulation; the check is a SAT miter
+    // 24 inputs — beyond exhaustive simulation; the check is a SAT
     // proof over the workspace CDCL solver.
     let w = 12;
     let mut m = Mig::new(2 * w);
@@ -203,7 +203,7 @@ fn wide_adder_script_proved_equivalent_by_sat() {
     assert_eq!(
         cec::prove_equivalent(&base, &opt, None),
         cec::CecResult::Equivalent,
-        "serial script refuted by the SAT miter"
+        "serial script refuted by the SAT proof"
     );
 
     let mut depth_opt = base.clone();
@@ -213,7 +213,7 @@ fn wide_adder_script_proved_equivalent_by_sat() {
     assert_eq!(
         cec::prove_equivalent(&base, &depth_opt, None),
         cec::CecResult::Equivalent,
-        "depth script refuted by the SAT miter"
+        "depth script refuted by the SAT proof"
     );
 
     let mut sharded = base.clone();
@@ -221,6 +221,6 @@ fn wide_adder_script_proved_equivalent_by_sat() {
     assert_eq!(
         cec::prove_equivalent(&base, &sharded, None),
         cec::CecResult::Equivalent,
-        "sharded script refuted by the SAT miter"
+        "sharded script refuted by the SAT proof"
     );
 }

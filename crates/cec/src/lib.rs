@@ -6,20 +6,32 @@
 //! * [`equivalent_exhaustive`] — complete truth tables (up to 16 inputs);
 //! * [`equivalent_random`] — word-parallel random simulation, a fast
 //!   necessary condition used on the paper-scale benchmarks;
-//! * [`prove_equivalent`] — a SAT miter over the workspace's CDCL solver,
+//! * [`prove_equivalent`] — SAT sweeping over the workspace's CDCL solver,
 //!   giving a proof (or a counterexample) without input-count limits.
+//!
+//! [`prove_equivalent`] does not hand one whole-circuit miter to the
+//! solver. Functional hashing swaps a cut for a network computing the
+//! same function of the same leaves, so most nodes of an optimized MIG
+//! have an equal node in its input. The proof simulates both networks,
+//! walks their nodes in level order, and merges each node into an
+//! earlier one with the same simulation signature once two small SAT
+//! calls on a recycled incremental solver prove them equal. Output pairs
+//! then usually end on the same literal; the rest get one final SAT
+//! check.
 
-use mig::{Mig, Signal};
-use sat::{Lit, SatResult, Solver};
+mod sweep;
+
+use mig::Mig;
 
 /// Result of a SAT-based equivalence proof.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum CecResult {
-    /// The two networks are equivalent (miter UNSAT).
+    /// The two networks are equivalent (every output pair proven equal).
     Equivalent,
     /// A distinguishing input assignment was found.
     Counterexample(Vec<bool>),
-    /// The conflict budget ran out first.
+    /// The conflict budget ran out first (random simulation found no
+    /// difference).
     Unknown,
 }
 
@@ -74,46 +86,13 @@ pub fn equivalent_random(a: &Mig, b: &Mig, words: usize, seed: u64) -> bool {
     true
 }
 
-/// Tseitin-encodes an MIG into `solver`, sharing the given input
-/// literals; returns one literal per node (plain polarity).
-fn encode(mig: &Mig, solver: &mut Solver, inputs: &[Lit]) -> Vec<Lit> {
-    // Constant 0: a fixed-false literal.
-    let f = solver.new_var().positive();
-    solver.add_clause(&[!f]);
-    // Indexed by node id (slot order is not topological after in-place
-    // rewriting, so literals are assigned in topological order but stored
-    // by slot; dead slots keep the constant-false literal).
-    let mut lit = vec![f; mig.num_nodes()];
-    lit[1..=mig.num_inputs()].copy_from_slice(&inputs[..mig.num_inputs()]);
-    for g in mig.topo_gates() {
-        let [a, b, c] = mig.fanins(g);
-        let la = lit_of(&lit, a);
-        let lb = lit_of(&lit, b);
-        let lc = lit_of(&lit, c);
-        let o = solver.new_var().positive();
-        // o <-> maj(la, lb, lc)
-        solver.add_clause(&[!la, !lb, o]);
-        solver.add_clause(&[!la, !lc, o]);
-        solver.add_clause(&[!lb, !lc, o]);
-        solver.add_clause(&[la, lb, !o]);
-        solver.add_clause(&[la, lc, !o]);
-        solver.add_clause(&[lb, lc, !o]);
-        lit[g as usize] = o;
-    }
-    lit
-}
-
-fn lit_of(lits: &[Lit], s: Signal) -> Lit {
-    let l = lits[s.node() as usize];
-    if s.is_complemented() {
-        !l
-    } else {
-        l
-    }
-}
-
-/// Proves or refutes equivalence with a SAT miter (XOR of every output
-/// pair, OR-ed together, asserted satisfiable).
+/// Proves or refutes equivalence by SAT sweeping (see the crate
+/// documentation).
+///
+/// `conflict_budget` caps the conflicts summed over every SAT call of the
+/// proof; `None` runs until a verdict. Before returning
+/// [`CecResult::Counterexample`] the proof evaluates both networks on the
+/// assignment and asserts that they differ.
 ///
 /// # Panics
 ///
@@ -124,43 +103,239 @@ pub fn prove_equivalent(a: &Mig, b: &Mig, conflict_budget: Option<u64>) -> CecRe
     let _span = obs::trace::span("cec:sat");
     obs::metrics::add(obs::Metric::CecSatCalls, 1);
     let _timer = obs::metrics::timer(obs::Metric::CecSatNs);
-    let mut solver = Solver::new();
-    solver.set_conflict_budget(conflict_budget);
-    let inputs: Vec<Lit> = (0..a.num_inputs())
-        .map(|_| solver.new_var().positive())
-        .collect();
-    let la = encode(a, &mut solver, &inputs);
-    let lb = encode(b, &mut solver, &inputs);
-    // Miter: OR over output XORs.
-    let mut xor_lits = Vec::with_capacity(a.num_outputs());
-    for (oa, ob) in a.outputs().iter().zip(b.outputs()) {
-        let x = lit_of(&la, *oa);
-        let y = lit_of(&lb, *ob);
-        let d = solver.new_var().positive();
-        // d <-> x ^ y
-        solver.add_clause(&[!d, x, y]);
-        solver.add_clause(&[!d, !x, !y]);
-        solver.add_clause(&[d, !x, y]);
-        solver.add_clause(&[d, x, !y]);
-        xor_lits.push(d);
-    }
-    solver.add_clause(&xor_lits);
-    match solver.solve() {
-        SatResult::Unsat => CecResult::Equivalent,
-        SatResult::Unknown => CecResult::Unknown,
-        SatResult::Sat => {
-            let cex: Vec<bool> = inputs
-                .iter()
-                .map(|l| solver.model_lit(*l) == Some(true))
-                .collect();
-            CecResult::Counterexample(cex)
-        }
-    }
+    let (verdict, stats) = sweep::prove(a, b, conflict_budget);
+    obs::metrics::add(obs::Metric::CecMerges, stats.merges);
+    obs::metrics::add(obs::Metric::CecSolverCalls, stats.solver_calls);
+    obs::metrics::add(obs::Metric::CecConflicts, stats.conflicts);
+    verdict
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mig::Signal;
+    use sat::{Lit, SatResult, Solver};
+
+    /// The reference oracle: one SAT miter over both whole networks (the
+    /// XOR of every output pair, OR-ed together, asserted satisfiable).
+    fn miter(a: &Mig, b: &Mig) -> CecResult {
+        let mut solver = Solver::new();
+        let inputs: Vec<Lit> = (0..a.num_inputs())
+            .map(|_| solver.new_var().positive())
+            .collect();
+        let la = encode(a, &mut solver, &inputs);
+        let lb = encode(b, &mut solver, &inputs);
+        let mut xor_lits = Vec::with_capacity(a.num_outputs());
+        for (oa, ob) in a.outputs().iter().zip(b.outputs()) {
+            let x = lit_of(&la, *oa);
+            let y = lit_of(&lb, *ob);
+            let d = solver.new_var().positive();
+            // d <-> x ^ y
+            solver.add_clause(&[!d, x, y]);
+            solver.add_clause(&[!d, !x, !y]);
+            solver.add_clause(&[d, !x, y]);
+            solver.add_clause(&[d, x, !y]);
+            xor_lits.push(d);
+        }
+        solver.add_clause(&xor_lits);
+        match solver.solve() {
+            SatResult::Unsat => CecResult::Equivalent,
+            SatResult::Unknown => CecResult::Unknown,
+            SatResult::Sat => CecResult::Counterexample(
+                inputs
+                    .iter()
+                    .map(|l| solver.model_lit(*l) == Some(true))
+                    .collect(),
+            ),
+        }
+    }
+
+    /// Tseitin-encodes an MIG into `solver`, sharing the given input
+    /// literals; returns one literal per node slot (plain polarity).
+    fn encode(mig: &Mig, solver: &mut Solver, inputs: &[Lit]) -> Vec<Lit> {
+        let f = solver.new_var().positive();
+        solver.add_clause(&[!f]);
+        let mut lit = vec![f; mig.num_nodes()];
+        lit[1..=mig.num_inputs()].copy_from_slice(inputs);
+        for g in mig.topo_gates() {
+            let [a, b, c] = mig.fanins(g).map(|s| lit_of(&lit, s));
+            let o = solver.new_var().positive();
+            // o <-> maj(a, b, c)
+            solver.add_clause(&[!a, !b, o]);
+            solver.add_clause(&[!a, !c, o]);
+            solver.add_clause(&[!b, !c, o]);
+            solver.add_clause(&[a, b, !o]);
+            solver.add_clause(&[a, c, !o]);
+            solver.add_clause(&[b, c, !o]);
+            lit[g as usize] = o;
+        }
+        lit
+    }
+
+    fn lit_of(lits: &[Lit], s: Signal) -> Lit {
+        let l = lits[s.node() as usize];
+        if s.is_complemented() {
+            !l
+        } else {
+            l
+        }
+    }
+
+    fn separates(a: &Mig, b: &Mig, cex: &[bool]) -> bool {
+        a.evaluate(cex) != b.evaluate(cex)
+    }
+
+    /// A random MIG: `3..=12` inputs, up to 80 gates over earlier
+    /// signals, 1 to 4 outputs.
+    fn random_mig(rng: &mut testrand::Rng) -> Mig {
+        let mut m = Mig::new(rng.range(3, 13));
+        let mut signals: Vec<Signal> = m.inputs().collect();
+        signals.push(Signal::ZERO);
+        for _ in 0..rng.range(4, 81) {
+            let [a, b, c] =
+                [(); 3].map(|_| signals[rng.usize_below(signals.len())].complement_if(rng.bool()));
+            signals.push(m.maj(a, b, c));
+        }
+        for _ in 0..rng.range(1, 5) {
+            let pick = signals.len() - 1 - rng.usize_below(signals.len().min(12));
+            m.add_output(signals[pick].complement_if(rng.bool()));
+        }
+        m
+    }
+
+    /// A copy of `m` with one fanin of one random gate complemented (an
+    /// output when `m` has no gates).
+    fn mutant(m: &Mig, rng: &mut testrand::Rng) -> Mig {
+        let gates = m.topo_gates();
+        let mut out = Mig::new(m.num_inputs());
+        let mut map: Vec<Signal> = (0..m.num_nodes() as u32)
+            .map(|v| Signal::new(v, false))
+            .collect();
+        let target = (!gates.is_empty()).then(|| gates[rng.usize_below(gates.len())]);
+        let slot = rng.usize_below(3);
+        for &g in &gates {
+            let mut f = m
+                .fanins(g)
+                .map(|s| map[s.node() as usize].complement_if(s.is_complemented()));
+            if Some(g) == target {
+                f[slot] = !f[slot];
+            }
+            map[g as usize] = out.maj(f[0], f[1], f[2]);
+        }
+        for (i, o) in m.outputs().iter().enumerate() {
+            let s = map[o.node() as usize].complement_if(o.is_complemented());
+            out.add_output(s.complement_if(target.is_none() && i == 0));
+        }
+        out
+    }
+
+    #[test]
+    fn sweep_agrees_with_exhaustive_simulation_and_the_miter() {
+        let engine = fhash_engine();
+        let mut rng = testrand::Rng::new(0xC0DE_CEC5);
+        let (mut pairs, mut refuted) = (0, 0);
+        for case in 0..110 {
+            let m = random_mig(&mut rng);
+            let mut opt = m.clone();
+            if case % 3 == 2 {
+                migalg::optimize_in_place(&mut opt, 4);
+            } else {
+                let v = fhash::Variant::ALL[rng.usize_below(fhash::Variant::ALL.len())];
+                engine.run_in_place(&mut opt, v);
+            }
+            let broken = mutant(&opt, &mut rng);
+            for other in [opt, broken] {
+                pairs += 1;
+                let exact = equivalent_exhaustive(&m, &other);
+                let oracle = miter(&m, &other);
+                let (verdict, _) = sweep::prove(&m, &other, None);
+                match &verdict {
+                    CecResult::Equivalent => {
+                        assert!(exact, "case {case}: sweep proved a false pair");
+                        assert_eq!(oracle, CecResult::Equivalent, "case {case}");
+                    }
+                    CecResult::Counterexample(cex) => {
+                        refuted += 1;
+                        assert!(!exact, "case {case}: sweep refuted a true pair");
+                        assert!(separates(&m, &other, cex), "case {case}");
+                        match &oracle {
+                            CecResult::Counterexample(o) => {
+                                assert!(separates(&m, &other, o), "case {case}")
+                            }
+                            o => panic!("case {case}: oracle says {o:?}"),
+                        }
+                    }
+                    CecResult::Unknown => panic!("case {case}: unbudgeted sweep gave up"),
+                }
+            }
+        }
+        assert!(pairs >= 200);
+        // The mutants must exercise the refutation path, not only proofs.
+        assert!(
+            refuted >= 50,
+            "only {refuted} of {pairs} pairs were refuted"
+        );
+    }
+
+    #[test]
+    fn summed_conflicts_stay_within_the_budget_and_repeat() {
+        let m = benchgen::multiplier(8);
+        let mut opt = m.clone();
+        let engine = fhash_engine();
+        engine.run_in_place(&mut opt, fhash::Variant::TopDownFfrDepth);
+        migalg::optimize_in_place(&mut opt, 4);
+        engine.run_in_place(&mut opt, fhash::Variant::BottomUp);
+        assert!(equivalent_random(&m, &opt, 16, 3));
+        for budget in [0, 1, 100] {
+            let (verdict, stats) = sweep::prove(&m, &opt, Some(budget));
+            assert!(
+                stats.conflicts <= budget,
+                "budget {budget}: spent {} conflicts",
+                stats.conflicts
+            );
+            assert!(!matches!(verdict, CecResult::Counterexample(_)));
+            assert_eq!(sweep::prove(&m, &opt, Some(budget)), (verdict, stats));
+        }
+        // The small budgets bind: a full proof needs more conflicts.
+        let (verdict, full) = sweep::prove(&m, &opt, None);
+        assert_eq!(verdict, CecResult::Equivalent);
+        assert!(full.conflicts > 1, "only {} conflicts", full.conflicts);
+    }
+
+    #[test]
+    fn deep_chain_is_proved_on_a_small_stack() {
+        const DEPTH: usize = 100_000;
+        let worker = std::thread::Builder::new()
+            .stack_size(256 * 1024)
+            .spawn(|| {
+                // Chain gate i is <g x !y> over a pseudo-random input pair;
+                // the copy computes its last gate as <g x <g x !y>>, which
+                // is equal, so proving it encodes the whole chain below.
+                let mut rng = testrand::Rng::new(7);
+                let inputs = 32;
+                let (mut a, mut b) = (Mig::new(inputs), Mig::new(inputs));
+                let (mut ga, mut gb) = (a.input(0), b.input(0));
+                for i in 0..DEPTH {
+                    let x = rng.usize_below(inputs);
+                    let y = (x + 1 + rng.usize_below(inputs - 1)) % inputs;
+                    ga = a.maj(ga, a.input(x), !a.input(y));
+                    let inner = b.maj(gb, b.input(x), !b.input(y));
+                    gb = if i + 1 == DEPTH {
+                        b.maj(gb, b.input(x), inner)
+                    } else {
+                        inner
+                    };
+                }
+                a.add_output(ga);
+                b.add_output(gb);
+                (a.depth(), sweep::prove(&a, &b, None))
+            })
+            .expect("spawn the proof thread");
+        let (depth, (verdict, stats)) = worker.join().expect("proof thread finished");
+        assert!(depth as usize >= DEPTH);
+        assert_eq!(verdict, CecResult::Equivalent);
+        assert!(stats.merges >= 1);
+    }
 
     fn xor3_pair() -> (Mig, Mig) {
         // Same function, two structures.
@@ -266,7 +441,7 @@ mod tests {
     #[test]
     fn optimized_benchmark_proved_equivalent() {
         // End-to-end: functional hashing on a scaled benchmark, proved by
-        // the SAT miter (more inputs than exhaustive checking allows).
+        // SAT sweeping (more inputs than exhaustive checking allows).
         let m = benchgen_adder_like();
         let e = fhash_engine();
         let opt = e.run(&m, fhash::Variant::BottomUpFfr);

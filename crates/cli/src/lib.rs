@@ -667,17 +667,8 @@ pub fn run_pipeline_session(
                     Note::Text(String::new())
                 }
                 Pass::Cec { budget } => {
-                    // Fast necessary check first, then the SAT proof.
-                    if !cec::equivalent_random(input, &cur, 16, 0x5EED) {
-                        // Random simulation found a mismatch; get a
-                        // concrete counterexample from the SAT miter.
-                        match cec::prove_equivalent(input, &cur, None) {
-                            cec::CecResult::Counterexample(cex) => {
-                                return Err(PipelineError::NotEquivalent(cex));
-                            }
-                            _ => unreachable!("random mismatch implies SAT counterexample"),
-                        }
-                    }
+                    // The proof simulates first: a random mismatch comes
+                    // back as a counterexample without any SAT call.
                     match cec::prove_equivalent(input, &cur, *budget) {
                         cec::CecResult::Equivalent => {
                             Note::Text("equivalent (SAT proof)".to_string())
@@ -1092,14 +1083,9 @@ mod tests {
 
     fn run_pipeline_with_state(input: &Mig, state: Mig) -> Result<(), PipelineError> {
         // Check the cec pass logic directly.
-        if !cec::equivalent_random(input, &state, 16, 0x5EED) {
-            match cec::prove_equivalent(input, &state, None) {
-                cec::CecResult::Counterexample(cex) => {
-                    return Err(PipelineError::NotEquivalent(cex))
-                }
-                _ => unreachable!(),
-            }
+        match cec::prove_equivalent(input, &state, None) {
+            cec::CecResult::Counterexample(cex) => Err(PipelineError::NotEquivalent(cex)),
+            _ => Ok(()),
         }
-        Ok(())
     }
 }

@@ -424,7 +424,7 @@ fn compact_is_sat_proved_equivalent_after_churn() {
     // ISSUE 8: the compaction property test at full SAT strength — churn
     // a graph with in-place rewriting (scattering live nodes through
     // free-list slots), renumber with `Mig::compact`, and prove the
-    // result equivalent to the original with a complete CEC miter.
+    // result equivalent to the original with an unbudgeted SAT proof.
     let engine = fhash::FunctionalHashing::with_default_database();
     for name in ["adder8.aag", "mult4.aig", "adder4.blif"] {
         let m = io::read_mig_path(benchmarks_dir().join(name)).unwrap();

@@ -137,7 +137,7 @@ fn convergence_never_worse_than_single_pass() {
 #[test]
 fn wide_adder_proved_equivalent_by_sat() {
     // 20 inputs — beyond exhaustive simulation, so the check is a SAT
-    // miter proof over the workspace CDCL solver.
+    // proof over the workspace CDCL solver.
     let w = 10;
     let mut m = Mig::new(2 * w);
     let mut carry = Signal::ZERO;
@@ -155,7 +155,7 @@ fn wide_adder_proved_equivalent_by_sat() {
         assert_eq!(
             cec::prove_equivalent(&m, &opt, None),
             cec::CecResult::Equivalent,
-            "variant {v}: SAT miter refuted the in-place convergence result"
+            "variant {v}: SAT proof refuted the in-place convergence result"
         );
     }
 }

@@ -254,7 +254,7 @@ fn event_driven_converge_proposes_less_than_full_sweeps() {
 
 #[test]
 fn sharded_wide_adder_proved_equivalent_by_sat() {
-    // 24 inputs — beyond exhaustive simulation; the check is a SAT miter
+    // 24 inputs — beyond exhaustive simulation; the check is a SAT
     // proof over the workspace CDCL solver.
     let w = 12;
     let mut m = Mig::new(2 * w);
@@ -277,7 +277,7 @@ fn sharded_wide_adder_proved_equivalent_by_sat() {
         assert_eq!(
             cec::prove_equivalent(&m, &opt, None),
             cec::CecResult::Equivalent,
-            "variant {v}: SAT miter refuted the sharded result"
+            "variant {v}: SAT proof refuted the sharded result"
         );
         assert!(opt.num_gates() <= m.num_gates(), "variant {v}");
     }

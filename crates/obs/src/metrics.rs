@@ -120,9 +120,15 @@ metrics_table! {
     SchedRepartitionNs => "sched.repartition_ns", DurationNs, true,
         "time spent rebuilding region partitions";
     CecSatCalls => "cec.sat_calls", Counter, true,
-        "SAT miter equivalence proofs started";
+        "SAT equivalence proofs started";
     CecSatNs => "cec.sat_ns", DurationNs, true,
         "time spent inside SAT equivalence proofs";
+    CecMerges => "cec.merges", Counter, true,
+        "node pairs a SAT equivalence proof showed equal and merged";
+    CecSolverCalls => "cec.solver_calls", Counter, true,
+        "SAT solver calls made by equivalence proofs";
+    CecConflicts => "cec.conflicts", Counter, true,
+        "SAT conflicts spent by equivalence proofs";
     CecSimChecks => "cec.sim_checks", Counter, true,
         "random / exhaustive simulation equivalence checks";
     SchedWaveWidth => "sched.wave_width", Histogram, true,

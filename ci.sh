@@ -144,12 +144,14 @@ echo "== micro/io benches (refreshes BENCH_micro.json / BENCH_io.json)"
 cargo bench -p bench_harness --bench micro
 cargo bench -p bench_harness --bench io_throughput
 
-echo "== parallel-commit speedup gate (sched/mult_big@4 vs @1)"
-# Wave application must pay off where there are cores to show it: with
-# >= 4 hardware threads, the @4 mean must come in under 0.7x the @1 mean
-# (>= 1.4x speedup). On smaller machines wall-clock speedup is
-# physically impossible (the workers timeshare one core), so the gate
-# degrades to a no-pathological-overhead bound: @4 <= 1.25x @1.
+echo "== parallel-propose speedup gate (sched/mult_big@4 vs @1)"
+# Commits are serial at every thread count, so the @4 gain comes from the
+# propose phase alone (cut enumeration, NPN lookup and scoring fanned out
+# over region workers). It must pay off where there are cores to show it:
+# with >= 4 hardware threads, the @4 mean must come in under 0.7x the @1
+# mean (>= 1.4x speedup). On smaller machines the workers timeshare too
+# few cores for that, so the gate degrades to a no-pathological-overhead
+# bound: @4 <= 1.25x @1.
 mean_of() {
     grep "\"$1\"" BENCH_micro.json | sed 's/.*"mean_ns": \([0-9.]*\).*/\1/'
 }

@@ -34,7 +34,7 @@
 //! input no matter what the individual moves did.
 
 use crate::{script_metric, AlgStats};
-use mig::{Mig, NetworkOps, NodeId, Signal};
+use mig::{Mig, NodeId, Signal};
 use std::collections::HashSet;
 
 /// A matched Ω.D right-to-left merge: `<G1 G2 z>` with `G1 = <x y u>`,
@@ -57,7 +57,7 @@ pub(crate) struct SizeMove {
 /// from the single site), so the never-worse guarantee lives at the
 /// sweep level ([`size_rewrite_in_place`] rolls back a sweep that ends
 /// lexicographically worse).
-pub(crate) fn match_size_move(mig: &dyn NetworkOps, g: NodeId) -> Option<SizeMove> {
+pub(crate) fn match_size_move(mig: &Mig, g: NodeId) -> Option<SizeMove> {
     let ops = mig.fanins(g);
     for i in 0..3 {
         for j in 0..3 {
@@ -114,7 +114,7 @@ pub(crate) fn apply_size_move(mig: &mut Mig, g: NodeId) -> bool {
 /// logic) — nothing is changed in that case. A committed merge records
 /// into the metric registry, the single source of truth the stats
 /// structs are reconstructed from.
-pub(crate) fn commit_size_move(mig: &mut dyn NetworkOps, g: NodeId, mv: SizeMove) -> bool {
+pub(crate) fn commit_size_move(mig: &mut Mig, g: NodeId, mv: SizeMove) -> bool {
     let inner = mig.maj(mv.u, mv.v, mv.z);
     let new = mig.maj(mv.shared[0], mv.shared[1], inner);
     if new.node() == g {
@@ -227,10 +227,7 @@ fn plan_depth_move(
 /// The depth-move pattern match against the live graph only (analysis =
 /// target): what the sharded engine's propose and commit phases use — a
 /// frozen round snapshot *is* its own pass-start graph.
-pub(crate) fn match_depth_move_live(
-    mig: &dyn NetworkOps,
-    g: NodeId,
-) -> Option<(DepthMove, NodeId)> {
+pub(crate) fn match_depth_move_live(mig: &Mig, g: NodeId) -> Option<(DepthMove, NodeId)> {
     let ops = mig.fanins(g);
     let ci = select_critical(ops, &|n| mig.level(n), &|n| mig.is_gate(n))?;
     let inner = ops[ci].node();
@@ -244,11 +241,7 @@ pub(crate) fn match_depth_move_live(
 /// `None` when the substitution was refused (the root reproduced itself,
 /// the root's live level would degrade, or a cycle through shared
 /// logic) — nothing is changed in that case.
-pub(crate) fn commit_depth_move(
-    mig: &mut dyn NetworkOps,
-    g: NodeId,
-    mv: DepthMove,
-) -> Option<Signal> {
+pub(crate) fn commit_depth_move(mig: &mut Mig, g: NodeId, mv: DepthMove) -> Option<Signal> {
     let old_level = mig.level(g);
     let (new, is_assoc) = match mv {
         DepthMove::Assoc { x, y, u, z } => {

@@ -3,7 +3,7 @@
 //! ([`mig::ProposeEngine`] / [`mig::run_scheduler`]).
 //!
 //! Workers scan their region's gates read-only for size merges or depth
-//! moves over the frozen step snapshot; the wave-batched commit phase
+//! moves over the frozen step snapshot; the serial commit phase
 //! *re-derives* each move against the live graph (the move matchers are
 //! the legality recheck: operand identities and — for depth moves — the
 //! non-degrading level bound are all evaluated on live state), so a
@@ -37,8 +37,8 @@ use crate::inplace::{
 };
 use crate::{script_metric, AlgStats};
 use mig::{
-    run_scheduled_converge, CommitVerdict, Mig, NetworkOps, NodeId, PartitionStrategy,
-    ProposeEngine, RegionPartition, ShardConfig,
+    run_scheduled_converge, CommitVerdict, Mig, NodeId, PartitionStrategy, ProposeEngine,
+    RegionPartition, ShardConfig,
 };
 use std::collections::HashSet;
 
@@ -143,8 +143,8 @@ impl ProposeEngine for AlgEngine {
         p.gain
     }
 
-    fn commit(&self, net: &mut dyn NetworkOps, p: &AlgProposal) -> CommitVerdict {
-        if !net.is_gate(p.root) {
+    fn commit(&self, mig: &mut Mig, p: &AlgProposal) -> CommitVerdict {
+        if !mig.is_gate(p.root) {
             return CommitVerdict::Conflicted;
         }
         // Re-derive against the live graph: a vanished pattern or a
@@ -158,19 +158,19 @@ impl ProposeEngine for AlgEngine {
         // serial sweeps by construction.
         let applied = match self.family {
             Family::Size => {
-                let Some(mv) = match_size_move(&*net, p.root) else {
+                let Some(mv) = match_size_move(mig, p.root) else {
                     return CommitVerdict::Conflicted;
                 };
-                commit_size_move(net, p.root, mv)
+                commit_size_move(mig, p.root, mv)
             }
             Family::Depth => {
-                let Some((mv, _inner)) = match_depth_move_live(&*net, p.root) else {
+                let Some((mv, _inner)) = match_depth_move_live(mig, p.root) else {
                     return CommitVerdict::Conflicted;
                 };
                 if MoveKind::of_depth(&mv) != p.kind {
                     return CommitVerdict::Conflicted;
                 }
-                commit_depth_move(net, p.root, mv).is_some()
+                commit_depth_move(mig, p.root, mv).is_some()
             }
         };
         if applied {
@@ -178,11 +178,6 @@ impl ProposeEngine for AlgEngine {
         } else {
             CommitVerdict::Rejected
         }
-    }
-
-    fn alloc_hint(&self, _p: &AlgProposal) -> usize {
-        // Ω.D distribution builds three fresh gates; merges and Ω.A two.
-        3
     }
 }
 

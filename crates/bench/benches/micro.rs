@@ -244,13 +244,12 @@ fn main() {
         );
     }
 
-    // Parallel wave application (ISSUE 7): a commit-heavy instance big
-    // enough that many disjoint-footprint proposals land in each wave —
-    // the AND-expanded 64-bit multiplier (~44k gates, ~4k replacements
-    // over ~125 waves). @1 runs the same sim→patch→apply pipeline with
-    // one worker; @4/@8 fan the wave simulations out, so the row triple
-    // is the CI speedup gate's input (`ci.sh` compares @4 against @1
-    // when the machine has the cores to show it).
+    // Parallel propose: the AND-expanded 64-bit multiplier (~44k gates,
+    // ~4k replacements) through the event-driven scheduler. Commits are
+    // serial at every thread count; @4/@8 fan the propose phase (cut
+    // enumeration, NPN lookup, scoring) out over workers, so the row
+    // triple is the CI speedup gate's input (`ci.sh` compares @4 against
+    // @1 when the machine has the cores to show it).
     let mult = mult_big_and();
     for threads in [1usize, 4, 8] {
         ms.push(
@@ -266,8 +265,8 @@ fn main() {
 
     // Propose-kernel row (ISSUE 10): one full single-thread in-place
     // top-down pass over the big multiplier — the pure
-    // enumerate→merge→canonize→score path with no scheduler or wave
-    // machinery around it. This is the row the allocation-free cut
+    // enumerate→merge→canonize→score path with no scheduler machinery
+    // around it. This is the row the allocation-free cut
     // kernel gate in `ci.sh` holds against the pre-arena seed.
     ms.push(
         bench("fhash/propose_kernel_mult_big@1", || {
@@ -446,9 +445,9 @@ fn main() {
     }
 
     // Derived-rate context rows from the metric registry: one
-    // instrumented sched/chain512@4 run contributes regions/sec,
-    // proposals per commit wave and the cut-cache hit rate, so the
-    // timing rows above carry workload context in BENCH_micro.json.
+    // instrumented sched/chain512@4 run contributes regions/sec and the
+    // cut-cache hit rate, so the timing rows above carry workload
+    // context in BENCH_micro.json.
     let global_before = obs::metrics::global_snapshot();
     let t0 = std::time::Instant::now();
     let ((), mut delta) = obs::metrics::scoped(|| {

@@ -99,9 +99,8 @@ pub fn write_json(stem: &str, measurements: &[Measurement]) {
 }
 
 /// [`write_json`] plus a `"context"` object of `(label, value)` rows —
-/// derived rates from the metric registry (regions/sec, proposals per
-/// commit wave, cut-cache hit rate) that give the timing rows workload
-/// context.
+/// derived rates from the metric registry (regions/sec, cut-cache hit
+/// rate) that give the timing rows workload context.
 pub fn write_json_with_context(
     stem: &str,
     measurements: &[Measurement],

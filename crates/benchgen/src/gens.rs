@@ -41,10 +41,10 @@ pub fn multiplier(width: usize) -> Mig {
     m
 }
 
-/// The parallel-commit stress instance: the EPFL-width array multiplier
+/// The parallel-propose stress instance: the EPFL-width array multiplier
 /// (64-bit operands, >10⁴ gates as built). Large enough that an
-/// event-driven convergence run schedules hundreds of multi-proposal
-/// commit waves — the workload behind the `sched/mult_big@N` benchmark
+/// event-driven convergence run proposes thousands of replacements over
+/// many regions — the workload behind the `sched/mult_big@N` benchmark
 /// rows and the CI speedup gate.
 pub fn mult_big() -> Mig {
     multiplier(64)

@@ -43,8 +43,8 @@
 //! wholesale (`strash`, `balance`, `rewrite`) invalidate the shared set.
 //! Passes driven by the convergence scheduler (`fhash!`, sharded `@N`
 //! passes, `size!`/`depth!`/`algebraic` on shardable graphs) report its
-//! event counters — regions proposed / skipped clean / retried, commit
-//! waves — alongside the applied-move counts.
+//! event counters — regions proposed / skipped clean / retried —
+//! alongside the applied-move counts.
 
 use mig::Mig;
 use std::fmt;
@@ -441,8 +441,8 @@ fn render_note(d: &obs::Delta, rounds: bool, moves: NoteMoves) -> String {
     if sched.any() {
         let _ = write!(
             note,
-            "; sched: {} regions proposed, {} skipped clean, {} retried, {} commit waves",
-            sched.proposed_regions, sched.skipped_clean, sched.retried, sched.commit_waves
+            "; sched: {} regions proposed, {} skipped clean, {} retried",
+            sched.proposed_regions, sched.skipped_clean, sched.retried
         );
     }
     note

@@ -221,8 +221,8 @@ fn event_driven_converge_never_worse_than_round_based_drivers() {
 #[test]
 fn scheduler_reports_event_counters_in_pass_notes() {
     // The per-pass report of scheduler-driven passes carries the event
-    // counters (regions proposed / skipped clean / retried, commit
-    // waves) in the applied-move-count format.
+    // counters (regions proposed / skipped clean / retried) in the
+    // applied-move-count format.
     let m = io::read_mig_path(benchmarks_dir().join("adder8.aag")).unwrap();
     let passes = parse_pipeline("strash; fhash!:T; size!@2; cec").unwrap();
     let (_, reports) = run_pipeline(&m, &passes).unwrap();
@@ -230,7 +230,7 @@ fn scheduler_reports_event_counters_in_pass_notes() {
         assert!(
             reports[i].note.contains("regions proposed")
                 && reports[i].note.contains("skipped clean")
-                && reports[i].note.contains("commit waves"),
+                && reports[i].note.contains("retried"),
             "{what} note lacks scheduler counters: {}",
             reports[i].note
         );

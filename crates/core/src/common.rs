@@ -91,7 +91,7 @@ impl Replacement {
     /// the NPN transform. Vacuous template inputs receive constant 0.
     pub fn instantiate(
         &self,
-        mig: &mut dyn mig::NetworkOps,
+        mig: &mut Mig,
         cut: &Cut,
         db: &Database,
         leaf_sig: impl Fn(usize) -> Signal,
@@ -303,11 +303,7 @@ pub(crate) fn select_best_cut(
 /// fanout counts (including outputs) come from the managed network's O(1)
 /// per-node reference counts, so this stays valid during in-place
 /// rewriting.
-pub(crate) fn cut_is_fanout_legal(
-    mig: &dyn mig::NetworkOps,
-    root: NodeId,
-    internal: &[NodeId],
-) -> bool {
+pub(crate) fn cut_is_fanout_legal(mig: &Mig, root: NodeId, internal: &[NodeId]) -> bool {
     for &n in internal {
         if n == root {
             continue;

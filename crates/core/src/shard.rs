@@ -7,8 +7,8 @@
 //! concurrently over a *frozen* graph while only the cheap part (the
 //! actual `replace_node` substitutions) stays serial. The scheduling —
 //! persistent partition with drift-triggered re-partition, the priority
-//! queue of dirty regions, parallel propose, wave-batched deterministic
-//! commit with footprint-conflict resolution, stale-region retry — lives
+//! queue of dirty regions, parallel propose, serial deterministic commit
+//! with footprint-conflict resolution, stale-region retry — lives
 //! in [`mig::run_scheduler`]; this module plugs in two engines:
 //!
 //! * [`CutEngine`] (the top-down variants): per gate, the best legal
@@ -34,8 +34,8 @@
 //!   any input.
 //!
 //! Determinism: fixed input + thread count ⇒ bit-identical netlist (a
-//! scheduler property — queue order, wave plan and commit order are
-//! independent of worker scheduling).
+//! scheduler property — queue order and commit order are independent of
+//! worker scheduling).
 
 use crate::common::{
     cut_is_fanout_legal, internal_nodes, is_trivial, select_best_cut, warm_sig_batch, Replacement,
@@ -43,8 +43,8 @@ use crate::common::{
 use crate::{FhStats, FunctionalHashing, Variant};
 use cuts::{Cut, LocalCuts};
 use mig::{
-    run_scheduled_converge, CommitVerdict, FfrPartition, Mig, NetworkOps, NodeId,
-    PartitionStrategy, ProposeEngine, RegionPartition, ShardConfig, Signal,
+    run_scheduled_converge, CommitVerdict, FfrPartition, Mig, NodeId, PartitionStrategy,
+    ProposeEngine, RegionPartition, ShardConfig, Signal,
 };
 use std::collections::{HashMap, HashSet};
 use std::sync::Mutex;
@@ -245,7 +245,7 @@ impl ProposeEngine for CutEngine<'_> {
         i64::from(p.gain)
     }
 
-    fn commit(&self, net: &mut dyn NetworkOps, prop: &Proposal) -> CommitVerdict {
+    fn commit(&self, mig: &mut Mig, prop: &Proposal) -> CommitVerdict {
         let ProposalKind::Cut {
             root,
             cut,
@@ -264,12 +264,12 @@ impl ProposeEngine for CutEngine<'_> {
         // commits are not dirty-logged, so the depth-preserving bound
         // must be re-evaluated against live levels too.
         let depth_ok = !self.depth_preserving
-            || repl.estimated_level(cut, |pos| net.level(cut.leaves()[pos]))
-                <= net.level(root) + self.engine.config().allowed_depth_increase;
-        if !net.is_gate(root) || !cut_is_fanout_legal(&*net, root, internal) || !depth_ok {
+            || repl.estimated_level(cut, |pos| mig.level(cut.leaves()[pos]))
+                <= mig.level(root) + self.engine.config().allowed_depth_increase;
+        if !mig.is_gate(root) || !cut_is_fanout_legal(mig, root, internal) || !depth_ok {
             return CommitVerdict::Conflicted;
         }
-        let new_sig = repl.instantiate(net, cut, self.engine.database(), |pos| {
+        let new_sig = repl.instantiate(mig, cut, self.engine.database(), |pos| {
             Signal::new(cut.leaves()[pos], false)
         });
         if new_sig.node() == root {
@@ -277,23 +277,13 @@ impl ProposeEngine for CutEngine<'_> {
             // template intermediates fall to the sweep).
             return CommitVerdict::Rejected;
         }
-        if net.replace_node(root, new_sig) {
+        if mig.replace_node(root, new_sig) {
             CommitVerdict::Applied { replacements: 1 }
         } else {
             // Cycle through shared logic: retract the speculative cone;
             // retrying would refuse again, so this is not a conflict.
-            net.reclaim(new_sig.node());
+            mig.reclaim(new_sig.node());
             CommitVerdict::Rejected
-        }
-    }
-
-    fn alloc_hint(&self, prop: &Proposal) -> usize {
-        // The template instantiation materializes at most the database
-        // network's gates; normalization transients stay within a
-        // handful of extra slots.
-        match &prop.kind {
-            ProposalKind::Cut { repl, .. } => repl.db_size as usize + 4,
-            ProposalKind::Region { .. } => unreachable!("cut engine only emits cut proposals"),
         }
     }
 }
@@ -398,7 +388,7 @@ impl ProposeEngine for RegionEngine<'_> {
         i64::from(p.gain)
     }
 
-    fn commit(&self, net: &mut dyn NetworkOps, prop: &Proposal) -> CommitVerdict {
+    fn commit(&self, mig: &mut Mig, prop: &Proposal) -> CommitVerdict {
         let ProposalKind::Region {
             sub,
             inputs,
@@ -407,7 +397,7 @@ impl ProposeEngine for RegionEngine<'_> {
         else {
             unreachable!("region engine only emits region proposals");
         };
-        if boundary.iter().any(|&b| !net.is_gate(b)) {
+        if boundary.iter().any(|&b| !mig.is_gate(b)) {
             return CommitVerdict::Conflicted;
         }
         // Instantiate the optimized region over the original inputs
@@ -423,7 +413,7 @@ impl ProposeEngine for RegionEngine<'_> {
                     .expect("fanin precedes gate in topo order")
                     .complement_if(s.is_complemented())
             });
-            imap[g as usize] = Some(net.maj(fan[0], fan[1], fan[2]));
+            imap[g as usize] = Some(mig.maj(fan[0], fan[1], fan[2]));
         }
         let new_outs: Vec<Signal> = sub
             .outputs()
@@ -439,17 +429,17 @@ impl ProposeEngine for RegionEngine<'_> {
             // Earlier reroutes of this very proposal may have merged `b`
             // away or collapsed parts of the speculative cone; skip what
             // no longer applies.
-            if !net.is_gate(b) || s.node() == b || net.is_dead(s.node()) {
+            if !mig.is_gate(b) || s.node() == b || mig.is_dead(s.node()) {
                 continue;
             }
-            if net.replace_node(b, s) {
+            if mig.replace_node(b, s) {
                 rerouted += 1;
             }
         }
         // Retract whatever speculative logic was not adopted.
         for s in new_outs {
-            if !net.is_terminal(s.node()) && !net.is_dead(s.node()) {
-                net.reclaim(s.node());
+            if !mig.is_terminal(s.node()) && !mig.is_dead(s.node()) {
+                mig.reclaim(s.node());
             }
         }
         if rerouted > 0 {
@@ -458,15 +448,6 @@ impl ProposeEngine for RegionEngine<'_> {
             }
         } else {
             CommitVerdict::Rejected
-        }
-    }
-
-    fn alloc_hint(&self, prop: &Proposal) -> usize {
-        // Worst case the whole optimized region re-materializes (no
-        // structural sharing with the live graph survived).
-        match &prop.kind {
-            ProposalKind::Region { sub, boundary, .. } => sub.num_gates() + boundary.len(),
-            ProposalKind::Cut { .. } => unreachable!("region engine only emits region proposals"),
         }
     }
 

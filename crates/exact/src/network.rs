@@ -179,7 +179,7 @@ impl Network {
     ///
     /// Panics if the operator is not `Maj3` or `leaves.len()` differs from
     /// the input count.
-    pub fn instantiate(&self, mig: &mut dyn mig::NetworkOps, leaves: &[Signal]) -> Signal {
+    pub fn instantiate(&self, mig: &mut mig::Mig, leaves: &[Signal]) -> Signal {
         assert_eq!(self.op, GateOp::Maj3, "only MIG networks instantiate");
         assert_eq!(leaves.len(), self.num_inputs, "one leaf per input");
         let mut sigs: Vec<Signal> = Vec::with_capacity(1 + leaves.len() + self.gates.len());

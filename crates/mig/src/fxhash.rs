@@ -1,9 +1,8 @@
 //! A dependency-free FxHash-style hasher for the optimizer's hot maps.
 //!
 //! The managed network hits its hash maps on every structural operation:
-//! `node_for_key` probes the strash for each normalized gate key, the
-//! wave simulator keeps per-commit strash views and ownership sets, and
-//! the scheduler tracks dirty nodes and fresh keys per step. The keys
+//! `node_for_key` probes the strash for each normalized gate key, and
+//! the scheduler tracks dirty nodes per step. The keys
 //! are tiny (one to three words of node ids / packed signals), so the
 //! default SipHash spends more time hashing than probing. [`FxHasher`]
 //! is the classic multiply-xor word hasher (the rustc / FxHashMap
@@ -12,8 +11,7 @@
 //! Determinism: swapping the hasher changes *iteration order* of maps
 //! and sets, nothing else. Every code path that feeds results back into
 //! the graph is iteration-order independent (`debug_check` sorts before
-//! comparing, the wave commit replays its strash log in insertion
-//! order), so the swap cannot perturb bit-determinism — but any new
+//! comparing), so the swap cannot perturb bit-determinism — but any new
 //! consumer must keep that property.
 
 use std::collections::{HashMap, HashSet};

@@ -17,7 +17,9 @@
 //! structural-hash table consistent (merging gates that become
 //! structurally identical), and recursively freeing the cone that loses
 //! its last reference. This makes a local rewrite cost proportional to the
-//! affected region instead of the whole graph.
+//! affected region instead of the whole graph. Every field of [`Mig`] is
+//! private to this module, so the fanout back-pointers, the structural
+//! hash, the free list and the levels are kept consistent in one place.
 //!
 //! After in-place rewriting, node **index order is no longer a topological
 //! order** (freed slots are reused and fanins can be redirected to
@@ -33,7 +35,7 @@ use std::sync::{Arc, Mutex};
 
 /// Tag bit distinguishing primary-output references from gate references
 /// in the per-node fanout lists.
-pub(crate) const OUT_FLAG: u32 = 1 << 31;
+const OUT_FLAG: u32 = 1 << 31;
 
 /// Sentinel fanout entry protecting a node referenced from the pending
 /// substitution stack of [`Mig::replace_node`]: a cascade step may kill
@@ -41,7 +43,7 @@ pub(crate) const OUT_FLAG: u32 = 1 << 31;
 /// keeps its cone alive until the pair is processed. Guards are transient
 /// (inserted at push, dropped at pop) and never survive a `replace_node`
 /// call.
-pub(crate) const GUARD: u32 = u32::MAX;
+const GUARD: u32 = u32::MAX;
 
 /// A position in a graph's structural-change history, taken with
 /// [`Mig::dirty_cursor`] and read back with [`Mig::dirty_since`].
@@ -181,40 +183,40 @@ pub fn normalize_maj(mut ops: [Signal; 3]) -> Normalized {
 pub struct Mig {
     /// Fanins per node; terminals (constant + inputs) and dead slots hold
     /// dummy entries.
-    pub(crate) fanins: Vec<[Signal; 3]>,
-    pub(crate) num_inputs: usize,
-    pub(crate) outputs: Vec<Signal>,
-    pub(crate) strash: FxHashMap<[Signal; 3], NodeId>,
+    fanins: Vec<[Signal; 3]>,
+    num_inputs: usize,
+    outputs: Vec<Signal>,
+    strash: FxHashMap<[Signal; 3], NodeId>,
     /// Fanout references per node: parent gate ids, plus `OUT_FLAG |
     /// output_index` entries for primary-output slots. The list length is
     /// the node's reference count. Stored inline-first ([`FanoutList`]):
     /// typical fanouts need no heap allocation or pointer chase.
-    pub(crate) fanouts: Vec<FanoutList>,
+    fanouts: Vec<FanoutList>,
     /// Back-pointers for O(1) fanout-entry removal: for gate `n` and
     /// fanin slot `k`, `fanout_pos[n][k]` is the index of `n`'s entry in
     /// `fanouts[fanins[n][k].node()]`. Kept consistent under swap-removal.
-    pub(crate) fanout_pos: Vec<[u32; 3]>,
+    fanout_pos: Vec<[u32; 3]>,
     /// Back-pointer per primary-output slot: index of the `OUT_FLAG | i`
     /// entry in the driver's fanout list.
-    pub(crate) out_pos: Vec<u32>,
+    out_pos: Vec<u32>,
     /// Dead-slot markers (freed gates awaiting reuse).
-    pub(crate) dead: Vec<bool>,
+    dead: Vec<bool>,
     /// Freed slots available for reuse by new gates.
-    pub(crate) free: Vec<NodeId>,
+    free: Vec<NodeId>,
     /// Per-slot reuse generation, bumped every time a gate slot is
     /// freed. A slot id alone cannot tell an original node from an
     /// unrelated one recycled into the same slot; consumers holding
     /// node references across rewrites (a persistent region partition)
     /// compare generations to detect recycling.
-    pub(crate) slot_gen: Vec<u32>,
+    slot_gen: Vec<u32>,
     /// Incrementally maintained levels (terminals 0, gates 1 + max fanin).
-    pub(crate) level: Vec<u32>,
+    level: Vec<u32>,
     /// Live (non-dead) gate count.
-    pub(crate) live_gates: usize,
+    live_gates: usize,
     /// Structurally changed node ids (created, rewired or killed) since
     /// the last [`Mig::drain_dirty`] — consumed by incremental analyses
     /// such as cut-set invalidation.
-    pub(crate) dirty: Vec<NodeId>,
+    dirty: Vec<NodeId>,
     /// Total number of dirty entries ever drained: the absolute position
     /// of `dirty[0]` in the graph's change history. Lets [`DirtyCursor`]s
     /// stay meaningful across drains (and detect when entries they still
@@ -442,7 +444,7 @@ impl Mig {
 
     /// Records a structural change to node `n`: feeds the dirty log and
     /// drops the cached topological order.
-    pub(crate) fn note_structural_change(&mut self, n: NodeId) {
+    fn note_structural_change(&mut self, n: NodeId) {
         self.dirty.push(n);
         *self.topo_cache.get_mut().unwrap() = None;
     }
@@ -837,7 +839,7 @@ impl Mig {
 
     /// Appends a fanout entry to `child`'s list, returning its index (the
     /// caller stores it as the entry's back-pointer).
-    pub(crate) fn push_fanout(&mut self, child: NodeId, entry: u32) -> u32 {
+    fn push_fanout(&mut self, child: NodeId, entry: u32) -> u32 {
         self.fanouts[child as usize].push(entry)
     }
 
@@ -846,7 +848,7 @@ impl Mig {
     /// into the hole. High-fanout nodes (constants, shared inputs) would
     /// otherwise make entry removal — and thus `replace_node` — scale
     /// with the graph.
-    pub(crate) fn remove_fanout_at(&mut self, child: NodeId, pos: u32) {
+    fn remove_fanout_at(&mut self, child: NodeId, pos: u32) {
         let list = &mut self.fanouts[child as usize];
         list.swap_remove(pos as usize);
         if (pos as usize) < list.len() {
@@ -869,7 +871,7 @@ impl Mig {
 
     /// Frees gate `n` (and, recursively, its fanin cone) if it has no
     /// references left.
-    pub(crate) fn kill_if_unreferenced(&mut self, n: NodeId) {
+    fn kill_if_unreferenced(&mut self, n: NodeId) {
         let mut stack = vec![n];
         while let Some(v) = stack.pop() {
             if self.is_terminal(v) || self.dead[v as usize] || !self.fanouts[v as usize].is_empty()
@@ -896,7 +898,7 @@ impl Mig {
     /// Recomputes the level of `p` and propagates changes through the
     /// transitive fanout (worklist; cost proportional to the affected
     /// region).
-    pub(crate) fn update_levels_from(&mut self, p: NodeId) {
+    fn update_levels_from(&mut self, p: NodeId) {
         let mut work = vec![p];
         while let Some(v) = work.pop() {
             if self.dead[v as usize] || self.is_terminal(v) {

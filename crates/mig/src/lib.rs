@@ -15,14 +15,14 @@
 //! * [`Signal`] — complement-edge node references;
 //! * [`FfrPartition`] — fanout-free-region partitioning (paper §IV-C);
 //! * [`RegionPartition`] — sharding the gates into disjoint regions
-//!   (FFR forest or level bands) for parallel propose/commit rewriting;
+//!   (FFR forest or level bands) for parallel propose rewriting;
 //! * [`ProposeEngine`] / [`run_scheduler`] — the engine-agnostic
 //!   event-driven convergence scheduler: any local-rewriting engine
 //!   (functional hashing, algebraic Ω.A/Ω.D, …) plugs its proposals
-//!   into the same parallel-propose, wave-batched-commit machinery,
-//!   driven by a deterministic priority queue of dirty regions instead
-//!   of full re-traversal per round ([`run_scheduled_converge`] adds the
-//!   shared serial-baseline / fallback / polish skeleton).
+//!   into the same parallel-propose, serial-commit machinery, driven by
+//!   a deterministic priority queue of dirty regions instead of full
+//!   re-traversal per round ([`run_scheduled_converge`] adds the shared
+//!   serial-baseline / fallback / polish skeleton).
 //!
 //! # Examples
 //!
@@ -38,20 +38,19 @@
 //! assert_eq!(m.num_gates(), 1);
 //! ```
 
+#![forbid(unsafe_code)]
+
 mod fanout;
 mod ffr;
 pub mod fxhash;
 mod graph;
-mod net;
 mod region;
 mod shard;
 mod signal;
-mod wave;
 
 pub use fanout::{FanoutList, INLINE_FANOUTS};
 pub use ffr::FfrPartition;
 pub use graph::{normalize_maj, CompactMap, DirtyCursor, Mig, Normalized};
-pub use net::NetworkOps;
 pub use region::{PartitionStrategy, RegionPartition, RegionView};
 pub use shard::{
     commit_proposals, run_scheduled_converge, run_scheduler, CommitVerdict, ProposeEngine,

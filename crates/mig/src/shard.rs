@@ -26,23 +26,13 @@
 //!    over the scheduled region list) call [`ProposeEngine::propose`]
 //!    read-only on a frozen graph; results land in per-region slots so
 //!    commit order is independent of scheduling.
-//! 4. **Commit in waves, concurrently.** Proposals are grouped into
-//!    *waves* of pairwise-disjoint TFO-extended footprints (footprint
-//!    plus its fanout frontier), planned with an epoch-stamped scratch.
-//!    Within a wave, every proposal's commit runs **concurrently**
-//!    against a write-isolated overlay simulator ([`crate::wave`]) over
-//!    the re-frozen wave-start graph: each worker owns its proposal's
-//!    extended footprint plus a pre-reserved slot arena, and the
-//!    surviving patches are installed by parallel disjoint-region
-//!    writers, then reconciled (structural-hash edits, cross-region
-//!    reference edits, dirty log) serially in proposal order. A commit
-//!    whose cascade provably leaves its owned region *escapes* and
-//!    re-runs serially on the real graph after the wave — correctness
-//!    never depends on the overlay. Proposals of later waves whose
-//!    footprint intersects anything dirtied earlier in the step are
-//!    refused and their regions retry next step.
-//!    [`ProposeEngine::commit`] still re-checks its own legality against
-//!    the live network view either way.
+//! 4. **Commit serially.** The step's proposals commit one at a time on
+//!    the live graph, in the order propose returned them (region-slot
+//!    order). A proposal whose footprint intersects anything dirtied
+//!    earlier in the step was analyzed against a graph that no longer
+//!    exists: it is refused and its region retries next step.
+//!    [`ProposeEngine::commit`] re-checks its own legality against the
+//!    live graph either way.
 //!
 //! Steps repeat until the queue drains (no dirty region and no dirty
 //! node outside the partition); engines whose steps are not individually
@@ -52,14 +42,12 @@
 //! provided.
 //!
 //! For a fixed input graph, engine and thread count the resulting
-//! netlist is bit-deterministic: the queue order, the wave plan, the
-//! commit order, the per-proposal arenas and the patch reconciliation
-//! order never depend on worker scheduling — threads only decide *who*
-//! computes each pure simulation and *who* writes each disjoint region.
+//! netlist is bit-deterministic: the queue order and the commit order
+//! never depend on worker scheduling — threads only decide *who*
+//! analyzes each region.
 
 use crate::fxhash::FxHashSet;
-use crate::wave::{self, WavePatch};
-use crate::{CompactMap, Mig, NetworkOps, NodeId, RegionPartition, Signal};
+use crate::{CompactMap, Mig, NodeId, RegionPartition};
 use std::collections::{BTreeMap, HashSet};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
@@ -86,17 +74,14 @@ pub enum CommitVerdict {
 /// A rewriting engine pluggable into [`run_scheduler`].
 ///
 /// The engine analyzes regions read-only ([`ProposeEngine::propose`] runs
-/// concurrently on a frozen `&Mig`) and applies its proposals through
-/// the [`NetworkOps`] surface ([`ProposeEngine::commit`], which must
-/// re-check legality itself — the driver only guarantees that the
-/// proposal's footprint is structurally untouched within the current
-/// step). During a commit wave the driver hands workers write-isolated
-/// simulators instead of the real graph, so commits of one wave run
-/// concurrently.
+/// concurrently on a frozen `&Mig`) and applies its proposals one at a
+/// time on the live graph ([`ProposeEngine::commit`], which must re-check
+/// legality itself — the driver only guarantees that the proposal's
+/// footprint is structurally untouched within the current step).
 pub trait ProposeEngine: Sync {
-    /// One proposed local rewrite (opaque to the driver; shared across
-    /// wave workers during the concurrent commit phase).
-    type Proposal: Send + Sync;
+    /// One proposed local rewrite (opaque to the driver; handed from the
+    /// propose workers to the committing thread).
+    type Proposal: Send;
     /// Read state shared by all workers while a partition is live (e.g.
     /// an FFR view of the graph). Use `()` when none is needed.
     type RoundState: Sync;
@@ -151,21 +136,8 @@ pub trait ProposeEngine: Sync {
     /// used as the retry priority of its region).
     fn gain(&self, proposal: &Self::Proposal) -> i64;
 
-    /// Re-checks the proposal against the live network view and applies
-    /// it. `net` is the real graph on the serial paths and a
-    /// write-isolated wave simulator during concurrent wave commits —
-    /// identical semantics, so engines never need to know which.
-    fn commit(&self, net: &mut dyn NetworkOps, proposal: &Self::Proposal) -> CommitVerdict;
-
-    /// Upper estimate of the fresh gate slots this proposal's commit may
-    /// allocate (structural transients included). The driver reserves an
-    /// arena of this size (plus a safety margin) per proposal before
-    /// simulating a wave; underestimating is safe — the simulation
-    /// escapes to the serial fallback on arena overflow — but forfeits
-    /// that proposal's wave parallelism.
-    fn alloc_hint(&self, _proposal: &Self::Proposal) -> usize {
-        8
-    }
+    /// Re-checks the proposal against the live graph and applies it.
+    fn commit(&self, mig: &mut Mig, proposal: &Self::Proposal) -> CommitVerdict;
 
     /// Hook for steps whose partition degenerates to a single region.
     /// Engines whose single-region proposal would merely reproduce their
@@ -281,9 +253,6 @@ pub struct RoundOutcome {
     pub replacements: u64,
     /// Sum of expected gains of the committed proposals.
     pub gain: i64,
-    /// Commit waves the step's proposals were grouped into (pairwise
-    /// disjoint TFO-extended footprints per wave).
-    pub waves: usize,
 }
 
 /// Event counters of the [`Scheduler`], reported by the `migopt`
@@ -303,8 +272,6 @@ pub struct SchedStats {
     /// Proposals refused for retry (footprint conflict or engine
     /// recheck); their regions were re-queued.
     pub retried: u64,
-    /// Commit waves applied (disjoint batches within steps).
-    pub commit_waves: u64,
     /// Times the partition was (re)built.
     pub repartitions: u64,
 }
@@ -316,7 +283,6 @@ impl SchedStats {
         self.proposed_regions += other.proposed_regions;
         self.skipped_clean += other.skipped_clean;
         self.retried += other.retried;
-        self.commit_waves += other.commit_waves;
         self.repartitions += other.repartitions;
     }
 
@@ -334,7 +300,6 @@ impl SchedStats {
             proposed_regions: d.get(obs::Metric::SchedProposedRegions),
             skipped_clean: d.get(obs::Metric::SchedSkippedClean),
             retried: d.get(obs::Metric::SchedRetried),
-            commit_waves: d.get(obs::Metric::SchedCommitWaves),
             repartitions: d.get(obs::Metric::SchedRepartitions),
         }
     }
@@ -387,7 +352,7 @@ impl ShardStats {
 
 /// The event-driven convergence core: the deterministic priority queue
 /// of dirty nodes (mapped onto regions of the current partition each
-/// step), the re-partition bookkeeping and the commit-wave scratch.
+/// step) and the re-partition bookkeeping.
 ///
 /// Owned by [`run_scheduler`]; exposed for documentation of the
 /// scheduling state, not for external construction.
@@ -400,8 +365,6 @@ pub struct Scheduler {
     /// Live gate count when the current partition was computed, the
     /// baseline of the drift threshold.
     gates_at_partition: usize,
-    /// Epoch-stamped scratch for wave planning and escape detection.
-    waves: WaveScratch,
 }
 
 impl Scheduler {
@@ -409,7 +372,6 @@ impl Scheduler {
         Scheduler {
             frontier: Vec::new(),
             gates_at_partition: 0,
-            waves: WaveScratch::default(),
         }
     }
 
@@ -588,12 +550,11 @@ fn run_scheduler_steps<E: ProposeEngine>(mig: &mut Mig, engine: &E, cfg: &ShardC
         });
         rounds += 1;
         add(Metric::SchedSteps, 1);
-        // Conflicts and waves are event history: they happened even when
-        // the step commits nothing (a pure-retry step) or is rolled
-        // back, so they are counted unconditionally.
+        // Conflicts are event history: they happened even when the step
+        // commits nothing (a pure-retry step) or is rolled back, so they
+        // are counted unconditionally.
         add(Metric::ShardConflicted, outcome.conflicted as u64);
         add(Metric::SchedRetried, outcome.conflicted as u64);
-        add(Metric::SchedCommitWaves, outcome.waves as u64);
         if outcome.committed == 0 {
             step_delta.publish();
             if outcome.conflicted > 0 && rounds < cfg.max_rounds {
@@ -659,7 +620,7 @@ fn run_scheduler_steps<E: ProposeEngine>(mig: &mut Mig, engine: &E, cfg: &ShardC
 }
 
 /// One step's propose phase (parallel, read-only, per-region result
-/// slots) followed by its wave-batched commit phase.
+/// slots) followed by its serial commit phase.
 #[allow(clippy::too_many_arguments)]
 fn propose_and_commit<E: ProposeEngine>(
     mig: &mut Mig,
@@ -710,131 +671,28 @@ fn propose_and_commit<E: ProposeEngine>(
     let _commit_span = obs::trace::span("commit");
     // The scheduler's next step is driven by the frontier alone; no
     // stale set is materialized on this path.
-    commit_waves(
+    commit_serially(
         mig,
         engine,
-        proposals,
+        &proposals,
         None,
         Some(&mut sched.frontier),
-        &mut sched.waves,
         changed,
-        cfg.threads,
     )
 }
 
-/// Applies one step's proposals grouped into waves of pairwise-disjoint
-/// TFO-extended footprints. `stale` receives the nodes whose regions
-/// must be re-proposed next step: everything dirtied by a commit, plus
-/// the footprints of conflicted proposals. Exposed so engines can
-/// regression-test their commit behavior against hand-built proposals.
+/// Applies one step's proposals through the scheduler's commit phase.
+/// `stale` receives the nodes whose regions must be re-proposed next
+/// step: everything dirtied by a commit, plus the footprints of
+/// conflicted proposals. Exposed so engines can regression-test their
+/// commit behavior against hand-built proposals.
 pub fn commit_proposals<E: ProposeEngine>(
     mig: &mut Mig,
     engine: &E,
     proposals: Vec<E::Proposal>,
     stale: &mut HashSet<NodeId>,
 ) -> RoundOutcome {
-    let mut scratch = WaveScratch::default();
-    let mut changed = Vec::new();
-    commit_waves(
-        mig,
-        engine,
-        proposals,
-        Some(stale),
-        None,
-        &mut scratch,
-        &mut changed,
-        1,
-    )
-}
-
-/// Epoch-stamped per-node scratch shared by wave planning (which wave
-/// stamped a node's extended footprint) and the wave stamps handed to
-/// the overlay simulators (does a node belong to *some* proposal of the
-/// executing wave). Epochs advance per use, so the vectors are allocated
-/// once and never cleared.
-///
-/// Thread discipline: every mutation (epoch advance, restamp, growth)
-/// happens on the scheduling thread *between* waves; while wave workers
-/// run, the simulators hold only shared borrows of `own`, so reusing
-/// the scratch across waves and steps is race-free by construction.
-#[derive(Default)]
-struct WaveScratch {
-    /// Wave planning: `plan[n] >= plan_base` means node `n` belongs to
-    /// the extended footprint of a proposal in wave `plan[n] - plan_base`.
-    plan: Vec<u32>,
-    plan_base: u32,
-    /// Wave stamps: `own[n] == own_epoch` marks `n` as inside the
-    /// executing wave's union of owned regions (extended footprints plus
-    /// reserved arenas). A simulator that reaches a stamped node it does
-    /// not own escapes — another worker may be rewriting it.
-    own: Vec<u32>,
-    own_epoch: u32,
-}
-
-impl WaveScratch {
-    fn ensure(&mut self, n: usize) {
-        if self.plan.len() < n {
-            self.plan.resize(n, 0);
-            self.own.resize(n, 0);
-        }
-    }
-}
-
-/// The TFO-extended footprint of one proposal: the footprint nodes plus
-/// their immediate fanout gates. Commits mutate within this frontier in
-/// the overwhelmingly common case (the replaced cone, its rewired
-/// parents); cascades that escape it are caught exactly by the dirty-log
-/// cursor during commit.
-fn extended_footprint(mig: &Mig, footprint: &[NodeId]) -> Vec<NodeId> {
-    let mut ext = footprint.to_vec();
-    for &n in footprint {
-        if (n as usize) < mig.num_nodes() && !mig.is_dead(n) {
-            ext.extend(mig.fanout_gates(n));
-        }
-    }
-    ext.sort_unstable();
-    ext.dedup();
-    ext
-}
-
-/// Greedy deterministic wave assignment: proposal `i` lands in the first
-/// wave whose already-stamped extended footprints it does not intersect
-/// (one pass, prefix maxima over the stamp scratch).
-fn plan_waves(extended: &[Vec<NodeId>], scratch: &mut WaveScratch) -> Vec<u32> {
-    let max_node = extended
-        .iter()
-        .flat_map(|e| e.iter())
-        .map(|&n| n as usize + 1)
-        .max()
-        .unwrap_or(0);
-    scratch.ensure(max_node);
-    // Advance the epoch window; reset on overflow so stale stamps can
-    // never alias a current wave.
-    if scratch.plan_base > u32::MAX - (extended.len() as u32 + 2) {
-        scratch.plan.fill(0);
-        scratch.plan_base = 0;
-    }
-    scratch.plan_base += 1;
-    let base = scratch.plan_base;
-    let mut waves = Vec::with_capacity(extended.len());
-    let mut max_wave = 0u32;
-    for ext in extended {
-        let mut wave = 0u32;
-        for &n in ext {
-            let s = scratch.plan[n as usize];
-            if s >= base {
-                wave = wave.max(s - base + 1);
-            }
-        }
-        for &n in ext {
-            scratch.plan[n as usize] = base + wave;
-        }
-        max_wave = max_wave.max(wave);
-        waves.push(wave);
-    }
-    // Leave the window past every stamp written this call.
-    scratch.plan_base += max_wave + 1;
-    waves
+    commit_serially(mig, engine, &proposals, Some(stale), None, &mut Vec::new())
 }
 
 /// Records a refused proposal's footprint for retry.
@@ -874,281 +732,57 @@ fn note_dirt(
     }
 }
 
-/// The wave-batched commit phase (see the module docs). Per wave:
-///
-/// 1. refuse proposals whose footprint intersects dirt accumulated
-///    earlier in the step (their regions retry next step);
-/// 2. stamp the wave's owned regions and reserve per-proposal slot
-///    arenas, in proposal order;
-/// 3. run every commit **concurrently** against a write-isolated
-///    [`crate::wave::WaveSim`] over the re-frozen wave-start graph;
-/// 4. accept patches serially in proposal order — an escaped simulation
-///    or a fresh-strash-key collision between two patches demotes the
-///    later proposal to the serial fallback;
-/// 5. install the accepted patches with parallel disjoint-region
-///    writers, then reconcile and finalize them serially in proposal
-///    order (strash, boundary references, outputs, dirty log, freed
-///    slots, deferred kills, level ripples);
-/// 6. re-run the fallback proposals serially on the real graph.
-///
-/// Every stage is a pure function of (wave-start graph, proposal
-/// order), so the resulting netlist is bit-identical for every thread
-/// count.
-#[allow(clippy::too_many_arguments)]
-fn commit_waves<E: ProposeEngine>(
+/// The commit phase (see the module docs): every proposal, in order,
+/// either commits on the live graph or — when its footprint intersects
+/// the dirt of an earlier commit in this step — is refused and queued
+/// for retry.
+fn commit_serially<E: ProposeEngine>(
     mig: &mut Mig,
     engine: &E,
-    proposals: Vec<E::Proposal>,
+    proposals: &[E::Proposal],
     mut stale: Option<&mut HashSet<NodeId>>,
     mut frontier: Option<&mut Vec<(NodeId, i64)>>,
-    scratch: &mut WaveScratch,
     changed: &mut Vec<NodeId>,
-    threads: usize,
 ) -> RoundOutcome {
     let mut outcome = RoundOutcome::default();
-    if proposals.is_empty() {
-        return outcome;
-    }
-    let extended: Vec<Vec<NodeId>> = proposals
-        .iter()
-        .map(|p| extended_footprint(mig, engine.footprint(p)))
-        .collect();
-    let waves = plan_waves(&extended, scratch);
-    let num_waves = waves.iter().max().copied().unwrap_or(0) as usize + 1;
-    outcome.waves = num_waves;
-    let mut by_wave: Vec<Vec<usize>> = vec![Vec::new(); num_waves];
-    for (i, &w) in waves.iter().enumerate() {
-        by_wave[w as usize].push(i);
-    }
     // Nodes touched earlier in this step; a proposal whose footprint
     // intersects it was analyzed against a graph that no longer exists.
     let mut step_dirty: FxHashSet<NodeId> = FxHashSet::default();
-    for (w, members) in by_wave.iter().enumerate() {
-        let _wave_span = obs::trace::span_dyn(|| format!("commit:wave{w}"));
-        // Driver conflict scan (vacuous for wave 0 of a fresh step).
-        let mut runnable: Vec<usize> = Vec::with_capacity(members.len());
-        for &i in members {
-            let fp = engine.footprint(&proposals[i]);
-            if fp.iter().any(|n| step_dirty.contains(n)) {
-                outcome.conflicted += 1;
-                note_refused(&mut stale, &mut frontier, fp, engine.gain(&proposals[i]));
-            } else {
-                runnable.push(i);
-            }
-        }
-        obs::metrics::observe(obs::Metric::SchedWaveWidth, runnable.len() as u64);
-        if runnable.is_empty() {
+    for prop in proposals {
+        let footprint = engine.footprint(prop);
+        let gain = engine.gain(prop);
+        if footprint.iter().any(|n| step_dirty.contains(n)) {
+            outcome.conflicted += 1;
+            note_refused(&mut stale, &mut frontier, footprint, gain);
             continue;
         }
-        // Wave stamps: mark the union of all runnable regions, so each
-        // simulator can tell its own region from a sibling's.
-        scratch.own_epoch = scratch.own_epoch.wrapping_add(1);
-        if scratch.own_epoch == 0 {
-            scratch.own.fill(0);
-            scratch.own_epoch = 1;
-        }
-        let epoch = scratch.own_epoch;
-        // Per-proposal slot arenas, reserved in proposal order so slot
-        // assignment is deterministic; the margin over the engine's own
-        // estimate absorbs normalization transients.
-        let arenas: Vec<Vec<NodeId>> = runnable
-            .iter()
-            .map(|&i| wave::reserve_slots(mig, engine.alloc_hint(&proposals[i]) + 8))
-            .collect();
-        scratch.ensure(mig.num_nodes());
-        let owned: Vec<FxHashSet<NodeId>> = runnable
-            .iter()
-            .zip(&arenas)
-            .map(|(&i, arena)| extended[i].iter().chain(arena.iter()).copied().collect())
-            .collect();
-        for set in &owned {
-            for &n in set {
-                scratch.own[n as usize] = epoch;
+        let cursor = mig.dirty_cursor();
+        match engine.commit(mig, prop) {
+            CommitVerdict::Applied { replacements } => {
+                outcome.committed += 1;
+                outcome.replacements += replacements;
+                outcome.gain += gain;
             }
-        }
-        // Concurrent simulation: workers steal proposal indices and run
-        // the engine's commit against private overlays of the frozen
-        // wave-start graph; results land in per-proposal slots so
-        // nothing downstream depends on scheduling. Each simulation runs
-        // in its own metric scope — its recordings are published only if
-        // its patch is accepted (a fallback re-run records afresh).
-        type SimResult = (CommitVerdict, WavePatch, obs::Delta);
-        let slots: Vec<Mutex<Option<SimResult>>> =
-            runnable.iter().map(|_| Mutex::new(None)).collect();
-        {
-            let _sim_span = obs::trace::span("commit:sim");
-            let frozen: &Mig = mig;
-            let stamps: &[u32] = &scratch.own;
-            let next = AtomicUsize::new(0);
-            let workers = threads.max(1).min(runnable.len());
-            std::thread::scope(|scope| {
-                for _ in 0..workers {
-                    scope.spawn(|| loop {
-                        let k = next.fetch_add(1, Ordering::Relaxed);
-                        if k >= runnable.len() {
-                            break;
-                        }
-                        let prop = &proposals[runnable[k]];
-                        let ((verdict, patch), delta) = obs::metrics::scoped(|| {
-                            let mut sim =
-                                wave::WaveSim::new(frozen, stamps, epoch, &owned[k], &arenas[k]);
-                            let v = engine.commit(&mut sim, prop);
-                            (v, sim.finish())
-                        });
-                        *slots[k].lock().unwrap() = Some((verdict, patch, delta));
-                    });
-                }
-            });
-        }
-        let results: Vec<SimResult> = slots
-            .into_iter()
-            .map(|m| m.into_inner().unwrap().expect("every simulation ran"))
-            .collect();
-        // Acceptance scan, proposal order: escapes and fresh-key strash
-        // collisions (two proposals building the same new gate — the
-        // serial engine would have merged them) fall back.
-        let mut new_keys: FxHashSet<[Signal; 3]> = FxHashSet::default();
-        let mut accepted: Vec<usize> = Vec::new();
-        let mut is_accepted = vec![false; runnable.len()];
-        let mut fallback: Vec<usize> = Vec::new();
-        for (k, (_, patch, _)) in results.iter().enumerate() {
-            let collides = patch
-                .strash_add
-                .iter()
-                .any(|(key, _)| new_keys.contains(key));
-            if patch.escaped || collides {
-                fallback.push(k);
-            } else {
-                new_keys.extend(patch.strash_add.iter().map(|&(key, _)| key));
-                accepted.push(k);
-                is_accepted[k] = true;
-            }
-        }
-        // Parallel apply: disjoint-region writers install every accepted
-        // patch's final node states.
-        let patch_refs: Vec<&WavePatch> = accepted.iter().map(|&k| &results[k].1).collect();
-        if !patch_refs.is_empty() {
-            wave::apply_patches(mig, &patch_refs, threads, w as u32);
-        }
-        // Serial reconciliation in proposal order: strash edits,
-        // boundary reference edits, outputs, dirty log, back-pointers.
-        let _reconcile_span = obs::trace::span("commit:reconcile");
-        for &k in &accepted {
-            let (verdict, patch, delta) = &results[k];
-            let gain = engine.gain(&proposals[runnable[k]]);
-            let cursor = mig.dirty_cursor();
-            wave::reconcile_patch(mig, patch);
-            match *verdict {
-                CommitVerdict::Applied { replacements } => {
-                    outcome.committed += 1;
-                    outcome.replacements += replacements;
-                    outcome.gain += gain;
-                }
-                CommitVerdict::Conflicted => {
-                    outcome.conflicted += 1;
-                    note_refused(
-                        &mut stale,
-                        &mut frontier,
-                        engine.footprint(&proposals[runnable[k]]),
-                        gain,
-                    );
-                }
-                CommitVerdict::Rejected => {}
-            }
-            delta.publish();
-            let dirt = mig
-                .dirty_since(cursor)
-                .expect("nothing drains inside a commit step")
-                .to_vec();
-            note_dirt(
-                &mut step_dirty,
-                &mut stale,
-                &mut frontier,
-                changed,
-                &dirt,
-                gain,
-            );
-        }
-        // Finalization after *all* reconciliations (deferred cross-patch
-        // kills need the fully reconciled reference counts): freed-slot
-        // recycling, foreign kills, level ripples past patch borders.
-        drop(_reconcile_span);
-        let _finalize_span = obs::trace::span("commit:finalize");
-        for &k in &accepted {
-            let gain = engine.gain(&proposals[runnable[k]]);
-            let cursor = mig.dirty_cursor();
-            wave::finalize_patch(mig, &results[k].1);
-            let dirt = mig
-                .dirty_since(cursor)
-                .expect("nothing drains inside a commit step")
-                .to_vec();
-            note_dirt(
-                &mut step_dirty,
-                &mut stale,
-                &mut frontier,
-                changed,
-                &dirt,
-                gain,
-            );
-        }
-        // Return unconsumed arena slots, newest reservation first, so
-        // the free list (and any trailing array growth) is restored for
-        // everything the wave never materialized.
-        for k in (0..runnable.len()).rev() {
-            let used = if is_accepted[k] {
-                results[k].1.arena_used
-            } else {
-                0
-            };
-            wave::return_slots(mig, &arenas[k][used..]);
-        }
-        // Serial fallback: escaped or demoted proposals re-run on the
-        // real graph — the historical serial commit path, now only for
-        // the provably-unsafe remainder.
-        obs::metrics::add(obs::Metric::SchedWaveFallbacks, fallback.len() as u64);
-        for &k in &fallback {
-            let prop = &proposals[runnable[k]];
-            let gain = engine.gain(prop);
-            if engine
-                .footprint(prop)
-                .iter()
-                .any(|n| step_dirty.contains(n))
-            {
+            CommitVerdict::Conflicted => {
                 outcome.conflicted += 1;
-                note_refused(&mut stale, &mut frontier, engine.footprint(prop), gain);
-                continue;
+                note_refused(&mut stale, &mut frontier, footprint, gain);
             }
-            let cursor = mig.dirty_cursor();
-            let (verdict, delta) = obs::metrics::scoped(|| engine.commit(&mut *mig, prop));
-            delta.publish();
-            match verdict {
-                CommitVerdict::Applied { replacements } => {
-                    outcome.committed += 1;
-                    outcome.replacements += replacements;
-                    outcome.gain += gain;
-                }
-                CommitVerdict::Conflicted => {
-                    outcome.conflicted += 1;
-                    note_refused(&mut stale, &mut frontier, engine.footprint(prop), gain);
-                }
-                CommitVerdict::Rejected => {}
-            }
-            let dirt = mig
-                .dirty_since(cursor)
-                .expect("nothing drains inside a commit step")
-                .to_vec();
-            note_dirt(
-                &mut step_dirty,
-                &mut stale,
-                &mut frontier,
-                changed,
-                &dirt,
-                gain,
-            );
+            CommitVerdict::Rejected => {}
         }
-        #[cfg(debug_assertions)]
-        mig.debug_check();
+        let dirt = mig
+            .dirty_since(cursor)
+            .expect("nothing drains inside a commit step");
+        note_dirt(
+            &mut step_dirty,
+            &mut stale,
+            &mut frontier,
+            changed,
+            dirt,
+            gain,
+        );
     }
+    #[cfg(debug_assertions)]
+    mig.debug_check();
     outcome
 }
 
@@ -1235,23 +869,21 @@ mod tests {
         footprint: Vec<NodeId>,
     }
 
-    /// Matches the pattern at `root` and returns the replacement signal
-    /// (over the [`NetworkOps`] view, so it also rechecks inside wave
-    /// simulations).
-    fn redundant_and(net: &dyn NetworkOps, root: NodeId) -> Option<Signal> {
-        if !net.is_gate(root) {
+    /// Matches the pattern at `root` and returns the replacement signal.
+    fn redundant_and(mig: &Mig, root: NodeId) -> Option<Signal> {
+        if !mig.is_gate(root) {
             return None;
         }
-        let ops = net.fanins(root);
+        let ops = mig.fanins(root);
         if ops[0] != Signal::ZERO {
             return None;
         }
         for (i, &inner) in ops.iter().enumerate().skip(1) {
-            if inner.is_complemented() || !net.is_gate(inner.node()) {
+            if inner.is_complemented() || !mig.is_gate(inner.node()) {
                 continue;
             }
             let other = ops[3 - i];
-            let inner_ops = net.fanins(inner.node());
+            let inner_ops = mig.fanins(inner.node());
             if inner_ops[0] == Signal::ZERO && inner_ops.contains(&other) {
                 return Some(inner);
             }
@@ -1298,12 +930,12 @@ mod tests {
             1
         }
 
-        fn commit(&self, net: &mut dyn NetworkOps, p: &AndProposal) -> CommitVerdict {
+        fn commit(&self, mig: &mut Mig, p: &AndProposal) -> CommitVerdict {
             // Live recheck: the pattern must still be present.
-            let Some(inner) = redundant_and(&*net, p.root) else {
+            let Some(inner) = redundant_and(mig, p.root) else {
                 return CommitVerdict::Conflicted;
             };
-            if net.replace_node(p.root, inner) {
+            if mig.replace_node(p.root, inner) {
                 CommitVerdict::Applied { replacements: 1 }
             } else {
                 CommitVerdict::Rejected
@@ -1396,7 +1028,6 @@ mod tests {
             stats.sched
         );
         assert!(stats.sched.proposed_regions > 0);
-        assert!(stats.sched.commit_waves >= 1);
     }
 
     #[test]
@@ -1427,10 +1058,10 @@ mod tests {
     }
 
     #[test]
-    fn disjoint_proposals_commit_in_one_wave_bit_identical_to_serial() {
-        // Two redundant pairs in unrelated cones: batched application in
-        // one wave must produce the exact netlist serial one-at-a-time
-        // application produces, with both proposals committed.
+    fn disjoint_proposals_batched_commit_bit_identical_to_one_at_a_time() {
+        // Two redundant pairs in unrelated cones: committing both in one
+        // step must produce the exact netlist one-at-a-time commits
+        // produce, with both proposals committed.
         let build = || {
             let mut m = Mig::new(8);
             let (a, b, c, d) = (m.input(0), m.input(1), m.input(2), m.input(3));
@@ -1449,7 +1080,6 @@ mod tests {
         let p2 = and_proposal(&batched, r2);
         let mut stale = HashSet::new();
         let outcome = commit_proposals(&mut batched, &RedundantAndEngine, vec![p1, p2], &mut stale);
-        assert_eq!(outcome.waves, 1, "disjoint footprints share one wave");
         assert_eq!(outcome.committed, 2);
         assert_eq!(outcome.conflicted, 0);
         batched.debug_check();
@@ -1463,7 +1093,10 @@ mod tests {
         }
         let fp_b: Vec<_> = batched.gates().map(|g| (g, batched.fanins(g))).collect();
         let fp_s: Vec<_> = serial.gates().map(|g| (g, serial.fanins(g))).collect();
-        assert_eq!(fp_b, fp_s, "batched wave diverged from serial commits");
+        assert_eq!(
+            fp_b, fp_s,
+            "batched commit diverged from one-at-a-time commits"
+        );
         assert_eq!(batched.outputs(), serial.outputs());
         assert_eq!(batched.num_nodes(), serial.num_nodes());
     }
@@ -1473,41 +1106,44 @@ mod tests {
         // Two stacked redundant pairs: committing the lower one rewires
         // the upper one's footprint, so the upper proposal must be
         // refused (conflict, queued for retry), not applied against the
-        // drifted graph — and the wave plan must have separated them.
+        // drifted graph. A third pair in an unrelated cone still lands
+        // in the same step.
         let mut m = Mig::new(4);
-        let (a, b, c) = (m.input(0), m.input(1), m.input(2));
+        let (a, b, c, d) = (m.input(0), m.input(1), m.input(2), m.input(3));
         let i1 = m.and(a, b);
         let r1 = m.and(i1, b); // lower redundant pair
         let i2 = m.and(r1, c);
         let r2 = m.and(i2, c); // upper redundant pair, feeds on r1
+        let i3 = m.and(a, d);
+        let r3 = m.and(i3, d); // unrelated redundant pair
         m.add_output(r2);
+        m.add_output(r3);
         let want = m.output_truth_tables();
         let p_low = and_proposal(&m, r1.node());
         let p_high = and_proposal(&m, r2.node());
-        assert!(
-            extended_footprint(&m, &p_low.footprint)
-                .iter()
-                .any(|n| p_high.footprint.contains(n)),
-            "test premise: the extended footprints overlap"
-        );
+        let p_other = and_proposal(&m, r3.node());
+        let high_footprint = p_high.footprint.clone();
         let mut stale = HashSet::new();
-        let outcome =
-            commit_proposals(&mut m, &RedundantAndEngine, vec![p_low, p_high], &mut stale);
-        assert!(outcome.waves >= 2, "overlap forces a second wave");
-        assert_eq!(outcome.committed, 1, "lower proposal lands");
+        let outcome = commit_proposals(
+            &mut m,
+            &RedundantAndEngine,
+            vec![p_low, p_high, p_other],
+            &mut stale,
+        );
+        assert_eq!(outcome.committed, 2, "lower and unrelated proposals land");
         assert_eq!(outcome.conflicted, 1, "upper proposal refused for retry");
+        assert!(!m.is_gate(r3.node()), "unrelated pair collapsed");
         assert!(
-            !stale.is_empty(),
+            high_footprint.iter().all(|n| stale.contains(n)),
             "conflicted footprint queued for the next step"
         );
         assert_eq!(m.output_truth_tables(), want, "function preserved");
         m.debug_check();
     }
 
-    /// A commit whose cascade provably leaves its TFO-extended footprint
-    /// must escape its wave simulation and land through the serial
-    /// fallback — applied, not dropped, and bit-identical to a direct
-    /// serial `replace_node` on the same graph.
+    /// A commit whose cascade reaches two fanout hops past its footprint
+    /// must land — applied, not dropped, and bit-identical to a direct
+    /// `replace_node` on the same graph.
     #[test]
     fn escaped_cascade_falls_back_to_serial_application() {
         struct CollapseEngine;
@@ -1539,8 +1175,8 @@ mod tests {
             fn gain(&self, _p: &CollapseProposal) -> i64 {
                 1
             }
-            fn commit(&self, net: &mut dyn NetworkOps, p: &CollapseProposal) -> CommitVerdict {
-                if net.replace_node(p.root, p.repl) {
+            fn commit(&self, mig: &mut Mig, p: &CollapseProposal) -> CommitVerdict {
+                if mig.replace_node(p.root, p.repl) {
                     CommitVerdict::Applied { replacements: 1 }
                 } else {
                     CommitVerdict::Rejected
@@ -1548,9 +1184,8 @@ mod tests {
             }
         }
 
-        // The wave.rs escape construction: replacing `root` by `a`
-        // collapses `mid` (<a a !b> = a), which substitutes into `outer`
-        // — two fanout hops from the footprint, outside the extension.
+        // Replacing `root` by `a` collapses `mid` (<a a !b> = a), which
+        // substitutes into `outer` — two fanout hops from the footprint.
         let build = || {
             let mut m = Mig::new(4);
             let (a, b, c) = (m.input(0), m.input(1), m.input(2));
@@ -1568,15 +1203,9 @@ mod tests {
             footprint: vec![root, inner],
         };
         let mut stale = HashSet::new();
-        let ((), delta) = obs::metrics::scoped(|| {
-            let outcome = commit_proposals(&mut m, &CollapseEngine, vec![prop], &mut stale);
-            assert_eq!(outcome.committed, 1, "escaped proposal still lands");
-            assert_eq!(outcome.conflicted, 0);
-        });
-        assert!(
-            delta.get(obs::Metric::SchedWaveFallbacks) >= 1,
-            "the cascade must have gone through the serial fallback"
-        );
+        let outcome = commit_proposals(&mut m, &CollapseEngine, vec![prop], &mut stale);
+        assert_eq!(outcome.committed, 1, "cascading proposal lands");
+        assert_eq!(outcome.conflicted, 0);
         m.debug_check();
 
         let (mut serial, root, _, a) = build();
@@ -1591,23 +1220,7 @@ mod tests {
         assert_eq!(
             fp(&m),
             fp(&serial),
-            "fallback diverged from serial semantics"
+            "commit diverged from a direct replace_node"
         );
-    }
-
-    #[test]
-    fn wave_planning_is_greedy_and_deterministic() {
-        let ext = vec![
-            vec![1, 2, 3],
-            vec![4, 5],
-            vec![3, 6],    // clashes with #0 -> wave 1
-            vec![7],       // free -> wave 0
-            vec![6, 5],    // clashes with #1 (wave 0) and #2 (wave 1) -> wave 2
-            vec![1, 4, 7], // clashes with wave-0 members -> wave 1
-        ];
-        let mut scratch = WaveScratch::default();
-        assert_eq!(plan_waves(&ext, &mut scratch), vec![0, 0, 1, 0, 2, 1]);
-        // The scratch is reusable without clearing (epoch window).
-        assert_eq!(plan_waves(&ext, &mut scratch), vec![0, 0, 1, 0, 2, 1]);
     }
 }

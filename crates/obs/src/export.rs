@@ -242,11 +242,6 @@ pub fn derived_rates(d: &Delta, elapsed_s: f64) -> Vec<(String, f64)> {
     if proposed != 0 && elapsed_s > 0.0 {
         out.push(("regions_per_s".into(), proposed as f64 / elapsed_s));
     }
-    let waves = d.get(Metric::SchedCommitWaves);
-    let proposals = d.get(Metric::ShardCommitted) + d.get(Metric::ShardConflicted);
-    if waves != 0 {
-        out.push(("proposals_per_wave".into(), proposals as f64 / waves as f64));
-    }
     let hits = d.get(Metric::CutsCacheHits);
     let misses = d.get(Metric::CutsCacheMisses);
     if hits + misses != 0 {
@@ -269,13 +264,6 @@ pub fn derived_rates(d: &Delta, elapsed_s: f64) -> Vec<(String, f64)> {
         out.push((
             "result_cache_hit_rate".into(),
             res_hits as f64 / (res_hits + res_misses) as f64,
-        ));
-    }
-    let workers = d.get(Metric::SchedWaveWorkers);
-    if workers != 0 {
-        out.push((
-            "commits_per_wave_worker".into(),
-            d.get(Metric::ShardCommitted) as f64 / workers as f64,
         ));
     }
     out

@@ -66,23 +66,24 @@ echo "== generated-corpus smoke: compact pass on synthesized instances"
 # through the convergence scheduler, a mid-pipeline compact and a
 # budgeted SAT equivalence check (random simulation always runs in
 # full; exit code 2 = counterexample fails CI here). The ctrl instance
-# must come back proved, not UNKNOWN.
+# must come back proved, not UNKNOWN; hyp:24 stays UNKNOWN.
 GEN=./target/release/gen_bench
 for spec in hyp:24 ctrl:8:6:150:7; do
     g="$TRACE_DIR/$(echo "$spec" | tr ':' '_').blif"
     "$GEN" "$spec" "$g"
-    echo "-- migopt -i $g -p \"fhash!:B@4; compact; algebraic@4; cec:50000\""
-    "$MIGOPT" -i "$g" -p "fhash!:B@4; compact; algebraic@4; cec:50000" > "$g.log"
+    echo "-- migopt -i $g -p \"fhash!:B@4; compact; algebraic@4; cec:16000\""
+    "$MIGOPT" -i "$g" -p "fhash!:B@4; compact; algebraic@4; cec:16000" > "$g.log"
     tail -n 1 "$g.log"
 done
 grep -q "equivalent (SAT proof)" "$TRACE_DIR/ctrl_8_6_150_7.blif.log" || {
-    echo "FAIL: cec:50000 did not prove the optimized ctrl:8:6:150:7"; exit 1;
+    echo "FAIL: cec:16000 did not prove the optimized ctrl:8:6:150:7"; exit 1;
 }
 
-echo "== SAT-sweeping proof gate: mult:8 and hyp:8 prove at 16,000 conflicts"
+echo "== SAT-sweeping proof gate: mult:8, hyp:8, mult:64 and mult:128 prove at 16,000 conflicts"
 # SAT sweeping merges the optimized nodes into their input counterparts,
-# so both must prove well inside the budget.
-for spec in mult:8 hyp:8; do
+# most of them by cut truth tables with no SAT call, so all four must
+# prove well inside the budget.
+for spec in mult:8 hyp:8 mult:64 mult:128; do
     g="$TRACE_DIR/$(echo "$spec" | tr ':' '_').blif"
     "$GEN" "$spec" "$g"
     echo "-- migopt -j 2 -i $g -p \"fhash!:TFD; algebraic; fhash!:B; cec:16000\""

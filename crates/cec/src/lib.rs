@@ -14,10 +14,12 @@
 //! same function of the same leaves, so most nodes of an optimized MIG
 //! have an equal node in its input. The proof simulates both networks,
 //! walks their nodes in level order, and merges each node into an
-//! earlier one with the same simulation signature once two small SAT
-//! calls on a recycled incremental solver prove them equal. Output pairs
-//! then usually end on the same literal; the rest get one final SAT
-//! check.
+//! earlier one with the same simulation signature once the two are
+//! proven equal: first by truth tables over a cut of at most six shared
+//! leaves, with no SAT call, and otherwise by two small SAT calls on a
+//! recycled incremental solver. Each refuting model is simulated at once
+//! and splits the classes. Output pairs then usually end on the same
+//! literal; the rest get one final SAT check.
 
 mod sweep;
 
@@ -105,6 +107,7 @@ pub fn prove_equivalent(a: &Mig, b: &Mig, conflict_budget: Option<u64>) -> CecRe
     let _timer = obs::metrics::timer(obs::Metric::CecSatNs);
     let (verdict, stats) = sweep::prove(a, b, conflict_budget);
     obs::metrics::add(obs::Metric::CecMerges, stats.merges);
+    obs::metrics::add(obs::Metric::CecCutMerges, stats.cut_merges);
     obs::metrics::add(obs::Metric::CecSolverCalls, stats.solver_calls);
     obs::metrics::add(obs::Metric::CecConflicts, stats.conflicts);
     verdict
@@ -233,7 +236,7 @@ mod tests {
     fn sweep_agrees_with_exhaustive_simulation_and_the_miter() {
         let engine = fhash_engine();
         let mut rng = testrand::Rng::new(0xC0DE_CEC5);
-        let (mut pairs, mut refuted) = (0, 0);
+        let (mut pairs, mut refuted, mut cut_merges) = (0, 0, 0);
         for case in 0..110 {
             let m = random_mig(&mut rng);
             let mut opt = m.clone();
@@ -248,7 +251,8 @@ mod tests {
                 pairs += 1;
                 let exact = equivalent_exhaustive(&m, &other);
                 let oracle = miter(&m, &other);
-                let (verdict, _) = sweep::prove(&m, &other, None);
+                let (verdict, stats) = sweep::prove(&m, &other, None);
+                cut_merges += stats.cut_merges;
                 match &verdict {
                     CecResult::Equivalent => {
                         assert!(exact, "case {case}: sweep proved a false pair");
@@ -275,11 +279,13 @@ mod tests {
             refuted >= 50,
             "only {refuted} of {pairs} pairs were refuted"
         );
+        // And the cut truth-table merges, not only SAT merges.
+        assert!(cut_merges > 0, "no pair merged by a cut truth table");
     }
 
     #[test]
     fn summed_conflicts_stay_within_the_budget_and_repeat() {
-        let m = benchgen::multiplier(8);
+        let m = benchgen::hypotenuse(8);
         let mut opt = m.clone();
         let engine = fhash_engine();
         engine.run_in_place(&mut opt, fhash::Variant::TopDownFfrDepth);
@@ -296,36 +302,43 @@ mod tests {
             assert!(!matches!(verdict, CecResult::Counterexample(_)));
             assert_eq!(sweep::prove(&m, &opt, Some(budget)), (verdict, stats));
         }
-        // The small budgets bind: a full proof needs more conflicts.
+        // Every tested budget binds: a full proof needs more conflicts.
         let (verdict, full) = sweep::prove(&m, &opt, None);
         assert_eq!(verdict, CecResult::Equivalent);
-        assert!(full.conflicts > 1, "only {} conflicts", full.conflicts);
+        assert!(full.conflicts > 100, "only {} conflicts", full.conflicts);
     }
 
     #[test]
     fn deep_chain_is_proved_on_a_small_stack() {
         const DEPTH: usize = 100_000;
+        const TAIL: usize = 8;
         let worker = std::thread::Builder::new()
             .stack_size(256 * 1024)
             .spawn(|| {
-                // Chain gate i is <g x !y> over a pseudo-random input pair;
-                // the copy computes its last gate as <g x <g x !y>>, which
-                // is equal, so proving it encodes the whole chain below.
+                // Chain gate i is <g x !y> over a pseudo-random input pair.
+                // Both networks end in the AND of the chain and TAIL more
+                // inputs, associated to the left in one and to the right in
+                // the other. Those nine leaves do not fit a cut, so proving
+                // the two ends equal takes a SAT check, which encodes the
+                // whole chain below.
                 let mut rng = testrand::Rng::new(7);
                 let inputs = 32;
                 let (mut a, mut b) = (Mig::new(inputs), Mig::new(inputs));
                 let (mut ga, mut gb) = (a.input(0), b.input(0));
-                for i in 0..DEPTH {
+                for _ in 0..DEPTH {
                     let x = rng.usize_below(inputs);
                     let y = (x + 1 + rng.usize_below(inputs - 1)) % inputs;
                     ga = a.maj(ga, a.input(x), !a.input(y));
-                    let inner = b.maj(gb, b.input(x), !b.input(y));
-                    gb = if i + 1 == DEPTH {
-                        b.maj(gb, b.input(x), inner)
-                    } else {
-                        inner
-                    };
+                    gb = b.maj(gb, b.input(x), !b.input(y));
                 }
+                for i in 0..TAIL {
+                    ga = a.and(ga, a.input(i));
+                }
+                let mut tail = b.input(TAIL - 1);
+                for i in (0..TAIL - 1).rev() {
+                    tail = b.and(b.input(i), tail);
+                }
+                gb = b.and(gb, tail);
                 a.add_output(ga);
                 b.add_output(gb);
                 (a.depth(), sweep::prove(&a, &b, None))
@@ -335,6 +348,56 @@ mod tests {
         assert!(depth as usize >= DEPTH);
         assert_eq!(verdict, CecResult::Equivalent);
         assert!(stats.merges >= 1);
+    }
+
+    #[test]
+    fn wide_reassociation_needs_sat_and_a_mutant_is_refuted() {
+        // AND of eight inputs, associated to the left and to the right:
+        // the two ends meet only over more leaves than a cut holds.
+        const WIDTH: usize = 8;
+        let mut a = Mig::new(WIDTH);
+        let mut left = a.input(0);
+        for i in 1..WIDTH {
+            left = a.and(left, a.input(i));
+        }
+        a.add_output(left);
+        let right_tree = |flip: Option<usize>| {
+            let mut b = Mig::new(WIDTH);
+            let leaf = |b: &Mig, i: usize| b.input(i).complement_if(flip == Some(i));
+            let mut right = leaf(&b, WIDTH - 1);
+            for i in (0..WIDTH - 1).rev() {
+                right = b.and(leaf(&b, i), right);
+            }
+            b.add_output(right);
+            b
+        };
+        let (verdict, stats) = sweep::prove(&a, &right_tree(None), None);
+        assert_eq!(verdict, CecResult::Equivalent);
+        assert!(stats.merges >= 1, "no SAT merge: {stats:?}");
+        let broken = right_tree(Some(3));
+        match sweep::prove(&a, &broken, None).0 {
+            CecResult::Counterexample(cex) => assert!(separates(&a, &broken, &cex)),
+            other => panic!("expected a counterexample, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn three_leaf_pair_merges_by_its_cut() {
+        // Majority of three inputs as an OR of ANDs, and as one gate: a
+        // cut of the three inputs decides the pair with no SAT call.
+        let mut a = Mig::new(3);
+        let (x, y, z) = (a.input(0), a.input(1), a.input(2));
+        let (xy, xz, yz) = (a.and(x, y), a.and(x, z), a.and(y, z));
+        let t = a.or(xy, xz);
+        let o = a.or(t, yz);
+        a.add_output(o);
+        let mut b = Mig::new(3);
+        let (x, y, z) = (b.input(0), b.input(1), b.input(2));
+        let o = b.maj(x, y, z);
+        b.add_output(o);
+        let (verdict, stats) = sweep::prove(&a, &b, None);
+        assert_eq!(verdict, CecResult::Equivalent);
+        assert_eq!((stats.cut_merges, stats.solver_calls), (1, 0), "{stats:?}");
     }
 
     fn xor3_pair() -> (Mig, Mig) {

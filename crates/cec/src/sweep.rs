@@ -5,9 +5,13 @@
 //! order. Random simulation keys each node by its signature up to
 //! complement. The sweep walks the gates in level order, maps each gate's
 //! fanins through the representative table `repr`, and merges the gate
-//! into an earlier node when majority simplification, structural hashing
-//! or a SAT check shows the two equal. The SAT checks run on a small
-//! incremental solver that encodes only the cones they need. Outputs
+//! into an earlier node when majority simplification, structural hashing,
+//! equal truth tables over a small cut, or a SAT check shows the two
+//! equal. The cut check needs no solver: both sides are evaluated over at
+//! most [`CUT_LEAVES`] shared leaves found by expanding their cones
+//! through `repr`. The SAT checks run on a small incremental solver that
+//! encodes only the cones they need; each refuting model is simulated at
+//! once as one more word, which splits the classes it separates. Outputs
 //! whose two sides end on the same literal are proved; any other pair
 //! gets one last check with the remaining conflict budget.
 
@@ -21,16 +25,29 @@ const SIM_WORDS: usize = 16;
 /// Conflict cap of each SAT call that checks a candidate pair. A pair
 /// still open after it stays unmerged.
 const CHECK_CONFLICTS: u64 = 1_000;
+/// Leaves of the cut over which a candidate pair is compared as truth
+/// tables before any SAT call. Functional hashing swaps cuts of at most
+/// four leaves, so most pairs meet within a few more; six keeps each
+/// table in one 64-bit word. On the `verify` benchmark ladder a cut of
+/// eight leaves proved no more rungs and ran no faster.
+const CUT_LEAVES: usize = 6;
+/// Truth tables of the cut leaves: leaf `i` is variable `i` of six.
+const PROJECTIONS: [u64; CUT_LEAVES] = [
+    0xAAAA_AAAA_AAAA_AAAA,
+    0xCCCC_CCCC_CCCC_CCCC,
+    0xF0F0_F0F0_F0F0_F0F0,
+    0xFF00_FF00_FF00_FF00,
+    0xFFFF_0000_FFFF_0000,
+    0xFFFF_FFFF_0000_0000,
+];
 /// SAT calls after which the solver is replaced by an empty one. A
 /// satisfiable call assigns every variable the solver holds, so a solver
 /// that keeps every cone it ever encoded slows each later call; encoding
 /// a cone again is cheaper.
 const RECYCLE_CALLS: u64 = 1_000;
-/// Counterexamples buffered before they are simulated as one more word.
-const PATTERNS: u32 = u64::BITS;
 /// Seed of the SplitMix64 stream that draws the simulation words.
 const SIM_SEED: u64 = 0x5EED_CEC5;
-/// "No node" in a class chain.
+/// "No table node" for a node no output depends on.
 const NONE: u32 = u32::MAX;
 
 /// What one proof spent.
@@ -38,6 +55,9 @@ const NONE: u32 = u32::MAX;
 pub(crate) struct SweepStats {
     /// Node pairs proven equal by SAT and merged.
     pub merges: u64,
+    /// Node pairs proven equal by cut truth tables, with no SAT call, and
+    /// merged.
+    pub cut_merges: u64,
     /// `solve_assuming` calls.
     pub solver_calls: u64,
     /// Conflicts summed over every call.
@@ -101,14 +121,13 @@ struct Sweep {
     strash: FxHashMap<[Signal; 3], Signal>,
     /// Nodes that were not merged, in processing order.
     heads: Vec<u32>,
-    /// Latest head of each signature key; `prev` links to the one before.
+    /// Latest head of each signature key.
     classes: FxHashMap<u64, u32>,
-    prev: Vec<u32>,
-    /// Buffered counterexamples, one bit per pattern in each input's word.
-    pending: Vec<u64>,
-    npending: u32,
-    /// Scratch word per node for simulating `pending`.
+    /// Scratch word per node: cut truth tables and simulated
+    /// counterexamples.
     scratch: Vec<u64>,
+    /// Gates of the last cut's cones, highest index first.
+    cone: Vec<u32>,
     solver: Solver,
     /// Bumped with each new solver; `var[v]` is valid when
     /// `stamp[v] == epoch`.
@@ -220,10 +239,8 @@ impl Sweep {
             strash: FxHashMap::default(),
             heads: (0..=n as u32).collect(),
             classes: FxHashMap::default(),
-            prev: vec![NONE; len],
-            pending: vec![0; n],
-            npending: 0,
             scratch: vec![0; len],
+            cone: Vec::new(),
             solver: Solver::new(),
             epoch: 0,
             stamp: vec![0; len],
@@ -239,8 +256,8 @@ impl Sweep {
     }
 
     /// Walks the gates in level order, merging each into an equal earlier
-    /// node where one is found. Returns a counterexample when simulating
-    /// buffered patterns shows an output pair differing.
+    /// node where one is found. Returns a counterexample when simulating a
+    /// refuting model shows an output pair differing.
     fn run(&mut self) -> Result<(), Vec<bool>> {
         for v in self.num_inputs + 1..self.fanins.len() {
             let ops = self.fanins[v].map(|s| self.resolve(s));
@@ -263,34 +280,87 @@ impl Sweep {
         Ok(())
     }
 
-    /// Checks gate `v` against the heads of its class, latest first, and
-    /// merges it into the first one proven equal. Otherwise `v` becomes a
-    /// head.
+    /// Checks gate `v` against the latest head of its class, by cut truth
+    /// tables and then by SAT, and merges it into that head when the two
+    /// are equal. A refutation re-keys the classes and the check repeats
+    /// in `v`'s new class. An undecided check or an empty class makes `v`
+    /// a head.
     fn match_class(&mut self, v: u32) -> Result<Signal, Vec<bool>> {
-        let mut h = self.class_of(v);
-        while h != NONE {
+        while let Some(h) = self.class_of(v) {
             let phase = self.phase[v as usize] != self.phase[h as usize];
             let head = Signal::new(h, phase);
+            if self.cut_equal(v, head) {
+                self.stats.cut_merges += 1;
+                return Ok(head);
+            }
             match self.check(Signal::new(v, false), head, Some(CHECK_CONFLICTS)) {
                 CecResult::Equivalent => {
                     self.stats.merges += 1;
                     return Ok(head);
                 }
                 CecResult::Unknown => break,
-                // A flush re-keys every class, and the new word separates
-                // `v` from every head it was refuted against.
-                CecResult::Counterexample(cex) => {
-                    h = if self.add_pattern(&cex)? {
-                        self.class_of(v)
-                    } else {
-                        self.prev[h as usize]
-                    };
-                }
+                // The model's word re-keys every class and separates `v`
+                // from `h`.
+                CecResult::Counterexample(cex) => self.add_pattern(&cex)?,
             }
         }
-        self.prev[v as usize] = self.classes.insert(self.key[v as usize], v).unwrap_or(NONE);
+        self.classes.insert(self.key[v as usize], v);
         self.heads.push(v);
         Ok(Signal::new(v, false))
+    }
+
+    /// Whether gate `v` equals `head` as a function of the leaves of a cut
+    /// of at most [`CUT_LEAVES`] nodes. The leaf set starts as `{v, head}`
+    /// without the constant. Its highest-index gate leaf is replaced by the
+    /// nodes of its fanins, through `repr` and without the constant, until
+    /// no leaf is a gate or the next replacement would overflow the cut.
+    /// (Skipping the overflowing leaf to replace the next one decides a
+    /// few more pairs, but ran the `verify` ladder slower.) Fanins come
+    /// earlier in the table, so the replaced gates evaluate in reverse
+    /// order. `repr` holds only proven merges, so each table is its node's
+    /// exact function of the leaves, and equal tables prove the pair
+    /// equal. Leaves may be correlated, so unequal tables prove nothing.
+    fn cut_equal(&mut self, v: u32, head: Signal) -> bool {
+        let (fanins, repr) = (&self.fanins, &self.repr);
+        let resolve = |s: Signal| repr[s.node() as usize].complement_if(s.is_complemented());
+        let is_gate = |u: u32| u as usize > self.num_inputs;
+        let mut leaves = [v; CUT_LEAVES];
+        let mut len = 1 + usize::from(head.node() != 0);
+        leaves[1] = head.node();
+        self.cone.clear();
+        'expand: while let Some(i) = (0..len)
+            .filter(|&i| is_gate(leaves[i]))
+            .max_by_key(|&i| leaves[i])
+        {
+            let g = leaves[i];
+            let (mut next, mut next_len) = (leaves, len - 1);
+            next[i] = next[next_len];
+            for f in fanins[g as usize] {
+                let f = resolve(f).node();
+                if f != 0 && !next[..next_len].contains(&f) {
+                    if next_len == CUT_LEAVES {
+                        break 'expand;
+                    }
+                    next[next_len] = f;
+                    next_len += 1;
+                }
+            }
+            (leaves, len) = (next, next_len);
+            self.cone.push(g);
+        }
+        let word = &mut self.scratch;
+        word[0] = 0;
+        for (&leaf, &p) in leaves[..len].iter().zip(&PROJECTIONS) {
+            word[leaf as usize] = p;
+        }
+        for &g in self.cone.iter().rev() {
+            let [x, y, z] = fanins[g as usize].map(|f| {
+                let f = resolve(f);
+                word[f.node() as usize] ^ mask(f.is_complemented())
+            });
+            word[g as usize] = maj(x, y, z);
+        }
+        word[v as usize] == word[head.node() as usize] ^ mask(head.is_complemented())
     }
 
     /// Proves each output pair whose sides do not end on the same literal
@@ -313,17 +383,14 @@ impl Sweep {
         self.repr[s.node() as usize].complement_if(s.is_complemented())
     }
 
-    fn class_of(&self, v: u32) -> u32 {
-        self.classes
-            .get(&self.key[v as usize])
-            .copied()
-            .unwrap_or(NONE)
+    fn class_of(&self, v: u32) -> Option<u32> {
+        self.classes.get(&self.key[v as usize]).copied()
     }
 
     fn rebuild_classes(&mut self) {
         self.classes.clear();
         for &h in &self.heads {
-            self.prev[h as usize] = self.classes.insert(self.key[h as usize], h).unwrap_or(NONE);
+            self.classes.insert(self.key[h as usize], h);
         }
     }
 
@@ -428,22 +495,17 @@ impl Sweep {
         signed(self.var[root as usize], s.is_complemented())
     }
 
-    /// Buffers one counterexample. When the buffer is full, simulates it
-    /// as one more word and re-keys every class; returns whether it did.
-    /// Returns a counterexample instead when that word shows an output
-    /// pair differing.
-    fn add_pattern(&mut self, cex: &[bool]) -> Result<bool, Vec<bool>> {
-        for (w, &x) in self.pending.iter_mut().zip(cex) {
-            *w |= u64::from(x) << self.npending;
-        }
-        self.npending += 1;
-        if self.npending < PATTERNS {
-            return Ok(false);
-        }
+    /// Simulates one counterexample as one more word, each input's value
+    /// filling all 64 bits, and re-keys every class with it. Returns a
+    /// counterexample instead when that word shows an output pair
+    /// differing.
+    fn add_pattern(&mut self, cex: &[bool]) -> Result<(), Vec<bool>> {
         let n = self.num_inputs;
         let word = &mut self.scratch;
         word[0] = 0;
-        word[1..=n].copy_from_slice(&self.pending);
+        for (w, &x) in word[1..=n].iter_mut().zip(cex) {
+            *w = mask(x);
+        }
         for v in n + 1..self.fanins.len() {
             let [x, y, z] =
                 self.fanins[v].map(|s| word[s.node() as usize] ^ mask(s.is_complemented()));
@@ -455,10 +517,8 @@ impl Sweep {
         for ((k, &w), &p) in self.key.iter_mut().zip(word.iter()).zip(&self.phase) {
             *k = fold(*k, w ^ mask(p));
         }
-        self.pending.fill(0);
-        self.npending = 0;
         self.rebuild_classes();
-        Ok(true)
+        Ok(())
     }
 }
 

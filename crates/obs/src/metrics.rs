@@ -122,7 +122,9 @@ metrics_table! {
     CecSatNs => "cec.sat_ns", DurationNs, true,
         "time spent inside SAT equivalence proofs";
     CecMerges => "cec.merges", Counter, true,
-        "node pairs a SAT equivalence proof showed equal and merged";
+        "node pairs an equivalence proof showed equal by SAT and merged";
+    CecCutMerges => "cec.cut_merges", Counter, true,
+        "node pairs an equivalence proof showed equal by cut truth tables, with no SAT call";
     CecSolverCalls => "cec.solver_calls", Counter, true,
         "SAT solver calls made by equivalence proofs";
     CecConflicts => "cec.conflicts", Counter, true,

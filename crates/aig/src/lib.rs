@@ -376,7 +376,6 @@ pub fn balance(aig: &Aig) -> Aig {
 /// their original structure.
 pub struct AigRewriter {
     cache: std::cell::RefCell<HashMap<u16, Option<Network>>>,
-    canon: truth::Npn4Canonizer,
     conflict_budget: u64,
 }
 
@@ -391,7 +390,6 @@ impl AigRewriter {
     pub fn new(conflict_budget: u64) -> Self {
         AigRewriter {
             cache: std::cell::RefCell::new(HashMap::new()),
-            canon: truth::Npn4Canonizer::new(),
             conflict_budget,
         }
     }
@@ -504,7 +502,7 @@ impl AigRewriter {
             if !legal(aig, v, &internal, fanout) {
                 continue;
             }
-            let (rep, t) = self.canon.canonize(*tt);
+            let (rep, t) = truth::Npn4Canonizer::new().canonize(*tt);
             let Some(net) = self.min_network(rep) else {
                 continue;
             };

@@ -366,8 +366,8 @@ pub struct PassReport {
     /// Extra detail (CEC verdict, mapping area, …).
     pub note: String,
     /// Everything the pass recorded into the metric registry: applied
-    /// moves, scheduler events, profiling counters (cut refreshes, NPN
-    /// canonizations, SAT calls). The note's counts render from this.
+    /// moves, scheduler events, profiling counters (cut refreshes, cuts
+    /// scored, SAT calls). The note's counts render from this.
     pub metrics: obs::Delta,
 }
 
@@ -505,10 +505,9 @@ pub fn run_pipeline_jobs(
 /// [`run_pipeline_jobs`] with two seams for long-lived callers (the
 /// persistent-cache service and the `migd` daemon):
 ///
-/// * `engine` — a shared, already-warm functional-hashing engine to use
-///   instead of a pipeline-local one. The engine is only read (its memo
-///   and signature tables fill through `&self` atomics), so concurrent
-///   pipelines may share it.
+/// * `engine` — a shared functional-hashing engine to use instead of a
+///   pipeline-local one. The engine is only read, so concurrent pipelines
+///   may share it.
 /// * `on_pass` — called after each pass's report is finalized, for
 ///   streaming per-pass progress to a client while the pipeline runs.
 ///

@@ -11,10 +11,9 @@
 //! `--json-report <file>` writes the per-pass reports (including each
 //! pass's nonzero metrics) as a JSON document.
 //!
-//! Warm-run surface: `--cache <file>` persists NPN canonization,
-//! cut-signature and whole-job results across invocations; `--serve`
-//! runs the same warm state as a unix-socket daemon, `--connect`
-//! submits a job to one, `--shutdown` stops it.
+//! Warm-run surface: `--cache <file>` persists whole-job results across
+//! invocations; `--serve` runs the same service as a unix-socket
+//! daemon, `--connect` submits a job to one, `--shutdown` stops it.
 //!
 //! Exit codes: 0 success, 1 usage/parse/file errors, 2 pipeline failure
 //! (the `cec` pass found a counterexample, or a daemon job failed).
@@ -357,8 +356,8 @@ fn main() -> ExitCode {
         obs::trace::start();
     }
     let run_start = obs::metrics::global_snapshot();
-    // With --cache the run goes through the service (cache load, the
-    // warm engine, result-tier lookup, flush); without it the plain
+    // With --cache the run goes through the service (cache load,
+    // result-tier lookup, flush); without it the plain
     // pipeline driver avoids even loading the NPN database when no
     // fhash pass needs it.
     let service = args

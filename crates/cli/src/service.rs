@@ -1,13 +1,12 @@
 //! The long-lived optimization service behind `migopt --cache` and the
-//! `migd` daemon: one warm functional-hashing engine plus the
-//! whole-job result tier of the persistent cache, shared by every job.
+//! `migd` daemon: one functional-hashing engine plus the whole-job
+//! result store of the persistent cache, shared by every job.
 //!
-//! Sharing model: the engine's memo and signature tables fill through
-//! `&self` atomics (lock-free, read-mostly), the result store is a
-//! read-mostly `RwLock` map, and flushing to the cache file is
-//! serialized by a dedicated mutex — concurrent daemon jobs never block
-//! each other on the hot path. A flush after a job that learned nothing
-//! costs a file stamp check.
+//! Sharing model: the engine is read-only during a job, the result
+//! store is a read-mostly `RwLock` map, and flushing to the cache file
+//! is serialized by a dedicated mutex — concurrent daemon jobs never
+//! block each other on the hot path. A flush after a job that learned
+//! nothing costs a file stamp check.
 
 use crate::{Pass, PassReport, PipelineError};
 use mig::Mig;
@@ -101,7 +100,7 @@ struct Flushed {
     entries: usize,
 }
 
-/// A warm engine + result store + optional backing cache file.
+/// An engine + result store + optional backing cache file.
 pub struct OptService {
     engine: fhash::FunctionalHashing,
     results: fcache::ResultStore,
@@ -113,13 +112,12 @@ pub struct OptService {
 impl OptService {
     /// Builds the service; when `cache_path` is given, loads and
     /// validates the cache file (graceful cold start on any defect) and
-    /// warms the engine from it.
+    /// installs its results.
     pub fn new(cache_path: Option<PathBuf>) -> OptService {
         let engine = fhash::FunctionalHashing::with_default_database();
         let results = fcache::ResultStore::new();
         if let Some(path) = &cache_path {
             let data = fcache::load_or_cold(path);
-            engine.warm_from_cache(&data);
             let installed = results.install(data.results);
             if installed > 0 {
                 obs::metrics::add(Metric::CacheLoaded, installed as u64);
@@ -146,7 +144,7 @@ impl OptService {
     /// Runs one job through the cache: a result-tier hit returns the
     /// stored circuit (re-verified against `input` by random simulation
     /// — a corrupt or colliding record is rejected, counted and
-    /// recomputed, never served); a miss runs the pipeline on the warm
+    /// recomputed, never served); a miss runs the pipeline on the shared
     /// engine and installs the result.
     ///
     /// Determinism: stored results were produced by the same resolved
@@ -262,14 +260,13 @@ impl OptService {
     }
 
     /// What this service has learned so far, as a counter that grows
-    /// with every NPN-memo or signature fill and every result record
-    /// inserted or replaced.
+    /// with every result record inserted or replaced.
     fn generation(&self) -> u64 {
-        self.engine.cache_generation() + self.results.generation()
+        self.results.generation()
     }
 
-    /// Writes the warm state back to the cache file: engine spill plus
-    /// result records. Returns the number of entries the file holds.
+    /// Writes the result records back to the cache file. Returns the
+    /// number of results the file holds.
     ///
     /// Skips the write when nothing was learned since this service's
     /// last flush and the file still carries the stamp of that write.
@@ -295,15 +292,14 @@ impl OptService {
             }
             _ => {
                 if let Ok(disk) = fcache::load_path(path) {
-                    self.engine.import_cache(&disk);
                     self.results.install(disk.results);
                 }
             }
         }
         let generation = self.generation();
-        let mut data = fcache::CacheData::default();
-        self.engine.export_cache_into(&mut data);
-        data.results = self.results.export();
+        let data = fcache::CacheData {
+            results: self.results.export(),
+        };
         let stamp = fcache::save_path(path, &data)?;
         *last = Some(Flushed {
             generation,

@@ -368,7 +368,7 @@ fn daemon_results_are_sat_equivalent_on_all_benchmarks() {
 }
 
 #[test]
-fn repeat_jobs_hit_the_result_tier_and_warm_the_signature_table() {
+fn repeat_jobs_hit_the_result_tier_and_cec_jobs_rerun() {
     let _serial = lock();
     let (socket, handle) = start_daemon("warm", 1, None);
     let input = io::read_mig_path(benchmarks_dir().join("adder8.aag")).unwrap();
@@ -394,10 +394,9 @@ fn repeat_jobs_hit_the_result_tier_and_warm_the_signature_table() {
         "second job's result hits must exceed the first's"
     );
 
-    // A cec-carrying pipeline is never served from the result tier, so
-    // the proof reruns — but on a single worker the warm signature
-    // table answers every cut lookup that missed during job one. Use a
-    // netlist this daemon has not seen, so job one has fresh cuts.
+    // A cec-carrying pipeline is never served from the result tier: the
+    // repeat reruns the whole pipeline on the engine the first job
+    // already used, and returns the byte-identical circuit.
     let input = io::read_mig_path(benchmarks_dir().join("mult4.aig")).unwrap();
     let req = blif_job("c1", &input, "strash; fhash!:TFD; cec", 1);
     let (p1, s3) = submit_captured(&socket, &req);
@@ -408,19 +407,17 @@ fn repeat_jobs_hit_the_result_tier_and_warm_the_signature_table() {
     let (p2, s4) = submit_captured(&socket, &req);
     assert!(p1.outcome.ok && p2.outcome.ok);
     assert!(!p1.outcome.cached && !p2.outcome.cached);
-    assert!(
-        stream_counter(&s3, "cache.sig_misses") > 0,
-        "first cec job canonizes fresh cuts"
-    );
     assert_eq!(
-        stream_counter(&s4, "cache.sig_misses"),
-        0,
-        "repeat cec job must be answered entirely from the signature table"
+        p1.outcome.circuit, p2.outcome.circuit,
+        "repeat cec job must return the byte-identical circuit"
     );
-    assert!(
-        stream_counter(&s4, "cache.sig_hits") >= stream_counter(&s3, "cache.sig_misses"),
-        "every first-job miss must return as a hit"
-    );
+    for (stream, job) in [(&s3, "c1"), (&s4, "c2")] {
+        assert!(
+            stream_counter(stream, "fhash.cuts_scored") > 0,
+            "{job}: the pipeline must run, not be served from the cache"
+        );
+        assert_eq!(stream_counter(stream, "cache.result_hits"), 0, "{job}");
+    }
     stop_daemon(&socket, handle);
 }
 

@@ -105,12 +105,8 @@ fn history_counters_survive_fruitless_rounds_in_both_drivers() {
     assert_eq!(stats.replacements, 0, "already at the fixpoint");
     assert_eq!(rounds, 1, "one fruitless round");
     assert_eq!(delta.get(obs::Metric::FhReplacements), 0);
-    // The engine is warm by now, so cut decisions come from the
-    // signature cache instead of fresh canonizations — either counter
-    // records the work of the fruitless round.
-    let decisions = delta.get(obs::Metric::NpnCanonizations) + delta.get(obs::Metric::CacheSigHits);
     assert!(
-        delta.get(obs::Metric::CutsScored) > 0 && decisions > 0,
+        delta.get(obs::Metric::CutsScored) > 0,
         "fhash: profiling history must survive the fruitless round"
     );
 
@@ -339,7 +335,6 @@ fn json_report_carries_run_metrics_and_cache_counters() {
         metric(&cold, "mig.bytes_per_node") > 0,
         "storage gauge must be exposed"
     );
-    assert!(metric(&cold, "cache.sig_misses") > 0, "cold run canonizes");
     assert!(metric(&cold, "cache.flushed") > 0, "cold run persists");
     assert_eq!(metric(&cold, "cache.result_hits"), 0);
 
@@ -373,7 +368,7 @@ fn metrics_flag_prints_registry_table() {
     assert!(status.status.success());
     let stdout = String::from_utf8_lossy(&status.stdout);
     assert!(
-        stdout.contains("fhash.replacements") && stdout.contains("npn.canonizations"),
+        stdout.contains("fhash.replacements") && stdout.contains("fhash.cuts_scored"),
         "metric table missing rows: {stdout}"
     );
 }

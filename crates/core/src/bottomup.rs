@@ -95,7 +95,7 @@ pub(crate) fn gate_candidates(
                 .zip(cut.leaves())
                 .map(|(&i, &l)| cand[l as usize][i])
                 .collect();
-            let af = f64::from(repl.db_size)
+            let af = f64::from(repl.class.size)
                 + cut
                     .leaves()
                     .iter()

@@ -1,81 +1,87 @@
-//! Shared machinery of the functional-hashing variants: cut-function
-//! canonization, database lookup, legality checks and template
-//! instantiation.
+//! Shared machinery of the functional-hashing variants: per-class
+//! database scores, cut replacement preparation, legality checks and
+//! template instantiation.
 
 use cuts::{cut_internal_nodes, Cut};
 use mig::{FfrPartition, Mig, NodeId, Signal};
 use npndb::Database;
-use truth::{Npn4Canonizer, NpnTransform};
 
-/// A prepared cut replacement: everything needed to decide on and perform
-/// the substitution of a cut by its minimum representation.
-#[derive(Debug, Clone)]
-pub(crate) struct Replacement {
-    /// NPN representative of the (padded) cut function.
+/// What the database knows about one NPN class's minimum network.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct ClassScore {
+    /// The class representative (the database key).
     pub rep: u16,
     /// Gates in the minimum network.
-    pub db_size: u32,
+    pub size: u32,
     /// Depth of the minimum network.
-    pub db_depth: u32,
-    /// For template input `i`: the cut-leaf position feeding it (positions
-    /// `>= cut.len()` are vacuous padding) and its polarity.
-    pub input_map: [(usize, bool); 4],
-    /// Whether the template output is complemented.
-    pub out_neg: bool,
+    pub depth: u32,
     /// Longest gate-path from the template output to each template input
     /// (`None` = input unused).
     pub input_depths: [Option<u32>; 4],
 }
 
+impl ClassScore {
+    /// The scores of the class of `rep`; `None` when `db` has no network
+    /// for it.
+    pub fn of(rep: u16, db: &Database) -> Option<ClassScore> {
+        let entry = db.get(rep)?;
+        let mut input_depths = [None; 4];
+        for (d, e) in input_depths.iter_mut().zip(entry.network.input_depths()) {
+            *d = e;
+        }
+        Some(ClassScore {
+            rep,
+            size: entry.size,
+            depth: entry.depth,
+            input_depths,
+        })
+    }
+}
+
+/// A prepared cut replacement: everything needed to decide on and perform
+/// the substitution of a cut by its minimum representation.
+#[derive(Debug, Clone)]
+pub(crate) struct Replacement {
+    /// The NPN class of the (padded) cut function.
+    pub class: ClassScore,
+    /// For template input `i`: the cut-leaf position feeding it (positions
+    /// `>= cut.len()` are vacuous padding) and its polarity.
+    pub input_map: [(usize, bool); 4],
+    /// Whether the template output is complemented.
+    pub out_neg: bool,
+}
+
 impl Replacement {
     /// Prepares the replacement for a cut: pads the cut function to 4
-    /// variables and consults the engine's signature table; on a miss it
-    /// canonizes, looks up the minimum network and installs the result
-    /// so every later cut with the same signature — in this pass, a
-    /// later job, or (via the persistent cache file) a later process —
-    /// skips both steps.
+    /// variables, looks up its NPN class and transform in the
+    /// process-wide table ([`truth::npn4_class`]), takes the class's
+    /// database scores from the engine and wires the inverse transform
+    /// into the leaf assignment and output polarity.
     ///
-    /// Returns `None` for trivial cuts (single leaf = the root itself is
-    /// handled by the caller; the lookup itself always succeeds with a
-    /// complete database).
+    /// Returns `None` for cuts wider than 4 leaves and for classes the
+    /// database lacks (none, with a complete database).
     pub fn prepare(cut: &Cut, engine: &crate::FunctionalHashing) -> Option<Replacement> {
-        let tt4 = cut.signature4()?;
-        if let Some(rec) = engine.sig_table().get(tt4) {
-            obs::metrics::add(obs::Metric::CacheSigHits, 1);
-            return (!rec.no_entry).then(|| Replacement::from_record(&rec));
-        }
-        obs::metrics::add(obs::Metric::CacheSigMisses, 1);
-        obs::metrics::add(obs::Metric::NpnCanonizations, 1);
-        let rec = compute_sig_record(tt4, engine.database(), engine.canonizer());
-        engine.sig_table().put(tt4, &rec);
-        (!rec.no_entry).then(|| Replacement::from_record(&rec))
-    }
-
-    /// Widens a signature-table record back into the working form.
-    fn from_record(rec: &fcache::SigRecord) -> Replacement {
+        let (index, t) = truth::npn4_class(cut.signature4()?);
+        let class = engine.classes[index]?;
+        // rep = t.apply(f), so f = t.inverse().apply(rep): template input
+        // `i` reads (possibly complemented) cut leaf `inv.perm(i)`.
+        let inv = t.inverse();
         let mut input_map = [(0usize, false); 4];
         for (i, im) in input_map.iter_mut().enumerate() {
-            *im = (rec.input_map[i].0 as usize, rec.input_map[i].1);
+            *im = (inv.perm(i), inv.input_negated(i));
         }
-        let mut input_depths = [None; 4];
-        for (i, d) in input_depths.iter_mut().enumerate() {
-            *d = rec.input_depths[i].map(u32::from);
-        }
-        Replacement {
-            rep: rec.rep,
-            db_size: u32::from(rec.db_size),
-            db_depth: u32::from(rec.db_depth),
+        Some(Replacement {
+            class,
             input_map,
-            out_neg: rec.out_neg,
-            input_depths,
-        }
+            out_neg: inv.output_negated(),
+        })
     }
 
     /// Estimates the level of the replacement root from per-leaf levels
     /// (`leaf_level(pos)` for cut-leaf position `pos`).
     pub fn estimated_level(&self, cut: &Cut, leaf_level: impl Fn(usize) -> u32) -> u32 {
         let mut level = 0;
-        for (i, d) in self.input_depths.iter().enumerate() {
+        for (i, d) in self.class.input_depths.iter().enumerate() {
             if let Some(d) = d {
                 let (pos, _) = self.input_map[i];
                 if pos < cut.len() {
@@ -96,7 +102,7 @@ impl Replacement {
         db: &Database,
         leaf_sig: impl Fn(usize) -> Signal,
     ) -> Signal {
-        let entry = db.get(self.rep).expect("prepared from this database");
+        let entry = db.get(self.class.rep).expect("prepared from this database");
         let leaves: Vec<Signal> = self
             .input_map
             .iter()
@@ -112,100 +118,6 @@ impl Replacement {
             .network
             .instantiate(mig, &leaves)
             .complement_if(self.out_neg)
-    }
-}
-
-/// Computes the signature-table entry for a 4-padded cut function: the
-/// slow path behind [`Replacement::prepare`] and the load-time validator
-/// for persistent-cache entries (a stored record is installed only if it
-/// equals this recomputation).
-///
-/// Database networks are tiny (a handful of gates), so the narrowing to
-/// the record's `u8` fields is lossless; a record whose fields exceed
-/// the *packed* budget simply never persists ([`fcache::SigRecord::pack`]
-/// refuses), which degrades to recomputation, never to corruption.
-pub(crate) fn compute_sig_record(
-    tt4: u16,
-    db: &Database,
-    canon: &Npn4Canonizer,
-) -> fcache::SigRecord {
-    let (rep, t) = canon.canonize(tt4);
-    sig_record_from(rep, &t, db)
-}
-
-/// Builds the signature-table record from an already-canonized function:
-/// the shared tail of [`compute_sig_record`] and the batched
-/// [`warm_sig_batch`] path.
-pub(crate) fn sig_record_from(rep: u16, t: &NpnTransform, db: &Database) -> fcache::SigRecord {
-    let inv = t.inverse();
-    let mut input_map = [(0u8, false); 4];
-    for (i, im) in input_map.iter_mut().enumerate() {
-        *im = (inv.perm(i) as u8, inv.input_negated(i));
-    }
-    let out_neg = inv.output_negated();
-    let Some(entry) = db.get(rep) else {
-        return fcache::SigRecord {
-            rep,
-            input_map,
-            out_neg,
-            db_size: 0,
-            db_depth: 0,
-            input_depths: [None; 4],
-            no_entry: true,
-        };
-    };
-    debug_assert!(entry.size <= u32::from(u8::MAX) && entry.depth <= u32::from(u8::MAX));
-    let depths = entry.network.input_depths();
-    let mut input_depths = [None; 4];
-    for (i, d) in depths.iter().enumerate() {
-        input_depths[i] = d.map(|v| v as u8);
-    }
-    fcache::SigRecord {
-        rep,
-        input_map,
-        out_neg,
-        db_size: entry.size as u8,
-        db_depth: entry.depth as u8,
-        input_depths,
-        no_entry: false,
-    }
-}
-
-/// Batch-warms the engine's signature table for a set of candidate cut
-/// signatures: `keys` is deduplicated, already-cached keys are dropped,
-/// and the rest are canonized in one sorted pass over the lock-free NPN
-/// memo ([`Npn4Canonizer::canonize_batch`] probes in ascending order, so
-/// a region's worth of lookups walks the memo cache-linearly) before
-/// their records are computed and installed. Later
-/// [`Replacement::prepare`] calls for these keys then hit the warm table
-/// — the per-cut scoring loop does no canonization round-trips of its
-/// own. Both buffers are caller-owned scratch, reused across regions.
-pub(crate) fn warm_sig_batch(
-    engine: &crate::FunctionalHashing,
-    keys: &mut Vec<u16>,
-    canon_scratch: &mut Vec<(u16, u16, NpnTransform)>,
-) {
-    keys.sort_unstable();
-    keys.dedup();
-    let mut hits = 0u64;
-    keys.retain(|&k| {
-        let resident = engine.sig_table().get(k).is_some();
-        hits += u64::from(resident);
-        !resident
-    });
-    if hits > 0 {
-        obs::metrics::add(obs::Metric::CacheSigHits, hits);
-    }
-    if keys.is_empty() {
-        return;
-    }
-    obs::metrics::add(obs::Metric::CacheSigMisses, keys.len() as u64);
-    obs::metrics::add(obs::Metric::NpnCanonizations, keys.len() as u64);
-    engine.canonizer().canonize_batch(keys, canon_scratch);
-    let db = engine.database();
-    for &(tt4, rep, ref t) in canon_scratch.iter() {
-        let rec = sig_record_from(rep, t, db);
-        engine.sig_table().put(tt4, &rec);
     }
 }
 
@@ -262,7 +174,7 @@ pub(crate) fn select_best_cut(
         let Some(repl) = Replacement::prepare(cut, engine) else {
             continue;
         };
-        let gain = internal.len() as i32 - repl.db_size as i32;
+        let gain = internal.len() as i32 - repl.class.size as i32;
         if gain < 1 {
             continue;
         }
@@ -275,12 +187,12 @@ pub(crate) fn select_best_cut(
             Some((b, blevel)) => (
                 gain,
                 std::cmp::Reverse(est_level),
-                std::cmp::Reverse(repl.db_depth),
+                std::cmp::Reverse(repl.class.depth),
             )
                 .cmp(&(
                     b.gain,
                     std::cmp::Reverse(*blevel),
-                    std::cmp::Reverse(b.repl.db_depth),
+                    std::cmp::Reverse(b.repl.class.depth),
                 ))
                 .is_gt(),
         };

@@ -18,14 +18,13 @@
 //! ([`cuts::CutSet::refresh`]) and stale lists are recomputed on demand.
 
 use crate::bottomup::{candidate_cuts, gate_candidates, Build, Candidate};
-use crate::common::{is_trivial, select_best_cut, warm_sig_batch, Replacement};
+use crate::common::{select_best_cut, Replacement};
 use crate::FunctionalHashing;
 use cuts::{Cut, CutSet};
 use mig::{FfrPartition, Mig, NodeId, Signal};
 use obs::Metric;
 use std::collections::HashSet;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use truth::NpnTransform;
 
 /// Algorithm 1, in place: walk from the outputs, replace the best legal
 /// cut of each visited node by its minimum database network, recur on the
@@ -58,9 +57,6 @@ pub(crate) fn top_down(
             work.push(r);
         }
     }
-    // Signature-warming scratch, reused across all visited nodes.
-    let mut keys: Vec<u16> = Vec::new();
-    let mut canon_scratch: Vec<(u16, u16, NpnTransform)> = Vec::new();
     while let Some(v) = work.pop() {
         // `visited` and `work` key on slot ids. A slot freed by a later
         // replacement can be recycled for a fresh template node before
@@ -72,17 +68,8 @@ pub(crate) fn top_down(
             continue;
         }
         cuts.refresh(mig);
-        // The list is scored straight out of the arena (no copy); the
-        // node's candidate signatures are canonized as one batch so the
-        // scoring loop below only ever hits the warm signature table.
+        // The list is scored straight out of the arena (no copy).
         let list = cuts.of_updated(mig, v);
-        keys.clear();
-        for cut in list {
-            if !is_trivial(cut, v) {
-                keys.extend(cut.signature4());
-            }
-        }
-        warm_sig_batch(engine, &mut keys, &mut canon_scratch);
         let selected = select_best_cut(engine, mig, v, list, ffr.as_ref(), depth_preserving, |n| {
             mig.level(n)
         });
@@ -119,8 +106,8 @@ pub(crate) fn top_down(
 
 /// The read-only half of the bottom-up DP, hoisted out of the gate loop:
 /// for every pass gate, the eligible cuts with their prepared database
-/// replacements (cut-function canonization + minimum-network lookup — the
-/// dominant per-gate cost that needs no graph mutation).
+/// replacements (region legality + NPN class lookup — per-gate work that
+/// needs no graph mutation and records no metrics).
 ///
 /// Hoisting is sound because the DP loop only *appends* fresh nodes
 /// (`maj`/`instantiate`); no entry gate is rewired before the final
@@ -153,26 +140,21 @@ fn prepare_cut_choices(
         let handles: Vec<_> = (0..threads.min(n))
             .map(|_| {
                 s.spawn(move || {
-                    // Each worker captures its metric records (NPN
-                    // canonizations, DB hits) in a scope delta published
-                    // from the calling thread, so enclosing rollback
-                    // scopes see them exactly as in the serial pass.
                     let mut local: Vec<(usize, Vec<(Cut, Replacement)>)> = Vec::new();
-                    let ((), delta) = obs::metrics::scoped(|| loop {
+                    loop {
                         let k = next.fetch_add(1, Ordering::Relaxed);
                         if k >= n {
                             break;
                         }
                         let v = topo[k];
                         local.push((k, candidate_cuts(engine, mig, cuts.of(v), ffr, v)));
-                    });
-                    (local, delta)
+                    }
+                    local
                 })
             })
             .collect();
         for h in handles {
-            let (local, delta) = h.join().expect("bottom-up prepass worker");
-            delta.publish();
+            let local = h.join().expect("bottom-up prepass worker");
             for (k, choices) in local {
                 slots[k] = choices;
             }
@@ -207,20 +189,10 @@ pub(crate) fn bottom_up(
     // recomputes lists a carried-over cut set still holds as stale;
     // mid-pass appends never invalidate them (see `prepare_cut_choices`),
     // so the workers read the lists straight out of the shared arena —
-    // no per-gate copies. While the lists are hot, every candidate
-    // signature is canonized in one sorted batch, so the preparation
-    // workers below only ever hit the warm signature table.
-    let mut keys: Vec<u16> = Vec::new();
+    // no per-gate copies.
     for &v in &topo {
-        let list = cuts.of_updated(mig, v);
-        for cut in list {
-            if !is_trivial(cut, v) {
-                keys.extend(cut.signature4());
-            }
-        }
+        cuts.of_updated(mig, v);
     }
-    let mut canon_scratch: Vec<(u16, u16, NpnTransform)> = Vec::new();
-    warm_sig_batch(engine, &mut keys, &mut canon_scratch);
     let choices = prepare_cut_choices(engine, mig, &topo, cuts, ffr.as_ref(), threads);
     let mut cand: Vec<Vec<Candidate>> = vec![Vec::new(); mig.num_nodes()];
     // Terminals: a single zero-cost candidate (Algorithm 2, line 3).

@@ -50,10 +50,10 @@ mod inplace;
 mod shard;
 mod topdown;
 
+use common::ClassScore;
 use cuts::{enumerate_cuts, CutConfig, CutSet};
 use mig::{Mig, ShardConfig};
 use npndb::Database;
-use truth::Npn4Canonizer;
 
 /// The six algorithm variants of paper §IV / Table III.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -175,23 +175,28 @@ impl FhStats {
 
 /// The functional-hashing optimizer (paper §IV).
 ///
-/// Owns the NPN database and canonizer so repeated [`FunctionalHashing::run`]
-/// calls share the precomputed state.
+/// Owns the NPN database and its per-class scores, so repeated
+/// [`FunctionalHashing::run`] calls share the precomputed state.
 #[derive(Debug)]
 pub struct FunctionalHashing {
     db: Database,
-    canon: Npn4Canonizer,
-    sig: fcache::SigTable,
+    /// One entry per NPN class, indexed like
+    /// [`truth::npn4_class_representatives`]; `None` when the database
+    /// has no network for the class.
+    classes: Vec<Option<ClassScore>>,
     config: FhConfig,
 }
 
 impl FunctionalHashing {
     /// Creates an engine from a database and configuration.
     pub fn new(db: Database, config: FhConfig) -> Self {
+        let classes = truth::npn4_class_representatives()
+            .into_iter()
+            .map(|rep| ClassScore::of(rep, &db))
+            .collect();
         FunctionalHashing {
             db,
-            canon: Npn4Canonizer::new(),
-            sig: fcache::SigTable::new(),
+            classes,
             config,
         }
     }
@@ -207,70 +212,9 @@ impl FunctionalHashing {
         &self.db
     }
 
-    /// The engine's NPN canonizer.
-    pub fn canonizer(&self) -> &Npn4Canonizer {
-        &self.canon
-    }
-
     /// The engine's configuration.
     pub fn config(&self) -> &FhConfig {
         &self.config
-    }
-
-    /// The engine's cut-signature cache: one lock-free slot per 4-padded
-    /// cut function, holding the full canonize-plus-lookup result.
-    pub fn sig_table(&self) -> &fcache::SigTable {
-        &self.sig
-    }
-
-    /// Installs persisted cache state into this engine: NPN memo entries
-    /// (validated per entry by the canonizer) and signature records
-    /// (each installed only if it exactly equals its recomputation
-    /// against this engine's database — a stale or bit-rotted record can
-    /// therefore never change an optimization result, only fail to speed
-    /// one up). Bumps `cache.loaded` / `cache.rejected` accordingly.
-    pub fn warm_from_cache(&self, data: &fcache::CacheData) -> (usize, usize) {
-        let (loaded, rejected) = self.import_cache(data);
-        if loaded > 0 {
-            obs::metrics::add(obs::Metric::CacheLoaded, loaded as u64);
-        }
-        if rejected > 0 {
-            obs::metrics::add(obs::Metric::CacheRejected, rejected as u64);
-        }
-        (loaded, rejected)
-    }
-
-    /// [`FunctionalHashing::warm_from_cache`] without the metric bumps:
-    /// returns `(installed, rejected)` entries. Resident entries win over
-    /// conflicting imported ones.
-    pub fn import_cache(&self, data: &fcache::CacheData) -> (usize, usize) {
-        let (mut loaded, mut rejected) = self.canon.import_memo(&data.npn);
-        for &(f, w) in &data.sig {
-            let stored = fcache::SigRecord::unpack(w);
-            let fresh = common::compute_sig_record(f, &self.db, &self.canon);
-            if stored == Some(fresh) {
-                self.sig.put(f, &fresh);
-                loaded += 1;
-            } else {
-                rejected += 1;
-            }
-        }
-        (loaded, rejected)
-    }
-
-    /// Spills this engine's warm state (NPN memo + signature table) into
-    /// `data`, replacing its corresponding sections.
-    pub fn export_cache_into(&self, data: &mut fcache::CacheData) {
-        data.npn = self.canon.export_memo();
-        data.sig = self.sig.export();
-    }
-
-    /// A counter that grows whenever the NPN memo or the signature table
-    /// learns an entry. Read it before
-    /// [`FunctionalHashing::export_cache_into`]: an equal later reading
-    /// means the export still holds all warm state.
-    pub fn cache_generation(&self) -> u64 {
-        self.canon.generation() + self.sig.generation()
     }
 
     /// Optimizes a copy of `mig` with the chosen variant; the result has

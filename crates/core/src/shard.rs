@@ -37,9 +37,7 @@
 //! scheduler property — queue order and commit order are independent of
 //! worker scheduling).
 
-use crate::common::{
-    cut_is_fanout_legal, internal_nodes, is_trivial, select_best_cut, warm_sig_batch, Replacement,
-};
+use crate::common::{cut_is_fanout_legal, internal_nodes, select_best_cut, Replacement};
 use crate::{FhStats, FunctionalHashing, Variant};
 use cuts::{Cut, LocalCuts};
 use mig::{
@@ -174,25 +172,6 @@ impl ProposeEngine for CutEngine<'_> {
                 _ => LocalCuts::new(self.engine.config().cut_config, floor),
             }
         };
-        // Warm the signature table for the whole region in one batch:
-        // the pre-pass enumerates every member's cut list (work the
-        // scoring loop needs anyway — the lists are memoized in the
-        // store) and canonizes all candidate signatures in one sorted
-        // sweep of the NPN memo, so the per-cut scoring below runs
-        // entirely against warm tables.
-        let mut keys: Vec<u16> = Vec::new();
-        for &v in members.iter().rev() {
-            if !mig.is_gate(v) {
-                continue;
-            }
-            for cut in local.of(mig, v) {
-                if !is_trivial(cut, v) {
-                    keys.extend(cut.signature4());
-                }
-            }
-        }
-        let mut canon_scratch = Vec::new();
-        warm_sig_batch(self.engine, &mut keys, &mut canon_scratch);
         let mut claimed: HashSet<NodeId> = HashSet::new();
         for &v in members.iter().rev() {
             if claimed.contains(&v) || !mig.is_gate(v) {

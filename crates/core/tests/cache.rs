@@ -1,11 +1,10 @@
-//! Persistent-cache invariants at the engine level: warming an engine
-//! from a spilled cache file must never change any optimization result —
-//! bit-identical netlists across variants and thread counts — and
-//! corrupted entries must be rejected without panicking.
+//! Engine reuse at the engine level: `migopt --cache` and the `migd`
+//! daemon run every job on one shared engine, so an engine that has
+//! already optimized other circuits must give the same netlists as a
+//! fresh one — bit-identical across variants and thread counts.
 
 use fhash::{FunctionalHashing, Variant};
 use mig::{Mig, NodeId, Signal};
-use obs::Metric;
 use testrand::Rng;
 
 fn random_build(rng: &mut Rng, num_inputs: usize, num_steps: usize, outs: usize) -> Mig {
@@ -49,105 +48,22 @@ fn warm_engine_is_bit_identical_to_cold() {
         })
         .collect();
 
-    // Cold pass: fresh engine, remember every netlist, spill the cache.
-    let cold = FunctionalHashing::with_default_database();
-    let mut want = Vec::new();
+    // One engine reused over every case, variant and thread count, held
+    // against a fresh engine per run.
+    let shared = FunctionalHashing::with_default_database();
     for (case, m) in cases.iter().enumerate() {
         for v in Variant::ALL {
             for threads in [1usize, 2, 4] {
-                let mut opt = m.clone();
-                cold.run_threads(&mut opt, v, threads);
-                want.push((case, v, threads, fingerprint(&opt)));
-            }
-        }
-    }
-    let mut data = fcache::CacheData::default();
-    cold.export_cache_into(&mut data);
-    assert!(!data.npn.is_empty() && !data.sig.is_empty());
-
-    // Warm pass: a fresh engine warmed from the spill (full round trip
-    // through the on-disk byte format) must reproduce every netlist
-    // exactly — cache warmth can speed decisions up but never alter them.
-    let data = fcache::from_bytes(&fcache::to_bytes(&data)).unwrap();
-    let warm = FunctionalHashing::with_default_database();
-    let ((loaded, rejected), delta) = obs::metrics::scoped(|| warm.warm_from_cache(&data));
-    assert_eq!(rejected, 0);
-    assert_eq!(loaded, data.npn.len() + data.sig.len());
-    assert_eq!(delta.get(Metric::CacheLoaded), loaded as u64);
-    assert_eq!(warm.sig_table().len(), data.sig.len());
-
-    // Every signature the cold pass saw is resident, so a (serial,
-    // same-thread — worker threads record metrics globally, not into the
-    // thread-local scope) warm run decides every scored cut from the
-    // cache without a single canonization.
-    let ((), d) = obs::metrics::scoped(|| {
-        warm.run(&cases[0], Variant::TopDown);
-    });
-    assert_eq!(d.get(Metric::CacheSigMisses), 0);
-    assert!(d.get(Metric::CacheSigHits) > 0);
-
-    let mut i = 0;
-    for m in cases.iter() {
-        for v in Variant::ALL {
-            for threads in [1usize, 2, 4] {
-                let (case, wv, wthreads, ref fp) = want[i];
-                i += 1;
-                let mut opt = m.clone();
-                warm.run_threads(&mut opt, v, threads);
+                let mut reused = m.clone();
+                shared.run_threads(&mut reused, v, threads);
+                let mut fresh = m.clone();
+                FunctionalHashing::with_default_database().run_threads(&mut fresh, v, threads);
                 assert_eq!(
-                    &fingerprint(&opt),
-                    fp,
-                    "case {case} variant {wv} @{wthreads}: warm diverged from cold"
+                    fingerprint(&reused),
+                    fingerprint(&fresh),
+                    "case {case} variant {v} @{threads}: the reused engine diverged"
                 );
             }
         }
     }
-}
-
-#[test]
-fn second_run_is_answered_from_the_signature_table() {
-    let mut rng = Rng::new(0xCAC4_0002);
-    let m = random_build(&mut rng, 5, 80, 2);
-    let engine = FunctionalHashing::with_default_database();
-    let ((), first) = obs::metrics::scoped(|| {
-        engine.run(&m, Variant::TopDown);
-    });
-    assert!(first.get(Metric::CacheSigMisses) > 0);
-    let ((), second) = obs::metrics::scoped(|| {
-        engine.run(&m, Variant::TopDown);
-    });
-    assert_eq!(second.get(Metric::CacheSigMisses), 0);
-    assert!(second.get(Metric::CacheSigHits) >= first.get(Metric::CacheSigMisses));
-    assert_eq!(second.get(Metric::NpnCanonizations), 0);
-}
-
-#[test]
-fn corrupt_cache_entries_are_rejected_without_panicking() {
-    let mut rng = Rng::new(0xCAC4_0003);
-    let m = random_build(&mut rng, 5, 60, 2);
-    let cold = FunctionalHashing::with_default_database();
-    let reference = cold.run(&m, Variant::TopDown);
-    let mut data = fcache::CacheData::default();
-    cold.export_cache_into(&mut data);
-
-    // Flip bits in half the signature records and half the memo words.
-    for (i, (_, w)) in data.sig.iter_mut().enumerate() {
-        if i % 2 == 0 {
-            *w ^= 1 << 17; // representative bit -> recomputation mismatch
-        }
-    }
-    for (i, (_, w)) in data.npn.iter_mut().enumerate() {
-        if i % 2 == 0 {
-            *w ^= 1 << 20; // representative bit -> transform check fails
-        }
-    }
-    let warm = FunctionalHashing::with_default_database();
-    let ((loaded, rejected), delta) = obs::metrics::scoped(|| warm.warm_from_cache(&data));
-    assert!(rejected >= data.sig.len() / 2);
-    assert!(loaded > 0);
-    assert_eq!(delta.get(Metric::CacheRejected), rejected as u64);
-
-    // The surviving half still never changes the result.
-    let opt = warm.run(&m, Variant::TopDown);
-    assert_eq!(fingerprint(&opt), fingerprint(&reference));
 }

@@ -113,10 +113,10 @@ impl Cut {
     /// The cut function padded to 4 variables (extra variables vacuous):
     /// the identity expansion replicates the 2^m-bit block, so the
     /// padded table is built with shifts instead of heap-backed
-    /// truth-table ops. This 16-bit signature is the key of the
-    /// functional-hashing engines' NPN memo and of the persistent
-    /// optimization cache, computed once here so every consumer agrees
-    /// on it. Returns `None` for cuts wider than 4 leaves.
+    /// truth-table ops. This 16-bit signature is the key the
+    /// functional-hashing engines look NPN classes up by, computed once
+    /// here so every consumer agrees on it. Returns `None` for cuts wider
+    /// than 4 leaves.
     pub fn signature4(&self) -> Option<u16> {
         let m = self.len();
         if m > 4 {

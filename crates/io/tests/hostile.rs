@@ -29,25 +29,6 @@ fn random_byte(rng: &mut Rng) -> u8 {
     }
 }
 
-/// `bytes` after one to four random edits: overwrite, insert or delete a
-/// byte, or truncate.
-fn mutate(rng: &mut Rng, bytes: &[u8]) -> Vec<u8> {
-    let mut out = bytes.to_vec();
-    for _ in 0..rng.range(1, 5) {
-        let pos = rng.usize_below(out.len() + 1);
-        match rng.below(4) {
-            0 if pos < out.len() => out[pos] = random_byte(rng),
-            1 => out.insert(pos, random_byte(rng)),
-            2 if pos < out.len() => {
-                out.remove(pos);
-            }
-            3 => out.truncate(pos),
-            _ => {}
-        }
-    }
-    out
-}
-
 /// Runs every parser on `bytes` and converts what parses; returns how
 /// many conversions gave a circuit.
 fn feed(bytes: &[u8]) -> usize {
@@ -67,7 +48,7 @@ fn mutated_benchmark_files_never_panic() {
         let original = read(name);
         let mut converted = 0;
         for case in 0..MUTANTS {
-            let bytes = mutate(&mut rng, &original);
+            let bytes = rng.mutate(&original, random_byte);
             match std::panic::catch_unwind(|| feed(&bytes)) {
                 Ok(n) => converted += n,
                 Err(_) => panic!(

@@ -6,7 +6,7 @@
 //! The crate owns the *transport*: request/response wire format, the
 //! connection queue and the worker pool. What a job actually does is
 //! injected through [`JobRunner`] — the CLI provides a runner that
-//! executes optimization pipelines over a shared warm engine, and tests
+//! executes optimization pipelines over a shared engine, and tests
 //! provide toy runners. This keeps the dependency arrow pointing the
 //! right way (`cli` → `migd`) while the protocol stays reusable.
 //!
@@ -561,6 +561,42 @@ mod tests {
             parse_result("{\"type\":\"counter\",\"name\":\"x\",\"value\":1}"),
             None
         );
+    }
+
+    #[test]
+    fn mutated_request_and_result_lines_never_panic() {
+        let ok = JobOutcome {
+            ok: true,
+            size: 12,
+            depth: 3,
+            runtime_ns: 123_456,
+            cached: true,
+            circuit: ".model m\n.end\n".into(),
+            error: String::new(),
+        };
+        // The control characters render as `\u` escapes.
+        let lines = [
+            render_request(&Request::Job(sample_job("j\"1\"\u{1}"))),
+            render_request(&Request::Ping),
+            render_result("job-1", &ok),
+            render_result("job-2", &JobOutcome::failed("parse error:\u{1f} line 3")),
+        ];
+        let mut rng = testrand::Rng::new(0x41D_0C0D);
+        let mut parsed = 0;
+        for (i, line) in lines.iter().enumerate() {
+            for case in 0..2_500 {
+                let bytes = rng.mutate(line.as_bytes(), |r| r.next_u64() as u8);
+                let text = String::from_utf8_lossy(&bytes);
+                match std::panic::catch_unwind(|| {
+                    usize::from(parse_request(&text).is_ok())
+                        + usize::from(parse_result(&text).is_some())
+                }) {
+                    Ok(n) => parsed += n,
+                    Err(_) => panic!("line {i} mutant {case} panicked: {text:?}"),
+                }
+            }
+        }
+        assert!(parsed > 0, "no mutant parsed");
     }
 
     #[test]

@@ -256,29 +256,22 @@ pub fn shannon_mig(f: &TruthTable, db: &Database) -> Mig {
     assert!(n >= 4, "shannon_mig needs at least 4 variables");
     let mut m = Mig::new(n);
     let leaves: Vec<Signal> = m.inputs().collect();
-    let canon = truth::Npn4Canonizer::new();
-    let out = shannon_rec(f, db, &canon, &mut m, &leaves);
+    let out = shannon_rec(f, db, &mut m, &leaves);
     m.add_output(out);
     m
 }
 
-fn shannon_rec(
-    f: &TruthTable,
-    db: &Database,
-    canon: &truth::Npn4Canonizer,
-    m: &mut Mig,
-    leaves: &[Signal],
-) -> Signal {
+fn shannon_rec(f: &TruthTable, db: &Database, m: &mut Mig, leaves: &[Signal]) -> Signal {
     let n = f.num_vars();
     if n == 4 {
-        return instantiate_with(f.as_u16(), db, canon, m, leaves);
+        return instantiate_via_npn(f.as_u16(), db, m, leaves);
     }
     // f = <1 <0 x̄ f0> <0 x f1>> (paper Theorem 2 proof), on variable n-1.
     let x = leaves[n - 1];
     let f0 = shrink_top(&f.cofactor0(n - 1));
     let f1 = shrink_top(&f.cofactor1(n - 1));
-    let s0 = shannon_rec(&f0, db, canon, m, &leaves[..n - 1]);
-    let s1 = shannon_rec(&f1, db, canon, m, &leaves[..n - 1]);
+    let s0 = shannon_rec(&f0, db, m, &leaves[..n - 1]);
+    let s1 = shannon_rec(&f1, db, m, &leaves[..n - 1]);
     let lo = m.and(!x, s0);
     let hi = m.and(x, s1);
     m.or(lo, hi)
@@ -305,21 +298,8 @@ fn shrink_top(f: &TruthTable) -> TruthTable {
 /// Panics if the database lacks the representative (incomplete database)
 /// or `leaves.len() != 4`.
 pub fn instantiate_via_npn(f: u16, db: &Database, m: &mut Mig, leaves: &[Signal]) -> Signal {
-    let canon = truth::Npn4Canonizer::new();
-    instantiate_with(f, db, &canon, m, leaves)
-}
-
-/// Like [`instantiate_via_npn`] but reusing a caller-provided canonizer
-/// (the hot path of the functional-hashing engine).
-pub fn instantiate_with(
-    f: u16,
-    db: &Database,
-    canon: &truth::Npn4Canonizer,
-    m: &mut Mig,
-    leaves: &[Signal],
-) -> Signal {
     assert_eq!(leaves.len(), 4, "four leaves required");
-    let (rep, t) = canon.canonize(f);
+    let (rep, t) = truth::Npn4Canonizer::new().canonize(f);
     let entry = db
         .get(rep)
         .unwrap_or_else(|| panic!("representative {rep:04x} missing from database"));

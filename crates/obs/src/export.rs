@@ -250,14 +250,6 @@ pub fn derived_rates(d: &Delta, elapsed_s: f64) -> Vec<(String, f64)> {
             hits as f64 / (hits + misses) as f64,
         ));
     }
-    let sig_hits = d.get(Metric::CacheSigHits);
-    let sig_misses = d.get(Metric::CacheSigMisses);
-    if sig_hits + sig_misses != 0 {
-        out.push((
-            "sig_cache_hit_rate".into(),
-            sig_hits as f64 / (sig_hits + sig_misses) as f64,
-        ));
-    }
     let res_hits = d.get(Metric::CacheResultHits);
     let res_misses = d.get(Metric::CacheResultMisses);
     if res_hits + res_misses != 0 {

@@ -349,6 +349,31 @@ mod tests {
     }
 
     #[test]
+    fn mutated_documents_never_panic() {
+        // Bytes JSON gives meaning to, so edits change structure more
+        // often than uniform bytes do.
+        const SYNTAX: &[u8] = b"{}[]\":,\\/u0123456789.-+eEtrufalsn \t";
+        let original = r#"{"type":"job","id":"a\"b","n":[1,-2.5e3,true,false,null],"s":"\u00e9\n\\","o":{"k":{}}}"#;
+        let mut rng = testrand::Rng::new(0x15_0A5D);
+        let mut parsed = 0;
+        for case in 0..10_000 {
+            let bytes = rng.mutate(original.as_bytes(), |r| {
+                if r.bool() {
+                    SYNTAX[r.usize_below(SYNTAX.len())]
+                } else {
+                    r.next_u64() as u8
+                }
+            });
+            let text = String::from_utf8_lossy(&bytes);
+            match std::panic::catch_unwind(|| parse(&text)) {
+                Ok(r) => parsed += usize::from(r.is_ok()),
+                Err(_) => panic!("mutant {case} panicked: {text:?}"),
+            }
+        }
+        assert!(parsed > 0, "no mutant parsed");
+    }
+
+    #[test]
     fn random_strings_round_trip_through_escape_and_parse() {
         let mut rng = testrand::Rng::new(0x15_0A5C);
         for case in 0..2000 {

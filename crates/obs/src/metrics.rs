@@ -111,8 +111,11 @@ metrics_table! {
         "bytes reserved by arena-backed cut pools (summed over arenas as they grow)";
     CutsScratchReuse => "cuts.scratch_reuse", Counter, true,
         "cut recomputations served from an already-warm reusable scratch buffer";
+    // Retired with the NPN memo (classes come from one process-wide
+    // table): never recorded, so it reads 0. Still declared because the
+    // benchmark harness names it.
     NpnCanonizations => "npn.canonizations", Counter, true,
-        "NPN canonizations of 4-input cut functions";
+        "retired, never recorded: NPN canonizations of 4-input cut functions";
     CutsScored => "fhash.cuts_scored", Counter, true,
         "candidate cuts scored against the database";
     SchedRepartitionNs => "sched.repartition_ns", DurationNs, true,
@@ -145,14 +148,15 @@ metrics_table! {
     MigDeadSlotPct => "mig.dead_slot_pct", Gauge, true,
         "percent of slots on the free list (recorded at report time)";
 
-    // Persistent optimization cache (crates/fcache): the signature tier
-    // answers per-cut canonization + replacement-score lookups, the
-    // result tier answers whole-job repeats; load/flush/reject track the
-    // on-disk cache file's lifecycle.
+    // Persistent optimization cache (crates/fcache): the result store
+    // answers whole-job repeats; load/flush/reject track the on-disk
+    // cache file's lifecycle. The two signature counters retired with
+    // the signature tier: never recorded, so they read 0. Still declared
+    // because the benchmark harness names them.
     CacheSigHits => "cache.sig_hits", Counter, true,
-        "cut-signature lookups answered from the optimization cache";
+        "retired, never recorded: cut-signature lookups answered from the optimization cache";
     CacheSigMisses => "cache.sig_misses", Counter, true,
-        "cut-signature lookups that computed and inserted a record";
+        "retired, never recorded: cut-signature lookups that computed and inserted a record";
     CacheResultHits => "cache.result_hits", Counter, true,
         "whole-job pipeline results reused from the cache";
     CacheResultMisses => "cache.result_misses", Counter, true,

@@ -52,6 +52,26 @@ impl Rng {
     pub fn bool(&mut self) -> bool {
         self.next_u64() & 1 == 1
     }
+
+    /// `bytes` after one to four random edits: overwrite, insert or
+    /// delete a byte, or truncate. `byte` draws each written byte, so a
+    /// hostile-input test can favour the bytes its format gives meaning.
+    pub fn mutate(&mut self, bytes: &[u8], mut byte: impl FnMut(&mut Rng) -> u8) -> Vec<u8> {
+        let mut out = bytes.to_vec();
+        for _ in 0..self.range(1, 5) {
+            let pos = self.usize_below(out.len() + 1);
+            match self.below(4) {
+                0 if pos < out.len() => out[pos] = byte(self),
+                1 => out.insert(pos, byte(self)),
+                2 if pos < out.len() => {
+                    out.remove(pos);
+                }
+                3 => out.truncate(pos),
+                _ => {}
+            }
+        }
+        out
+    }
 }
 
 #[cfg(test)]

@@ -10,7 +10,8 @@
 //! * [`npn_canonize`] / [`Npn4Canonizer`] — exact NPN canonization
 //!   (paper §II-D) with composable, invertible [`NpnTransform`]s, which the
 //!   functional-hashing engine uses to map database structures onto cut
-//!   leaves.
+//!   leaves. Four-input functions are answered from one process-wide
+//!   table of all 2^16 functions ([`npn4_class`]).
 //!
 //! # Examples
 //!
@@ -28,7 +29,7 @@ mod npn;
 mod table;
 
 pub use npn::{
-    npn4_class_representatives, npn4_class_sizes, npn_canonize, Npn4Canonizer, NpnCanon,
-    NpnTransform, MAX_NPN_VARS,
+    npn4_class, npn4_class_representatives, npn4_class_sizes, npn_canonize, Npn4Canonizer,
+    NpnCanon, NpnTransform, MAX_NPN_VARS,
 };
 pub use table::{ParseTableError, TruthTable, MAX_VARS};

@@ -284,4 +284,19 @@ awk -v a="$R256" -v b="$R1M" 'BEGIN { exit !(b <= 6 * a) }' || {
 }
 echo "ok: parse_request_1m = $R1M ns <= 6x parse_request_256k = $R256 ns"
 
+echo "== cache flush-scaling gate (cache/flush_one_into_1024 vs _64, <= 2x)"
+# A job's flush appends its own record to the cache file. Flushing one
+# new result into a file of 1024 results may cost at most 2x flushing it
+# into a file of 64: an append costs about the same, a whole-file
+# rewrite about 12x. Both rows come from the same run, so the ratio
+# needs no machine-speed constant.
+F64=$(mean_of "cache/flush_one_into_64")
+F1K=$(mean_of "cache/flush_one_into_1024")
+[ -n "$F64" ] && [ -n "$F1K" ] || { echo "missing cache/flush_one_into rows in BENCH_micro.json"; exit 1; }
+awk -v a="$F64" -v b="$F1K" 'BEGIN { exit !(b <= 2 * a) }' || {
+    echo "FAIL: cache/flush_one_into_1024 ($F1K ns) past 2x cache/flush_one_into_64 ($F64 ns)"
+    exit 1
+}
+echo "ok: flush_one_into_1024 = $F1K ns <= 2x flush_one_into_64 = $F64 ns"
+
 echo "CI OK"

@@ -381,6 +381,41 @@ fn main() {
     let warm_delta = obs::metrics::global_snapshot().since(&warm_before);
     std::fs::remove_file(&cache_file).ok();
 
+    // Flush-scaling rows: one iteration puts one new 14 KB result into a
+    // service whose cache file already holds N results, and flushes it.
+    // An append costs the same whatever N is; a whole-file rewrite grows
+    // with N (about 12x from 64 to 1024). The ci.sh flush-scaling gate
+    // holds the ratio at or under 2x.
+    let record_circuit = {
+        let probe = io::blif::Blif::from_mig(&ripple_chain(64), "bench")
+            .to_text()
+            .len();
+        io::blif::Blif::from_mig(&ripple_chain(64 * (14 << 10) / probe), "bench").to_text()
+    };
+    let record = |key: u64| fcache::ResRecord {
+        key,
+        check: !key,
+        pipeline: "fhash!:TFD #j1".into(),
+        size: 1000,
+        depth: 40,
+        circuit: record_circuit.clone(),
+    };
+    for held in [64u64, 1024] {
+        let path = std::env::temp_dir().join(format!("bench_flush_{}.cache", std::process::id()));
+        let records: Vec<_> = (0..held).map(record).collect();
+        fcache::save_path(&path, &records).expect("cache file");
+        let svc = cli::service::OptService::new(Some(path.clone()));
+        // The first flush of a process rewrites the file; time the rest.
+        svc.flush().expect("cache flush");
+        let mut key = held;
+        ms.push(bench(&format!("cache/flush_one_into_{held}"), || {
+            svc.results().put(record(key));
+            key += 1;
+            svc.flush().expect("cache flush")
+        }));
+        std::fs::remove_file(&path).ok();
+    }
+
     // Daemon throughput (ISSUE 9): four concurrent clients against an
     // in-process `migd` worker pool, four distinct ripple carries per
     // round. After the first round every job is a result-tier hit, so

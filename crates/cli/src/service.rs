@@ -5,8 +5,8 @@
 //! Sharing model: the engine is read-only during a job, the result
 //! store is a read-mostly `RwLock` map, and flushing to the cache file
 //! is serialized by a dedicated mutex — concurrent daemon jobs never
-//! block each other on the hot path. A flush after a job that learned
-//! nothing costs a file stamp check.
+//! block each other on the hot path. A flush costs a file stamp check
+//! plus an append of what the job learned, if anything.
 
 use crate::{Pass, PassReport, PipelineError};
 use mig::Mig;
@@ -92,21 +92,14 @@ pub struct JobRun {
     pub circuit: Option<String>,
 }
 
-/// What this service last wrote to its cache file.
-struct Flushed {
-    /// [`OptService::generation`] read just before the write.
-    generation: u64,
-    stamp: fcache::FileStamp,
-    entries: usize,
-}
-
 /// An engine + result store + optional backing cache file.
 pub struct OptService {
     engine: fhash::FunctionalHashing,
     results: fcache::ResultStore,
     cache_path: Option<PathBuf>,
-    /// Serializes flushes and remembers the last one.
-    flushed: Mutex<Option<Flushed>>,
+    /// Serializes flushes and holds the stamp of the file this service
+    /// last wrote, while that write is known to have succeeded.
+    flushed: Mutex<Option<fcache::FileStamp>>,
 }
 
 impl OptService {
@@ -259,54 +252,42 @@ impl OptService {
         Some(result)
     }
 
-    /// What this service has learned so far, as a counter that grows
-    /// with every result record inserted or replaced.
-    fn generation(&self) -> u64 {
-        self.results.generation()
-    }
-
-    /// Writes the result records back to the cache file. Returns the
-    /// number of results the file holds.
+    /// Writes what this service learned to the cache file. Returns the
+    /// number of results the service holds.
     ///
-    /// Skips the write when nothing was learned since this service's
-    /// last flush and the file still carries the stamp of that write.
-    /// Otherwise, if the file is not the one this service last wrote
-    /// (another process flushed, or this is the first flush), its
-    /// entries are merged into the service first (on key conflicts the
-    /// in-memory state wins), so the rewrite keeps them. No-op without
-    /// a cache path.
+    /// When the file still carries the stamp of this service's last
+    /// write, the records put since then are appended with one write,
+    /// and nothing is written when there are none: a result-tier hit
+    /// leaves the file alone. Otherwise (this service's first flush,
+    /// another process wrote in between, or the file was damaged from
+    /// outside) the file's readable records are merged into the service
+    /// first (on key conflicts the in-memory record wins), and the file
+    /// is rewritten key-sorted. No-op without a cache path.
     ///
     /// # Errors
     ///
-    /// Filesystem failures from the atomic write.
+    /// Filesystem failures from the append or the atomic rewrite; the
+    /// next flush then rewrites the file.
     pub fn flush(&self) -> std::io::Result<usize> {
         let Some(path) = &self.cache_path else {
             return Ok(0);
         };
         let mut last = self.flushed.lock().expect("flush lock poisoned");
-        match last.as_ref() {
-            Some(f) if fcache::FileStamp::read(path).as_ref() == Some(&f.stamp) => {
-                if f.generation == self.generation() {
-                    return Ok(f.entries);
-                }
+        let ours = last.is_some() && fcache::FileStamp::read(path) == *last;
+        let written = if ours {
+            let pending = self.results.take_pending();
+            if pending.is_empty() {
+                return Ok(self.results.len());
             }
-            _ => {
-                if let Ok(disk) = fcache::load_path(path) {
-                    self.results.install(disk.results);
-                }
+            fcache::append_path(path, &pending)
+        } else {
+            if let Ok(disk) = fcache::load_path(path) {
+                self.results.install(disk.results);
             }
-        }
-        let generation = self.generation();
-        let data = fcache::CacheData {
-            results: self.results.export(),
+            fcache::save_path(path, &self.results.take_all())
         };
-        let stamp = fcache::save_path(path, &data)?;
-        *last = Some(Flushed {
-            generation,
-            stamp,
-            entries: data.len(),
-        });
-        Ok(data.len())
+        *last = written.as_ref().ok().cloned();
+        written.map(|_| self.results.len())
     }
 }
 

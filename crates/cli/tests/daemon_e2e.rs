@@ -1,8 +1,8 @@
 //! End-to-end tests of the persistent optimization cache and the
 //! `migd` daemon: cold/warm bit-identity, result-tier hits, graceful
-//! cold starts from corrupt cache files, when a flush rewrites the
-//! file, SAT-proved equivalence of daemon-served results, and per-job
-//! stream validation.
+//! cold starts from corrupt cache files, when a flush appends to the
+//! file and when it rewrites it, SAT-proved equivalence of
+//! daemon-served results, and per-job stream validation.
 
 use cli::daemon::PipelineRunner;
 use cli::service::OptService;
@@ -339,6 +339,95 @@ fn a_file_overwritten_from_outside_is_healed_by_the_next_flush() {
             "{what}: the rewritten file must load"
         );
     }
+    std::fs::remove_file(&cache).ok();
+}
+
+#[test]
+fn after_the_first_flush_each_miss_appends_its_record_in_place() {
+    let _serial = lock();
+    let cache = tmp("svc_append.cache");
+    std::fs::remove_file(&cache).ok();
+    let passes = cli::parse_pipeline("strash; fhash!:TFD").unwrap();
+    let inputs: Vec<Mig> = ["full_adder.aag", "adder8.aag", "mult4.aig", "adder4.blif"]
+        .iter()
+        .map(|f| io::read_mig_path(benchmarks_dir().join(f)).unwrap())
+        .collect();
+    let svc = OptService::new(Some(cache.clone()));
+    assert!(!svc.run_job(&inputs[0], &passes, 1, None).unwrap().cached);
+    assert_eq!(svc.flush().unwrap(), 1);
+    for (k, input) in inputs.iter().enumerate().skip(1) {
+        let (before, _, inode) = file_state(&cache);
+        let job = svc.run_job(input, &passes, 1, None).unwrap();
+        assert!(!job.cached);
+        assert_eq!(svc.flush().unwrap(), k + 1);
+        let (after, _, same_inode) = file_state(&cache);
+        assert_eq!(
+            same_inode, inode,
+            "input {k}: a miss must append, not rewrite"
+        );
+        assert!(
+            after.starts_with(&before),
+            "input {k}: earlier bytes must stay"
+        );
+        let loaded = fcache::load_path(&cache).unwrap();
+        assert!(loaded.defect.is_none());
+        let appended = loaded.results.last().unwrap();
+        assert_eq!(Some(&appended.circuit), job.circuit.as_ref());
+        assert_eq!(
+            after.len() - before.len(),
+            appended.encoded_len(),
+            "input {k}: the file grows by exactly the job's record"
+        );
+    }
+    std::fs::remove_file(&cache).ok();
+}
+
+#[test]
+fn a_torn_tail_is_rewritten_by_the_next_flush() {
+    let _serial = lock();
+    let cache = tmp("svc_torn.cache");
+    std::fs::remove_file(&cache).ok();
+    let passes = cli::parse_pipeline("fhash!:T").unwrap();
+    let inputs: Vec<Mig> = ["full_adder.aag", "adder4.blif"]
+        .iter()
+        .map(|f| io::read_mig_path(benchmarks_dir().join(f)).unwrap())
+        .collect();
+    let svc = OptService::new(Some(cache.clone()));
+    for input in &inputs {
+        svc.run_job(input, &passes, 1, None).unwrap();
+        svc.flush().unwrap();
+    }
+    let valid = std::fs::read(&cache).unwrap();
+    // Half of a record frame, as an append cut short by a crash leaves.
+    let torn = [valid.as_slice(), &valid[12..12 + 40]].concat();
+
+    // Both records, and nothing after them.
+    let healed = |what: &str| {
+        let data = fcache::load_path(&cache).unwrap();
+        assert!(data.defect.is_none(), "{what}: the torn tail must go");
+        assert_eq!(data.len(), inputs.len(), "{what}");
+        assert_eq!(std::fs::read(&cache).unwrap().len(), valid.len(), "{what}");
+    };
+
+    // The service that wrote the file sees a stamp it did not leave, so
+    // its next flush rewrites the file even though it learned nothing.
+    overwrite_later(&cache, &torn);
+    svc.flush().unwrap();
+    healed("same service");
+
+    // A fresh service keeps every record before the torn frame, counts
+    // one rejection, and its first flush rewrites the file whole.
+    std::fs::write(&cache, &torn).unwrap();
+    let before = obs::metrics::global_snapshot();
+    let fresh = OptService::new(Some(cache.clone()));
+    let delta = obs::metrics::global_snapshot().since(&before);
+    assert_eq!(delta.get(obs::Metric::CacheRejected), 1);
+    assert_eq!(delta.get(obs::Metric::CacheLoaded), inputs.len() as u64);
+    for input in &inputs {
+        assert!(fresh.run_job(input, &passes, 1, None).unwrap().cached);
+    }
+    fresh.flush().unwrap();
+    healed("fresh service");
     std::fs::remove_file(&cache).ok();
 }
 

@@ -9,7 +9,8 @@
 
 use crate::error::{ErrorKind, ParseError, Position};
 use mig::{Mig, Signal};
-use std::collections::{HashMap, HashSet};
+use std::borrow::Cow;
+use std::collections::HashMap;
 
 /// One `.names` logic table: a single-output sum-of-products cover.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -37,43 +38,37 @@ pub struct Blif {
 }
 
 /// Joins BLIF continuation lines (trailing `\`) and strips `#` comments,
-/// keeping the 1-based line number of each logical line's first physical
-/// line.
-fn logical_lines(text: &str) -> Vec<(usize, String)> {
-    let mut out: Vec<(usize, String)> = Vec::new();
-    let mut pending: Option<(usize, String)> = None;
-    for (i, raw) in text.lines().enumerate() {
-        let no_comment = match raw.find('#') {
-            Some(p) => &raw[..p],
-            None => raw,
-        };
-        let (cont, body) = match no_comment.trim_end().strip_suffix('\\') {
-            Some(b) => (true, b.to_string()),
-            None => (false, no_comment.to_string()),
-        };
-        match pending.take() {
-            Some((ln, mut acc)) => {
-                acc.push(' ');
-                acc.push_str(&body);
-                if cont {
-                    pending = Some((ln, acc));
-                } else {
-                    out.push((ln, acc));
+/// yielding each logical line with the 1-based line number of its first
+/// physical line. Lines are borrowed from `text`; only a line joined
+/// from continuations is copied.
+fn logical_lines(text: &str) -> impl Iterator<Item = (usize, Cow<'_, str>)> {
+    let mut physical = text.lines().enumerate();
+    std::iter::from_fn(move || {
+        let mut pending: Option<(usize, String)> = None;
+        for (i, raw) in physical.by_ref() {
+            let no_comment = match raw.find('#') {
+                Some(p) => &raw[..p],
+                None => raw,
+            };
+            let (cont, body) = match no_comment.trim_end().strip_suffix('\\') {
+                Some(b) => (true, b),
+                None => (false, no_comment),
+            };
+            match pending.as_mut() {
+                Some((ln, acc)) => {
+                    acc.push(' ');
+                    acc.push_str(body);
+                    if !cont {
+                        return Some((*ln, Cow::Owned(std::mem::take(acc))));
+                    }
                 }
-            }
-            None => {
-                if cont {
-                    pending = Some((i + 1, body));
-                } else if !body.trim().is_empty() {
-                    out.push((i + 1, body));
-                }
+                None if cont => pending = Some((i + 1, body.to_string())),
+                None if !body.trim().is_empty() => return Some((i + 1, Cow::Borrowed(body))),
+                None => {}
             }
         }
-    }
-    if let Some((ln, acc)) = pending {
-        out.push((ln, acc));
-    }
-    out
+        pending.map(|(ln, acc)| (ln, Cow::Owned(acc)))
+    })
 }
 
 impl Blif {
@@ -89,10 +84,10 @@ impl Blif {
         let mut current: Option<BlifGate> = None;
         let mut ended = false;
         for (ln, line) in logical_lines(text) {
-            let toks: Vec<&str> = line.split_whitespace().collect();
-            if toks.is_empty() {
+            let mut toks = line.split_whitespace();
+            let Some(first) = toks.next() else {
                 continue;
-            }
+            };
             if ended {
                 return Err(ParseError::at_line(
                     ErrorKind::BadToken,
@@ -101,7 +96,7 @@ impl Blif {
                     "content after .end",
                 ));
             }
-            match toks[0] {
+            match first {
                 ".model" => {
                     if seen_model {
                         return Err(ParseError::at_line(
@@ -112,32 +107,30 @@ impl Blif {
                         ));
                     }
                     seen_model = true;
-                    doc.model = toks.get(1).unwrap_or(&"top").to_string();
+                    doc.model = toks.next().unwrap_or("top").to_string();
                 }
                 ".inputs" => {
-                    doc.inputs.extend(toks[1..].iter().map(|s| s.to_string()));
+                    doc.inputs.extend(toks.map(str::to_string));
                 }
                 ".outputs" => {
-                    doc.outputs.extend(toks[1..].iter().map(|s| s.to_string()));
+                    doc.outputs.extend(toks.map(str::to_string));
                 }
                 ".names" => {
-                    if toks.len() < 2 {
+                    let mut inputs: Vec<String> = toks.map(str::to_string).collect();
+                    let Some(output) = inputs.pop() else {
                         return Err(ParseError::at_line(
                             ErrorKind::BadToken,
                             ln,
                             1,
                             ".names needs at least an output name",
                         ));
-                    }
+                    };
                     if let Some(g) = current.take() {
                         doc.gates.push(g);
                     }
                     current = Some(BlifGate {
-                        inputs: toks[1..toks.len() - 1]
-                            .iter()
-                            .map(|s| s.to_string())
-                            .collect(),
-                        output: toks[toks.len() - 1].to_string(),
+                        inputs,
+                        output,
                         cover: Vec::new(),
                     });
                 }
@@ -146,7 +139,7 @@ impl Blif {
                         ErrorKind::Unsupported,
                         ln,
                         1,
-                        format!("{} is not supported (combinational .names only)", toks[0]),
+                        format!("{first} is not supported (combinational .names only)"),
                     ));
                 }
                 ".end" => {
@@ -157,7 +150,7 @@ impl Blif {
                         ErrorKind::Unsupported,
                         ln,
                         1,
-                        format!("{} is not supported", toks[0]),
+                        format!("{first} is not supported"),
                     ));
                 }
                 t if t.starts_with('.') => {
@@ -178,9 +171,9 @@ impl Blif {
                             format!("cover row {line:?} outside a .names table"),
                         ));
                     };
-                    let (plane, value) = match toks.len() {
-                        1 if g.inputs.is_empty() => (String::new(), toks[0]),
-                        2 => (toks[0].to_string(), toks[1]),
+                    let (plane, value) = match (toks.next(), toks.next()) {
+                        (None, _) if g.inputs.is_empty() => ("", first),
+                        (Some(value), None) => (first, value),
                         _ => {
                             return Err(ParseError::at_line(
                                 ErrorKind::BadToken,
@@ -191,7 +184,7 @@ impl Blif {
                         }
                     };
                     if plane.len() != g.inputs.len()
-                        || !plane.chars().all(|c| matches!(c, '0' | '1' | '-'))
+                        || !plane.bytes().all(|c| matches!(c, b'0' | b'1' | b'-'))
                     {
                         return Err(ParseError::at_line(
                             ErrorKind::BadToken,
@@ -215,7 +208,7 @@ impl Blif {
                             ));
                         }
                     };
-                    g.cover.push((plane, v));
+                    g.cover.push((plane.to_string(), v));
                 }
             }
         }
@@ -288,13 +281,10 @@ impl Blif {
     /// drive the same signal or a table drives a primary input.
     pub fn to_mig(&self) -> Result<Mig, ParseError> {
         let mut m = Mig::new(self.inputs.len());
-        let mut map: HashMap<&str, Signal> = HashMap::new();
+        let mut map: HashMap<&str, Signal> =
+            HashMap::with_capacity(self.inputs.len() + self.gates.len());
         for (i, name) in self.inputs.iter().enumerate() {
-            map.insert(name, m.input(i));
-        }
-        let mut input_names: HashSet<&str> = HashSet::new();
-        for name in &self.inputs {
-            if !input_names.insert(name.as_str()) {
+            if map.insert(name, m.input(i)).is_some() {
                 return Err(ParseError::new(
                     ErrorKind::Conflict,
                     Position::Eof,
@@ -302,9 +292,10 @@ impl Blif {
                 ));
             }
         }
-        let mut def_of: HashMap<&str, usize> = HashMap::new();
+        let mut def_of: HashMap<&str, usize> = HashMap::with_capacity(self.gates.len());
         for (k, g) in self.gates.iter().enumerate() {
-            if input_names.contains(g.output.as_str()) {
+            // `map` holds only the primary inputs so far.
+            if map.contains_key(g.output.as_str()) {
                 return Err(ParseError::new(
                     ErrorKind::Conflict,
                     Position::Eof,
@@ -319,9 +310,13 @@ impl Blif {
                 ));
             }
         }
+        // One DFS stack and one fanin buffer serve every table; the
+        // stack is empty again whenever the inner loop ends.
         let mut visiting = vec![false; self.gates.len()];
+        let mut stack = Vec::new();
+        let mut ins = Vec::new();
         for start in 0..self.gates.len() {
-            let mut stack = vec![start];
+            stack.push(start);
             while let Some(&k) = stack.last() {
                 let g = &self.gates[k];
                 if map.contains_key(g.output.as_str()) {
@@ -356,10 +351,9 @@ impl Blif {
                     stack.push(dep);
                 }
                 if ready {
-                    let ins: Vec<Signal> = g.inputs.iter().map(|n| map[n.as_str()]).collect();
+                    ins.clear();
+                    ins.extend(g.inputs.iter().map(|n| map[n.as_str()]));
                     let sig = build_cover(&mut m, &ins, &g.cover);
-                    // Borrow of self.gates outlives the loop; keys are &str
-                    // tied to self, fine to insert.
                     map.insert(g.output.as_str(), sig);
                     visiting[k] = false;
                     stack.pop();
@@ -481,17 +475,22 @@ fn build_cover(m: &mut Mig, ins: &[Signal], cover: &[(String, char)]) -> Signal 
     let on_set = cover[0].1 == '1';
     if ins.len() == 3 {
         let tt = cover_truth_table3(cover, on_set);
-        if let Some(sig) = match_majority3(m, ins, tt) {
-            return sig;
+        if let Some(p) = MAJORITY_POLARITIES[usize::from(tt)].checked_sub(1) {
+            let g = m.maj(
+                ins[0].complement_if(p & 1 == 1),
+                ins[1].complement_if(p >> 1 & 1 == 1),
+                ins[2].complement_if(p >> 2 & 1 == 1),
+            );
+            return g.complement_if(p >> 3 & 1 == 1);
         }
     }
     let mut acc = Signal::ZERO;
     for (plane, _) in cover {
         let mut cube = Signal::ONE;
-        for (col, ch) in plane.chars().enumerate() {
+        for (col, ch) in plane.bytes().enumerate() {
             match ch {
-                '1' => cube = m.and(cube, ins[col]),
-                '0' => cube = m.and(cube, !ins[col]),
+                b'1' => cube = m.and(cube, ins[col]),
+                b'0' => cube = m.and(cube, !ins[col]),
                 _ => {}
             }
         }
@@ -501,49 +500,50 @@ fn build_cover(m: &mut Mig, ins: &[Signal], cover: &[(String, char)]) -> Signal 
 }
 
 /// The 8-bit truth table of a 3-input cover (bit `j` = output under the
-/// assignment with input `k` = bit `k` of `j`).
+/// assignment with input `k` = bit `k` of `j`): each row is the AND of
+/// its columns' variable masks.
 fn cover_truth_table3(cover: &[(String, char)], on_set: bool) -> u8 {
-    let mut tt = 0u8;
-    for j in 0..8u8 {
-        let covered = cover.iter().any(|(plane, _)| {
-            plane.bytes().enumerate().all(|(k, ch)| match ch {
-                b'1' => j >> k & 1 == 1,
-                b'0' => j >> k & 1 == 0,
-                _ => true,
-            })
-        });
-        if covered == on_set {
-            tt |= 1 << j;
-        }
-    }
-    tt
-}
-
-/// If `tt` is a majority of the three inputs under some polarity
-/// assignment, builds that single gate.
-fn match_majority3(m: &mut Mig, ins: &[Signal], tt: u8) -> Option<Signal> {
-    for polarities in 0..16u8 {
-        let mut want = 0u8;
-        for j in 0..8u8 {
-            let bits = (0..3)
-                .filter(|&k| (j >> k & 1 == 1) != (polarities >> k & 1 == 1))
-                .count();
-            let maj = bits >= 2;
-            if maj != (polarities >> 3 & 1 == 1) {
-                want |= 1 << j;
+    const VARS: [u8; 3] = [0xAA, 0xCC, 0xF0];
+    let mut covered = 0u8;
+    for (plane, _) in cover {
+        let mut cube = 0xFFu8;
+        for (ch, var) in plane.bytes().zip(VARS) {
+            match ch {
+                b'1' => cube &= var,
+                b'0' => cube &= !var,
+                _ => {}
             }
         }
-        if want == tt {
-            let g = m.maj(
-                ins[0].complement_if(polarities & 1 == 1),
-                ins[1].complement_if(polarities >> 1 & 1 == 1),
-                ins[2].complement_if(polarities >> 2 & 1 == 1),
-            );
-            return Some(g.complement_if(polarities >> 3 & 1 == 1));
-        }
+        covered |= cube;
     }
-    None
+    if on_set {
+        covered
+    } else {
+        !covered
+    }
 }
+
+/// For each 3-input truth table: one plus the lowest polarity assignment
+/// `p` under which it is a majority (bit `k` of `p` complements input
+/// `k`, bit 3 the output), or 0 when it is no majority.
+const MAJORITY_POLARITIES: [u8; 256] = {
+    let mut table = [0u8; 256];
+    // Descending, so the lowest matching assignment is written last.
+    let mut p = 16u8;
+    while p > 0 {
+        p -= 1;
+        let mut want = 0u8;
+        let mut j = 0u8;
+        while j < 8 {
+            if (((j ^ p) & 7).count_ones() >= 2) != (p & 8 != 0) {
+                want |= 1 << j;
+            }
+            j += 1;
+        }
+        table[want as usize] = p + 1;
+    }
+    table
+};
 
 #[cfg(test)]
 mod tests {
@@ -666,6 +666,54 @@ mod tests {
         let text = ".model m\n.inputs a b\n.outputs y\n.names t y\n0 1\n.names a b t\n11 1\n.end\n";
         let m = Blif::parse(text).unwrap().to_mig().unwrap();
         assert_eq!(m.output_truth_tables()[0].to_hex(), "7");
+    }
+
+    /// Out-of-order tables, continuation lines, comments, off-set
+    /// covers, a 3-input majority, an off-set majority and a 3-input
+    /// non-majority cover.
+    const FIXTURE: &str = "# regression fixture: tables out of order\n\
+        .model fixture # trailing comment\n\
+        .inputs a b c \\\n d\n\
+        .outputs y z w k v\n\
+        .names t u y\n10 1\n01 1\n\
+        .names a b c t\n11- 1\n1-1 1\n-11 1\n\
+        .names c d u\n11 0\n\
+        .names a \\\nb d w\n1-0 1\n-11 1\n\
+        .names t d k\n00 0\n\
+        .names s z\n0 1\n\
+        .names b c s\n1- 1\n-1 1\n\
+        .names a c d v\n10- 0\n1-0 0\n-00 0\n\
+        .end\n";
+
+    #[test]
+    fn fixture_reads_back_the_recorded_graph() {
+        // Recorded from the reader before its allocation-light rewrite:
+        // the resolution order of out-of-order tables decides node
+        // numbering, and result-cache keys hash that numbering.
+        let m = Blif::parse(FIXTURE).unwrap().to_mig().unwrap();
+        let gates: Vec<(mig::NodeId, [usize; 3])> = m
+            .gates()
+            .map(|g| (g, m.fanins(g).map(Signal::code)))
+            .collect();
+        assert_eq!(m.num_nodes(), 16);
+        assert_eq!(
+            gates,
+            vec![
+                (5, [0, 6, 8]),
+                (6, [2, 4, 6]),
+                (7, [0, 10, 12]),
+                (8, [1, 10, 12]),
+                (9, [0, 15, 16]),
+                (10, [0, 2, 9]),
+                (11, [0, 4, 8]),
+                (12, [1, 20, 22]),
+                (13, [1, 8, 12]),
+                (14, [1, 4, 6]),
+                (15, [3, 6, 8]),
+            ]
+        );
+        let outputs: Vec<usize> = m.outputs().iter().map(|s| s.code()).collect();
+        assert_eq!(outputs, vec![19, 29, 24, 26, 30]);
     }
 
     #[test]

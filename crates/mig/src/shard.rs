@@ -639,30 +639,39 @@ fn propose_and_commit<E: ProposeEngine>(
     let next = AtomicUsize::new(0);
     let frozen: &Mig = mig;
     let workers = cfg.threads.max(1).min(active.len());
-    // Workers sync on a start barrier: load imbalance then shows up as
-    // idle span tails instead of thread-start skew, and the per-worker
-    // spans of one phase genuinely coexist even on one hardware thread.
-    let barrier = std::sync::Barrier::new(workers);
+    let work = |start: Option<&std::sync::Barrier>| {
+        let _worker_span = obs::trace::span("propose:worker");
+        if let Some(barrier) = start {
+            barrier.wait();
+        }
+        loop {
+            let i = next.fetch_add(1, Ordering::Relaxed);
+            if i >= active.len() {
+                break;
+            }
+            let _region_span = obs::trace::span_dyn(|| format!("propose:r{}", active[i]));
+            let props = engine.propose(frozen, partition, state, active[i]);
+            *slots[i].lock().expect("proposal slot poisoned") = props;
+        }
+    };
     {
         let _propose_span = obs::trace::span("propose");
-        std::thread::scope(|scope| {
-            for _ in 0..workers {
-                scope.spawn(|| {
-                    let _worker_span = obs::trace::span("propose:worker");
-                    barrier.wait();
-                    loop {
-                        let i = next.fetch_add(1, Ordering::Relaxed);
-                        if i >= active.len() {
-                            break;
-                        }
-                        let _region_span =
-                            obs::trace::span_dyn(|| format!("propose:r{}", active[i]));
-                        let props = engine.propose(frozen, partition, state, active[i]);
-                        *slots[i].lock().unwrap() = props;
-                    }
-                });
-            }
-        });
+        if workers == 1 {
+            // One worker runs on the calling thread: a spawned thread
+            // would overlap with nothing and only add its start-up.
+            work(None);
+        } else {
+            // Workers sync on a start barrier: load imbalance then shows
+            // up as idle span tails instead of thread-start skew, and the
+            // per-worker spans of one phase genuinely coexist even on one
+            // hardware thread.
+            let barrier = std::sync::Barrier::new(workers);
+            std::thread::scope(|scope| {
+                for _ in 0..workers {
+                    scope.spawn(|| work(Some(&barrier)));
+                }
+            });
+        }
     }
     let proposals: Vec<E::Proposal> = slots
         .into_iter()

@@ -15,6 +15,11 @@ cargo fmt --all -- --check
 echo "== cargo clippy -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 
+echo "== cargo doc -D warnings"
+# Broken or private intra-doc links (say, to a method that no longer
+# exists) fail here.
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
+
 echo "== migopt smoke runs over benchmarks/ (exit code 2 = CEC failure)"
 # Every pipeline ends in `cec`: a counterexample makes migopt exit 2 and
 # fails CI here. Covers the in-place fhash variants, the

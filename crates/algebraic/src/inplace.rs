@@ -55,7 +55,7 @@ pub(crate) struct SizeMove {
 /// fires even when the merged pair is shared (the net profit of such
 /// merges comes from structural-hash sharing across the whole sweep, not
 /// from the single site), so the never-worse guarantee lives at the
-/// sweep level ([`size_rewrite_in_place`] rolls back a sweep that ends
+/// sweep level ([`size_rewrite`] rolls back a sweep that ends
 /// lexicographically worse).
 pub(crate) fn match_size_move(mig: &Mig, g: NodeId) -> Option<SizeMove> {
     let ops = mig.fanins(g);
@@ -362,22 +362,23 @@ fn guarded_sweep(mig: &mut Mig, family: Family, metric: fn(&Mig) -> (u64, u64)) 
     AlgStats::from_delta(&delta)
 }
 
-/// One in-place size-rewriting sweep (Ω.D right-to-left). Merges are
-/// applied liberally (rebuild parity — the profit of merging shared
-/// pairs comes from structural-hash sharing across the sweep), and the
-/// whole sweep is rolled back if it ends `(gates, depth)`-worse, so the
-/// result is never worse than the input. Functionality is preserved.
-pub fn size_rewrite_in_place(mig: &mut Mig) -> AlgStats {
+/// One in-place size-rewriting sweep (Ω.D right-to-left; the `size`
+/// pipeline pass). Merges are applied liberally (rebuild parity — the
+/// profit of merging shared pairs comes from structural-hash sharing
+/// across the sweep), and the whole sweep is rolled back if it ends
+/// `(gates, depth)`-worse, so the result is never worse than the input.
+/// Functionality is preserved.
+pub fn size_rewrite(mig: &mut Mig) -> AlgStats {
     guarded_sweep(mig, Family::Size, script_metric)
 }
 
 /// One in-place depth-rewriting sweep (Ω.A / Ω.D left-to-right on gates
-/// with a unique critical operand): no committed move raises its root's
-/// live level, and the sweep is rolled back if it ends
-/// `(depth, gates)`-worse, so the result never has more depth than the
-/// input (gates may grow — Ω.D trades one node for one level, as in the
-/// paper's depth script).
-pub fn depth_rewrite_in_place(mig: &mut Mig) -> AlgStats {
+/// with a unique critical operand; the `depth` pipeline pass): no
+/// committed move raises its root's live level, and the sweep is rolled
+/// back if it ends `(depth, gates)`-worse, so the result never has more
+/// depth than the input (gates may grow — Ω.D trades one node for one
+/// level, as in the paper's depth script).
+pub fn depth_rewrite(mig: &mut Mig) -> AlgStats {
     guarded_sweep(mig, Family::Depth, depth_metric)
 }
 
@@ -464,9 +465,9 @@ pub(crate) fn converge(
 /// selection and round acceptance — all by the shared lexicographic
 /// `(gates, depth)` metric ([`script_metric`]), the same convergence
 /// rule as the rebuild reference. A single implementation drives both
-/// the serial and the sharded script so they cannot drift. Returns the
-/// kept stats, or `None` when the round failed to improve and was
-/// rolled back.
+/// the serial and the sharded stages of [`crate::optimize`] so they
+/// cannot drift. Returns the kept stats, or `None` when the round failed
+/// to improve and was rolled back.
 pub(crate) fn script_round(
     mig: &mut Mig,
     size_stage: &mut dyn FnMut(&mut Mig) -> AlgStats,
@@ -495,20 +496,4 @@ pub(crate) fn script_round(
     }
     round.publish();
     Some(AlgStats::from_delta(&round))
-}
-
-/// The in-place optimization script: alternating size and depth sweeps
-/// under [`script_round`]'s acceptance. Rounds that fail to improve are
-/// rolled back, making the result never worse than the input.
-pub fn optimize_in_place(mig: &mut Mig, max_rounds: usize) -> AlgStats {
-    let ((), delta) = obs::metrics::scoped(|| {
-        for _ in 0..max_rounds {
-            if script_round(mig, &mut size_rewrite_in_place, &mut depth_rewrite_in_place).is_none()
-            {
-                break;
-            }
-        }
-    });
-    delta.publish();
-    AlgStats::from_delta(&delta)
 }

@@ -15,33 +15,43 @@
 //! * `Ω.D` (distributivity, R→L): `<<xyu><xyv>z> = <xy<uvz>>` — saves one
 //!   node whenever two fanins share two operands (size rewriting).
 //!
-//! Since the in-place unification the moves run as *local substitutions*
-//! on the managed [`Mig`] network ([`size_rewrite_in_place`],
-//! [`depth_rewrite_in_place`]): each candidate is matched read-only,
-//! built speculatively and committed through [`Mig::replace_node`], with
-//! incrementally maintained levels driving critical-path detection and
-//! the structural-change log driving affected-cone re-scans in the
-//! convergence loops ([`size_converge`], [`depth_converge`]). The
-//! sharded backends ([`optimize_threads`]) run the same moves as
-//! proposals on the engine-agnostic propose/commit protocol of
-//! [`mig::ProposeEngine`]. The original rebuild-style passes are kept as
-//! the differential-test reference ([`size_rewrite_rebuild`],
-//! [`depth_rewrite_rebuild`], [`optimize_rebuild`]), mirroring how the
-//! functional-hashing crate kept its `run_rebuild*` engines.
+//! The moves run as *local substitutions* on the managed [`Mig`]
+//! network: each candidate is matched read-only, built speculatively and
+//! committed through [`Mig::replace_node`], with incrementally maintained
+//! levels driving critical-path detection and the structural-change log
+//! driving affected-cone re-scans in the convergence loops. Each
+//! pipeline pass is one call:
 //!
-//! [`optimize`] / [`optimize_in_place`] chain the passes into the
-//! "script" used by the benchmark harness to produce Table III starting
-//! points; all script drivers share the lexicographic
-//! `(gates, depth)` round acceptance ([`script_metric`]), so serial,
-//! in-place and sharded runs agree on convergence.
+//! | Pass | Call |
+//! |------|------|
+//! | `size` | [`size_rewrite`]: one guarded size sweep |
+//! | `depth` | [`depth_rewrite`]: one guarded depth sweep |
+//! | `size![@T]` | [`size_converge`]: size sweeps to the fixpoint |
+//! | `depth![@T]` | [`depth_converge`]: depth sweeps to the fixpoint |
+//! | `algebraic[:N][@T]` | [`optimize`]: the size+depth script |
+//!
+//! The converge loops and the sharded script run the same moves as
+//! proposals on the engine-agnostic propose/commit protocol of
+//! [`mig::ProposeEngine`] when `T > 1` and the graph is large enough to
+//! shard. [`optimize`] is also the "script" the benchmark harness uses
+//! to produce Table III starting points; every script round shares the
+//! lexicographic `(gates, depth)` acceptance ([`script_metric`]), so
+//! serial and sharded runs agree on convergence. The original
+//! rebuild-style passes survive as test-only references for the
+//! differential tests.
 
 mod inplace;
+#[cfg(test)]
+mod rebuild;
 mod shard;
 
-pub use inplace::{depth_rewrite_in_place, optimize_in_place, size_rewrite_in_place};
-pub use shard::optimize_threads;
+pub use inplace::{depth_rewrite, size_rewrite};
 
-use mig::{Mig, Signal};
+use mig::Mig;
+
+/// Backstop on the convergence loops' rounds: improving rounds shrink
+/// the guarded metric, so this is never the expected exit.
+const MAX_ROUNDS: usize = 50;
 
 /// Statistics of an algebraic pass.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -86,246 +96,74 @@ impl AlgStats {
 }
 
 /// The optimization script's round-acceptance metric: `(gates, depth)`,
-/// compared lexicographically (smaller is better). Shared by the rebuild
-/// script, the in-place script and the sharded round guard, so all
+/// compared lexicographically (smaller is better). Shared by the serial
+/// script, the sharded round guard and the rebuild reference, so all
 /// agree on what counts as progress. The signature matches
 /// [`mig::ShardConfig::guard`].
 pub fn script_metric(mig: &Mig) -> (u64, u64) {
     (mig.num_gates() as u64, u64::from(mig.depth()))
 }
 
-/// Size-rewriting convergence on the event-driven scheduler: graphs too
-/// small to shard run the serial convergence loop (affected-cone
-/// re-scans seeded from the dirty log); larger graphs run guarded
-/// scheduler steps over dirty regions — `threads` workers propose in
-/// parallel — followed by a serial polish to the serial engine's own
-/// fixpoint. Returns the applied-move counters and the number of
-/// rounds/steps run. Every step and sweep is `(gates, depth)`-guarded,
-/// so the result is never worse than the input.
-pub fn size_converge(mig: &mut Mig, max_rounds: usize, threads: usize) -> (AlgStats, usize) {
-    shard::converge_threads(mig, max_rounds, false, threads)
+/// Size-rewriting convergence on the event-driven scheduler (the
+/// `size!` pipeline pass): graphs too small to shard run the serial
+/// convergence loop (affected-cone re-scans seeded from the dirty log);
+/// larger graphs run guarded scheduler steps over dirty regions —
+/// `threads` workers propose in parallel — followed by a serial polish to
+/// the serial engine's own fixpoint. Returns the applied-move counters
+/// and the number of rounds/steps run. Every step and sweep is
+/// `(gates, depth)`-guarded, so the result is never worse than the input.
+pub fn size_converge(mig: &mut Mig, threads: usize) -> (AlgStats, usize) {
+    shard::converge_threads(mig, MAX_ROUNDS, false, threads)
 }
 
-/// Depth-script convergence: like [`size_converge`] for the Ω.A/Ω.D
-/// depth moves. Every committed move strictly lowers its root's level
-/// and steps run under a `(depth, gates)` guard, so the result never
-/// has more depth than the input.
-pub fn depth_converge(mig: &mut Mig, max_rounds: usize, threads: usize) -> (AlgStats, usize) {
-    shard::converge_threads(mig, max_rounds, true, threads)
+/// Depth-script convergence (the `depth!` pipeline pass): like
+/// [`size_converge`] for the Ω.A/Ω.D depth moves. Every committed move
+/// strictly lowers its root's level and steps run under a
+/// `(depth, gates)` guard, so the result never has more depth than the
+/// input.
+pub fn depth_converge(mig: &mut Mig, threads: usize) -> (AlgStats, usize) {
+    shard::converge_threads(mig, MAX_ROUNDS, true, threads)
 }
 
-/// One round of size-oriented rewriting on a copy (dangling cones
-/// dropped first): routes through [`size_rewrite_in_place`]. Kept with
-/// the historical rebuild-style signature for callers that want the
-/// functional interface.
-pub fn size_rewrite(mig: &Mig) -> (Mig, AlgStats) {
-    let mut m = mig.cleanup();
-    let stats = size_rewrite_in_place(&mut m);
-    (m, stats)
-}
-
-/// One round of depth-oriented rewriting on a copy: routes through
-/// [`depth_rewrite_in_place`]. See [`size_rewrite`].
-pub fn depth_rewrite(mig: &Mig) -> (Mig, AlgStats) {
-    let mut m = mig.cleanup();
-    let stats = depth_rewrite_in_place(&mut m);
-    (m, stats)
-}
-
-/// The optimization "script" on a copy: routes through
-/// [`optimize_in_place`] (alternating size and depth rounds until the
-/// lexicographic fixpoint or `max_rounds`), mirroring how the paper's
-/// starting points were produced with the flows of refs \[3\] and \[4\].
-pub fn optimize(mig: &Mig, max_rounds: usize) -> Mig {
-    let mut m = mig.cleanup();
-    optimize_in_place(&mut m, max_rounds);
-    m
-}
-
-/// One round of size-oriented rewriting, rebuild-style: applies `Ω.D`
-/// right-to-left (`<<xyu><xyv>z> -> <xy<uvz>>`) wherever two fanins of a
-/// gate share two operands, and rebuilds with structural hashing (which
-/// applies `Ω.M`). Kept as the differential-test reference for
-/// [`size_rewrite_in_place`].
-pub fn size_rewrite_rebuild(mig: &Mig) -> (Mig, AlgStats) {
-    let mut out = Mig::new(mig.num_inputs());
-    let mut stats = AlgStats::default();
-    let mut map: Vec<Option<Signal>> = vec![None; mig.num_nodes()];
-    map[0] = Some(Signal::ZERO);
-    for i in 0..mig.num_inputs() {
-        map[i + 1] = Some(out.input(i));
-    }
-    for g in mig.topo_gates() {
-        let [a, b, c] = mig.fanins(g);
-        let m = |s: Signal, map: &Vec<Option<Signal>>| {
-            map[s.node() as usize]
-                .expect("topological order")
-                .complement_if(s.is_complemented())
-        };
-        let (sa, sb, sc) = (m(a, &map), m(b, &map), m(c, &map));
-        let sig = maj_distrib_rl(&mut out, sa, sb, sc, &mut stats);
-        map[g as usize] = Some(sig);
-    }
-    for o in mig.outputs() {
-        let s = map[o.node() as usize]
-            .expect("outputs mapped")
-            .complement_if(o.is_complemented());
-        out.add_output(s);
-    }
-    (out.cleanup(), stats)
-}
-
-/// Creates `<a b c>` in `out`, first trying the size-saving `Ω.D` R→L
-/// pattern on any pair of gate operands sharing two operands.
-fn maj_distrib_rl(out: &mut Mig, a: Signal, b: Signal, c: Signal, stats: &mut AlgStats) -> Signal {
-    // Look for <G1 G2 z> with G1 = <x y u>, G2 = <x y v> (plain-polarity
-    // gates sharing exactly two operands): rewrite to <x y <u v z>>.
-    let ops = [a, b, c];
-    for i in 0..3 {
-        for j in 0..3 {
-            if i == j {
-                continue;
-            }
-            let (g1, g2) = (ops[i], ops[j]);
-            let z = ops[3 - i - j];
-            if g1.is_complemented() || g2.is_complemented() {
-                continue;
-            }
-            if !out.is_gate(g1.node()) || !out.is_gate(g2.node()) {
-                continue;
-            }
-            let f1 = out.fanins(g1.node());
-            let f2 = out.fanins(g2.node());
-            let shared: Vec<Signal> = f1.iter().copied().filter(|s| f2.contains(s)).collect();
-            if shared.len() == 2 {
-                let u = *f1.iter().find(|s| !shared.contains(s)).expect("third");
-                let v = *f2.iter().find(|s| !shared.contains(s)).expect("third");
-                stats.merges += 1;
-                let inner = out.maj(u, v, z);
-                return out.maj(shared[0], shared[1], inner);
+/// The optimization script (the `algebraic:N@T` pipeline pass):
+/// alternating size and depth rounds until the lexicographic
+/// `(gates, depth)` fixpoint ([`script_metric`]) or `max_rounds`,
+/// mirroring how the paper's starting points were produced with the
+/// flows of refs \[3\] and \[4\]. Rounds that fail to improve are rolled
+/// back, so the result is never worse than the input.
+///
+/// With `threads > 1` the serial script is the quality baseline, and
+/// event-driven size and depth stages on the scheduler run afterwards as
+/// refinement under the same round acceptance, `threads` workers
+/// proposing in parallel. The script's round acceptance is inherently
+/// serial (each round's stage selection depends on the previous round's
+/// committed graph), so this makes the sharded script never worse than
+/// the serial script on any input, bit-deterministic for a fixed input
+/// and thread count, and exactly the serial script on graphs too small
+/// to shard.
+pub fn optimize(mig: &mut Mig, max_rounds: usize, threads: usize) -> AlgStats {
+    let ((), delta) = obs::metrics::scoped(|| {
+        for _ in 0..max_rounds {
+            if inplace::script_round(mig, &mut size_rewrite, &mut depth_rewrite).is_none() {
+                break;
             }
         }
-    }
-    out.maj(a, b, c)
-}
-
-/// One round of depth-oriented rewriting, rebuild-style: on every
-/// critical gate, tries `Ω.A` associativity swaps and `Ω.D` L→R
-/// distributivity to pull the latest-arriving operand one level closer
-/// to the output (the depth script of paper ref \[3\]). Kept as the
-/// differential-test reference for [`depth_rewrite_in_place`].
-pub fn depth_rewrite_rebuild(mig: &Mig) -> (Mig, AlgStats) {
-    let levels = mig.levels();
-    let mut out = Mig::new(mig.num_inputs());
-    let mut stats = AlgStats::default();
-    let mut map: Vec<Option<Signal>> = vec![None; mig.num_nodes()];
-    map[0] = Some(Signal::ZERO);
-    for i in 0..mig.num_inputs() {
-        map[i + 1] = Some(out.input(i));
-    }
-    for g in mig.topo_gates() {
-        let [a, b, c] = mig.fanins(g);
-        // Identify the unique critical operand in the *old* graph.
-        let ops_old = [a, b, c];
-        let maxl = ops_old
-            .iter()
-            .map(|s| levels[s.node() as usize])
-            .max()
-            .expect("three operands");
-        let critical: Vec<usize> = (0..3)
-            .filter(|&i| levels[ops_old[i].node() as usize] == maxl)
-            .collect();
-        let m = |s: Signal, map: &Vec<Option<Signal>>| {
-            map[s.node() as usize]
-                .expect("topological order")
-                .complement_if(s.is_complemented())
-        };
-        let mut result: Option<Signal> = None;
-        if critical.len() == 1 && mig.is_gate(ops_old[critical[0]].node()) && maxl >= 2 {
-            let ci = critical[0];
-            let inner_old = ops_old[ci];
-            let outer: Vec<Signal> = (0..3)
-                .filter(|&i| i != ci)
-                .map(|i| m(ops_old[i], &map))
-                .collect();
-            let inner_f = mig.fanins(inner_old.node());
-            let inner_ops: Vec<Signal> = inner_f.iter().map(|&s| m(s, &map)).collect();
-            // Find the critical grandchild (deepest operand of the inner
-            // gate) in the rebuilt graph, using the incrementally
-            // maintained levels of the graph under construction.
-            let zi = (0..3)
-                .max_by_key(|&i| out.level(inner_ops[i].node()))
-                .expect("three operands");
-            let z = inner_ops[zi];
-            let rest: Vec<Signal> = (0..3).filter(|&i| i != zi).map(|i| inner_ops[i]).collect();
-            let z_lvl = out.level(z.node());
-            let outer_lvls: Vec<u32> = outer.iter().map(|&s| out.level(s.node())).collect();
-
-            // Ω.A: if the inner gate (plain polarity) shares an operand u
-            // with the outer gate, swap z with the other outer operand x
-            // when that flattens the path: <x u <y u z>> = <z u <y u x>>.
-            if !inner_old.is_complemented() && result.is_none() {
-                for (ui, &u) in outer.iter().enumerate() {
-                    if rest.contains(&u) {
-                        let x = outer[1 - ui];
-                        let y = *rest.iter().find(|&&s| s != u).unwrap_or(&rest[0]);
-                        let x_lvl = out.level(x.node());
-                        if x_lvl + 1 < z_lvl {
-                            let inner_new = out.maj(y, u, x);
-                            result = Some(out.maj(z, u, inner_new));
-                            stats.assoc_moves += 1;
-                        }
-                        break;
-                    }
-                }
-            }
-            // Ω.D L→R: <x y <u v z>> = <<x y u> <x y v> z> when both outer
-            // operands and both non-critical inner operands arrive early.
-            if result.is_none() && !inner_old.is_complemented() {
-                let early = outer_lvls.iter().all(|&l| l + 1 < z_lvl)
-                    && rest.iter().all(|&s| out.level(s.node()) + 1 < z_lvl);
-                if early {
-                    let g1 = out.maj(outer[0], outer[1], rest[0]);
-                    let g2 = out.maj(outer[0], outer[1], rest[1]);
-                    result = Some(out.maj(g1, g2, z));
-                    stats.distrib_moves += 1;
-                }
+        if threads <= 1 {
+            return;
+        }
+        for _ in 0..max_rounds {
+            let round = inplace::script_round(
+                mig,
+                &mut |m| shard::converge_threads(m, 8, false, threads).0,
+                &mut |m| shard::converge_threads(m, 8, true, threads).0,
+            );
+            if round.is_none() {
+                break;
             }
         }
-        let sig = result.unwrap_or_else(|| {
-            let (sa, sb, sc) = (m(a, &map), m(b, &map), m(c, &map));
-            out.maj(sa, sb, sc)
-        });
-        map[g as usize] = Some(sig);
-    }
-    for o in mig.outputs() {
-        let s = map[o.node() as usize]
-            .expect("outputs mapped")
-            .complement_if(o.is_complemented());
-        out.add_output(s);
-    }
-    (out.cleanup(), stats)
-}
-
-/// The rebuild-style optimization script: alternating rebuild size and
-/// depth rounds under the shared [`script_metric`] acceptance. Kept as
-/// the differential-test reference for [`optimize_in_place`].
-pub fn optimize_rebuild(mig: &Mig, max_rounds: usize) -> Mig {
-    let mut best = mig.cleanup();
-    for _ in 0..max_rounds {
-        let (after_size, _) = size_rewrite_rebuild(&best);
-        let (after_depth, _) = depth_rewrite_rebuild(&after_size);
-        let candidate = if script_metric(&after_depth) <= script_metric(&after_size) {
-            after_depth
-        } else {
-            after_size
-        };
-        if script_metric(&candidate) >= script_metric(&best) {
-            break;
-        }
-        best = candidate;
-    }
-    best
+    });
+    delta.publish();
+    AlgStats::from_delta(&delta)
 }
 
 #[cfg(test)]
@@ -342,12 +180,13 @@ mod tests {
         let top = m.maj(g1, g2, z);
         m.add_output(top);
         assert_eq!(m.num_gates(), 3);
-        let (opt, stats) = size_rewrite(&m);
+        let mut opt = m.cleanup();
+        let stats = size_rewrite(&mut opt);
         assert_eq!(stats.merges, 1);
         assert_eq!(opt.num_gates(), 2);
         assert_eq!(opt.output_truth_tables(), m.output_truth_tables());
         // The rebuild reference agrees on this local pattern.
-        let (ropt, rstats) = size_rewrite_rebuild(&m);
+        let (ropt, rstats) = rebuild::size_rewrite_rebuild(&m);
         assert_eq!(rstats.merges, 1);
         assert_eq!(ropt.num_gates(), 2);
     }
@@ -376,7 +215,7 @@ mod tests {
         m.add_output(side2);
         let before = m.num_gates();
         let mut opt = m.clone();
-        let stats = size_rewrite_in_place(&mut opt);
+        let stats = size_rewrite(&mut opt);
         assert_eq!(stats.total(), 0, "losing sweep reports no kept moves");
         assert_eq!(opt.num_gates(), before, "rollback restored the graph");
         assert_eq!(opt.output_truth_tables(), m.output_truth_tables());
@@ -394,7 +233,8 @@ mod tests {
         }
         m.add_output(acc);
         let before_depth = m.depth();
-        let (opt, _) = depth_rewrite(&m);
+        let mut opt = m.cleanup();
+        depth_rewrite(&mut opt);
         assert_eq!(opt.output_truth_tables(), m.output_truth_tables());
         assert!(opt.depth() <= before_depth);
     }
@@ -409,7 +249,8 @@ mod tests {
         let g2 = m.maj(a, b, c);
         let top = m.maj(g1, g2, x);
         m.add_output(top);
-        let opt = optimize(&m, 4);
+        let mut opt = m.cleanup();
+        optimize(&mut opt, 4, 1);
         assert_eq!(opt.output_truth_tables(), m.output_truth_tables());
         assert!(opt.num_gates() <= m.num_gates());
     }
@@ -428,7 +269,7 @@ mod tests {
         m.add_output(acc);
         let before = m.depth();
         let mut cur = m.cleanup();
-        let (stats, rounds) = depth_converge(&mut cur, 16, 1);
+        let (stats, rounds) = depth_converge(&mut cur, 1);
         assert!(stats.total() > 0, "no moves applied");
         assert!(rounds >= 1);
         assert_eq!(cur.output_truth_tables(), m.output_truth_tables());
@@ -444,12 +285,12 @@ mod tests {
         let top = m.maj(g1, g2, z);
         m.add_output(top);
         let want = m.output_truth_tables();
-        let (stats, rounds) = size_converge(&mut m, 16, 1);
+        let (stats, rounds) = size_converge(&mut m, 1);
         assert_eq!(stats.merges, 1);
         assert!(rounds >= 2, "a confirming full sweep must run");
         assert_eq!(m.output_truth_tables(), want);
         // Converged: a further sweep finds nothing.
-        let again = size_rewrite_in_place(&mut m);
+        let again = size_rewrite(&mut m);
         assert_eq!(again.total(), 0);
     }
 

@@ -244,43 +244,3 @@ pub(crate) fn converge_threads(
     obs::metrics::add(obs::Metric::AlgRounds, rounds as u64);
     (AlgStats::from_delta(&delta), rounds)
 }
-
-/// The sharded optimization script. The script's round acceptance is
-/// inherently serial (each round's stage selection depends on the
-/// previous round's committed graph), so — like the bottom-up
-/// functional-hashing variants, whose candidate DP is global — the
-/// quality baseline is the serial in-place script, and the sharded
-/// stages run afterwards as *refinement*: alternating event-driven size
-/// and depth stages under the same lexicographic `(gates, depth)`
-/// acceptance ([`crate::script_metric`]), each kept only when it
-/// improves. This makes the sharded script never worse than the serial
-/// script on any input, bit-deterministic for a fixed input and thread
-/// count, and degenerate to exactly the serial script on graphs too
-/// small to shard.
-pub fn optimize_threads(mig: &mut Mig, max_rounds: usize, threads: usize) -> AlgStats {
-    if threads <= 1 {
-        return crate::optimize_in_place(mig, max_rounds);
-    }
-    let ((), delta) = obs::metrics::scoped(|| {
-        // Quality baseline: the serial script (cheap — in-place and
-        // incremental; the never-worse-than-serial floor).
-        crate::optimize_in_place(mig, max_rounds);
-        // Parallel refinement: the event-driven stages explore a
-        // different move schedule (scheduler steps over region
-        // proposals), driven by the same round skeleton as the serial
-        // script (shared `script_round`); a round that fails to improve
-        // the script metric is rolled back.
-        for _ in 0..max_rounds {
-            let round = crate::inplace::script_round(
-                mig,
-                &mut |m| converge_threads(m, 8, false, threads).0,
-                &mut |m| converge_threads(m, 8, true, threads).0,
-            );
-            if round.is_none() {
-                break;
-            }
-        }
-    });
-    delta.publish();
-    AlgStats::from_delta(&delta)
-}

@@ -105,10 +105,13 @@ fn main() {
     }));
 
     let engine = fhash::FunctionalHashing::with_default_database();
-    let m8 = migalg::optimize(&benchgen::multiplier(8), 2);
+    let mut m8 = benchgen::multiplier(8).cleanup();
+    migalg::optimize(&mut m8, 2, 1);
     for v in fhash::Variant::ALL {
         ms.push(bench(&format!("fhash/multiplier8/{}", v.acronym()), || {
-            black_box(engine.run(black_box(&m8), v)).num_gates()
+            let mut m = black_box(&m8).clone();
+            engine.pass(&mut m, v, &mut None);
+            m.num_gates()
         }));
     }
 
@@ -136,14 +139,17 @@ fn main() {
     }));
 
     let a16 = benchgen::adder(16);
-    let a16_opt = engine.run(&a16, fhash::Variant::BottomUpFfr);
+    let mut a16_opt = a16.clone();
+    engine.pass(&mut a16_opt, fhash::Variant::BottomUpFfr, &mut None);
     ms.push(bench("cec/random_sim_adder16", || {
         black_box(cec::equivalent_random(&a16, &a16_opt, 4, 7))
     }));
 
     let sq12 = benchgen::square(12);
     ms.push(bench("migalg/optimize_square12", || {
-        black_box(migalg::optimize(black_box(&sq12), 2)).num_gates()
+        let mut m = black_box(&sq12).cleanup();
+        migalg::optimize(&mut m, 2, 1);
+        m.num_gates()
     }));
 
     // Rewrite throughput of the in-place engine (ISSUE 2): the pure
@@ -161,40 +167,25 @@ fn main() {
     let a8_and = aig::to_mig(&aig::from_mig(&benchgen::adder(8)));
     ms.push(bench("fhash/inplace_T_adder8_and", || {
         let mut m = black_box(&a8_and).clone();
-        let stats = engine.run_in_place(&mut m, fhash::Variant::TopDown);
+        let stats = engine.pass(&mut m, fhash::Variant::TopDown, &mut None);
         black_box(stats.replacements)
     }));
 
-    // Algebraic rewriting throughput (ISSUE 4): the depth script on an
-    // unbalanced AND ripple chain, once through the rebuild reference
-    // (full reconstruction per pass), once through the serial in-place
-    // convergence loop (affected-cone re-scans after the first sweep)
-    // and once sharded. The chain128 row pairs with chain512 for the
-    // per-move cost claim: the in-place engine's cost per committed move
-    // must stay flat as the graph grows 4x.
+    // Algebraic rewriting throughput: the depth script on an unbalanced
+    // AND ripple chain through the serial in-place convergence loop
+    // (affected-cone re-scans after the first sweep), and once sharded.
+    // The chain128 row pairs with chain512 for the per-move cost claim:
+    // the in-place engine's cost per committed move must stay flat as
+    // the graph grows 4x.
     for chain in [128usize, 512] {
         let ripple = ripple_chain(chain);
-        if chain == 512 {
-            let r = ripple.clone();
-            ms.push(bench("alg/rebuild_depth_chain512", move || {
-                let mut cur = r.cleanup();
-                loop {
-                    let (next, _) = migalg::depth_rewrite_rebuild(&cur);
-                    if next.depth() >= cur.depth() {
-                        break;
-                    }
-                    cur = next;
-                }
-                black_box((cur.num_gates(), cur.depth()))
-            }));
-        }
         let threads: &[usize] = if chain == 512 { &[1, 4] } else { &[1] };
         for &t in threads {
             let r = ripple.clone();
             ms.push(
                 bench(&format!("alg/inplace_depth_chain{chain}@{t}"), move || {
                     let mut m = r.cleanup();
-                    let (stats, _) = migalg::depth_converge(&mut m, 50, t);
+                    let (stats, _) = migalg::depth_converge(&mut m, t);
                     black_box((stats.total(), m.depth()))
                 })
                 .on_host_cores(),
@@ -202,42 +193,20 @@ fn main() {
         }
     }
 
-    // Parallel replace throughput (ISSUE 3): the same to-quiescence job —
-    // optimize the chain512 tower workload until no replacement fires —
-    // once through the round-based serial convergence loop (@1, every
-    // round a full sweep) and once through the sharded propose/commit
-    // engine (@2/@4).
+    // Event-driven convergence on the chain512 tower workload, optimized
+    // until no replacement fires, through the dirty-region scheduler
+    // (`FunctionalHashing::converge`). The scheduler re-proposes only the
+    // regions a commit dirtied (the priority queue seeds from the
+    // dirty-log cursor), so it evaluates strictly fewer proposals than
+    // full-sweep rounds would (the unit test
+    // `event_driven_converge_proposes_less_than_full_sweeps` holds it to
+    // that), and the propose phase parallelizes on top at @4.
     let chains = parallel_chain_workload(8, 512);
-    for threads in [1usize, 2, 4] {
-        ms.push(
-            bench(&format!("fhash/parallel_chain512@{threads}"), || {
-                let mut m = black_box(&chains).clone();
-                if threads == 1 {
-                    let (stats, _) =
-                        engine.run_converge_serial(&mut m, fhash::Variant::TopDown, 50);
-                    black_box((stats.replacements, m.num_gates()))
-                } else {
-                    let stats = engine.run_threads(&mut m, fhash::Variant::TopDown, threads);
-                    black_box((stats.replacements, m.num_gates()))
-                }
-            })
-            .on_host_cores(),
-        );
-    }
-
-    // Event-driven convergence (ISSUE 5): the same chain512 job through
-    // the dirty-region scheduler (`run_converge_threads`), against the
-    // round-based `fhash/parallel_chain512@1` row above. The scheduler
-    // re-proposes only the regions a commit dirtied (the priority queue
-    // seeds from the dirty-log cursor), so it evaluates strictly fewer
-    // proposals than the full-sweep rounds — parity or better at @1 on
-    // one core, and the propose phase parallelizes on top at @4.
     for threads in [1usize, 4] {
         ms.push(
             bench(&format!("sched/chain512@{threads}"), || {
                 let mut m = black_box(&chains).clone();
-                let (stats, _) =
-                    engine.run_converge_threads(&mut m, fhash::Variant::TopDown, 50, threads);
+                let (stats, _) = engine.converge(&mut m, fhash::Variant::TopDown, threads);
                 black_box((stats.replacements, m.num_gates()))
             })
             .on_host_cores(),
@@ -255,8 +224,7 @@ fn main() {
         ms.push(
             bench(&format!("sched/mult_big@{threads}"), || {
                 let mut m = black_box(mult).clone();
-                let (stats, _) =
-                    engine.run_converge_threads(&mut m, fhash::Variant::TopDown, 50, threads);
+                let (stats, _) = engine.converge(&mut m, fhash::Variant::TopDown, threads);
                 black_box((stats.replacements, m.num_gates()))
             })
             .on_host_cores(),
@@ -271,7 +239,7 @@ fn main() {
     ms.push(
         bench("fhash/propose_kernel_mult_big@1", || {
             let mut m = black_box(mult).clone();
-            let stats = engine.run_in_place(&mut m, fhash::Variant::TopDown);
+            let stats = engine.pass(&mut m, fhash::Variant::TopDown, &mut None);
             black_box((stats.replacements, m.num_gates()))
         })
         .on_host_cores(),
@@ -288,8 +256,7 @@ fn main() {
         ms.push(
             bench(&format!("fhash!/epfl_big@{threads}"), || {
                 let mut m = black_box(epfl).clone();
-                let (stats, _) =
-                    engine.run_converge_threads(&mut m, fhash::Variant::TopDown, 50, threads);
+                let (stats, _) = engine.converge(&mut m, fhash::Variant::TopDown, threads);
                 black_box((stats.replacements, m.num_gates()))
             })
             .on_host_cores(),
@@ -319,7 +286,7 @@ fn main() {
         black_box(epfl.simulate_words(black_box(&inputs)).len())
     }));
     let mut churned = epfl.clone();
-    let _ = engine.run_in_place(&mut churned, fhash::Variant::TopDown);
+    let _ = engine.pass(&mut churned, fhash::Variant::TopDown, &mut None);
     let _ = churned.drain_dirty();
     ms.push(bench("mig/walk_epfl_big_churned", || {
         black_box(churned.simulate_words(black_box(&inputs)).len())
@@ -343,7 +310,7 @@ fn main() {
     ms.push(bench("sched/chain512@1+traced", || {
         obs::trace::start();
         let mut m = black_box(&chains).clone();
-        let (stats, _) = engine.run_converge_threads(&mut m, fhash::Variant::TopDown, 50, 1);
+        let (stats, _) = engine.converge(&mut m, fhash::Variant::TopDown, 1);
         let events = obs::trace::finish();
         black_box((stats.replacements, events.len()))
     }));
@@ -487,7 +454,7 @@ fn main() {
     let t0 = std::time::Instant::now();
     let ((), mut delta) = obs::metrics::scoped(|| {
         let mut m = chains.clone();
-        let _ = engine.run_converge_threads(&mut m, fhash::Variant::TopDown, 50, 4);
+        let _ = engine.converge(&mut m, fhash::Variant::TopDown, 4);
     });
     let elapsed = t0.elapsed().as_secs_f64();
     // Worker-thread profiling counters bypass the main-thread scope.
@@ -513,7 +480,7 @@ fn main() {
     let before = obs::metrics::global_snapshot();
     let ((), mut big_delta) = obs::metrics::scoped(|| {
         let mut m = epfl.clone();
-        let _ = engine.run_converge_threads(&mut m, fhash::Variant::TopDown, 50, 1);
+        let _ = engine.converge(&mut m, fhash::Variant::TopDown, 1);
     });
     big_delta.merge(&obs::metrics::global_snapshot().since(&before));
     rates.push((

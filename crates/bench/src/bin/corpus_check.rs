@@ -37,12 +37,10 @@ fn main() {
     let engine = fhash::FunctionalHashing::with_default_database();
     for threads in [1usize, 2, 4, 8] {
         let mut a = epfl.clone();
-        let (stats_a, _) =
-            engine.run_converge_threads(&mut a, fhash::Variant::TopDown, 50, threads);
+        let (stats_a, _) = engine.converge(&mut a, fhash::Variant::TopDown, threads);
         let fp = fingerprint(&a);
         let mut b = epfl.clone();
-        let (stats_b, _) =
-            engine.run_converge_threads(&mut b, fhash::Variant::TopDown, 50, threads);
+        let (stats_b, _) = engine.converge(&mut b, fhash::Variant::TopDown, threads);
         assert_eq!(
             fp,
             fingerprint(&b),

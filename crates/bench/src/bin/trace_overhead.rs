@@ -21,7 +21,7 @@ fn main() -> ExitCode {
     let chains = parallel_chain_workload(8, 512);
     let job = |m: &mig::Mig| {
         let mut m = m.clone();
-        let (stats, _) = engine.run_converge_threads(&mut m, fhash::Variant::TopDown, 50, 1);
+        let (stats, _) = engine.converge(&mut m, fhash::Variant::TopDown, 1);
         black_box((stats.replacements, m.num_gates()))
     };
 

@@ -7,7 +7,7 @@
 //! equivalence validation at every step.
 
 use benchgen::EpflBenchmark;
-use fhash::{FhConfig, FunctionalHashing, Variant};
+use fhash::{FunctionalHashing, Variant};
 use mig::Mig;
 use std::time::Instant;
 
@@ -74,9 +74,11 @@ pub fn starting_point(bench: EpflBenchmark, scale: Option<u32>) -> Mig {
 /// The algebraic starting-point script applied to an arbitrary circuit
 /// (used both for generated instances and `--from` files).
 pub fn starting_point_from(raw: &Mig) -> Mig {
-    let (mut cur, _) = migalg::size_rewrite(raw);
+    let mut cur = raw.cleanup();
+    migalg::size_rewrite(&mut cur);
     for _ in 0..300 {
-        let (next, _) = migalg::depth_rewrite(&cur);
+        let mut next = cur.cleanup();
+        migalg::depth_rewrite(&mut next);
         if next.depth() >= cur.depth() {
             break;
         }
@@ -100,11 +102,12 @@ pub fn run_benchmark(bench: EpflBenchmark, scale: Option<u32>, validate: bool) -
 /// [`load_external_benchmarks`].
 pub fn run_benchmark_mig(name: &str, base: &Mig, validate: bool) -> BenchRow {
     let base = base.clone();
-    let engine = FunctionalHashing::new(npndb::Database::embedded(), FhConfig::default());
+    let engine = FunctionalHashing::with_default_database();
     let mut variants = Vec::new();
     for v in PAPER_VARIANTS {
         let t0 = Instant::now();
-        let opt = engine.run(&base, v);
+        let mut opt = base.clone();
+        engine.pass(&mut opt, v, &mut None);
         let runtime = t0.elapsed().as_secs_f64();
         if validate {
             assert!(

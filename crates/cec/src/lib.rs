@@ -241,10 +241,10 @@ mod tests {
             let m = random_mig(&mut rng);
             let mut opt = m.clone();
             if case % 3 == 2 {
-                migalg::optimize_in_place(&mut opt, 4);
+                migalg::optimize(&mut opt, 4, 1);
             } else {
                 let v = fhash::Variant::ALL[rng.usize_below(fhash::Variant::ALL.len())];
-                engine.run_in_place(&mut opt, v);
+                engine.pass(&mut opt, v, &mut None);
             }
             let broken = mutant(&opt, &mut rng);
             for other in [opt, broken] {
@@ -288,9 +288,9 @@ mod tests {
         let m = benchgen::hypotenuse(8);
         let mut opt = m.clone();
         let engine = fhash_engine();
-        engine.run_in_place(&mut opt, fhash::Variant::TopDownFfrDepth);
-        migalg::optimize_in_place(&mut opt, 4);
-        engine.run_in_place(&mut opt, fhash::Variant::BottomUp);
+        engine.pass(&mut opt, fhash::Variant::TopDownFfrDepth, &mut None);
+        migalg::optimize(&mut opt, 4, 1);
+        engine.pass(&mut opt, fhash::Variant::BottomUp, &mut None);
         assert!(equivalent_random(&m, &opt, 16, 3));
         for budget in [0, 1, 100] {
             let (verdict, stats) = sweep::prove(&m, &opt, Some(budget));
@@ -507,7 +507,8 @@ mod tests {
         // SAT sweeping (more inputs than exhaustive checking allows).
         let m = benchgen_adder_like();
         let e = fhash_engine();
-        let opt = e.run(&m, fhash::Variant::BottomUpFfr);
+        let mut opt = m.clone();
+        e.pass(&mut opt, fhash::Variant::BottomUpFfr, &mut None);
         assert!(equivalent_random(&m, &opt, 8, 7));
         assert_eq!(prove_equivalent(&m, &opt, None), CecResult::Equivalent);
     }

@@ -1,7 +1,7 @@
 //! Glue between the `migd` wire protocol and the optimization service:
 //! a [`migd::JobRunner`] that parses job circuits, runs them through
-//! the shared [`OptService`](crate::service::OptService), and streams
-//! the JSONL trace/metric lines the job produced back to the client.
+//! the shared [`OptService`], and streams the JSONL trace/metric lines
+//! the job produced back to the client.
 
 use crate::service::{OptService, CACHE_MODEL};
 use mig::Mig;
@@ -75,6 +75,9 @@ impl migd::JobRunner for PipelineRunner {
             Ok(p) => p,
             Err(e) => return migd::JobOutcome::failed(format!("pipeline error: {e}")),
         };
+        if let Err(e) = crate::check_threads(req.threads) {
+            return migd::JobOutcome::failed(format!("job field \"threads\": {e}"));
+        }
         let t0 = Instant::now();
         let job_span = format!("job:{}", req.id);
         span(emit, "span_begin", &job_span, worker, 0);

@@ -22,8 +22,8 @@
 //! | `depth`           | one in-place algebraic depth-rewriting sweep (Ω.A / Ω.D) |
 //! | `size![@T]`       | size sweeps repeated until no merge fires |
 //! | `depth![@T]`      | depth sweeps repeated to the depth fixpoint |
-//! | `fhash:V[@N]`     | in-place functional hashing, V ∈ {T, TD, TF, TFD, B, BF}, sharded over N worker threads |
-//! | `fhash!:V[@N]`    | functional hashing repeated until no replacement fires |
+//! | `fhash:V[@N]`     | one in-place functional-hashing pass, V ∈ {T, TD, TF, TFD, B, BF}; at N ≥ 2 threads it runs the convergence scheduler, exactly like `fhash!:V@N` |
+//! | `fhash!:V[@N]`    | functional hashing repeated until no replacement fires, over N worker threads |
 //! | `compact`         | renumber node slots densely in topological order ([`Mig::compact`]) |
 //! | `balance`         | AIG tree-height reduction round-trip |
 //! | `rewrite`         | DAG-aware AIG cut rewriting round-trip |
@@ -33,16 +33,18 @@
 //!
 //! An `fhash`, `size!`, `depth!` or `algebraic` pass without an explicit
 //! `@N` uses the pipeline's default thread count ([`run_pipeline_jobs`],
-//! the `migopt -j` flag); `@1` forces single-threaded proposing. Every
-//! rewriting pass runs in place on the managed network, so consecutive
-//! `fhash` *and algebraic* passes share one incrementally maintained cut
-//! set: all consumers of the structural-change log — the carried cut
-//! set, the convergence scheduler, the converge re-scan frontiers — read
-//! it through their own cursors without draining it, so the set survives
-//! sharded and converge passes too. Only passes that rebuild the graph
-//! wholesale (`strash`, `balance`, `rewrite`) invalidate the shared set.
-//! Passes driven by the convergence scheduler (`fhash!`, sharded `@N`
-//! passes, `size!`/`depth!`/`algebraic` on shardable graphs) report its
+//! the `migopt -j` flag); `@1` forces single-threaded proposing. Thread
+//! counts from outside — `@N`, `-j` and the `migd` job `threads` field —
+//! must lie in `1..=`[`MAX_THREADS`]. Every rewriting pass runs in place
+//! on the managed network, so consecutive `fhash` *and algebraic* passes
+//! share one incrementally maintained cut set: all consumers of the
+//! structural-change log — the carried cut set, the convergence
+//! scheduler, the converge re-scan frontiers — read it through their own
+//! cursors without draining it, so the set survives sharded and converge
+//! passes too. Only passes that rebuild the graph wholesale (`strash`,
+//! `balance`, `rewrite`) invalidate the shared set.
+//! Passes driven by the convergence scheduler (`fhash!`, `fhash:V@N` for
+//! N ≥ 2, `size!`/`depth!`/`algebraic` on shardable graphs) report its
 //! event counters — regions proposed / skipped clean / retried —
 //! alongside the applied-move counts.
 
@@ -82,9 +84,10 @@ pub enum Pass {
         /// Worker threads (`@T` suffix); `None` uses the pipeline default.
         threads: Option<usize>,
     },
-    /// In-place functional hashing with the given paper variant, sharded
-    /// over `threads` worker threads (`None`: the pipeline default; 1:
-    /// the serial engine).
+    /// One in-place functional-hashing pass with the given paper variant
+    /// (`threads` 1), or the convergence scheduler over `threads` ≥ 2
+    /// worker threads, exactly like [`Pass::FhashConverge`] (`None`: the
+    /// pipeline default).
     Fhash {
         /// The paper variant.
         variant: fhash::Variant,
@@ -219,10 +222,7 @@ pub fn parse_pipeline(s: &str) -> Result<Vec<Pass>, PipelineParseError> {
             let n = t
                 .parse::<usize>()
                 .map_err(|_| err(format!("thread count must be a number, got {t:?}")))?;
-            if n == 0 {
-                return Err(err("thread count must be at least 1".to_string()));
-            }
-            Ok(n)
+            check_threads(n).map_err(err)
         };
         let (name, arg) = match text.split_once(':') {
             Some((n, a)) => (n.trim(), Some(a.trim())),
@@ -346,6 +346,29 @@ pub fn parse_pipeline(s: &str) -> Result<Vec<Pass>, PipelineParseError> {
         passes.push(pass);
     }
     Ok(passes)
+}
+
+/// The largest worker-thread count a pipeline accepts from outside: the
+/// `@N` pass suffix, `migopt -j` and the `migd` job `threads` field. A
+/// pass spawns up to this many threads, and past the host's thread limit
+/// spawning panics.
+pub const MAX_THREADS: usize = 256;
+
+/// Checks a worker-thread count against `1..=`[`MAX_THREADS`].
+///
+/// # Errors
+///
+/// A message naming the bound the count violates.
+pub fn check_threads(n: usize) -> Result<usize, String> {
+    if n == 0 {
+        Err("thread count must be at least 1".to_string())
+    } else if n > MAX_THREADS {
+        Err(format!(
+            "thread count must be at most {MAX_THREADS}, got {n}"
+        ))
+    } else {
+        Ok(n)
+    }
 }
 
 /// Outcome of one executed pass, for reporting.
@@ -551,42 +574,35 @@ pub fn run_pipeline_session(
                     // stages only *append* to the structural-change log
                     // (the scheduler peeks through cursors), so the
                     // carried cut set stays refreshable either way.
-                    let t = threads.unwrap_or(default_threads);
-                    if t <= 1 {
-                        migalg::optimize_in_place(&mut cur, *rounds);
-                    } else {
-                        migalg::optimize_threads(&mut cur, *rounds, t);
-                    }
+                    migalg::optimize(&mut cur, *rounds, threads.unwrap_or(default_threads));
                     Note::Moves {
                         rounds: false,
                         moves: NoteMoves::Script,
                     }
                 }
                 Pass::SizeRewrite => {
-                    migalg::size_rewrite_in_place(&mut cur);
+                    migalg::size_rewrite(&mut cur);
                     Note::Moves {
                         rounds: false,
                         moves: NoteMoves::Merges,
                     }
                 }
                 Pass::DepthRewrite => {
-                    migalg::depth_rewrite_in_place(&mut cur);
+                    migalg::depth_rewrite(&mut cur);
                     Note::Moves {
                         rounds: false,
                         moves: NoteMoves::DepthMoves,
                     }
                 }
                 Pass::SizeConverge { threads } => {
-                    let t = threads.unwrap_or(default_threads);
-                    migalg::size_converge(&mut cur, 50, t);
+                    migalg::size_converge(&mut cur, threads.unwrap_or(default_threads));
                     Note::Moves {
                         rounds: true,
                         moves: NoteMoves::Merges,
                     }
                 }
                 Pass::DepthConverge { threads } => {
-                    let t = threads.unwrap_or(default_threads);
-                    migalg::depth_converge(&mut cur, 50, t);
+                    migalg::depth_converge(&mut cur, threads.unwrap_or(default_threads));
                     Note::Moves {
                         rounds: true,
                         moves: NoteMoves::DepthMoves,
@@ -600,17 +616,14 @@ pub fn run_pipeline_session(
                     };
                     let t = threads.unwrap_or(default_threads);
                     if t <= 1 {
-                        let mut cs = cut_cache
-                            .take()
-                            .unwrap_or_else(|| cuts::enumerate_cuts(&cur, &e.config().cut_config));
-                        e.run_in_place_with_cuts(&mut cur, *variant, &mut cs);
-                        cut_cache = Some(cs);
+                        e.pass(&mut cur, *variant, &mut cut_cache);
                     } else {
-                        // The scheduler peeks the dirty log through
-                        // cursors without draining it, so the carried cut
-                        // set's invalidation feed survives the sharded
-                        // pass (it re-syncs on its next refresh).
-                        e.run_sharded(&mut cur, *variant, t);
+                        // At N >= 2 threads the pass runs the convergence
+                        // scheduler, exactly like `fhash!:V@N`. It peeks
+                        // the dirty log through cursors without draining
+                        // it, so the carried cut set's invalidation feed
+                        // survives (it re-syncs on its next refresh).
+                        e.converge(&mut cur, *variant, t);
                     }
                     Note::Moves {
                         rounds: false,
@@ -627,7 +640,7 @@ pub fn run_pipeline_session(
                     // Like the sharded pass: nothing in the converge
                     // driver drains the log, so the carried set stays
                     // sound.
-                    e.run_converge_threads(&mut cur, *variant, 50, t);
+                    e.converge(&mut cur, *variant, t);
                     Note::Moves {
                         rounds: true,
                         moves: NoteMoves::Replacements,
@@ -840,6 +853,20 @@ mod tests {
         assert!(e.message.contains("at least 1"));
         let e = parse_pipeline("fhash:Q@2").unwrap_err();
         assert!(e.message.contains("unknown variant"));
+        // Counts past the bound are refused with the pass position.
+        assert_eq!(
+            parse_pipeline("fhash!:T@256").unwrap(),
+            vec![Pass::FhashConverge {
+                variant: fhash::Variant::TopDown,
+                threads: Some(256)
+            }]
+        );
+        let e = parse_pipeline("strash; fhash!:T@257").unwrap_err();
+        assert_eq!(e.index, 1);
+        assert_eq!(e.text, "fhash!:T@257");
+        assert!(e.message.contains("at most 256"), "{}", e.message);
+        let e = parse_pipeline("size!@100000").unwrap_err();
+        assert!(e.message.contains("at most 256"), "{}", e.message);
     }
 
     #[test]
@@ -1031,7 +1058,7 @@ mod tests {
             fhash::Variant::TopDown,
             fhash::Variant::BottomUp,
         ] {
-            engine.run_in_place(&mut fresh, v);
+            engine.pass(&mut fresh, v, &mut None);
         }
         assert_eq!(cached.num_gates(), fresh.num_gates());
         assert_eq!(cached.output_truth_tables(), fresh.output_truth_tables());
@@ -1056,9 +1083,9 @@ mod tests {
         let (cached, _) = run_pipeline(&m, &passes).unwrap();
         let engine = fhash::FunctionalHashing::with_default_database();
         let mut fresh = m.clone();
-        engine.run_in_place(&mut fresh, fhash::Variant::TopDownFfr);
-        engine.run_sharded(&mut fresh, fhash::Variant::TopDown, 3);
-        engine.run_in_place(&mut fresh, fhash::Variant::TopDown);
+        engine.pass(&mut fresh, fhash::Variant::TopDownFfr, &mut None);
+        engine.converge(&mut fresh, fhash::Variant::TopDown, 3);
+        engine.pass(&mut fresh, fhash::Variant::TopDown, &mut None);
         assert_eq!(cached.num_gates(), fresh.num_gates());
         assert_eq!(cached.output_truth_tables(), fresh.output_truth_tables());
         assert_eq!(cached.output_truth_tables(), m.output_truth_tables());

@@ -41,7 +41,8 @@ OPTIONS:
                            \"strash; algebraic; fhash:TFD; fhash:B; cec\"
                            (default: \"stats\")
     -j, --threads <N>      default worker threads for fhash and algebraic
-                           passes without an explicit @N suffix (default: 1)
+                           passes without an explicit @N suffix (default: 1;
+                           at most 256, like every @N)
     -q, --quiet            suppress per-pass reporting
         --trace <file>     record spans; .jsonl gets the JSONL event
                            stream, anything else Chrome trace-event JSON
@@ -59,7 +60,8 @@ OPTIONS:
 
 PASSES:
     strash  algebraic[:N][@T]  size  depth  size![@T]  depth![@T]
-    fhash:{T,TD,TF,TFD,B,BF}[@N]
+    fhash:{T,TD,TF,TFD,B,BF}[@N] (one pass; at N >= 2 it runs the
+                                  convergence scheduler like fhash!:V@N)
     fhash!:{T,TD,TF,TFD,B,BF}[@N] (repeat to convergence)
     compact  balance  rewrite  cec[:budget]  map[:k]  stats
 ";
@@ -109,10 +111,10 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
                 let t = it
                     .next()
                     .ok_or_else(|| format!("{arg} needs a thread count"))?;
-                threads =
-                    t.parse::<usize>().ok().filter(|&t| t >= 1).ok_or_else(|| {
-                        format!("thread count must be a positive number, got {t:?}")
-                    })?;
+                threads = t
+                    .parse::<usize>()
+                    .map_err(|_| format!("thread count must be a positive number, got {t:?}"))
+                    .and_then(cli::check_threads)?;
             }
             "--workers" => {
                 let t = it

@@ -581,3 +581,24 @@ fn malformed_jobs_fail_without_wedging_the_worker() {
     assert!(ok.outcome.ok);
     stop_daemon(&socket, handle);
 }
+
+#[test]
+fn oversized_thread_counts_fail_and_the_next_job_is_served() {
+    // A job asking for more worker threads than the pipeline bound gets
+    // an error result before any thread is spawned, and the pool worker
+    // keeps serving (one worker, so the next job reaches the same one).
+    let _serial = lock();
+    let (socket, handle) = start_daemon("thr", 1, None);
+    let input = io::read_mig_path(benchmarks_dir().join("adder8.aag")).unwrap();
+    let greedy = blif_job("greedy", &input, "fhash!:B", 100_000);
+    let (result, _) = submit_captured(&socket, &greedy);
+    assert!(!result.outcome.ok, "a 100000-thread job must be refused");
+    assert!(
+        result.outcome.error.contains("at most 256"),
+        "error names the bound: {}",
+        result.outcome.error
+    );
+    let (ok, _) = submit_captured(&socket, &blif_job("next", &input, "fhash!:B", 2));
+    assert!(ok.outcome.ok, "{}", ok.outcome.error);
+    stop_daemon(&socket, handle);
+}

@@ -3,7 +3,7 @@
 //! `strash; fhash:T; cec`, write `.blif`) plus binary-level exit-code
 //! checks.
 
-use cli::{parse_pipeline, run_pipeline};
+use cli::{parse_pipeline, run_pipeline, run_pipeline_jobs};
 use std::path::PathBuf;
 use std::process::Command;
 
@@ -79,43 +79,6 @@ fn full_adder_optimizes_to_paper_fig1_size() {
 }
 
 #[test]
-fn inplace_fhash_acceptance_on_all_benchmarks() {
-    // ISSUE 2 acceptance: on every checked-in benchmark, every variant of
-    // the (now in-place) fhash engine produces CEC-equivalent output with
-    // gate counts no worse than the rebuild-based reference engine, and
-    // `fhash!:B` converges.
-    let engine = fhash::FunctionalHashing::with_default_database();
-    for name in ["full_adder.aag", "adder8.aag", "mult4.aig", "adder4.blif"] {
-        let m = io::read_mig_path(benchmarks_dir().join(name)).unwrap();
-        for v in fhash::Variant::ALL {
-            let rebuild = engine.run_rebuild(&m, v);
-            let mut inplace = m.clone();
-            engine.run_in_place(&mut inplace, v);
-            assert!(
-                inplace.num_gates() <= rebuild.num_gates(),
-                "{name}/{v}: in-place {} > rebuild {}",
-                inplace.num_gates(),
-                rebuild.num_gates()
-            );
-            assert_eq!(
-                cec::prove_equivalent(&m, &inplace, None),
-                cec::CecResult::Equivalent,
-                "{name}/{v}: in-place result not equivalent"
-            );
-        }
-        let mut conv = m.clone();
-        let (_, rounds) = engine.run_converge(&mut conv, fhash::Variant::BottomUp, 50);
-        assert!(rounds < 50, "{name}: fhash!:B did not converge");
-        assert!(conv.num_gates() <= m.cleanup().num_gates(), "{name}: grew");
-        assert_eq!(
-            cec::prove_equivalent(&m, &conv, None),
-            cec::CecResult::Equivalent,
-            "{name}: fhash!:B result not equivalent"
-        );
-    }
-}
-
-#[test]
 fn sharded_fhash_acceptance_on_all_benchmarks() {
     // ISSUE 3 acceptance: on every checked-in benchmark, every variant of
     // the sharded engine at 4 threads is SAT-proved CEC-equivalent to
@@ -126,9 +89,9 @@ fn sharded_fhash_acceptance_on_all_benchmarks() {
         let m = io::read_mig_path(benchmarks_dir().join(name)).unwrap();
         for v in fhash::Variant::ALL {
             let mut serial = m.clone();
-            engine.run_in_place(&mut serial, v);
+            engine.pass(&mut serial, v, &mut None);
             let mut sharded = m.clone();
-            engine.run_threads(&mut sharded, v, 4);
+            engine.converge(&mut sharded, v, 4);
             assert!(
                 sharded.num_gates() <= serial.num_gates(),
                 "{name}/{v}: sharded {} > serial {}",
@@ -142,7 +105,7 @@ fn sharded_fhash_acceptance_on_all_benchmarks() {
             );
             // Determinism: a second run builds the identical netlist.
             let mut again = m.clone();
-            engine.run_threads(&mut again, v, 4);
+            engine.converge(&mut again, v, 4);
             assert_eq!(again.num_nodes(), sharded.num_nodes(), "{name}/{v}");
             assert_eq!(again.outputs(), sharded.outputs(), "{name}/{v}");
             let gates_a: Vec<_> = again.gates().map(|g| (g, again.fanins(g))).collect();
@@ -154,55 +117,23 @@ fn sharded_fhash_acceptance_on_all_benchmarks() {
 
 #[test]
 fn event_driven_converge_never_worse_than_round_based_drivers() {
-    // ISSUE 5 acceptance: on every checked-in benchmark and every
-    // variant, the event-driven convergence scheduler reaches quiescence
-    // with gate counts never worse than the round-based full-sweep
-    // driver (`run_converge_serial`), stays SAT-proved CEC-equivalent,
-    // and is bit-deterministic per thread count.
-    let engine = fhash::FunctionalHashing::with_default_database();
+    // On every checked-in benchmark, the event-driven algebraic converge
+    // drivers reach quiescence never worse than their input under the
+    // family metrics their guards enforce, and stay SAT-proved
+    // CEC-equivalent. (The functional-hashing half, which compares
+    // against the private round-based driver, is a unit test of `fhash`.)
     for name in ["full_adder.aag", "adder8.aag", "mult4.aig", "adder4.blif"] {
         let m = io::read_mig_path(benchmarks_dir().join(name)).unwrap();
-        for v in fhash::Variant::ALL {
-            let mut rounds_based = m.clone();
-            engine.run_converge_serial(&mut rounds_based, v, 50);
-            for threads in [1usize, 4] {
-                let mut event = m.clone();
-                let (stats, _) = engine.run_converge_threads(&mut event, v, 50, threads);
-                assert!(
-                    event.num_gates() <= rounds_based.num_gates(),
-                    "{name}/{v}@{threads}: event-driven {} > round-based {}",
-                    event.num_gates(),
-                    rounds_based.num_gates()
-                );
-                assert_eq!(
-                    cec::prove_equivalent(&m, &event, None),
-                    cec::CecResult::Equivalent,
-                    "{name}/{v}@{threads}: event-driven result not equivalent"
-                );
-                let mut again = m.clone();
-                let (stats2, _) = engine.run_converge_threads(&mut again, v, 50, threads);
-                assert_eq!(stats, stats2, "{name}/{v}@{threads}: counters drifted");
-                assert_eq!(again.num_nodes(), event.num_nodes(), "{name}/{v}@{threads}");
-                let gates_a: Vec<_> = again.gates().map(|g| (g, again.fanins(g))).collect();
-                let gates_b: Vec<_> = event.gates().map(|g| (g, event.fanins(g))).collect();
-                assert_eq!(
-                    gates_a, gates_b,
-                    "{name}/{v}@{threads}: nondeterministic netlist"
-                );
-            }
-        }
-        // Same contract for the algebraic converge drivers, against the
-        // family metrics their guards enforce.
         let base = m.cleanup();
         for threads in [1usize, 4] {
             let mut s = base.clone();
-            migalg::size_converge(&mut s, 50, threads);
+            migalg::size_converge(&mut s, threads);
             assert!(
                 migalg::script_metric(&s) <= migalg::script_metric(&base),
                 "{name}@{threads}: size converge worsened"
             );
             let mut d = base.clone();
-            migalg::depth_converge(&mut d, 50, threads);
+            migalg::depth_converge(&mut d, threads);
             assert!(
                 d.depth() <= base.depth(),
                 "{name}@{threads}: depth converge worsened"
@@ -214,6 +145,41 @@ fn event_driven_converge_never_worse_than_round_based_drivers() {
                     "{name}@{threads}: algebraic converge result not equivalent"
                 );
             }
+        }
+    }
+}
+
+#[test]
+fn pipelines_keep_their_recorded_qor_on_all_benchmarks() {
+    // Quality of results pinned as recorded literals: (gates, depth)
+    // after each pipeline at its default thread count. A change that
+    // moves QoR on purpose updates this table and says so.
+    const PIPELINES: [(&str, usize); 5] = [
+        ("strash; fhash!:TFD; algebraic; fhash!:B", 1),
+        ("strash; fhash!:TFD; algebraic; fhash!:B", 2),
+        ("strash; fhash:TF; fhash:T; fhash:B", 1),
+        ("strash; fhash:T@2; fhash:B@2", 1),
+        ("strash; size!; depth!; algebraic:3@2", 1),
+    ];
+    let recorded: [(&str, [(usize, u32); 5]); 4] = [
+        ("full_adder.aag", [(3, 2), (3, 2), (3, 2), (3, 2), (7, 4)]),
+        ("adder8.aag", [(24, 9), (24, 9), (24, 9), (24, 9), (49, 12)]),
+        (
+            "mult4.aig",
+            [(52, 12), (52, 12), (54, 13), (52, 12), (122, 23)],
+        ),
+        ("adder4.blif", [(12, 5), (12, 5), (12, 5), (12, 5), (12, 5)]),
+    ];
+    for (name, want) in recorded {
+        let m = io::read_mig_path(benchmarks_dir().join(name)).unwrap();
+        for (&(spec, threads), want) in PIPELINES.iter().zip(want) {
+            let passes = parse_pipeline(spec).unwrap();
+            let (opt, _) = run_pipeline_jobs(&m, &passes, threads).unwrap();
+            assert_eq!(
+                (opt.num_gates(), opt.depth()),
+                want,
+                "{name}: {spec:?} at {threads} default thread(s)"
+            );
         }
     }
 }
@@ -252,53 +218,6 @@ fn sharded_pipelines_prove_equivalence_on_all_benchmarks() {
 }
 
 #[test]
-fn inplace_algebraic_acceptance_on_all_benchmarks() {
-    // ISSUE 4 acceptance: on every checked-in benchmark the in-place
-    // algebraic script is CEC-equivalent to the input with a gate count
-    // no worse than the rebuild reference script, and the in-place depth
-    // script reaches a depth no worse than the iterated rebuild depth
-    // pass.
-    for name in ["full_adder.aag", "adder8.aag", "mult4.aig", "adder4.blif"] {
-        let m = io::read_mig_path(benchmarks_dir().join(name)).unwrap();
-        let inplace = migalg::optimize(&m, 8);
-        let rebuild = migalg::optimize_rebuild(&m, 8);
-        assert!(
-            inplace.num_gates() <= rebuild.num_gates(),
-            "{name}: in-place script {} > rebuild {}",
-            inplace.num_gates(),
-            rebuild.num_gates()
-        );
-        assert_eq!(
-            cec::prove_equivalent(&m, &inplace, None),
-            cec::CecResult::Equivalent,
-            "{name}: in-place script result not equivalent"
-        );
-
-        let mut depth_ip = m.cleanup();
-        migalg::depth_converge(&mut depth_ip, 50, 1);
-        let mut depth_rb = m.cleanup();
-        loop {
-            let (next, _) = migalg::depth_rewrite_rebuild(&depth_rb);
-            if next.depth() >= depth_rb.depth() {
-                break;
-            }
-            depth_rb = next;
-        }
-        assert!(
-            depth_ip.depth() <= depth_rb.depth(),
-            "{name}: in-place depth script {} > rebuild {}",
-            depth_ip.depth(),
-            depth_rb.depth()
-        );
-        assert_eq!(
-            cec::prove_equivalent(&m, &depth_ip, None),
-            cec::CecResult::Equivalent,
-            "{name}: in-place depth script result not equivalent"
-        );
-    }
-}
-
-#[test]
 fn sharded_algebraic_acceptance_on_all_benchmarks() {
     // ISSUE 4 acceptance: sharded `algebraic@N` runs are SAT-proved
     // CEC-equivalent, never worse than the serial script, and
@@ -306,10 +225,10 @@ fn sharded_algebraic_acceptance_on_all_benchmarks() {
     for name in ["full_adder.aag", "adder8.aag", "mult4.aig", "adder4.blif"] {
         let m = io::read_mig_path(benchmarks_dir().join(name)).unwrap();
         let mut serial = m.cleanup();
-        migalg::optimize_in_place(&mut serial, 8);
+        migalg::optimize(&mut serial, 8, 1);
         for threads in [1usize, 2, 4] {
             let mut sharded = m.cleanup();
-            migalg::optimize_threads(&mut sharded, 8, threads);
+            migalg::optimize(&mut sharded, 8, threads);
             assert!(
                 migalg::script_metric(&sharded) <= migalg::script_metric(&serial),
                 "{name}@{threads}: sharded {:?} worse than serial {:?}",
@@ -323,7 +242,7 @@ fn sharded_algebraic_acceptance_on_all_benchmarks() {
             );
             // Determinism: a second run builds the identical netlist.
             let mut again = m.cleanup();
-            migalg::optimize_threads(&mut again, 8, threads);
+            migalg::optimize(&mut again, 8, threads);
             assert_eq!(again.num_nodes(), sharded.num_nodes(), "{name}@{threads}");
             assert_eq!(again.outputs(), sharded.outputs(), "{name}@{threads}");
             let gates_a: Vec<_> = again.gates().map(|g| (g, again.fanins(g))).collect();
@@ -429,7 +348,7 @@ fn compact_is_sat_proved_equivalent_after_churn() {
     for name in ["adder8.aag", "mult4.aig", "adder4.blif"] {
         let m = io::read_mig_path(benchmarks_dir().join(name)).unwrap();
         let mut churned = m.clone();
-        engine.run_in_place(&mut churned, fhash::Variant::TopDown);
+        engine.pass(&mut churned, fhash::Variant::TopDown, &mut None);
         let _ = churned.drain_dirty();
         let map = churned.compact();
         assert_eq!(
@@ -488,6 +407,15 @@ fn binary_rejects_bad_pipeline_and_missing_file() {
         .unwrap();
     assert_eq!(r.status.code(), Some(1));
     assert!(String::from_utf8_lossy(&r.stderr).contains("unknown pass"));
+
+    let r = Command::new(env!("CARGO_BIN_EXE_migopt"))
+        .arg("-i")
+        .arg(benchmarks_dir().join("full_adder.aag"))
+        .args(["-j", "257", "-p", "fhash!:B"])
+        .output()
+        .unwrap();
+    assert_eq!(r.status.code(), Some(1));
+    assert!(String::from_utf8_lossy(&r.stderr).contains("at most 256"));
 }
 
 #[test]

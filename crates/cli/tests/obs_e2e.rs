@@ -68,7 +68,7 @@ fn registry_reconstructed_stats_match_engine_returns() {
 
         let mut opt = m.clone();
         let (stats, delta) =
-            obs::metrics::scoped(|| engine.run_in_place(&mut opt, fhash::Variant::TopDown));
+            obs::metrics::scoped(|| engine.pass(&mut opt, fhash::Variant::TopDown, &mut None));
         assert_eq!(
             fhash::FhStats::from_delta(&delta),
             stats,
@@ -76,7 +76,7 @@ fn registry_reconstructed_stats_match_engine_returns() {
         );
 
         let mut alg = m.cleanup();
-        let (stats, delta) = obs::metrics::scoped(|| migalg::optimize_in_place(&mut alg, 4));
+        let (stats, delta) = obs::metrics::scoped(|| migalg::optimize(&mut alg, 4, 1));
         assert_eq!(
             migalg::AlgStats::from_delta(&delta),
             stats,
@@ -91,17 +91,19 @@ fn history_counters_survive_fruitless_rounds_in_both_drivers() {
     // converge round that commits nothing is undone (or never changes
     // the graph), dropping its outcome counters — but its event-history
     // counters (profiling totals, round counts) record work that
-    // happened and must survive identically in both drivers.
+    // happened and must survive identically in both drivers. On adder8
+    // `converge` drives the scheduler; fhash's unit test
+    // `serial_round_loop_keeps_the_history_of_a_fruitless_round` holds
+    // the serial round loop to the same rule.
     let _g = trace_lock();
     let m = io::read_mig_path(benchmarks_dir().join("adder8.aag")).unwrap();
     let engine = fhash::FunctionalHashing::with_default_database();
 
     let mut fixed = m.clone();
-    engine.run_converge_serial(&mut fixed, fhash::Variant::TopDown, 50);
+    engine.converge(&mut fixed, fhash::Variant::TopDown, 1);
     let mut again = fixed.clone();
-    let ((stats, rounds), delta) = obs::metrics::scoped(|| {
-        engine.run_converge_serial(&mut again, fhash::Variant::TopDown, 50)
-    });
+    let ((stats, rounds), delta) =
+        obs::metrics::scoped(|| engine.converge(&mut again, fhash::Variant::TopDown, 1));
     assert_eq!(stats.replacements, 0, "already at the fixpoint");
     assert_eq!(rounds, 1, "one fruitless round");
     assert_eq!(delta.get(obs::Metric::FhReplacements), 0);
@@ -111,10 +113,10 @@ fn history_counters_survive_fruitless_rounds_in_both_drivers() {
     );
 
     let mut alg_fixed = m.cleanup();
-    migalg::size_converge(&mut alg_fixed, 50, 1);
+    migalg::size_converge(&mut alg_fixed, 1);
     let mut alg_again = alg_fixed.clone();
     let ((stats, rounds), delta) =
-        obs::metrics::scoped(|| migalg::size_converge(&mut alg_again, 50, 1));
+        obs::metrics::scoped(|| migalg::size_converge(&mut alg_again, 1));
     assert_eq!(stats.merges, 0, "already at the fixpoint");
     assert!(rounds >= 1);
     assert_eq!(delta.get(obs::Metric::AlgMerges), 0);

@@ -1,26 +1,33 @@
 //! The bottom-up functional-hashing approach (paper §IV-B, Algorithm 2).
 //!
 //! Nodes are visited in topological order from the inputs. For every node
-//! a bounded list of *candidates* is kept — alternative implementations in
-//! the rebuilt MIG together with their estimated size and depth. Each
-//! 4-feasible cut contributes candidates obtained by instantiating the
-//! cut's minimum network over combinations of the leaves' candidates; the
-//! paper's `insert` keeps only "a predetermined number of best candidates"
-//! (like priority cuts), which is the `max_candidates` knob here.
+//! a bounded list of *candidates* is kept — alternative implementations
+//! together with their estimated size and depth. Each 4-feasible cut
+//! contributes candidates obtained by instantiating the cut's minimum
+//! network over combinations of the leaves' candidates; the paper's
+//! `insert` keeps only "a predetermined number of best candidates" (like
+//! priority cuts), which is [`MAX_CANDIDATES`] here.
 //!
 //! Size is estimated with *area flow* (amortized node count over fanout),
 //! the standard sharing-aware cost for DP over DAGs; the true size is the
-//! rebuilt MIG's gate count after dead-node cleanup.
+//! optimized MIG's gate count after dead-node cleanup.
 
 use crate::common::{cut_is_region_legal, internal_nodes, is_trivial, Replacement};
-use crate::{FhStats, FunctionalHashing};
-use cuts::{enumerate_cuts, Cut, CutSet};
+use crate::FunctionalHashing;
+use cuts::Cut;
 use mig::{FfrPartition, Mig, NodeId, Signal};
+
+/// Bound on candidates kept per node (the paper's priority-cut-like
+/// `insert` bound).
+const MAX_CANDIDATES: usize = 3;
+
+/// Bound on leaf-candidate combinations evaluated per cut.
+const MAX_COMBINATIONS: usize = 4;
 
 /// One candidate implementation of an old node.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct Candidate {
-    /// Signal in the rebuilt MIG (plain polarity of the old node).
+    /// Signal in the optimized MIG (plain polarity of the old node).
     pub(crate) sig: Signal,
     /// Area-flow estimate (amortized gates).
     pub(crate) af: f64,
@@ -30,8 +37,8 @@ pub(crate) struct Candidate {
 
 /// A construction request issued by [`gate_candidates`]. The target graph
 /// is reached only through the caller's closure, so the same scoring loop
-/// serves the rebuild engine (fresh graph) and the in-place engine (the
-/// graph being optimized).
+/// serves the in-place engine (the graph being optimized) and the rebuild
+/// reference the tests keep (a fresh graph).
 pub(crate) enum Build<'a> {
     /// The baseline candidate: the gate over its children's best
     /// candidates.
@@ -44,18 +51,16 @@ pub(crate) enum Build<'a> {
 /// Computes the bounded candidate list for one gate (Algorithm 2, lines
 /// 4-13): the baseline candidate plus, for every pre-filtered legal cut,
 /// combinations of the leaves' candidates scored by area flow and depth.
-/// Shared by the rebuild and in-place engines so the scoring math cannot
-/// drift between them.
+/// Shared by the in-place engine and the rebuild reference so the scoring
+/// math cannot drift between them.
 pub(crate) fn gate_candidates(
-    engine: &FunctionalHashing,
     fanins: [Signal; 3],
     cut_choices: &[(Cut, Replacement)],
     cand: &[Vec<Candidate>],
     refs: &[f64],
     mut build: impl FnMut(Build<'_>) -> Signal,
 ) -> Vec<Candidate> {
-    let max_cand = engine.config().max_candidates.max(1);
-    let mut list: Vec<Candidate> = Vec::with_capacity(max_cand + 1);
+    let mut list: Vec<Candidate> = Vec::with_capacity(MAX_CANDIDATES + 1);
 
     // Baseline candidate: rebuild the gate over the children's best
     // candidates.
@@ -76,7 +81,7 @@ pub(crate) fn gate_candidates(
             af: 1.0 + afa + afb + afc,
             depth: 1 + da.max(db_).max(dc),
         },
-        max_cand,
+        MAX_CANDIDATES,
     );
 
     // Cut-based candidates (Algorithm 2, lines 5-10): enumerate
@@ -88,7 +93,7 @@ pub(crate) fn gate_candidates(
             .iter()
             .map(|&l| cand[l as usize].len())
             .collect();
-        let combos = bounded_combinations(&lens, engine.config().max_combinations.max(1));
+        let combos = bounded_combinations(&lens, MAX_COMBINATIONS);
         for combo in combos {
             let chosen: Vec<Candidate> = combo
                 .iter()
@@ -105,11 +110,11 @@ pub(crate) fn gate_candidates(
             let depth = repl.estimated_level(cut, |pos| chosen[pos].depth);
             // Only instantiate candidates that can enter the list (bounds
             // the graph's speculative growth).
-            if !would_enter(&list, af, depth, max_cand) {
+            if !would_enter(&list, af, depth, MAX_CANDIDATES) {
                 continue;
             }
             let sig = build(Build::Template(repl, cut, &chosen));
-            insert_candidate(&mut list, Candidate { sig, af, depth }, max_cand);
+            insert_candidate(&mut list, Candidate { sig, af, depth }, MAX_CANDIDATES);
         }
     }
     list
@@ -136,91 +141,6 @@ pub(crate) fn candidate_cuts(
         })
         .filter_map(|cut| Replacement::prepare(cut, engine).map(|r| (*cut, r)))
         .collect()
-}
-
-pub(crate) struct BottomUp<'a> {
-    engine: &'a FunctionalHashing,
-    old: &'a Mig,
-    cuts: CutSet,
-    refs: Vec<f64>,
-    ffr: Option<FfrPartition>,
-    new: Mig,
-    cand: Vec<Vec<Candidate>>,
-    stats: FhStats,
-}
-
-impl<'a> BottomUp<'a> {
-    pub(crate) fn run(
-        engine: &'a FunctionalHashing,
-        old: &'a Mig,
-        use_ffr: bool,
-    ) -> (Mig, FhStats) {
-        let cuts = enumerate_cuts(old, &engine.config().cut_config);
-        let refs: Vec<f64> = old
-            .fanout_counts()
-            .iter()
-            .map(|&c| f64::from(c.max(1)))
-            .collect();
-        let mut bu = BottomUp {
-            engine,
-            old,
-            cuts,
-            refs,
-            ffr: use_ffr.then(|| FfrPartition::compute(old)),
-            new: Mig::new(old.num_inputs()),
-            cand: vec![Vec::new(); old.num_nodes()],
-            stats: FhStats::default(),
-        };
-        // Terminals: a single zero-cost candidate (Algorithm 2, line 3).
-        bu.cand[0].push(Candidate {
-            sig: Signal::ZERO,
-            af: 0.0,
-            depth: 0,
-        });
-        for i in 0..old.num_inputs() {
-            bu.cand[i + 1].push(Candidate {
-                sig: bu.new.input(i),
-                af: 0.0,
-                depth: 0,
-            });
-        }
-        for v in old.topo_gates() {
-            bu.process_gate(v);
-        }
-        // Line 14: take the best candidate for each output.
-        for out in old.outputs().to_vec() {
-            let best = bu.cand[out.node() as usize][0];
-            bu.new
-                .add_output(best.sig.complement_if(out.is_complemented()));
-        }
-        let cleaned = bu.new.cleanup();
-        (cleaned, bu.stats)
-    }
-
-    fn process_gate(&mut self, v: NodeId) {
-        let cut_choices =
-            candidate_cuts(self.engine, self.old, self.cuts.of(v), self.ffr.as_ref(), v);
-        let db = self.engine.database();
-        let new = &mut self.new;
-        let stats = &mut self.stats;
-        let list = gate_candidates(
-            self.engine,
-            self.old.fanins(v),
-            &cut_choices,
-            &self.cand,
-            &self.refs,
-            |req| match req {
-                Build::Maj(a, b, c) => new.maj(a, b, c),
-                Build::Template(repl, cut, chosen) => {
-                    // Historical rebuild accounting: every speculative
-                    // instantiation counts.
-                    stats.replacements += 1;
-                    repl.instantiate(new, cut, db, |pos| chosen[pos].sig)
-                }
-            },
-        );
-        self.cand[v as usize] = list;
-    }
 }
 
 /// Whether a candidate with this cost would make it into the bounded list.

@@ -1,16 +1,18 @@
-//! Shared machinery of the functional-hashing variants: per-class
-//! database scores, cut replacement preparation, legality checks and
-//! template instantiation.
+//! Shared machinery of the functional-hashing variants: the per-class
+//! table of database networks and scores, cut replacement preparation,
+//! legality checks and template instantiation.
 
 use cuts::{cut_internal_nodes, Cut};
 use mig::{FfrPartition, Mig, NodeId, Signal};
-use npndb::Database;
+use npndb::{Database, DbEntry};
 
-/// What the database knows about one NPN class's minimum network.
+/// What the database knows about one NPN class's minimum network: the
+/// scores cut selection reads, copied into every [`Replacement`].
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct ClassScore {
-    /// The class representative (the database key).
-    pub rep: u16,
+    /// The class index ([`truth::npn4_class`]), which addresses the
+    /// engine's per-class table.
+    pub index: u16,
     /// Gates in the minimum network.
     pub size: u32,
     /// Depth of the minimum network.
@@ -20,21 +22,30 @@ pub(crate) struct ClassScore {
     pub input_depths: [Option<u32>; 4],
 }
 
-impl ClassScore {
-    /// The scores of the class of `rep`; `None` when `db` has no network
-    /// for it.
-    pub fn of(rep: u16, db: &Database) -> Option<ClassScore> {
-        let entry = db.get(rep)?;
+/// One entry of the engine's per-class table: the class's scores and
+/// the database entry whose network [`Replacement::instantiate`] builds.
+#[derive(Debug)]
+pub(crate) struct Class {
+    pub score: ClassScore,
+    pub entry: DbEntry,
+}
+
+impl Class {
+    /// The table entry of class `index`, whose representative is `rep`;
+    /// `None` when `db` has no network for it.
+    pub fn of(index: usize, rep: u16, db: &Database) -> Option<Class> {
+        let entry = db.get(rep)?.clone();
         let mut input_depths = [None; 4];
         for (d, e) in input_depths.iter_mut().zip(entry.network.input_depths()) {
             *d = e;
         }
-        Some(ClassScore {
-            rep,
+        let score = ClassScore {
+            index: u16::try_from(index).expect("222 NPN classes"),
             size: entry.size,
             depth: entry.depth,
             input_depths,
-        })
+        };
+        Some(Class { score, entry })
     }
 }
 
@@ -62,7 +73,7 @@ impl Replacement {
     /// database lacks (none, with a complete database).
     pub fn prepare(cut: &Cut, engine: &crate::FunctionalHashing) -> Option<Replacement> {
         let (index, t) = truth::npn4_class(cut.signature4()?);
-        let class = engine.classes[index]?;
+        let class = engine.classes[index].as_ref()?.score;
         // rep = t.apply(f), so f = t.inverse().apply(rep): template input
         // `i` reads (possibly complemented) cut leaf `inv.perm(i)`.
         let inv = t.inverse();
@@ -92,29 +103,29 @@ impl Replacement {
         level
     }
 
-    /// Estimates the depth of each candidate... instantiates the minimum
-    /// network in `mig`, wiring cut-leaf signals (`leaf_sig(pos)`) through
-    /// the NPN transform. Vacuous template inputs receive constant 0.
+    /// Instantiates the class's minimum network from the engine's
+    /// per-class table in `mig`, wiring cut-leaf signals (`leaf_sig(pos)`)
+    /// through the NPN transform. Vacuous template inputs receive
+    /// constant 0.
     pub fn instantiate(
         &self,
+        engine: &crate::FunctionalHashing,
         mig: &mut Mig,
         cut: &Cut,
-        db: &Database,
         leaf_sig: impl Fn(usize) -> Signal,
     ) -> Signal {
-        let entry = db.get(self.class.rep).expect("prepared from this database");
-        let leaves: Vec<Signal> = self
-            .input_map
-            .iter()
-            .map(|&(pos, neg)| {
-                if pos < cut.len() {
-                    leaf_sig(pos).complement_if(neg)
-                } else {
-                    Signal::ZERO
-                }
-            })
-            .collect();
-        entry
+        let class = engine.classes[usize::from(self.class.index)]
+            .as_ref()
+            .expect("prepared from this engine's table");
+        let leaves = self.input_map.map(|(pos, neg)| {
+            if pos < cut.len() {
+                leaf_sig(pos).complement_if(neg)
+            } else {
+                Signal::ZERO
+            }
+        });
+        class
+            .entry
             .network
             .instantiate(mig, &leaves)
             .complement_if(self.out_neg)
@@ -130,12 +141,12 @@ pub(crate) struct ScoredCut {
     pub gain: i32,
 }
 
-/// Line 3 of Algorithm 1, shared by the rebuild and in-place top-down
-/// engines: the legal cut of `v` with the best size reduction — larger
-/// gain first, then lower resulting level, then a shallower database
-/// template. `level` abstracts the level source (a precomputed map for
-/// the rebuild engine, the live incremental levels for the in-place
-/// engine).
+/// Line 3 of Algorithm 1, shared by the in-place top-down pass, the
+/// scheduler's cut engine and the rebuild reference the tests keep: the
+/// legal cut of `v` with the best size reduction — larger gain first,
+/// then lower resulting level, then a shallower database template.
+/// `level` abstracts the level source (a precomputed map for the rebuild
+/// reference, the live incremental levels otherwise).
 pub(crate) fn select_best_cut(
     engine: &crate::FunctionalHashing,
     mig: &Mig,
@@ -179,7 +190,7 @@ pub(crate) fn select_best_cut(
             continue;
         }
         let est_level = repl.estimated_level(cut, |pos| level(cut.leaves()[pos]));
-        if depth_preserving && est_level > level(v) + engine.config().allowed_depth_increase {
+        if depth_preserving && est_level > level(v) + crate::ALLOWED_DEPTH_INCREASE {
             continue;
         }
         let better = match &best {

@@ -1,7 +1,6 @@
-//! In-place functional hashing: the same cut-replacement algorithms as
-//! the rebuild engines (paper §IV, Algorithms 1 and 2), but executed as
-//! local mutations of the managed [`Mig`] network instead of whole-graph
-//! reconstruction.
+//! In-place functional hashing: the cut-replacement algorithms of paper
+//! §IV (Algorithms 1 and 2) executed as local mutations of the managed
+//! [`Mig`] network instead of whole-graph reconstruction.
 //!
 //! * Top-down (`T`/`TD`/`TF`/`TFD`): each selected cut is instantiated
 //!   over its *existing* leaf nodes and committed with
@@ -45,7 +44,7 @@ pub(crate) fn top_down(
     cuts.refresh(mig);
     let ffr = use_ffr.then(|| FfrPartition::compute(mig));
     let mut visited: HashSet<NodeId> = HashSet::new();
-    // Traversal roots, mirroring the rebuild engine: FFR region roots in
+    // Traversal roots, mirroring the rebuild reference: FFR region roots in
     // topological order first, then the outputs (pushed in reverse so the
     // pop order matches).
     let mut work: Vec<NodeId> = Vec::new();
@@ -74,11 +73,9 @@ pub(crate) fn top_down(
             mig.level(n)
         });
         if let Some(sel) = selected {
-            let new_sig = sel
-                .repl
-                .instantiate(mig, &sel.cut, engine.database(), |pos| {
-                    Signal::new(sel.cut.leaves()[pos], false)
-                });
+            let new_sig = sel.repl.instantiate(engine, mig, &sel.cut, |pos| {
+                Signal::new(sel.cut.leaves()[pos], false)
+            });
             if new_sig.node() != v && mig.replace_node(v, new_sig) {
                 obs::metrics::add(Metric::FhReplacements, 1);
                 obs::metrics::addi(Metric::FhGain, i64::from(sel.gain));
@@ -209,7 +206,7 @@ pub(crate) fn bottom_up(
         });
     }
     for (k, &v) in topo.iter().enumerate() {
-        // Same scoring loop as the rebuild engine (`gate_candidates`);
+        // Same scoring loop as the rebuild reference (`gate_candidates`);
         // the only difference is that candidates are built directly in
         // the graph being optimized, where structural hashing shares them
         // with the existing logic (the baseline usually returns `v`
@@ -218,11 +215,10 @@ pub(crate) fn bottom_up(
         // was captured on entry).
         let cut_choices = &choices[k];
         let fanins = mig.fanins(v);
-        let db = engine.database();
-        let list = gate_candidates(engine, fanins, cut_choices, &cand, &refs, |req| match req {
+        let list = gate_candidates(fanins, cut_choices, &cand, &refs, |req| match req {
             Build::Maj(a, b, c) => mig.maj(a, b, c),
             Build::Template(repl, cut, chosen) => {
-                repl.instantiate(mig, cut, db, |pos| chosen[pos].sig)
+                repl.instantiate(engine, mig, cut, |pos| chosen[pos].sig)
             }
         });
         cand[v as usize] = list;
@@ -231,8 +227,8 @@ pub(crate) fn bottom_up(
     // every cone that lost its last reference. Only committed reroutes
     // count as replacements (speculative candidate instantiations are
     // not observable in the result); a round with zero reroutes leaves
-    // the graph exactly as it was after the sweep, which is what
-    // `run_converge` keys its fixpoint test on.
+    // the graph exactly as it was after the sweep, which is what the
+    // serial convergence loop keys its fixpoint test on.
     for i in 0..mig.num_outputs() {
         let o = mig.outputs()[i];
         let best = cand[o.node() as usize][0];

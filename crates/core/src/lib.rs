@@ -6,14 +6,13 @@
 //! cut function under NPN equivalence, and replaces cuts with precomputed
 //! minimum-size MIGs from the [`npndb::Database`] when that reduces the
 //! node count. Replacements are performed *in place* on the managed
-//! [`Mig`] network ([`FunctionalHashing::run_in_place`]): each commit is a
-//! local substitution with incremental cut invalidation, so pass cost
-//! scales with the rewritten region rather than the graph. The original
-//! rebuild-based engine remains available as
-//! [`FunctionalHashing::run_rebuild`] for differential testing, and
-//! [`FunctionalHashing::run_converge`] repeats a pass to a fixpoint
-//! (the `fhash!:V` pipeline pass). The paper's variants are all available
-//! as [`Variant`]s:
+//! [`Mig`] network: each commit is a local substitution with incremental
+//! cut invalidation, so pass cost scales with the rewritten region rather
+//! than the graph. Each pipeline pass is one call:
+//! [`FunctionalHashing::pass`] runs one pass (`fhash:V`), and
+//! [`FunctionalHashing::converge`] runs the event-driven scheduler to a
+//! fixpoint (`fhash!:V`). The paper's variants are all available as
+//! [`Variant`]s:
 //!
 //! | Acronym | Variant | Meaning |
 //! |---------|---------|---------|
@@ -38,21 +37,23 @@
 //! m.add_output(y);
 //! assert_eq!(m.num_gates(), 6);
 //!
+//! let want = m.output_truth_tables();
 //! let engine = FunctionalHashing::with_default_database();
-//! let opt = engine.run(&m, Variant::TopDown);
-//! assert_eq!(opt.num_gates(), 3);
-//! assert_eq!(opt.output_truth_tables(), m.output_truth_tables());
+//! engine.pass(&mut m, Variant::TopDown, &mut None);
+//! assert_eq!(m.num_gates(), 3);
+//! assert_eq!(m.output_truth_tables(), want);
 //! ```
 
 mod bottomup;
 mod common;
 mod inplace;
+#[cfg(test)]
+mod rebuild;
 mod shard;
-mod topdown;
 
-use common::ClassScore;
+use common::Class;
 use cuts::{enumerate_cuts, CutConfig, CutSet};
-use mig::{Mig, ShardConfig};
+use mig::Mig;
 use npndb::Database;
 
 /// The six algorithm variants of paper §IV / Table III.
@@ -112,42 +113,22 @@ impl std::fmt::Display for Variant {
     }
 }
 
-/// Tuning knobs for the functional-hashing engine.
-#[derive(Debug, Clone, Copy)]
-pub struct FhConfig {
-    /// Cut enumeration parameters (the paper uses 4-feasible cuts).
-    pub cut_config: CutConfig,
-    /// Bound on candidates kept per node in the bottom-up approach (the
-    /// paper's priority-cut-like `insert` bound).
-    pub max_candidates: usize,
-    /// Bound on leaf-candidate combinations evaluated per cut in the
-    /// bottom-up approach.
-    pub max_combinations: usize,
-    /// Slack allowed by the depth-preserving heuristic (0 = strictly
-    /// depth-preserving locally).
-    pub allowed_depth_increase: u32,
-}
+/// Slack allowed by the depth-preserving heuristic (0 = strictly
+/// depth-preserving locally).
+const ALLOWED_DEPTH_INCREASE: u32 = 0;
 
-impl Default for FhConfig {
-    fn default() -> Self {
-        FhConfig {
-            cut_config: CutConfig::default(),
-            max_candidates: 3,
-            max_combinations: 4,
-            allowed_depth_increase: 0,
-        }
-    }
-}
+/// Backstop on [`FunctionalHashing::converge`]: serial rounds, or
+/// scheduler steps. Improving rounds shrink the graph, so this is never
+/// the expected exit.
+const MAX_ROUNDS: usize = 50;
 
 /// Statistics reported by a functional-hashing run.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct FhStats {
-    /// Number of replacements committed to the result: in-place top-down
-    /// counts [`Mig::replace_node`] substitutions, in-place bottom-up
-    /// counts outputs rerouted to a new candidate implementation (so 0
-    /// means the pass was a no-op — the convergence fixpoint test). The
-    /// rebuild reference engines keep their historical meaning
-    /// (speculative candidate instantiations for bottom-up).
+    /// Number of replacements committed to the result: top-down counts
+    /// [`Mig::replace_node`] substitutions, bottom-up counts outputs
+    /// rerouted to a new candidate implementation (so 0 means the pass
+    /// was a no-op — the convergence fixpoint test).
     pub replacements: u64,
     /// Sum of estimated gains of the performed replacements (top-down
     /// only; the real gain is visible in the returned MIG's size).
@@ -175,128 +156,74 @@ impl FhStats {
 
 /// The functional-hashing optimizer (paper §IV).
 ///
-/// Owns the NPN database and its per-class scores, so repeated
-/// [`FunctionalHashing::run`] calls share the precomputed state.
+/// Owns the per-class table built once from the NPN database (each
+/// class's minimum network and its scores), so repeated passes share
+/// the precomputed state. A pipeline pass is one call: [`pass`] for a
+/// single in-place pass, [`converge`] for the fixpoint.
+///
+/// [`pass`]: FunctionalHashing::pass
+/// [`converge`]: FunctionalHashing::converge
 #[derive(Debug)]
 pub struct FunctionalHashing {
-    db: Database,
     /// One entry per NPN class, indexed like
     /// [`truth::npn4_class_representatives`]; `None` when the database
     /// has no network for the class.
-    classes: Vec<Option<ClassScore>>,
-    config: FhConfig,
+    classes: Vec<Option<Class>>,
 }
 
 impl FunctionalHashing {
-    /// Creates an engine from a database and configuration.
-    pub fn new(db: Database, config: FhConfig) -> Self {
+    /// Creates an engine over the embedded pregenerated database.
+    pub fn with_default_database() -> Self {
+        let db = Database::embedded();
         let classes = truth::npn4_class_representatives()
             .into_iter()
-            .map(|rep| ClassScore::of(rep, &db))
+            .enumerate()
+            .map(|(index, rep)| Class::of(index, rep, &db))
             .collect();
-        FunctionalHashing {
-            db,
-            classes,
-            config,
-        }
+        FunctionalHashing { classes }
     }
 
-    /// Creates an engine with the embedded pregenerated database and
-    /// default configuration.
-    pub fn with_default_database() -> Self {
-        Self::new(Database::embedded(), FhConfig::default())
-    }
-
-    /// The engine's database.
-    pub fn database(&self) -> &Database {
-        &self.db
-    }
-
-    /// The engine's configuration.
-    pub fn config(&self) -> &FhConfig {
-        &self.config
-    }
-
-    /// Optimizes a copy of `mig` with the chosen variant; the result has
-    /// no dangling gates and is functionally equivalent to the input.
+    /// One in-place pass of `variant` over `mig` (the `fhash:V` pipeline
+    /// pass). Cut replacements are local substitutions on the managed
+    /// network (fanout patching, strash-consistent rehash, recursive
+    /// dereference), so a single replacement costs O(affected region)
+    /// instead of an O(n) rebuild. Dangling cones are swept before
+    /// returning; the result is functionally equivalent to the input.
     ///
-    /// This routes through the in-place engine ([`run_in_place`]) on a
-    /// clone — pass a `&mut Mig` to [`run_in_place`] directly to avoid
-    /// the copy.
-    ///
-    /// [`run_in_place`]: FunctionalHashing::run_in_place
-    pub fn run(&self, mig: &Mig, variant: Variant) -> Mig {
-        self.run_with_stats(mig, variant).0
+    /// `cuts` carries the pass's [`CutSet`], so a pipeline can share one
+    /// set across consecutive passes; a one-off call passes `&mut None`.
+    /// When it is `None` the pass enumerates a fresh set into it, whose
+    /// dirty-log cursor starts at the log head: pending entries owned by
+    /// other consumers are neither drained nor re-processed, so
+    /// long-lived callers should bound the log themselves between passes
+    /// (`Mig::truncate_dirty` at their slowest cursor, or
+    /// `Mig::drain_dirty` when nothing tracks it). A set already there
+    /// must describe `mig` (the graph it was enumerated over, possibly
+    /// mutated since — the entry refresh consumes pending changes through
+    /// the set's own cursor and re-enumerates only the invalidated
+    /// lists). On return the set is consistent with the optimized graph
+    /// up to the final sweep, whose dirt the next refresh consumes.
+    pub fn pass(&self, mig: &mut Mig, variant: Variant, cuts: &mut Option<CutSet>) -> FhStats {
+        self.pass_threads(mig, variant, cuts, 1)
     }
 
-    /// Like [`FunctionalHashing::run`], also returning run statistics.
-    pub fn run_with_stats(&self, mig: &Mig, variant: Variant) -> (Mig, FhStats) {
-        let mut m = mig.clone();
-        let stats = self.run_in_place(&mut m, variant);
-        (m, stats)
-    }
-
-    /// Optimizes `mig` in place with the chosen variant: cut replacements
-    /// are local substitutions on the managed network (fanout patching,
-    /// strash-consistent rehash, recursive dereference), so a single
-    /// replacement costs O(affected region) instead of an O(n) rebuild.
-    /// Dangling cones are swept before returning.
-    pub fn run_in_place(&self, mig: &mut Mig, variant: Variant) -> FhStats {
-        // The fresh enumeration starts its dirty-log cursor at the
-        // current head, so pending entries (owned by other consumers,
-        // e.g. a pipeline's carried cut set) are neither drained nor
-        // re-processed. The flip side: no engine pass consumes the log
-        // anymore, so long-lived callers rewriting the same graph
-        // repeatedly should bound it themselves between passes
-        // (`Mig::truncate_dirty` at their slowest cursor, or
-        // `Mig::drain_dirty` when nothing tracks it — what the migopt
-        // pipeline does).
-        let mut cuts = enumerate_cuts(mig, &self.config.cut_config);
-        self.run_in_place_with_cuts(mig, variant, &mut cuts)
-    }
-
-    /// [`FunctionalHashing::run_in_place`] with a worker-thread count for
-    /// the read-only half of the pass. Today this parallelizes the
+    /// [`FunctionalHashing::pass`] with a worker-thread count for the
     /// bottom-up variants' candidate preparation (cut canonization and
     /// database lookup fan out over worker threads; the materializing DP
-    /// walk stays serial); the top-down variants ignore the count. The
-    /// result is bit-identical at every thread count.
-    pub fn run_in_place_threads(&self, mig: &mut Mig, variant: Variant, threads: usize) -> FhStats {
-        let mut cuts = enumerate_cuts(mig, &self.config.cut_config);
-        self.run_in_place_with_cuts_threads(mig, variant, &mut cuts, threads)
-    }
-
-    /// Like [`FunctionalHashing::run_in_place`], but reusing a caller-held
-    /// [`CutSet`] instead of enumerating from scratch. The cut set must
-    /// describe `mig` (same graph the set was enumerated over, possibly
-    /// mutated since — pending changes are consumed from the dirty log by
-    /// the entry refresh, which re-enumerates only the invalidated
-    /// lists). On return the set is consistent with the optimized graph
-    /// up to the final sweep (whose dirt the next refresh consumes), so a
-    /// pipeline can carry one cut set across consecutive passes.
-    pub fn run_in_place_with_cuts(
+    /// walk stays serial). The top-down variants ignore the count, and
+    /// the result is bit-identical at every count.
+    pub(crate) fn pass_threads(
         &self,
         mig: &mut Mig,
         variant: Variant,
-        cuts: &mut CutSet,
-    ) -> FhStats {
-        self.run_in_place_with_cuts_threads(mig, variant, cuts, 1)
-    }
-
-    /// [`FunctionalHashing::run_in_place_with_cuts`] with a worker-thread
-    /// count for the read-only candidate preparation (see
-    /// [`FunctionalHashing::run_in_place_threads`]).
-    pub fn run_in_place_with_cuts_threads(
-        &self,
-        mig: &mut Mig,
-        variant: Variant,
-        cuts: &mut CutSet,
+        cuts: &mut Option<CutSet>,
         threads: usize,
     ) -> FhStats {
+        let cuts = cuts.get_or_insert_with(|| enumerate_cuts(mig, &CutConfig::default()));
         // The engines record into the metric registry (the single source
-        // of truth); the legacy stats struct is reconstructed from the
-        // pass's scope delta, which is then published to the caller's
-        // scope so enclosing rounds and pipeline passes see it too.
+        // of truth); the stats struct is reconstructed from the pass's
+        // scope delta, which is then published to the caller's scope so
+        // enclosing rounds and pipeline passes see it too.
         let ((), delta) = obs::metrics::scoped(|| match variant {
             Variant::TopDown => inplace::top_down(self, mig, cuts, false, false),
             Variant::TopDownDepth => inplace::top_down(self, mig, cuts, true, false),
@@ -309,71 +236,38 @@ impl FunctionalHashing {
         FhStats::from_delta(&delta)
     }
 
-    /// Optimizes `mig` with the chosen variant on `threads` worker
-    /// threads (sharded propose/commit rewriting, see
-    /// [`FunctionalHashing::run_sharded`]). `threads <= 1` is the
-    /// degenerate case and routes through the single-threaded
-    /// [`FunctionalHashing::run_in_place`] engine.
-    pub fn run_threads(&self, mig: &mut Mig, variant: Variant, threads: usize) -> FhStats {
-        if threads <= 1 {
-            self.run_in_place(mig, variant)
-        } else {
-            self.run_sharded(mig, variant, threads)
-        }
-    }
-
-    /// Sharded in-place optimization: the graph is partitioned into
+    /// Runs `variant` to convergence on `threads` worker threads (the
+    /// `fhash!:V[@N]` pipeline pass, and `fhash:V@N` for N ≥ 2).
+    ///
+    /// The event-driven convergence scheduler partitions the graph into
     /// regions (FFR forest for the FFR-restricted variants, level bands
-    /// otherwise), worker threads *propose* replacements concurrently
-    /// over a frozen round snapshot (cut enumeration, NPN lookup and
-    /// candidate scoring are read-only), and a serial *commit* phase
-    /// applies non-conflicting proposals in stable region order through
-    /// the managed network's `replace_node`/strash path. Conflicted
-    /// proposals are regenerated the next round from the re-partitioned,
-    /// still-dirty regions; rounds repeat until no proposal commits.
+    /// otherwise); workers *propose* replacements concurrently over a
+    /// frozen step snapshot (cut enumeration, NPN lookup and scoring are
+    /// read-only), and a serial *commit* phase applies non-conflicting
+    /// proposals in stable region order. After the first step only the
+    /// regions a commit dirtied are proposed again, until none is left.
+    /// The bottom-up variants run the scheduler between a guarded serial
+    /// baseline pass and a serial polish, so they are never worse than
+    /// the serial engine. Graphs too small to partition run the serial
+    /// round loop instead: full passes until no replacement fires or the
+    /// gate count stops shrinking (a round that fails to shrink is rolled
+    /// back).
     ///
     /// The result is deterministic for a fixed graph and thread count,
-    /// and functionally equivalent to the input (each commit is a
-    /// function-preserving local substitution).
-    pub fn run_sharded(&self, mig: &mut Mig, variant: Variant, threads: usize) -> FhStats {
-        shard::run_sharded(
-            self,
-            mig,
-            variant,
-            threads,
-            ShardConfig::new(threads).max_rounds,
-        )
+    /// and functionally equivalent to the input. Returns the statistics
+    /// and the rounds run: scheduler steps, or serial rounds on a graph
+    /// too small to partition.
+    pub fn converge(&self, mig: &mut Mig, variant: Variant, threads: usize) -> (FhStats, usize) {
+        let (stats, rounds) = shard::converge(self, mig, variant, threads.max(1));
+        obs::metrics::add(obs::Metric::FhRounds, rounds as u64);
+        (stats, rounds)
     }
 
-    /// Runs the engine to convergence (no replacement fires or the gate
-    /// count stops shrinking, bounded by `max_rounds`): the `fhash!:V`
-    /// pipeline pass. Routes through the event-driven convergence
-    /// scheduler ([`FunctionalHashing::run_converge_threads`] at one
-    /// worker thread), so after the first pass only the regions a commit
-    /// actually dirtied are re-proposed. Rounds that do not shrink the
-    /// graph are rolled back, so the result is never worse than any
-    /// intermediate fixpoint.
-    pub fn run_converge(
-        &self,
-        mig: &mut Mig,
-        variant: Variant,
-        max_rounds: usize,
-    ) -> (FhStats, usize) {
-        self.run_converge_threads(mig, variant, max_rounds, 1)
-    }
-
-    /// The round-based convergence reference: repeats the full-sweep
-    /// serial pass ([`FunctionalHashing::run_in_place`]) until no
-    /// replacement fires or the gate count stops shrinking. Every round
-    /// re-traverses the whole graph — kept as the baseline the
-    /// event-driven scheduler is measured (and differentially tested)
-    /// against, and as the fallback for graphs too small to partition.
-    pub fn run_converge_serial(
-        &self,
-        mig: &mut Mig,
-        variant: Variant,
-        max_rounds: usize,
-    ) -> (FhStats, usize) {
+    /// The serial round loop behind [`FunctionalHashing::converge`]: the
+    /// fallback for graphs too small to partition and the bottom-up
+    /// polish. Repeats full passes until no replacement fires or the gate
+    /// count stops shrinking.
+    pub(crate) fn run_converge_serial(&self, mig: &mut Mig, variant: Variant) -> (FhStats, usize) {
         // Only the bottom-up variants can grow the graph (no per-commit
         // gain bound), so only they need a rollback snapshot; top-down
         // rounds strictly shrink or fire no replacement.
@@ -386,14 +280,14 @@ impl FunctionalHashing {
         );
         let mut rounds = 0;
         let ((), delta) = obs::metrics::scoped(|| {
-            while rounds < max_rounds {
+            while rounds < MAX_ROUNDS {
                 let before_size = mig.num_gates();
                 let snapshot = (!monotone).then(|| mig.clone());
                 // Each round runs in its own metric scope: a kept round
                 // publishes everything, a terminal round (no-op or rolled
                 // back) keeps only its event history — outcome counters
                 // vanish with the undone work, profiling totals stay.
-                let (stats, round) = obs::metrics::scoped(|| self.run_in_place(mig, variant));
+                let (stats, round) = obs::metrics::scoped(|| self.pass(mig, variant, &mut None));
                 rounds += 1;
                 if stats.replacements == 0 {
                     round.publish_history();
@@ -412,56 +306,6 @@ impl FunctionalHashing {
         delta.publish();
         (FhStats::from_delta(&delta), rounds)
     }
-
-    /// [`FunctionalHashing::run_converge`] with a worker-thread count:
-    /// the event-driven convergence driver behind the `fhash!:V[@N]`
-    /// pipeline pass. Graphs too small to partition run the round-based
-    /// serial loop ([`FunctionalHashing::run_converge_serial`]); larger
-    /// graphs run the scheduler to quiescence in one pass
-    /// ([`FunctionalHashing::run_sharded`], which also owns the
-    /// baseline/polish structure of the bottom-up variants) — the
-    /// scheduler's dirty-region queue already repeats work exactly where
-    /// commits landed, so no outer full-sweep round loop remains.
-    /// Returns the statistics and the scheduler steps run (the
-    /// round-count equivalent).
-    pub fn run_converge_threads(
-        &self,
-        mig: &mut Mig,
-        variant: Variant,
-        max_rounds: usize,
-        threads: usize,
-    ) -> (FhStats, usize) {
-        let threads = threads.max(1);
-        let (stats, rounds) = if !ShardConfig::new(threads).shardable(mig) {
-            self.run_converge_serial(mig, variant, max_rounds)
-        } else {
-            let stats = shard::run_sharded(self, mig, variant, threads, max_rounds);
-            let rounds = (stats.sched.steps as usize).max(1);
-            (stats, rounds)
-        };
-        obs::metrics::add(obs::Metric::FhRounds, rounds as u64);
-        (stats, rounds)
-    }
-
-    /// The original rebuild-based engine (reconstructs the optimized MIG
-    /// from scratch with structural hashing). Kept as the reference
-    /// implementation the in-place engine is differentially tested
-    /// against.
-    pub fn run_rebuild(&self, mig: &Mig, variant: Variant) -> Mig {
-        self.run_rebuild_with_stats(mig, variant).0
-    }
-
-    /// Like [`FunctionalHashing::run_rebuild`], also returning statistics.
-    pub fn run_rebuild_with_stats(&self, mig: &Mig, variant: Variant) -> (Mig, FhStats) {
-        match variant {
-            Variant::TopDown => topdown::TopDown::run(self, mig, false, false),
-            Variant::TopDownDepth => topdown::TopDown::run(self, mig, true, false),
-            Variant::TopDownFfr => topdown::TopDown::run(self, mig, false, true),
-            Variant::TopDownFfrDepth => topdown::TopDown::run(self, mig, true, true),
-            Variant::BottomUp => bottomup::BottomUp::run(self, mig, false),
-            Variant::BottomUpFfr => bottomup::BottomUp::run(self, mig, true),
-        }
-    }
 }
 
 #[cfg(test)]
@@ -471,6 +315,23 @@ mod tests {
 
     fn engine() -> FunctionalHashing {
         FunctionalHashing::with_default_database()
+    }
+
+    /// One pass of `v` on a copy of `m`.
+    fn run_with_stats(e: &FunctionalHashing, m: &Mig, v: Variant) -> (Mig, FhStats) {
+        let mut opt = m.clone();
+        let stats = e.pass(&mut opt, v, &mut None);
+        (opt, stats)
+    }
+
+    fn run(e: &FunctionalHashing, m: &Mig, v: Variant) -> Mig {
+        run_with_stats(e, m, v).0
+    }
+
+    /// Reads a circuit of the repository's `benchmarks/` directory.
+    pub(crate) fn read_benchmark(name: &str) -> Mig {
+        let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../benchmarks");
+        io::read_mig_path(dir.join(name)).expect("checked-in benchmark parses")
     }
 
     /// A naively-constructed 4-input parity (9 gates; minimum is 6).
@@ -496,7 +357,7 @@ mod tests {
         let e = engine();
         let want = m.output_truth_tables();
         for v in Variant::ALL {
-            let opt = e.run(&m, v);
+            let opt = run(&e, &m, v);
             assert_eq!(opt.output_truth_tables(), want, "variant {v}");
             assert_eq!(opt.num_inputs(), 4);
             assert_eq!(opt.num_outputs(), 1);
@@ -506,7 +367,7 @@ mod tests {
     #[test]
     fn topdown_reaches_minimum_for_xor4() {
         let m = naive_xor4();
-        let opt = engine().run(&m, Variant::TopDown);
+        let opt = run(&engine(), &m, Variant::TopDown);
         // The parity class needs 6 gates (embedded database, Table I).
         assert_eq!(opt.num_gates(), 6);
     }
@@ -529,7 +390,7 @@ mod tests {
             Variant::TopDownFfr,
             Variant::TopDownFfrDepth,
         ] {
-            let opt = e.run(&m, v);
+            let opt = run(&e, &m, v);
             assert!(
                 opt.num_gates() <= m.num_gates(),
                 "variant {v}: {} > {}",
@@ -544,8 +405,8 @@ mod tests {
     fn depth_preserving_respects_local_levels() {
         let m = naive_xor4();
         let e = engine();
-        let (opt_t, stats_t) = e.run_with_stats(&m, Variant::TopDown);
-        let (opt_td, _) = e.run_with_stats(&m, Variant::TopDownDepth);
+        let (opt_t, stats_t) = run_with_stats(&e, &m, Variant::TopDown);
+        let (opt_td, _) = run_with_stats(&e, &m, Variant::TopDownDepth);
         assert!(stats_t.replacements > 0);
         // TD is allowed to do less, never more, than T in size.
         assert!(opt_td.num_gates() >= opt_t.num_gates());
@@ -557,10 +418,10 @@ mod tests {
     fn bottomup_shrinks_redundant_logic() {
         let m = naive_xor4();
         let e = engine();
-        let opt = e.run(&m, Variant::BottomUp);
+        let opt = run(&e, &m, Variant::BottomUp);
         assert!(opt.num_gates() <= m.num_gates());
         assert_eq!(opt.output_truth_tables(), m.output_truth_tables());
-        let opt_ffr = e.run(&m, Variant::BottomUpFfr);
+        let opt_ffr = run(&e, &m, Variant::BottomUpFfr);
         assert_eq!(opt_ffr.output_truth_tables(), m.output_truth_tables());
     }
 
@@ -575,7 +436,7 @@ mod tests {
         m.add_output(o1);
         m.add_output(o2);
         let e = engine();
-        let opt = e.run(&m, Variant::TopDownFfr);
+        let opt = run(&e, &m, Variant::TopDownFfr);
         assert_eq!(opt.output_truth_tables(), m.output_truth_tables());
         assert!(opt.num_gates() <= m.num_gates());
     }
@@ -590,7 +451,7 @@ mod tests {
         m.add_output(s);
         let e = engine();
         for v in Variant::ALL {
-            let opt = e.run(&m, v);
+            let opt = run(&e, &m, v);
             assert_eq!(opt.output_truth_tables(), m.output_truth_tables(), "{v}");
         }
     }
@@ -606,7 +467,7 @@ mod tests {
         m.add_output(!g);
         let e = engine();
         for v in Variant::ALL {
-            let opt = e.run(&m, v);
+            let opt = run(&e, &m, v);
             assert_eq!(opt.output_truth_tables(), m.output_truth_tables(), "{v}");
         }
     }
@@ -615,7 +476,7 @@ mod tests {
     fn stats_report_replacements() {
         let m = naive_xor4();
         let e = engine();
-        let (_, stats) = e.run_with_stats(&m, Variant::TopDown);
+        let (_, stats) = run_with_stats(&e, &m, Variant::TopDown);
         assert!(stats.replacements >= 1);
         assert!(stats.estimated_gain >= 1);
     }
@@ -626,9 +487,170 @@ mod tests {
         let a = m.input(1);
         m.add_output(a);
         for v in Variant::ALL {
-            let opt = engine().run(&m, v);
+            let opt = run(&engine(), &m, v);
             assert_eq!(opt.num_gates(), 0);
             assert_eq!(opt.output_truth_tables(), m.output_truth_tables());
+        }
+    }
+
+    #[test]
+    fn converge_on_a_graph_too_small_to_partition_is_the_serial_loop() {
+        // Nine gates never shard: `converge` falls back to the serial
+        // round loop and reports that loop's rounds and statistics.
+        let m = naive_xor4();
+        let e = engine();
+        for v in Variant::ALL {
+            let mut serial = m.clone();
+            let (serial_stats, serial_rounds) = e.run_converge_serial(&mut serial, v);
+            for threads in [1usize, 4] {
+                let mut conv = m.clone();
+                let (stats, rounds) = e.converge(&mut conv, v, threads);
+                assert_eq!(rounds, serial_rounds, "{v}@{threads}");
+                assert_eq!(stats, serial_stats, "{v}@{threads}");
+                assert_eq!(conv.num_gates(), serial.num_gates(), "{v}@{threads}");
+            }
+        }
+    }
+
+    #[test]
+    fn serial_round_loop_keeps_the_history_of_a_fruitless_round() {
+        // From a fixpoint of the serial round loop, one more run is one
+        // fruitless round: a no-op, or a bottom-up round rolled back for
+        // not shrinking the graph. Its outcome counters vanish with the
+        // undone work, but its event history (cuts scored, cut lookups)
+        // records work that happened and must survive.
+        let e = engine();
+        let mut rolled_back = 0;
+        for name in ["full_adder.aag", "adder8.aag", "mult4.aig", "adder4.blif"] {
+            for v in Variant::ALL {
+                let mut fixed = read_benchmark(name);
+                e.run_converge_serial(&mut fixed, v);
+                let mut probe = fixed.clone();
+                if obs::metrics::muted(|| e.pass(&mut probe, v, &mut None)).replacements > 0 {
+                    rolled_back += 1;
+                }
+                let mut again = fixed.clone();
+                let ((stats, rounds), delta) =
+                    obs::metrics::scoped(|| e.run_converge_serial(&mut again, v));
+                assert_eq!(rounds, 1, "{name}/{v}: one fruitless round");
+                assert_eq!(stats.replacements, 0, "{name}/{v}");
+                assert_eq!(delta.get(obs::Metric::FhReplacements), 0, "{name}/{v}");
+                assert_eq!(again.num_gates(), fixed.num_gates(), "{name}/{v}");
+                let history = match v {
+                    Variant::BottomUp | Variant::BottomUpFfr => {
+                        delta.get(obs::Metric::CutsCacheHits)
+                            + delta.get(obs::Metric::CutsCacheMisses)
+                    }
+                    _ => delta.get(obs::Metric::CutsScored),
+                };
+                assert!(history > 0, "{name}/{v}: history lost with the round");
+            }
+        }
+        assert!(rolled_back > 0, "no fixpoint ends on a rolled-back round");
+    }
+
+    #[test]
+    fn event_driven_converge_proposes_less_than_full_sweeps() {
+        // A workload where the rewriting opportunity is concentrated in a
+        // few cones under tall stable chains (the chain512 microbench
+        // shape, scaled down): the event-driven scheduler must skip the
+        // clean chain regions after the first step — strictly fewer
+        // region proposals than the full-sweep equivalent (proposed +
+        // skipped) — while reaching a gate count no worse than the
+        // round-based driver.
+        let mut m = Mig::new(4 * (3 + 2 * 96));
+        let mut next = 0usize;
+        let mut fresh = |m: &Mig| {
+            let s = m.input(next);
+            next += 1;
+            s
+        };
+        let mut tops = Vec::new();
+        for _ in 0..4 {
+            let (a, b, c) = (fresh(&m), fresh(&m), fresh(&m));
+            let x = m.xor(a, b);
+            let mut acc = m.xor(x, c);
+            for _ in 0..96 {
+                let (p, q) = (fresh(&m), fresh(&m));
+                acc = m.maj(acc, p, q);
+            }
+            tops.push(acc);
+        }
+        let top = m.maj(tops[0], tops[1], tops[2]);
+        let top = m.maj(top, tops[3], Signal::ZERO);
+        m.add_output(top);
+
+        let e = engine();
+        let mut rounds_based = m.clone();
+        let (serial_stats, serial_rounds) =
+            e.run_converge_serial(&mut rounds_based, Variant::TopDown);
+        assert!(serial_stats.replacements > 0 && serial_rounds >= 2);
+
+        for threads in [1usize, 4] {
+            let mut event = m.clone();
+            let (stats, _) = e.converge(&mut event, Variant::TopDown, threads);
+            assert!(stats.replacements > 0, "@{threads}");
+            assert!(
+                event.num_gates() <= rounds_based.num_gates(),
+                "@{threads}: event-driven {} > round-based {}",
+                event.num_gates(),
+                rounds_based.num_gates()
+            );
+            assert!(
+                stats.sched.skipped_clean > 0,
+                "@{threads}: no clean region was ever skipped: {:?}",
+                stats.sched
+            );
+            // "Fewer proposal evaluations than full-sweep rounds": a full
+            // sweep would have proposed every non-empty region each step.
+            let full_sweep_equivalent = stats.sched.proposed_regions + stats.sched.skipped_clean;
+            assert!(
+                stats.sched.proposed_regions < full_sweep_equivalent,
+                "@{threads}: {:?}",
+                stats.sched
+            );
+        }
+    }
+
+    #[test]
+    fn event_driven_converge_never_worse_than_round_based_driver() {
+        // On every checked-in benchmark and every variant, the
+        // event-driven convergence scheduler reaches quiescence with gate
+        // counts never worse than the round-based full-sweep driver,
+        // stays SAT-proved CEC-equivalent, and is bit-deterministic per
+        // thread count.
+        let e = engine();
+        for name in ["full_adder.aag", "adder8.aag", "mult4.aig", "adder4.blif"] {
+            let m = read_benchmark(name);
+            for v in Variant::ALL {
+                let mut rounds_based = m.clone();
+                e.run_converge_serial(&mut rounds_based, v);
+                for threads in [1usize, 4] {
+                    let mut event = m.clone();
+                    let (stats, _) = e.converge(&mut event, v, threads);
+                    assert!(
+                        event.num_gates() <= rounds_based.num_gates(),
+                        "{name}/{v}@{threads}: event-driven {} > round-based {}",
+                        event.num_gates(),
+                        rounds_based.num_gates()
+                    );
+                    assert_eq!(
+                        cec::prove_equivalent(&m, &event, None),
+                        cec::CecResult::Equivalent,
+                        "{name}/{v}@{threads}: event-driven result not equivalent"
+                    );
+                    let mut again = m.clone();
+                    let (stats2, _) = e.converge(&mut again, v, threads);
+                    assert_eq!(stats, stats2, "{name}/{v}@{threads}: counters drifted");
+                    assert_eq!(again.num_nodes(), event.num_nodes(), "{name}/{v}@{threads}");
+                    let gates_a: Vec<_> = again.gates().map(|g| (g, again.fanins(g))).collect();
+                    let gates_b: Vec<_> = event.gates().map(|g| (g, event.fanins(g))).collect();
+                    assert_eq!(
+                        gates_a, gates_b,
+                        "{name}/{v}@{threads}: nondeterministic netlist"
+                    );
+                }
+            }
         }
     }
 }

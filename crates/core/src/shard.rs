@@ -38,8 +38,8 @@
 //! worker scheduling).
 
 use crate::common::{cut_is_fanout_legal, internal_nodes, select_best_cut, Replacement};
-use crate::{FhStats, FunctionalHashing, Variant};
-use cuts::{Cut, LocalCuts};
+use crate::{FhStats, FunctionalHashing, Variant, ALLOWED_DEPTH_INCREASE, MAX_ROUNDS};
+use cuts::{Cut, CutConfig, LocalCuts};
 use mig::{
     run_scheduled_converge, CommitVerdict, FfrPartition, Mig, NodeId, PartitionStrategy,
     ProposeEngine, RegionPartition, ShardConfig, Signal,
@@ -169,7 +169,7 @@ impl ProposeEngine for CutEngine<'_> {
             let mut carried = self.carried.lock().unwrap();
             match carried.remove(&region) {
                 Some(store) if store.floor_level() == floor => store,
-                _ => LocalCuts::new(self.engine.config().cut_config, floor),
+                _ => LocalCuts::new(CutConfig::default(), floor),
             }
         };
         let mut claimed: HashSet<NodeId> = HashSet::new();
@@ -244,11 +244,11 @@ impl ProposeEngine for CutEngine<'_> {
         // must be re-evaluated against live levels too.
         let depth_ok = !self.depth_preserving
             || repl.estimated_level(cut, |pos| mig.level(cut.leaves()[pos]))
-                <= mig.level(root) + self.engine.config().allowed_depth_increase;
+                <= mig.level(root) + ALLOWED_DEPTH_INCREASE;
         if !mig.is_gate(root) || !cut_is_fanout_legal(mig, root, internal) || !depth_ok {
             return CommitVerdict::Conflicted;
         }
-        let new_sig = repl.instantiate(mig, cut, self.engine.database(), |pos| {
+        let new_sig = repl.instantiate(self.engine, mig, cut, |pos| {
             Signal::new(cut.leaves()[pos], false)
         });
         if new_sig.node() == root {
@@ -341,7 +341,7 @@ impl ProposeEngine for RegionEngine<'_> {
         // conflict check or never shrink), so its metrics are muted; the
         // scheduler records the committed outcome.
         let mut opt = sub;
-        obs::metrics::muted(|| self.engine.run_in_place(&mut opt, self.variant));
+        obs::metrics::muted(|| self.engine.pass(&mut opt, self.variant, &mut None));
         let gain = view.members.len() as i32 - opt.num_gates() as i32;
         if gain < 1 {
             return Vec::new();
@@ -438,37 +438,41 @@ impl ProposeEngine for RegionEngine<'_> {
         // serial path.
         let stats = self
             .engine
-            .run_in_place_threads(mig, self.variant, self.threads);
+            .pass_threads(mig, self.variant, &mut None, self.threads);
         Some((stats.replacements, stats.estimated_gain))
     }
 }
 
 /// The bottom-up round guard: gains are estimates (strash sharing and
 /// refused reroutes shift the real count), so a round that failed to
-/// shrink the gate count is rolled back, like `run_converge` does.
+/// shrink the gate count is rolled back, like the serial round loop does.
 fn gates_metric(mig: &Mig) -> (u64, u64) {
     (mig.num_gates() as u64, 0)
 }
 
-pub(crate) fn run_sharded(
+/// [`FunctionalHashing::converge`]: the scheduler for graphs large enough
+/// to partition, the serial round loop otherwise. Returns the statistics
+/// and the rounds run — scheduler steps, or the serial loop's rounds on a
+/// graph too small to partition.
+pub(crate) fn converge(
     engine: &FunctionalHashing,
     mig: &mut Mig,
     variant: Variant,
     threads: usize,
-    max_rounds: usize,
-) -> FhStats {
-    let threads = threads.max(1);
+) -> (FhStats, usize) {
     let bottom_up = matches!(variant, Variant::BottomUp | Variant::BottomUpFfr);
     let depth_preserving = matches!(variant, Variant::TopDownDepth | Variant::TopDownFfrDepth);
     let use_ffr = matches!(variant, Variant::TopDownFfr | Variant::TopDownFfrDepth);
     let mut cfg = ShardConfig::new(threads);
-    cfg.max_rounds = max_rounds;
+    cfg.max_rounds = MAX_ROUNDS;
     // Serial fixpoint driver: the fallback for graphs too small to
     // partition and the bottom-up polish pass. Rounds that fail to
     // shrink are rolled back, so it is never worse than a single serial
     // pass from the same graph.
+    let mut serial_rounds = 0;
     let mut serial = |m: &mut Mig| -> (u64, i64) {
-        let (s, _) = engine.run_converge_serial(m, variant, max_rounds);
+        let (s, rounds) = engine.run_converge_serial(m, variant);
+        serial_rounds = rounds;
         (s.replacements, s.estimated_gain)
     };
     // The drivers and the serial engines record into the metric
@@ -489,7 +493,7 @@ pub(crate) fn run_sharded(
             // input.
             cfg.guard = Some(gates_metric);
             let mut baseline = |m: &mut Mig| -> (u64, i64) {
-                let s = engine.run_in_place_threads(m, variant, threads);
+                let s = engine.pass_threads(m, variant, &mut None, threads);
                 (s.replacements, s.estimated_gain)
             };
             run_scheduled_converge(
@@ -516,7 +520,13 @@ pub(crate) fn run_sharded(
         mig.sweep();
     });
     delta.publish();
-    FhStats::from_delta(&delta)
+    let stats = FhStats::from_delta(&delta);
+    let rounds = if stats.sched.steps > 0 {
+        stats.sched.steps as usize
+    } else {
+        serial_rounds.max(1)
+    };
+    (stats, rounds)
 }
 
 #[cfg(test)]
@@ -548,7 +558,7 @@ mod tests {
 
         // Build two genuine proposals over the frozen graph whose
         // footprints overlap on `x`'s cone.
-        let mut local = LocalCuts::new(e.config().cut_config, 0);
+        let mut local = LocalCuts::new(CutConfig::default(), 0);
         let mk = |v: mig::NodeId, local: &mut LocalCuts| {
             let list = local.of(&frozen, v).to_vec();
             let sel = select_best_cut(&e, &frozen, v, &list, None, false, |n| frozen.level(n))
@@ -613,10 +623,11 @@ mod tests {
         m.add_output(z);
         let want = m.output_truth_tables();
         let mut sharded = m.clone();
-        let stats = e.run_sharded(&mut sharded, Variant::TopDown, 3);
+        let (stats, _) = e.converge(&mut sharded, Variant::TopDown, 3);
         assert!(stats.replacements > 0);
         assert_eq!(sharded.output_truth_tables(), want);
-        let serial = e.run(&m, Variant::TopDown);
+        let mut serial = m.clone();
+        e.pass(&mut serial, Variant::TopDown, &mut None);
         assert!(sharded.num_gates() <= serial.num_gates());
         sharded.debug_check();
     }

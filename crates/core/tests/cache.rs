@@ -7,6 +7,16 @@ use fhash::{FunctionalHashing, Variant};
 use mig::{Mig, NodeId, Signal};
 use testrand::Rng;
 
+/// What the `fhash:V@N` pipeline pass runs: one serial pass at one
+/// thread, the convergence scheduler from two threads on.
+fn fhash_at(e: &FunctionalHashing, m: &mut Mig, v: Variant, threads: usize) {
+    if threads <= 1 {
+        e.pass(m, v, &mut None);
+    } else {
+        e.converge(m, v, threads);
+    }
+}
+
 fn random_build(rng: &mut Rng, num_inputs: usize, num_steps: usize, outs: usize) -> Mig {
     let mut m = Mig::new(num_inputs);
     let mut sigs: Vec<Signal> = vec![Signal::ZERO];
@@ -55,9 +65,14 @@ fn warm_engine_is_bit_identical_to_cold() {
         for v in Variant::ALL {
             for threads in [1usize, 2, 4] {
                 let mut reused = m.clone();
-                shared.run_threads(&mut reused, v, threads);
+                fhash_at(&shared, &mut reused, v, threads);
                 let mut fresh = m.clone();
-                FunctionalHashing::with_default_database().run_threads(&mut fresh, v, threads);
+                fhash_at(
+                    &FunctionalHashing::with_default_database(),
+                    &mut fresh,
+                    v,
+                    threads,
+                );
                 assert_eq!(
                     fingerprint(&reused),
                     fingerprint(&fresh),

@@ -1,8 +1,9 @@
-//! Differential property tests: the in-place engine must match the
-//! rebuild-based reference engine — identical output truth tables (both
-//! equal to the input's) and never more gates — over random MIGs, random
-//! pass sequences, and to-convergence runs, with SAT-proved CEC spot
-//! checks on instances too wide for exhaustive simulation.
+//! Property tests of the in-place passes over random MIGs: convergence
+//! never worse than one pass, managed-network invariants after every
+//! pass, and SAT-proved CEC spot checks on instances too wide for
+//! exhaustive simulation. The differential tests against the rebuild
+//! reference engines live next to those engines, in the crate's unit
+//! tests.
 //!
 //! (Randomized with the workspace's deterministic `testrand` generator —
 //! the container has no network access for a `proptest` dependency.)
@@ -39,74 +40,6 @@ fn random_build(rng: &mut Rng, num_inputs: usize, num_steps: usize, outs: usize)
 }
 
 #[test]
-fn inplace_matches_rebuild_on_random_migs() {
-    let mut rng = Rng::new(0x1F_ACE0_0001);
-    for case in 0..24 {
-        let num_inputs = rng.range(1, 7);
-        let steps = rng.range(1, 60);
-        let outs = rng.range(1, 4);
-        let m = random_build(&mut rng, num_inputs, steps, outs);
-        let want = m.output_truth_tables();
-        for v in Variant::ALL {
-            let rebuild = engine().run_rebuild(&m, v);
-            let mut inplace = m.clone();
-            engine().run_in_place(&mut inplace, v);
-            assert_eq!(
-                inplace.output_truth_tables(),
-                want,
-                "case {case} variant {v}: in-place changed the function"
-            );
-            assert_eq!(
-                rebuild.output_truth_tables(),
-                want,
-                "case {case} variant {v}: rebuild changed the function"
-            );
-            assert!(
-                inplace.num_gates() <= rebuild.num_gates(),
-                "case {case} variant {v}: in-place larger than rebuild ({} > {})",
-                inplace.num_gates(),
-                rebuild.num_gates()
-            );
-        }
-    }
-}
-
-#[test]
-fn random_pass_sequences_match_rebuild_chains() {
-    // Apply the same random sequence of variants once as chained in-place
-    // mutations of one graph and once as chained rebuilds; both must keep
-    // the input function, and the in-place chain must not end up larger.
-    let mut rng = Rng::new(0x1F_ACE0_0002);
-    for case in 0..12 {
-        let num_inputs = rng.range(1, 7);
-        let steps = rng.range(5, 50);
-        let m = random_build(&mut rng, num_inputs, steps, 2);
-        let want = m.output_truth_tables();
-        let seq_len = rng.range(2, 5);
-        let seq: Vec<Variant> = (0..seq_len)
-            .map(|_| Variant::ALL[rng.usize_below(Variant::ALL.len())])
-            .collect();
-        let mut inplace = m.clone();
-        let mut rebuild = m.clone();
-        for &v in &seq {
-            engine().run_in_place(&mut inplace, v);
-            rebuild = engine().run_rebuild(&rebuild, v);
-        }
-        assert_eq!(
-            inplace.output_truth_tables(),
-            want,
-            "case {case} sequence {seq:?}: in-place chain changed the function"
-        );
-        assert!(
-            inplace.num_gates() <= rebuild.num_gates(),
-            "case {case} sequence {seq:?}: in-place chain larger ({} > {})",
-            inplace.num_gates(),
-            rebuild.num_gates()
-        );
-    }
-}
-
-#[test]
 fn convergence_never_worse_than_single_pass() {
     let mut rng = Rng::new(0x1F_ACE0_0003);
     for case in 0..12 {
@@ -115,9 +48,10 @@ fn convergence_never_worse_than_single_pass() {
         let m = random_build(&mut rng, num_inputs, steps, 2);
         let want = m.output_truth_tables();
         for v in [Variant::TopDown, Variant::BottomUp] {
-            let single = engine().run(&m, v);
+            let mut single = m.clone();
+            engine().pass(&mut single, v, &mut None);
             let mut conv = m.clone();
-            let (_, rounds) = engine().run_converge(&mut conv, v, 50);
+            let (_, rounds) = engine().converge(&mut conv, v, 1);
             assert!((1..=50).contains(&rounds), "case {case}: {rounds} rounds");
             assert_eq!(
                 conv.output_truth_tables(),
@@ -151,7 +85,7 @@ fn wide_adder_proved_equivalent_by_sat() {
     m.add_output(carry);
     for v in [Variant::TopDown, Variant::BottomUp, Variant::BottomUpFfr] {
         let mut opt = m.clone();
-        engine().run_converge(&mut opt, v, 10);
+        engine().converge(&mut opt, v, 1);
         assert_eq!(
             cec::prove_equivalent(&m, &opt, None),
             cec::CecResult::Equivalent,
@@ -172,7 +106,7 @@ fn inplace_results_pass_managed_network_audit() {
         let m = random_build(&mut rng, ni, steps, 2);
         for v in Variant::ALL {
             let mut opt = m.clone();
-            engine().run_in_place(&mut opt, v);
+            engine().pass(&mut opt, v, &mut None);
             opt.debug_check();
             // No dangling gates survive the pass's sweep: every gate is
             // referenced, transitively, from some output.

@@ -17,6 +17,16 @@ fn engine() -> &'static FunctionalHashing {
     ENGINE.get_or_init(FunctionalHashing::with_default_database)
 }
 
+/// What the `fhash:V@N` pipeline pass runs: one serial pass at one
+/// thread, the convergence scheduler from two threads on.
+fn fhash_at(m: &mut Mig, v: Variant, threads: usize) {
+    if threads <= 1 {
+        engine().pass(m, v, &mut None);
+    } else {
+        engine().converge(m, v, threads);
+    }
+}
+
 fn random_build(rng: &mut Rng, num_inputs: usize, num_steps: usize, outs: usize) -> Mig {
     let mut m = Mig::new(num_inputs);
     let mut sigs: Vec<Signal> = vec![Signal::ZERO];
@@ -66,10 +76,10 @@ fn sharded_is_equivalent_and_no_worse_than_serial() {
         let want = m.output_truth_tables();
         for v in Variant::ALL {
             let mut serial = m.clone();
-            engine().run_in_place(&mut serial, v);
+            engine().pass(&mut serial, v, &mut None);
             for threads in [1usize, 2, 4] {
                 let mut sharded = m.clone();
-                engine().run_threads(&mut sharded, v, threads);
+                fhash_at(&mut sharded, v, threads);
                 assert_eq!(
                     sharded.output_truth_tables(),
                     want,
@@ -100,9 +110,9 @@ fn sharded_is_bit_deterministic_per_thread_count() {
             // maximally between runs.
             for threads in [1usize, 2, 4, 8] {
                 let mut first = m.clone();
-                engine().run_threads(&mut first, v, threads);
+                fhash_at(&mut first, v, threads);
                 let mut second = m.clone();
-                engine().run_threads(&mut second, v, threads);
+                fhash_at(&mut second, v, threads);
                 assert_eq!(
                     fingerprint(&first),
                     fingerprint(&second),
@@ -142,12 +152,12 @@ fn converge_chain_is_bit_identical_per_thread_count() {
     m.add_output(top);
 
     let mut reference = m.clone();
-    let (stats, _) = engine().run_converge_threads(&mut reference, Variant::TopDown, 50, 1);
+    let (stats, _) = engine().converge(&mut reference, Variant::TopDown, 1);
     assert!(stats.replacements > 0);
     let want = fingerprint(&reference);
     for threads in [2usize, 4, 8] {
         let mut opt = m.clone();
-        engine().run_converge_threads(&mut opt, Variant::TopDown, 50, threads);
+        engine().converge(&mut opt, Variant::TopDown, threads);
         assert_eq!(fingerprint(&opt), want, "@{threads}: diverged from @1");
     }
 }
@@ -165,9 +175,9 @@ fn stress_random_seeds_under_contention() {
         let m = random_build(&mut rng, num_inputs, steps, 3);
         let want = m.output_truth_tables();
         let mut serial = m.clone();
-        engine().run_in_place(&mut serial, Variant::TopDown);
+        engine().pass(&mut serial, Variant::TopDown, &mut None);
         let mut opt = m.clone();
-        engine().run_threads(&mut opt, Variant::TopDown, 8);
+        engine().converge(&mut opt, Variant::TopDown, 8);
         assert_eq!(
             opt.output_truth_tables(),
             want,
@@ -181,72 +191,11 @@ fn stress_random_seeds_under_contention() {
         );
         opt.debug_check();
         let mut again = m.clone();
-        engine().run_threads(&mut again, Variant::TopDown, 8);
+        engine().converge(&mut again, Variant::TopDown, 8);
         assert_eq!(
             fingerprint(&opt),
             fingerprint(&again),
             "seed {seed}: nondeterministic @8"
-        );
-    }
-}
-
-#[test]
-fn event_driven_converge_proposes_less_than_full_sweeps() {
-    // A workload where the rewriting opportunity is concentrated in a
-    // few cones under tall stable chains (the chain512 microbench shape,
-    // scaled down): the event-driven scheduler must skip the clean chain
-    // regions after the first step — strictly fewer region proposals
-    // than the full-sweep equivalent (proposed + skipped) — while
-    // reaching a gate count no worse than the round-based driver.
-    let mut m = Mig::new(4 * (3 + 2 * 96));
-    let mut next = 0usize;
-    let mut fresh = |m: &Mig| {
-        let s = m.input(next);
-        next += 1;
-        s
-    };
-    let mut tops = Vec::new();
-    for _ in 0..4 {
-        let (a, b, c) = (fresh(&m), fresh(&m), fresh(&m));
-        let x = m.xor(a, b);
-        let mut acc = m.xor(x, c);
-        for _ in 0..96 {
-            let (p, q) = (fresh(&m), fresh(&m));
-            acc = m.maj(acc, p, q);
-        }
-        tops.push(acc);
-    }
-    let top = m.maj(tops[0], tops[1], tops[2]);
-    let top = m.maj(top, tops[3], Signal::ZERO);
-    m.add_output(top);
-
-    let mut rounds_based = m.clone();
-    let (serial_stats, serial_rounds) =
-        engine().run_converge_serial(&mut rounds_based, Variant::TopDown, 50);
-    assert!(serial_stats.replacements > 0 && serial_rounds >= 2);
-
-    for threads in [1usize, 4] {
-        let mut event = m.clone();
-        let (stats, _) = engine().run_converge_threads(&mut event, Variant::TopDown, 50, threads);
-        assert!(stats.replacements > 0, "@{threads}");
-        assert!(
-            event.num_gates() <= rounds_based.num_gates(),
-            "@{threads}: event-driven {} > round-based {}",
-            event.num_gates(),
-            rounds_based.num_gates()
-        );
-        assert!(
-            stats.sched.skipped_clean > 0,
-            "@{threads}: no clean region was ever skipped: {:?}",
-            stats.sched
-        );
-        // "Fewer proposal evaluations than full-sweep rounds": a full
-        // sweep would have proposed every non-empty region each step.
-        let full_sweep_equivalent = stats.sched.proposed_regions + stats.sched.skipped_clean;
-        assert!(
-            stats.sched.proposed_regions < full_sweep_equivalent,
-            "@{threads}: {:?}",
-            stats.sched
         );
     }
 }
@@ -271,7 +220,7 @@ fn sharded_wide_adder_proved_equivalent_by_sat() {
     let m = aigish(&m);
     for v in [Variant::TopDown, Variant::TopDownFfr, Variant::BottomUpFfr] {
         let mut opt = m.clone();
-        let stats = engine().run_threads(&mut opt, v, 4);
+        let (stats, _) = engine().converge(&mut opt, v, 4);
         assert!(stats.replacements > 0, "variant {v}: nothing rewritten");
         assert_eq!(
             cec::prove_equivalent(&m, &opt, None),

@@ -17,12 +17,13 @@
 //!
 //! # Storage: the cut arena
 //!
-//! Cut lists live in a [`CutArena`]: one contiguous `Vec<Cut>` pool plus a
-//! per-node `(offset, len, stamp)` range table. `Cut` is a flat `Copy`
-//! value (inline leaf array, packed truth table, bloom signature), so the
-//! pool *is* the contiguous leaves/truth-table lane — a node's cuts are
-//! one cache-friendly slice, and a graph-wide enumeration is a single
-//! growing buffer instead of one heap allocation per node.
+//! Cut lists live in a cut arena (the private `CutArena`): one contiguous
+//! `Vec<Cut>` pool plus a per-node `(offset, len, stamp)` range table.
+//! `Cut` is a flat `Copy` value (inline leaf array, packed truth table,
+//! bloom signature), so the pool *is* the contiguous leaves/truth-table
+//! lane — a node's cuts are one cache-friendly slice, and a graph-wide
+//! enumeration is a single growing buffer instead of one heap allocation
+//! per node.
 //!
 //! Validity is epoch-stamped: a range is live iff its stamp equals the
 //! arena epoch, so whole-set invalidation is an epoch bump plus an O(1)

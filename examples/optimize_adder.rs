@@ -20,7 +20,8 @@ fn main() {
     // starting points were produced the same way).
     let mut depth_opt = raw.cleanup();
     loop {
-        let (next, _) = migalg::depth_rewrite(&depth_opt);
+        let mut next = depth_opt.cleanup();
+        migalg::depth_rewrite(&mut next);
         if next.depth() >= depth_opt.depth() {
             break;
         }
@@ -33,7 +34,8 @@ fn main() {
     let engine = FunctionalHashing::with_default_database();
     let mut best = depth_opt.clone();
     for v in Variant::ALL {
-        let opt = engine.run(&depth_opt, v);
+        let mut opt = depth_opt.clone();
+        engine.pass(&mut opt, v, &mut None);
         println!(
             "fh {:>3}:        gates {:>4}, depth {:>3}",
             v.acronym(),

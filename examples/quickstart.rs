@@ -23,7 +23,8 @@ fn main() {
     let engine = FunctionalHashing::with_default_database();
 
     for variant in Variant::ALL {
-        let optimized = engine.run(&m, variant);
+        let mut optimized = m.clone();
+        engine.pass(&mut optimized, variant, &mut None);
         assert!(cec::equivalent_exhaustive(&m, &optimized));
         println!(
             "variant {:>3}:   gates {} -> {}, depth {} -> {}   (verified equivalent)",

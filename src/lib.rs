@@ -14,10 +14,10 @@
 //! * [`npndb`] — the database of minimum MIGs for all 222 4-variable NPN
 //!   classes (§V-A);
 //! * [`fhash`] — the functional-hashing size optimization (§IV, the
-//!   paper's primary contribution) in all its variants (T/TD/TF/TFD/B/BF),
-//!   as serial in-place engines and on the event-driven convergence
-//!   scheduler (`FunctionalHashing::run_sharded` /
-//!   `run_converge_threads`, built on `mig::run_scheduler`);
+//!   paper's primary contribution) in all its variants (T/TD/TF/TFD/B/BF):
+//!   `FunctionalHashing::pass` runs one in-place pass, and
+//!   `FunctionalHashing::converge` runs the event-driven convergence
+//!   scheduler (built on `mig::run_scheduler`) to a fixpoint;
 //! * [`migalg`] — algebraic MIG optimization (refs \[3\], \[4\]) used to
 //!   produce "heavily optimized" starting points;
 //! * [`aig`] — an AND-inverter-graph substrate and rewriting baseline;
@@ -49,9 +49,10 @@
 //! let y = m.xor(x, c);
 //! m.add_output(y);
 //!
+//! let before = m.num_gates();
 //! let engine = FunctionalHashing::with_default_database();
-//! let optimized = engine.run(&m, Variant::TopDown);
-//! assert!(optimized.num_gates() <= m.num_gates());
+//! engine.pass(&mut m, Variant::TopDown, &mut None);
+//! assert!(m.num_gates() <= before);
 //! ```
 
 pub use aig;

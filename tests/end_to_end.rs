@@ -5,11 +5,19 @@
 use mig_fh::benchgen::EpflBenchmark;
 use mig_fh::cec;
 use mig_fh::fhash::{FunctionalHashing, Variant};
+use mig_fh::mig::Mig;
 use mig_fh::migalg;
 use mig_fh::techmap::{map_luts, MapConfig};
 
 fn engine() -> FunctionalHashing {
     FunctionalHashing::with_default_database()
+}
+
+/// One functional-hashing pass of `v` on a copy of `m`.
+fn run(e: &FunctionalHashing, m: &Mig, v: Variant) -> Mig {
+    let mut opt = m.clone();
+    e.pass(&mut opt, v, &mut None);
+    opt
 }
 
 #[test]
@@ -18,7 +26,7 @@ fn all_variants_on_all_scaled_benchmarks_preserve_function() {
     for b in EpflBenchmark::ALL {
         let m = b.generate_scaled(1);
         for v in Variant::ALL {
-            let opt = e.run(&m, v);
+            let opt = run(&e, &m, v);
             assert!(
                 cec::equivalent_random(&m, &opt, 8, 0xBEEF),
                 "{b}/{v}: random mismatch"
@@ -35,7 +43,8 @@ fn depth_script_plus_fh_plus_mapping_on_scaled_divisor() {
     // Depth-oriented script (refs [3], [4]).
     let mut base = raw.cleanup();
     for _ in 0..100 {
-        let (next, _) = migalg::depth_rewrite(&base);
+        let mut next = base.cleanup();
+        migalg::depth_rewrite(&mut next);
         if next.depth() >= base.depth() {
             break;
         }
@@ -46,7 +55,7 @@ fn depth_script_plus_fh_plus_mapping_on_scaled_divisor() {
 
     // Functional hashing recovers size without breaking the function.
     let e = engine();
-    let opt = e.run(&base, Variant::TopDownFfr);
+    let opt = run(&e, &base, Variant::TopDownFfr);
     assert!(opt.num_gates() <= base.num_gates());
     assert!(cec::equivalent_random(&base, &opt, 8, 2));
 
@@ -65,7 +74,7 @@ fn depth_script_plus_fh_plus_mapping_on_scaled_divisor() {
 fn sat_proof_of_fh_on_midsize_multiplier() {
     let m = mig_fh::benchgen::multiplier(6);
     let e = engine();
-    let opt = e.run(&m, Variant::BottomUpFfr);
+    let opt = run(&e, &m, Variant::BottomUpFfr);
     assert_eq!(
         cec::prove_equivalent(&m, &opt, None),
         cec::CecResult::Equivalent
@@ -80,7 +89,7 @@ fn exhaustive_equivalence_on_small_log2_and_sine() {
         mig_fh::benchgen::sine(8, 9, 8),
     ] {
         for v in [Variant::TopDown, Variant::BottomUpFfr] {
-            let opt = e.run(&m, v);
+            let opt = run(&e, &m, v);
             assert!(cec::equivalent_exhaustive(&m, &opt), "{v}");
         }
     }
@@ -95,7 +104,7 @@ fn repeated_fh_rounds_converge_and_stay_correct() {
     let mut cur = raw.cleanup();
     let mut last = usize::MAX;
     for round in 0..4 {
-        let next = e.run(&cur, Variant::TopDown);
+        let next = run(&e, &cur, Variant::TopDown);
         assert!(
             next.num_gates() <= cur.num_gates(),
             "round {round} grew the MIG"
@@ -138,7 +147,7 @@ fn shannon_construction_composes_with_fh() {
     let m = mig_fh::npndb::shannon_mig(&f, &db);
     assert_eq!(m.output_truth_tables()[0], f);
     let e = engine();
-    let opt = e.run(&m, Variant::TopDown);
+    let opt = run(&e, &m, Variant::TopDown);
     assert!(opt.num_gates() <= m.num_gates());
     assert_eq!(opt.output_truth_tables()[0], f);
 }

@@ -40,6 +40,8 @@
 //! rebuild-style passes survive as test-only references for the
 //! differential tests.
 
+#![deny(missing_docs)]
+
 mod inplace;
 #[cfg(test)]
 mod rebuild;
@@ -73,14 +75,6 @@ impl AlgStats {
         self.assoc_moves + self.distrib_moves + self.merges
     }
 
-    /// Accumulates another pass's counters into this one.
-    pub fn absorb(&mut self, other: AlgStats) {
-        self.assoc_moves += other.assoc_moves;
-        self.distrib_moves += other.distrib_moves;
-        self.merges += other.merges;
-        self.sched.absorb(other.sched);
-    }
-
     /// Reconstructs the legacy stats struct from a metric-registry delta.
     /// The in-place move commits record `alg.*` directly (serial sweeps
     /// and scheduler commits alike), so no arithmetic over driver totals
@@ -98,8 +92,8 @@ impl AlgStats {
 /// The optimization script's round-acceptance metric: `(gates, depth)`,
 /// compared lexicographically (smaller is better). Shared by the serial
 /// script, the sharded round guard and the rebuild reference, so all
-/// agree on what counts as progress. The signature matches
-/// [`mig::ShardConfig::guard`].
+/// agree on what counts as progress. It is a [`mig::RoundMetric`], the
+/// type of [`mig::ShardConfig::guard`].
 pub fn script_metric(mig: &Mig) -> (u64, u64) {
     (mig.num_gates() as u64, u64::from(mig.depth()))
 }

@@ -1,6 +1,6 @@
 //! Sharded algebraic rewriting: the Ω.A/Ω.D moves as proposals on the
 //! engine-agnostic event-driven convergence scheduler
-//! ([`mig::ProposeEngine`] / [`mig::run_scheduler`]).
+//! ([`mig::ProposeEngine`] / [`mig::run_scheduled_converge`]).
 //!
 //! Workers scan their region's gates read-only for size merges or depth
 //! moves over the frozen step snapshot; the serial commit phase
@@ -37,7 +37,7 @@ use crate::inplace::{
 };
 use crate::{script_metric, AlgStats};
 use mig::{
-    run_scheduled_converge, CommitVerdict, Mig, NodeId, PartitionStrategy, ProposeEngine,
+    run_scheduled_converge, CommitVerdict, Mig, NodeId, PartitionStrategy, Proposal, ProposeEngine,
     RegionPartition, ShardConfig,
 };
 use std::collections::HashSet;
@@ -66,20 +66,17 @@ impl MoveKind {
     }
 }
 
+/// One move at `root`. Its footprint is the root and the involved fanin
+/// gate(s) — operand *levels* can drift without touching it, which the
+/// commit-side re-derivation catches. Its gain is the expected gate-count
+/// change: 1 for a merge, 0 for Ω.A, -1 for Ω.D.
 struct AlgProposal {
     root: NodeId,
     kind: MoveKind,
-    /// Step-start nodes the analysis depends on: the root and the
-    /// involved fanin gate(s). Operand *levels* can drift without
-    /// touching the footprint; the commit-side re-derivation catches
-    /// that.
-    footprint: Vec<NodeId>,
-    /// Expected gate-count gain: 1 for a merge, 0 for Ω.A, -1 for Ω.D.
-    gain: i64,
 }
 
 impl ProposeEngine for AlgEngine {
-    type Proposal = AlgProposal;
+    type Payload = AlgProposal;
     type RoundState = ();
 
     fn partition(&self, mig: &Mig, max_regions: usize) -> (RegionPartition, ()) {
@@ -99,7 +96,7 @@ impl ProposeEngine for AlgEngine {
         partition: &RegionPartition,
         _state: &(),
         region: u32,
-    ) -> Vec<AlgProposal> {
+    ) -> Vec<Proposal<AlgProposal>> {
         let mut props = Vec::new();
         let mut claimed: HashSet<NodeId> = HashSet::new();
         // Topmost members first, matching the driver's descending commit
@@ -109,17 +106,21 @@ impl ProposeEngine for AlgEngine {
                 continue;
             }
             let prop = match self.family {
-                Family::Size => match_size_move(mig, v).map(|mv| AlgProposal {
-                    root: v,
-                    kind: MoveKind::Merge,
+                Family::Size => match_size_move(mig, v).map(|mv| Proposal {
+                    payload: AlgProposal {
+                        root: v,
+                        kind: MoveKind::Merge,
+                    },
                     footprint: vec![v, mv.g1, mv.g2],
                     gain: 1,
                 }),
                 // The frozen step snapshot plays the role of the serial
                 // sweep's level snapshot: propose against its levels.
-                Family::Depth => match_depth_move_live(mig, v).map(|(mv, inner)| AlgProposal {
-                    root: v,
-                    kind: MoveKind::of_depth(&mv),
+                Family::Depth => match_depth_move_live(mig, v).map(|(mv, inner)| Proposal {
+                    payload: AlgProposal {
+                        root: v,
+                        kind: MoveKind::of_depth(&mv),
+                    },
                     footprint: vec![v, inner],
                     gain: match mv {
                         crate::inplace::DepthMove::Assoc { .. } => 0,
@@ -133,14 +134,6 @@ impl ProposeEngine for AlgEngine {
             }
         }
         props
-    }
-
-    fn footprint<'a>(&self, p: &'a AlgProposal) -> &'a [NodeId] {
-        &p.footprint
-    }
-
-    fn gain(&self, p: &AlgProposal) -> i64 {
-        p.gain
     }
 
     fn commit(&self, mig: &mut Mig, p: &AlgProposal) -> CommitVerdict {
@@ -207,40 +200,36 @@ pub(crate) fn converge_threads(
         Family::Size => script_metric as fn(&Mig) -> (u64, u64),
         Family::Depth => depth_metric as fn(&Mig) -> (u64, u64),
     };
-    let mut cfg = ShardConfig::new(threads);
-    cfg.max_rounds = max_rounds;
     // Both families run guarded: merges are liberal (their profit comes
     // from cross-sweep strash sharing), so a step is kept only when it
     // improves the family's lexicographic metric.
-    cfg.guard = Some(guard);
+    let cfg = ShardConfig {
+        threads,
+        max_rounds,
+        guard: Some(guard),
+    };
     let engine = AlgEngine { family };
     let mut serial_rounds = 0usize;
-    let mut driver_rounds = 0usize;
     let ((), delta) = obs::metrics::scoped(|| {
         // Quality-floor baseline: the serial convergence loop (its
         // sweeps are individually guarded, so it can never worsen).
-        let ran_baseline = cfg.shardable(mig);
+        let ran_baseline = cfg.max_regions(mig) > 1;
         if ran_baseline {
             let (_, rounds) = converge(mig, max_rounds, family, guard);
             serial_rounds += rounds;
         }
-        if ran_baseline && !cfg.shardable(mig) {
+        if ran_baseline && cfg.max_regions(mig) <= 1 {
             // The baseline shrank the graph below the shard threshold:
             // it is already at the serial fixpoint, so the helper's
             // serial fallback would only re-confirm it at full-sweep
             // cost.
             return;
         }
-        let mut serial = |m: &mut Mig| -> (u64, i64) {
-            let (stats, rounds) = converge(m, max_rounds, family, guard);
-            serial_rounds += rounds;
-            (stats.total(), 0)
-        };
-        let driver = run_scheduled_converge(mig, &engine, &cfg, &mut serial, None, true);
-        driver_rounds = driver.rounds;
+        let mut serial = |m: &mut Mig| serial_rounds += converge(m, max_rounds, family, guard).1;
+        run_scheduled_converge(mig, &engine, &cfg, &mut serial, None, true);
     });
     delta.publish();
-    let rounds = driver_rounds + serial_rounds;
+    let rounds = delta.get(obs::Metric::SchedSteps) as usize + serial_rounds;
     obs::metrics::add(obs::Metric::AlgRounds, rounds as u64);
     (AlgStats::from_delta(&delta), rounds)
 }

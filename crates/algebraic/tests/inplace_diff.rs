@@ -7,7 +7,7 @@
 //! (Randomized with the workspace's deterministic `testrand` generator —
 //! the container has no network access for a `proptest` dependency.)
 
-use mig::{Mig, NodeId, Signal};
+use mig::{Mig, Signal};
 use testrand::Rng;
 
 fn random_build(rng: &mut Rng, num_inputs: usize, num_steps: usize, outs: usize) -> Mig {
@@ -28,13 +28,6 @@ fn random_build(rng: &mut Rng, num_inputs: usize, num_steps: usize, outs: usize)
         m.add_output(s.complement_if(k % 2 == 1));
     }
     m
-}
-
-type Fingerprint = (usize, Vec<(NodeId, [Signal; 3])>, Vec<Signal>);
-
-fn fingerprint(m: &Mig) -> Fingerprint {
-    let gates = m.gates().map(|g| (g, m.fanins(g))).collect();
-    (m.num_nodes(), gates, m.outputs().to_vec())
 }
 
 #[test]
@@ -151,8 +144,8 @@ fn sharded_algebraic_is_deterministic_and_never_worse_than_serial() {
             let mut again = m.cleanup();
             migalg::optimize(&mut again, 6, threads);
             assert_eq!(
-                fingerprint(&sharded),
-                fingerprint(&again),
+                sharded.fingerprint(),
+                again.fingerprint(),
                 "case {case} @{threads}: nondeterministic netlist"
             );
             sharded.debug_check();

@@ -21,6 +21,8 @@
 //! and splits the classes. Output pairs then usually end on the same
 //! literal; the rest get one final SAT check.
 
+#![deny(missing_docs)]
+
 mod sweep;
 
 use mig::Mig;

@@ -53,7 +53,8 @@ OPTIONS:
         --cache <file>     persistent optimization cache: load before the
                            run, flush what the run learned afterwards
         --serve <socket>   run as a daemon on a unix socket (migd protocol)
-        --workers <N>      daemon worker threads (with --serve; default: 2)
+        --workers <N>      daemon worker threads (with --serve; default: 2,
+                           at most 256)
         --connect <socket> submit the job to a running daemon
         --shutdown <socket>  stop a running daemon
     -h, --help             show this help
@@ -120,10 +121,10 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
                 let t = it
                     .next()
                     .ok_or_else(|| format!("{arg} needs a worker count"))?;
-                workers =
-                    t.parse::<usize>().ok().filter(|&t| t >= 1).ok_or_else(|| {
-                        format!("worker count must be a positive number, got {t:?}")
-                    })?;
+                workers = t
+                    .parse::<usize>()
+                    .map_err(|_| format!("worker count must be a positive number, got {t:?}"))
+                    .and_then(cli::check_threads)?;
             }
             "-i" | "--input" => file_arg(&mut input)?,
             "-o" | "--output" => file_arg(&mut output)?,

@@ -6,7 +6,7 @@
 
 use cli::daemon::PipelineRunner;
 use cli::service::OptService;
-use mig::{Mig, NodeId, Signal};
+use mig::Mig;
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 
@@ -32,18 +32,6 @@ fn tmp(name: &str) -> PathBuf {
 fn sock(tag: &str) -> PathBuf {
     // Unix socket paths are length-limited (~108 bytes) — stay short.
     std::env::temp_dir().join(format!("mgd_{tag}_{}.sock", std::process::id()))
-}
-
-/// Exact-graph identity: slot count, every gate's id and fanins, and
-/// the output signals (`Mig` deliberately has no `PartialEq`).
-type Fingerprint = (usize, Vec<(NodeId, [Signal; 3])>, Vec<Signal>);
-
-fn fingerprint(m: &Mig) -> Fingerprint {
-    (
-        m.num_nodes(),
-        m.gates().map(|g| (g, m.fanins(g))).collect(),
-        m.outputs().to_vec(),
-    )
 }
 
 fn blif_job(id: &str, input: &Mig, pipeline: &str, threads: usize) -> migd::JobRequest {
@@ -130,7 +118,7 @@ fn service_warm_run_is_bit_identical_and_marked_cached() {
     assert!(warm.cached, "second run must be a result-tier hit");
     assert_eq!(warm.reports.len(), 1, "hit collapses to a synthetic report");
     assert_eq!(warm.reports[0].pass, "cached");
-    assert_eq!(fingerprint(&cold.result), fingerprint(&warm.result));
+    assert_eq!(cold.result.fingerprint(), warm.result.fingerprint());
     assert_eq!(
         io::blif::Blif::from_mig(&cold.result, "m").to_text(),
         io::blif::Blif::from_mig(&warm.result, "m").to_text(),
@@ -188,7 +176,7 @@ fn corrupt_cache_file_cold_starts_and_heals_on_flush() {
         assert!(rejected > 0, "{what}: load must count a rejection");
         let job = svc.run_job(&input, &passes, 1, None).unwrap();
         assert!(!job.cached, "{what}: nothing may survive to serve a hit");
-        assert_eq!(fingerprint(&job.result), fingerprint(&reference), "{what}");
+        assert_eq!(job.result.fingerprint(), reference.fingerprint(), "{what}");
         // Flushing the recomputed state heals the file in place.
         svc.flush().unwrap();
         let healed = OptService::new(Some(cache.clone()));

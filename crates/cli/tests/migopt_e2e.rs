@@ -185,6 +185,40 @@ fn pipelines_keep_their_recorded_qor_on_all_benchmarks() {
 }
 
 #[test]
+fn scheduler_pipelines_keep_their_recorded_netlists() {
+    // The scheduler's netlists pinned as recorded `Mig::fingerprint`s on
+    // a generated multiplier, which re-partitions and compacts on the
+    // way. A change that moves a netlist on purpose updates this table
+    // and says so.
+    let recorded: [(&str, usize, u64); 6] = [
+        ("fhash!:TFD; algebraic; fhash!:B", 1, 0xc50c_8e66_456d_ca04),
+        ("fhash!:TFD; algebraic; fhash!:B", 2, 0xdcf0_5114_6c75_c6af),
+        ("fhash!:TFD; algebraic; fhash!:B", 4, 0xeaf0_44de_c929_68d9),
+        ("fhash:T@2; fhash:B@2", 1, 0xdcf0_5114_6c75_c6af),
+        ("size!@2; depth!@2; algebraic:3@2", 1, 0x0c23_a100_78a1_175a),
+        ("fhash!:BF@4", 1, 0x9c51_ec62_6489_946f),
+    ];
+    // `gen_bench mult:8`: the multiplier AND-expanded, 8 bits wide.
+    let m = aig::to_mig(&aig::from_mig(&benchgen::multiplier(8)));
+    let (mut repartitions, mut compactions) = (0, 0);
+    for (spec, threads, want) in recorded {
+        let passes = parse_pipeline(spec).unwrap();
+        let (opt, reports) = run_pipeline_jobs(&m, &passes, threads).unwrap();
+        for r in &reports {
+            repartitions += r.metrics.get(obs::Metric::SchedRepartitions);
+            compactions += r.metrics.get(obs::Metric::SchedCompactions);
+        }
+        assert_eq!(
+            opt.fingerprint(),
+            want,
+            "{spec:?} at {threads} default thread(s)"
+        );
+    }
+    assert!(repartitions >= 2, "{repartitions} re-partitions");
+    assert!(compactions >= 1, "{compactions} compactions");
+}
+
+#[test]
 fn scheduler_reports_event_counters_in_pass_notes() {
     // The per-pass report of scheduler-driven passes carries the event
     // counters (regions proposed / skipped clean / retried) in the
@@ -416,6 +450,19 @@ fn binary_rejects_bad_pipeline_and_missing_file() {
         .unwrap();
     assert_eq!(r.status.code(), Some(1));
     assert!(String::from_utf8_lossy(&r.stderr).contains("at most 256"));
+
+    // The daemon's worker pool has the same bound, checked before the
+    // socket is bound.
+    let sock = std::env::temp_dir().join(format!("workers_{}.sock", std::process::id()));
+    let r = Command::new(env!("CARGO_BIN_EXE_migopt"))
+        .arg("--serve")
+        .arg(&sock)
+        .args(["--workers", "257"])
+        .output()
+        .unwrap();
+    assert_eq!(r.status.code(), Some(1));
+    assert!(String::from_utf8_lossy(&r.stderr).contains("at most 256"));
+    assert!(!sock.exists(), "no socket for a refused daemon");
 }
 
 #[test]

@@ -44,6 +44,8 @@
 //! assert_eq!(m.output_truth_tables(), want);
 //! ```
 
+#![deny(missing_docs)]
+
 mod bottomup;
 mod common;
 mod inplace;

@@ -9,7 +9,7 @@
 //! persistent partition with drift-triggered re-partition, the priority
 //! queue of dirty regions, parallel propose, serial deterministic commit
 //! with footprint-conflict resolution, stale-region retry — lives
-//! in [`mig::run_scheduler`]; this module plugs in two engines:
+//! in [`mig::run_scheduled_converge`]; this module plugs in two engines:
 //!
 //! * [`CutEngine`] (the top-down variants): per gate, the best legal
 //!   database replacement selected from shard-local cut lists
@@ -41,8 +41,8 @@ use crate::common::{cut_is_fanout_legal, internal_nodes, select_best_cut, Replac
 use crate::{FhStats, FunctionalHashing, Variant, ALLOWED_DEPTH_INCREASE, MAX_ROUNDS};
 use cuts::{Cut, CutConfig, LocalCuts};
 use mig::{
-    run_scheduled_converge, CommitVerdict, FfrPartition, Mig, NodeId, PartitionStrategy,
-    ProposeEngine, RegionPartition, ShardConfig, Signal,
+    gates_metric, run_scheduled_converge, CommitVerdict, FfrPartition, Mig, NodeId,
+    PartitionStrategy, Proposal, ProposeEngine, RegionPartition, RoundMetric, ShardConfig, Signal,
 };
 use std::collections::{HashMap, HashSet};
 use std::sync::Mutex;
@@ -53,36 +53,27 @@ use std::sync::Mutex;
 /// transitive fanin cone; 4-feasible cuts rarely span more levels.
 const CUT_HORIZON: u32 = 8;
 
-enum ProposalKind {
-    /// Top-down: substitute `root` by the instantiation of the database
-    /// template `repl` over the leaves of `cut`.
-    Cut {
-        root: NodeId,
-        cut: Cut,
-        repl: Replacement,
-        /// The cut's internal cone (root first); re-checked for fanout
-        /// legality against the live graph at commit time.
-        internal: Vec<NodeId>,
-    },
-    /// Bottom-up: reroute each of the region's `boundary` gates to the
-    /// corresponding output of `sub`, an optimized standalone rebuild of
-    /// the region over the external `inputs` (boxed: a whole graph is
-    /// much larger than the cut-proposal payload).
-    Region {
-        sub: Box<Mig>,
-        inputs: Vec<NodeId>,
-        boundary: Vec<NodeId>,
-    },
+/// A top-down proposal: substitute `root` by the instantiation of the
+/// database template `repl` over the leaves of `cut`. Its footprint is
+/// the cut's internal cone plus its non-terminal leaves; its gain is the
+/// template's estimate (always >= 1).
+struct CutPayload {
+    root: NodeId,
+    cut: Cut,
+    repl: Replacement,
+    /// The cut's internal cone (root first); re-checked for fanout
+    /// legality against the live graph at commit time.
+    internal: Vec<NodeId>,
 }
 
-struct Proposal {
-    kind: ProposalKind,
-    /// Expected gate-count gain (always >= 1).
-    gain: i32,
-    /// Round-start gates this proposal's analysis depends on. The commit
-    /// phase refuses the proposal if any of them was touched earlier in
-    /// the round.
-    footprint: Vec<NodeId>,
+/// A bottom-up proposal: reroute each of the region's `boundary` gates to
+/// the corresponding output of `sub`, an optimized standalone rebuild of
+/// the region over the external `inputs`. Its footprint is the region's
+/// members plus its non-terminal inputs; its gain is the gates saved.
+struct RegionPayload {
+    sub: Mig,
+    inputs: Vec<NodeId>,
+    boundary: Vec<NodeId>,
 }
 
 /// Top-down propose engine: database cut replacements from shard-local
@@ -99,7 +90,7 @@ struct CutEngine<'e> {
 }
 
 impl ProposeEngine for CutEngine<'_> {
-    type Proposal = Proposal;
+    type Payload = CutPayload;
     type RoundState = Option<FfrPartition>;
 
     fn partition(&self, mig: &Mig, max_regions: usize) -> (RegionPartition, Option<FfrPartition>) {
@@ -145,7 +136,7 @@ impl ProposeEngine for CutEngine<'_> {
         partition: &RegionPartition,
         ffr: &Option<FfrPartition>,
         region: u32,
-    ) -> Vec<Proposal> {
+    ) -> Vec<Proposal<CutPayload>> {
         let members = partition.members(region);
         let mut props = Vec::new();
         if members.is_empty() {
@@ -202,38 +193,27 @@ impl ProposeEngine for CutEngine<'_> {
                     .filter(|&l| !mig.is_terminal(l)),
             );
             props.push(Proposal {
-                kind: ProposalKind::Cut {
+                payload: CutPayload {
                     root: v,
                     cut: sel.cut,
                     repl: sel.repl,
                     internal,
                 },
-                gain: sel.gain,
                 footprint,
+                gain: i64::from(sel.gain),
             });
         }
         self.carried.lock().unwrap().insert(region, local);
         props
     }
 
-    fn footprint<'a>(&self, p: &'a Proposal) -> &'a [NodeId] {
-        &p.footprint
-    }
-
-    fn gain(&self, p: &Proposal) -> i64 {
-        i64::from(p.gain)
-    }
-
-    fn commit(&self, mig: &mut Mig, prop: &Proposal) -> CommitVerdict {
-        let ProposalKind::Cut {
+    fn commit(&self, mig: &mut Mig, payload: &CutPayload) -> CommitVerdict {
+        let CutPayload {
             root,
             cut,
             repl,
             internal,
-        } = &prop.kind
-        else {
-            unreachable!("cut engine only emits cut proposals");
-        };
+        } = payload;
         let root = *root;
         // A clean footprint means the cone is structurally unchanged,
         // but fanout counts of internal nodes can grow without a dirty
@@ -279,7 +259,7 @@ struct RegionEngine<'e> {
 }
 
 impl ProposeEngine for RegionEngine<'_> {
-    type Proposal = Proposal;
+    type Payload = RegionPayload;
     type RoundState = ();
 
     fn partition(&self, mig: &Mig, max_regions: usize) -> (RegionPartition, ()) {
@@ -309,7 +289,7 @@ impl ProposeEngine for RegionEngine<'_> {
         partition: &RegionPartition,
         _state: &(),
         region: u32,
-    ) -> Vec<Proposal> {
+    ) -> Vec<Proposal<RegionPayload>> {
         let view = partition.view(mig, region);
         if view.boundary.is_empty() || view.members.len() < 2 {
             return Vec::new();
@@ -342,40 +322,29 @@ impl ProposeEngine for RegionEngine<'_> {
         // scheduler records the committed outcome.
         let mut opt = sub;
         obs::metrics::muted(|| self.engine.pass(&mut opt, self.variant, &mut None));
-        let gain = view.members.len() as i32 - opt.num_gates() as i32;
+        let gain = view.members.len() as i64 - opt.num_gates() as i64;
         if gain < 1 {
             return Vec::new();
         }
         let mut footprint = view.members.clone();
         footprint.extend(view.inputs.iter().copied().filter(|&n| !mig.is_terminal(n)));
         vec![Proposal {
-            kind: ProposalKind::Region {
-                sub: Box::new(opt),
+            payload: RegionPayload {
+                sub: opt,
                 inputs: view.inputs,
                 boundary: view.boundary,
             },
-            gain,
             footprint,
+            gain,
         }]
     }
 
-    fn footprint<'a>(&self, p: &'a Proposal) -> &'a [NodeId] {
-        &p.footprint
-    }
-
-    fn gain(&self, p: &Proposal) -> i64 {
-        i64::from(p.gain)
-    }
-
-    fn commit(&self, mig: &mut Mig, prop: &Proposal) -> CommitVerdict {
-        let ProposalKind::Region {
+    fn commit(&self, mig: &mut Mig, payload: &RegionPayload) -> CommitVerdict {
+        let RegionPayload {
             sub,
             inputs,
             boundary,
-        } = &prop.kind
-        else {
-            unreachable!("region engine only emits region proposals");
-        };
+        } = payload;
         if boundary.iter().any(|&b| !mig.is_gate(b)) {
             return CommitVerdict::Conflicted;
         }
@@ -443,13 +412,6 @@ impl ProposeEngine for RegionEngine<'_> {
     }
 }
 
-/// The bottom-up round guard: gains are estimates (strash sharing and
-/// refused reroutes shift the real count), so a round that failed to
-/// shrink the gate count is rolled back, like the serial round loop does.
-fn gates_metric(mig: &Mig) -> (u64, u64) {
-    (mig.num_gates() as u64, 0)
-}
-
 /// [`FunctionalHashing::converge`]: the scheduler for graphs large enough
 /// to partition, the serial round loop otherwise. Returns the statistics
 /// and the rounds run — scheduler steps, or the serial loop's rounds on a
@@ -463,18 +425,21 @@ pub(crate) fn converge(
     let bottom_up = matches!(variant, Variant::BottomUp | Variant::BottomUpFfr);
     let depth_preserving = matches!(variant, Variant::TopDownDepth | Variant::TopDownFfrDepth);
     let use_ffr = matches!(variant, Variant::TopDownFfr | Variant::TopDownFfrDepth);
-    let mut cfg = ShardConfig::new(threads);
-    cfg.max_rounds = MAX_ROUNDS;
+    // Bottom-up steps run guarded: gains are estimates (strash sharing
+    // and refused reroutes shift the real count), so a step that fails to
+    // shrink the gate count is rolled back, like the serial round loop
+    // does. Top-down commits each shrink the graph.
+    let cfg = ShardConfig {
+        threads,
+        max_rounds: MAX_ROUNDS,
+        guard: bottom_up.then_some(gates_metric as RoundMetric),
+    };
     // Serial fixpoint driver: the fallback for graphs too small to
     // partition and the bottom-up polish pass. Rounds that fail to
     // shrink are rolled back, so it is never worse than a single serial
     // pass from the same graph.
     let mut serial_rounds = 0;
-    let mut serial = |m: &mut Mig| -> (u64, i64) {
-        let (s, rounds) = engine.run_converge_serial(m, variant);
-        serial_rounds = rounds;
-        (s.replacements, s.estimated_gain)
-    };
+    let mut serial = |m: &mut Mig| serial_rounds = engine.run_converge_serial(m, variant).1;
     // The drivers and the serial engines record into the metric
     // registry; the stats struct is reconstructed from this scope's
     // delta (`fhash.*` from serial/hooked runs plus `shard.*` from
@@ -491,10 +456,10 @@ pub(crate) fn converge(
             // smaller) quiescent graph to recover combinations the region
             // boundaries hid — never worse than the serial engine on any
             // input.
-            cfg.guard = Some(gates_metric);
-            let mut baseline = |m: &mut Mig| -> (u64, i64) {
-                let s = engine.pass_threads(m, variant, &mut None, threads);
-                (s.replacements, s.estimated_gain)
+            let mut baseline = |m: &mut Mig| {
+                engine
+                    .pass_threads(m, variant, &mut None, threads)
+                    .replacements
             };
             run_scheduled_converge(
                 mig,
@@ -540,7 +505,7 @@ mod tests {
     /// Commit-phase regression for the boundary-conflict check: two cut
     /// proposals whose MFFCs share a frontier node — the second must be
     /// refused and queued for retry, not applied against the changed
-    /// graph. Exercises the generic driver's serial commit phase
+    /// graph. Exercises the scheduler's commit phase
     /// ([`mig::commit_proposals`]) through the cut engine.
     #[test]
     fn conflicting_footprints_commit_first_retry_second() {
@@ -573,14 +538,14 @@ mod tests {
                     .filter(|&l| !frozen.is_terminal(l)),
             );
             Proposal {
-                kind: ProposalKind::Cut {
+                payload: CutPayload {
                     root: v,
                     cut: sel.cut,
                     repl: sel.repl,
                     internal,
                 },
-                gain: sel.gain,
                 footprint,
+                gain: i64::from(sel.gain),
             }
         };
         let p_top = mk(w.node(), &mut local);
@@ -597,16 +562,143 @@ mod tests {
             use_ffr: false,
             carried: Mutex::new(HashMap::new()),
         };
-        let mut stale = HashSet::new();
-        let outcome = mig::commit_proposals(&mut m, &cut_engine, vec![p_top, p_low], &mut stale);
+        let low_footprint = p_low.footprint.clone();
+        let mut frontier = Vec::new();
+        let outcome = mig::commit_proposals(&mut m, &cut_engine, &[p_top, p_low], &mut frontier);
         assert_eq!(outcome.committed, 1, "first proposal lands");
         assert_eq!(outcome.conflicted, 1, "overlapping proposal refused");
         assert!(
-            !stale.is_empty(),
-            "conflicted footprint queued for the next round"
+            low_footprint
+                .iter()
+                .all(|n| frontier.iter().any(|&(f, _)| f == *n)),
+            "conflicted footprint queued for the next step"
         );
         assert_eq!(m.output_truth_tables(), want, "function preserved");
         m.debug_check();
+    }
+
+    /// The function of `root`'s cone over `leaves` (leaf `i` is variable
+    /// `i`) in the low `2^leaves` bits, or `None` when the cone reaches a
+    /// terminal or dead slot that is not a leaf (the leaves do not cut it).
+    fn cone_table(mig: &Mig, root: NodeId, leaves: &[NodeId]) -> Option<u64> {
+        const VARS: [u64; 6] = [
+            0xAAAA_AAAA_AAAA_AAAA,
+            0xCCCC_CCCC_CCCC_CCCC,
+            0xF0F0_F0F0_F0F0_F0F0,
+            0xFF00_FF00_FF00_FF00,
+            0xFFFF_0000_FFFF_0000,
+            0xFFFF_FFFF_0000_0000,
+        ];
+        fn eval(
+            mig: &Mig,
+            n: NodeId,
+            leaves: &[NodeId],
+            memo: &mut HashMap<NodeId, u64>,
+        ) -> Option<u64> {
+            if let Some(i) = leaves.iter().position(|&l| l == n) {
+                return Some(VARS[i]);
+            }
+            if n == 0 {
+                return Some(0);
+            }
+            if !mig.is_gate(n) {
+                return None;
+            }
+            if let Some(&t) = memo.get(&n) {
+                return Some(t);
+            }
+            let mut ops = [0u64; 3];
+            for (op, s) in ops.iter_mut().zip(mig.fanins(n)) {
+                let t = eval(mig, s.node(), leaves, memo)?;
+                *op = if s.is_complemented() { !t } else { t };
+            }
+            let [a, b, c] = ops;
+            let t = (a & b) | (a & c) | (b & c);
+            memo.insert(n, t);
+            Some(t)
+        }
+        let mask = u64::MAX >> (64 - (1u32 << leaves.len()));
+        eval(mig, root, leaves, &mut HashMap::new()).map(|t| t & mask)
+    }
+
+    /// A seeded random network of naively built xors, ands and
+    /// majorities over 16 inputs: redundant enough that top-down
+    /// convergence commits over several scheduler steps.
+    fn naive_random_network(seed: u64, ops: usize) -> Mig {
+        let mut rng = testrand::Rng::new(seed);
+        let mut m = Mig::new(16);
+        let mut sigs: Vec<Signal> = m.inputs().collect();
+        for _ in 0..ops {
+            let mut pick = || sigs[rng.usize_below(sigs.len())].complement_if(rng.bool());
+            let (a, b, c) = (pick(), pick(), pick());
+            let g = match rng.below(3) {
+                0 => m.xor(a, b),
+                1 => m.and(a, b),
+                _ => m.maj(a, b, c),
+            };
+            sigs.push(g);
+        }
+        for &s in sigs.iter().rev().take(8) {
+            m.add_output(s);
+        }
+        m
+    }
+
+    /// The cut lists the cut engine carries across scheduler steps stay
+    /// sound: after a multi-step run, every cut a carried store serves
+    /// for a live gate has live leaves and the truth table of the gate's
+    /// cone over them. Stale lists (an invalidation event lost between
+    /// steps) would serve cuts of a cone that no longer exists.
+    #[test]
+    fn carried_cut_lists_stay_sound_across_scheduler_steps() {
+        let e = engine();
+        let mut m = naive_random_network(5, 200);
+        let want = m.output_truth_tables();
+        let cut_engine = CutEngine {
+            engine: &e,
+            depth_preserving: false,
+            use_ffr: false,
+            carried: Mutex::new(HashMap::new()),
+        };
+        let cfg = ShardConfig {
+            threads: 2,
+            max_rounds: MAX_ROUNDS,
+            guard: None,
+        };
+        let ((), run) = obs::metrics::scoped(|| {
+            run_scheduled_converge(&mut m, &cut_engine, &cfg, &mut |_| {}, None, false)
+        });
+        let steps = run.get(obs::Metric::SchedSteps);
+        assert!(steps >= 3, "test premise: {steps} scheduler steps");
+        assert_eq!(m.output_truth_tables(), want, "function preserved");
+        let mut carried = cut_engine.carried.into_inner().unwrap();
+        assert!(!carried.is_empty(), "test premise: lists carried");
+        // In topological order a gate's list is computed at its own visit
+        // at the earliest, so every cache hit serves a carried list.
+        let gates = m.topo_gates();
+        let ((), check) = obs::metrics::scoped(|| {
+            for (region, store) in carried.iter_mut() {
+                for &g in &gates {
+                    for cut in store.of(&m, g) {
+                        let leaves = cut.leaves();
+                        assert!(
+                            leaves.iter().all(|&l| !m.is_dead(l)),
+                            "region {region}: gate {g} served a cut with dead leaves {leaves:?}"
+                        );
+                        let mask = u64::MAX >> (64 - (1u32 << leaves.len()));
+                        assert_eq!(
+                            cone_table(&m, g, leaves),
+                            Some(cut.truth_table() & mask),
+                            "region {region}: gate {g} served a stale cut over {leaves:?}"
+                        );
+                    }
+                }
+            }
+        });
+        assert!(
+            check.get(obs::Metric::CutsCacheHits) > 0,
+            "no carried list was served"
+        );
     }
 
     /// The same overlap, resolved by the driver across rounds: the

@@ -4,7 +4,7 @@
 //! fresh one — bit-identical across variants and thread counts.
 
 use fhash::{FunctionalHashing, Variant};
-use mig::{Mig, NodeId, Signal};
+use mig::{Mig, Signal};
 use testrand::Rng;
 
 /// What the `fhash:V@N` pipeline pass runs: one serial pass at one
@@ -38,15 +38,6 @@ fn random_build(rng: &mut Rng, num_inputs: usize, num_steps: usize, outs: usize)
     m
 }
 
-/// A structural identity: slot population, fanins of every live gate and
-/// the output signals (same shape as the sharding determinism tests).
-type Fingerprint = (usize, Vec<(NodeId, [Signal; 3])>, Vec<Signal>);
-
-fn fingerprint(m: &Mig) -> Fingerprint {
-    let gates = m.gates().map(|g| (g, m.fanins(g))).collect();
-    (m.num_nodes(), gates, m.outputs().to_vec())
-}
-
 #[test]
 fn warm_engine_is_bit_identical_to_cold() {
     let mut rng = Rng::new(0xCAC4_0001);
@@ -74,8 +65,8 @@ fn warm_engine_is_bit_identical_to_cold() {
                     threads,
                 );
                 assert_eq!(
-                    fingerprint(&reused),
-                    fingerprint(&fresh),
+                    reused.fingerprint(),
+                    fresh.fingerprint(),
                     "case {case} variant {v} @{threads}: the reused engine diverged"
                 );
             }

@@ -8,7 +8,7 @@
 //! the container has no network access for a `proptest` dependency.)
 
 use fhash::{FunctionalHashing, Variant};
-use mig::{Mig, NodeId, Signal};
+use mig::{Mig, Signal};
 use std::sync::OnceLock;
 use testrand::Rng;
 
@@ -46,16 +46,6 @@ fn random_build(rng: &mut Rng, num_inputs: usize, num_steps: usize, outs: usize)
         m.add_output(s.complement_if(k % 2 == 1));
     }
     m
-}
-
-/// A structural identity: slot population, fanins of every live gate and
-/// the output signals. Two runs producing equal fingerprints built the
-/// exact same netlist through the exact same mutation sequence.
-type Fingerprint = (usize, Vec<(NodeId, [Signal; 3])>, Vec<Signal>);
-
-fn fingerprint(m: &Mig) -> Fingerprint {
-    let gates = m.gates().map(|g| (g, m.fanins(g))).collect();
-    (m.num_nodes(), gates, m.outputs().to_vec())
 }
 
 #[test]
@@ -114,8 +104,8 @@ fn sharded_is_bit_deterministic_per_thread_count() {
                 let mut second = m.clone();
                 fhash_at(&mut second, v, threads);
                 assert_eq!(
-                    fingerprint(&first),
-                    fingerprint(&second),
+                    first.fingerprint(),
+                    second.fingerprint(),
                     "case {case} variant {v} @{threads}: nondeterministic netlist"
                 );
             }
@@ -154,11 +144,11 @@ fn converge_chain_is_bit_identical_per_thread_count() {
     let mut reference = m.clone();
     let (stats, _) = engine().converge(&mut reference, Variant::TopDown, 1);
     assert!(stats.replacements > 0);
-    let want = fingerprint(&reference);
+    let want = reference.fingerprint();
     for threads in [2usize, 4, 8] {
         let mut opt = m.clone();
         engine().converge(&mut opt, Variant::TopDown, threads);
-        assert_eq!(fingerprint(&opt), want, "@{threads}: diverged from @1");
+        assert_eq!(opt.fingerprint(), want, "@{threads}: diverged from @1");
     }
 }
 
@@ -193,8 +183,8 @@ fn stress_random_seeds_under_contention() {
         let mut again = m.clone();
         engine().converge(&mut again, Variant::TopDown, 8);
         assert_eq!(
-            fingerprint(&opt),
-            fingerprint(&again),
+            opt.fingerprint(),
+            again.fingerprint(),
             "seed {seed}: nondeterministic @8"
         );
     }

@@ -46,6 +46,8 @@
 //! local rewrite only the affected region is re-enumerated instead of the
 //! whole graph.
 
+#![deny(missing_docs)]
+
 use mig::{CompactMap, DirtyCursor, Mig, NodeId, Signal};
 
 /// Maximum supported cut width.

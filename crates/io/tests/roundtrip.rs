@@ -11,7 +11,7 @@
 
 use io::aiger::Aiger;
 use io::blif::Blif;
-use mig::{Mig, NodeId, Signal};
+use mig::{Mig, Signal};
 use std::path::PathBuf;
 use testrand::Rng;
 
@@ -154,18 +154,6 @@ fn ascii_and_binary_encode_the_same_document() {
     }
 }
 
-/// Exact-graph identity: slot count, every gate's id and fanins, and
-/// the output signals.
-type Fingerprint = (usize, Vec<(NodeId, [Signal; 3])>, Vec<Signal>);
-
-fn fingerprint(m: &Mig) -> Fingerprint {
-    (
-        m.num_nodes(),
-        m.gates().map(|g| (g, m.fanins(g))).collect(),
-        m.outputs().to_vec(),
-    )
-}
-
 /// `m` written as BLIF and read back.
 fn through_text(m: &Mig) -> Mig {
     Blif::parse(&Blif::from_mig(m, "rt").to_text())
@@ -218,8 +206,8 @@ fn round_trip_builds_the_graph_the_text_reads_back_as() {
     for (name, m) in &graphs {
         let direct = io::blif::round_trip(m);
         assert_eq!(
-            fingerprint(&direct),
-            fingerprint(&through_text(m)),
+            direct.fingerprint(),
+            through_text(m).fingerprint(),
             "{name}"
         );
         assert_eq!(
@@ -227,7 +215,7 @@ fn round_trip_builds_the_graph_the_text_reads_back_as() {
             Blif::from_mig(&through_text(m), "rt").to_text(),
             "{name}"
         );
-        renumbered += usize::from(fingerprint(&direct) != fingerprint(m));
+        renumbered += usize::from(direct.fingerprint() != m.fingerprint());
     }
     assert!(renumbered >= 3, "only {renumbered} graphs were renumbered");
 }

@@ -106,12 +106,6 @@ impl CompactMap {
             _ => None,
         }
     }
-
-    /// Like [`CompactMap::remap`], preserving the complement bit.
-    pub fn remap_signal(&self, s: Signal) -> Option<Signal> {
-        self.remap(s.node())
-            .map(|n| Signal::new(n, s.is_complemented()))
-    }
 }
 
 /// Result of normalizing a majority operand triple.
@@ -1163,9 +1157,9 @@ impl Mig {
     /// over unchanged.
     ///
     /// Consumer migration protocol: anything holding node ids must
-    /// translate them through the returned map ([`CompactMap::remap`] /
-    /// [`CompactMap::remap_signal`]) — carried cut sets and persistent
-    /// region partitions have dedicated `remap` methods. The dirty log
+    /// translate them through the returned map ([`CompactMap::remap`]) —
+    /// carried cut sets have a dedicated `remap` method, the convergence
+    /// scheduler re-partitions instead. The dirty log
     /// is *not* translatable (its history is in old numbering), so
     /// compaction leaves a deliberate gap: cursors taken before it
     /// report `None` from [`Mig::dirty_since`], and migrated consumers
@@ -1294,6 +1288,27 @@ impl Mig {
     /// reuse) — the scheduler's compaction trigger.
     pub fn dead_slot_pct(&self) -> u64 {
         (self.free.len() * 100 / self.fanins.len().max(1)) as u64
+    }
+
+    /// A structural identity of the netlist: 64-bit FNV-1a over the slot
+    /// count, every live gate's id and fanins in slot order, and the
+    /// outputs. Equal fingerprints mean (up to hash collision) the same
+    /// netlist, node numbering included. The hash is fixed here, so
+    /// recorded values stay valid across toolchains and platforms.
+    pub fn fingerprint(&self) -> u64 {
+        fn eat(h: u64, word: u32) -> u64 {
+            word.to_le_bytes()
+                .iter()
+                .fold(h, |h, &b| (h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3))
+        }
+        let mut h = eat(0xcbf2_9ce4_8422_2325, self.fanins.len() as u32);
+        for g in self.gates() {
+            h = eat(h, g);
+            for s in self.fanins[g as usize] {
+                h = eat(h, s.code() as u32);
+            }
+        }
+        self.outputs.iter().fold(h, |h, s| eat(h, s.code() as u32))
     }
 
     /// Emits the graph in Graphviz DOT format (complemented edges dashed,

@@ -16,13 +16,16 @@
 //! * [`FfrPartition`] — fanout-free-region partitioning (paper §IV-C);
 //! * [`RegionPartition`] — sharding the gates into disjoint regions
 //!   (FFR forest or level bands) for parallel propose rewriting;
-//! * [`ProposeEngine`] / [`run_scheduler`] — the engine-agnostic
-//!   event-driven convergence scheduler: any local-rewriting engine
-//!   (functional hashing, algebraic Ω.A/Ω.D, …) plugs its proposals
-//!   into the same parallel-propose, serial-commit machinery, driven by
-//!   a deterministic priority queue of dirty regions instead of full
-//!   re-traversal per round ([`run_scheduled_converge`] adds the shared
-//!   serial-baseline / fallback / polish skeleton).
+//! * [`ProposeEngine`] / [`run_scheduled_converge`] — the
+//!   engine-agnostic event-driven convergence scheduler: any
+//!   local-rewriting engine (functional hashing, algebraic Ω.A/Ω.D, …)
+//!   returns [`Proposal`]s (a payload with its footprint and gain) into
+//!   the same parallel-propose, serial-commit machinery
+//!   ([`commit_proposals`]), driven by a deterministic priority queue of
+//!   dirty regions instead of full re-traversal per round, inside the
+//!   shared serial-baseline / fallback / polish skeleton. Callers choose
+//!   only the [`ShardConfig`]: threads, a step backstop and an optional
+//!   step guard.
 //!
 //! # Examples
 //!
@@ -39,6 +42,7 @@
 //! ```
 
 #![forbid(unsafe_code)]
+#![deny(missing_docs)]
 
 mod fanout;
 mod ffr;
@@ -53,7 +57,7 @@ pub use ffr::FfrPartition;
 pub use graph::{normalize_maj, CompactMap, DirtyCursor, Mig, Normalized};
 pub use region::{PartitionStrategy, RegionPartition, RegionView};
 pub use shard::{
-    commit_proposals, run_scheduled_converge, run_scheduler, CommitVerdict, ProposeEngine,
-    RoundMetric, RoundOutcome, SchedStats, Scheduler, SerialPass, ShardConfig, ShardStats,
+    commit_proposals, gates_metric, run_scheduled_converge, CommitVerdict, Proposal, ProposeEngine,
+    RoundMetric, RoundOutcome, SchedStats, ShardConfig,
 };
 pub use signal::{NodeId, Signal};

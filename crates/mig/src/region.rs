@@ -18,10 +18,8 @@
 //! Regions are *read views* for proposal workers: [`RegionPartition::view`]
 //! materializes a region's member gates (topological order), the external
 //! nodes feeding it and its boundary (members referenced from outside).
-//! [`RegionPartition::boundary_conflict`] is the check the shard driver
-//! uses to classify a proposal footprint as region-local or crossing.
 
-use crate::{CompactMap, FfrPartition, Mig, NodeId};
+use crate::{FfrPartition, Mig, NodeId};
 
 /// Snapshot of every slot's reuse generation at partition time.
 fn capture_generations(mig: &Mig) -> Vec<u32> {
@@ -75,9 +73,6 @@ pub struct RegionPartition {
     region_of: Vec<u32>,
     /// Member gates per region, each in topological order.
     members: Vec<Vec<NodeId>>,
-    /// Input count of the partitioned graph, to tell terminals apart
-    /// from unassigned gate slots.
-    num_inputs: usize,
     /// Slot reuse generations at partition time
     /// ([`Mig::slot_generation`]). A partition held across rewrites
     /// (the convergence scheduler's is) would otherwise attribute a
@@ -149,7 +144,6 @@ impl RegionPartition {
         RegionPartition {
             region_of,
             members,
-            num_inputs: mig.num_inputs(),
             gen_at_partition: capture_generations(mig),
         }
     }
@@ -179,7 +173,6 @@ impl RegionPartition {
         RegionPartition {
             region_of,
             members,
-            num_inputs: mig.num_inputs(),
             gen_at_partition: capture_generations(mig),
         }
     }
@@ -225,51 +218,6 @@ impl RegionPartition {
     /// The member gates of region `r`, in topological order.
     pub fn members(&self, r: u32) -> &[NodeId] {
         &self.members[r as usize]
-    }
-
-    /// Whether any node of `nodes` lies outside region `r`. Terminals
-    /// are exempt (they belong to every region's support); foreign,
-    /// dead and post-partition gate slots count as crossings. This is
-    /// the shard driver's boundary-conflict classification: a crossing
-    /// footprint may collide with commits from other regions, while a
-    /// region-local footprint can only collide with its own region's
-    /// (disjoint) proposals.
-    pub fn boundary_conflict(&self, r: u32, nodes: &[NodeId]) -> bool {
-        nodes.iter().any(|&n| {
-            if (n as usize) <= self.num_inputs {
-                return false; // constant or primary input
-            }
-            self.region_of.get(n as usize).copied().unwrap_or(NO_REGION) != r
-        })
-    }
-
-    /// Migrates the partition across a compaction ([`Mig::compact`]):
-    /// region assignments, member lists and the generation snapshot are
-    /// permuted to the new slot numbering; members whose slots were dead
-    /// at compaction time drop out. Compaction preserves slot-generation
-    /// *values* under the permutation, so [`RegionPartition::region_of_live`]
-    /// keeps working against the compacted graph.
-    pub fn remap(&mut self, map: &CompactMap) {
-        if map.is_identity() {
-            return;
-        }
-        let mut region_of = vec![NO_REGION; map.new_len()];
-        let mut gen_at_partition = vec![0u32; map.new_len()];
-        for old in 0..self.region_of.len().min(map.old_len()) {
-            if let Some(new) = map.remap(old as NodeId) {
-                region_of[new as usize] = self.region_of[old];
-                gen_at_partition[new as usize] = self.gen_at_partition[old];
-            }
-        }
-        self.region_of = region_of;
-        self.gen_at_partition = gen_at_partition;
-        for members in &mut self.members {
-            // Live gates are renumbered in topological order, so the
-            // remapped member list is *not* necessarily sorted by id —
-            // but it stays topologically ordered, which is the invariant
-            // the views rely on.
-            *members = members.iter().filter_map(|&m| map.remap(m)).collect();
-        }
     }
 
     /// Materializes the read view of region `r`: members, external
@@ -388,26 +336,6 @@ mod tests {
     }
 
     #[test]
-    fn boundary_conflict_classifies_footprints() {
-        let (m, x, y, _top) = two_cones();
-        let p = RegionPartition::compute(&m, PartitionStrategy::FfrForest { max_regions: 8 });
-        let rx = p.region_of(x.node()).unwrap();
-        let ry = p.region_of(y.node()).unwrap();
-        assert!(
-            !p.boundary_conflict(rx, &[x.node()]),
-            "own member is region-local"
-        );
-        if rx != ry {
-            assert!(
-                p.boundary_conflict(rx, &[x.node(), y.node()]),
-                "foreign gate crosses the boundary"
-            );
-        }
-        // Terminals never cross.
-        assert!(!p.boundary_conflict(rx, &[]));
-    }
-
-    #[test]
     fn region_of_live_rejects_recycled_slots() {
         // A node recycled into a freed member slot keeps the slot id but
         // is not the member: the raw lookup still reports the old
@@ -441,48 +369,6 @@ mod tests {
             assert_eq!(p.region_of(appended.node()), None);
             assert_eq!(p.region_of_live(&m, appended.node()), None);
         }
-    }
-
-    #[test]
-    fn remap_migrates_partition_across_compaction() {
-        let mut m = Mig::new(4);
-        let (a, b, c, d) = (m.input(0), m.input(1), m.input(2), m.input(3));
-        let x = m.xor(a, b);
-        let y = m.xor(c, d);
-        let top = m.maj(x, y, a);
-        m.add_output(top);
-        let mut p = RegionPartition::compute(&m, PartitionStrategy::LevelBands { max_regions: 4 });
-        let old_regions: Vec<_> = m.gates().map(|g| (g, p.region_of(g).unwrap())).collect();
-        // Kill the top gate so compaction has a hole to squeeze out.
-        assert!(m.replace_node(top.node(), x));
-        m.sweep();
-        let map = m.compact();
-        assert!(!map.is_identity());
-        p.remap(&map);
-        let total: usize = (0..p.num_regions() as u32)
-            .map(|r| p.members(r).len())
-            .sum();
-        assert_eq!(total, m.num_gates(), "dead members dropped");
-        let mut survivors = 0;
-        for (old, region) in old_regions {
-            let Some(g) = map.remap(old) else { continue };
-            survivors += 1;
-            assert!(m.is_gate(g), "remapped member is live");
-            assert_eq!(p.region_of(g), Some(region), "region carried across");
-            assert_eq!(
-                p.region_of_live(&m, g),
-                Some(region),
-                "generation snapshot carried across"
-            );
-            assert!(p.members(region).contains(&g));
-        }
-        assert_eq!(survivors, m.num_gates(), "every live gate was checked");
-        // An identity remap (fixpoint compaction) is a no-op.
-        let again = m.compact();
-        assert!(again.is_identity());
-        let before = p.clone();
-        p.remap(&again);
-        assert_eq!(format!("{before:?}"), format!("{p:?}"));
     }
 
     #[test]

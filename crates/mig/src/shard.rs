@@ -3,18 +3,20 @@
 //! actually changed, instead of re-traversing the whole graph per round.
 //!
 //! The protocol was born in the functional-hashing crate (parallel cut
-//! replacement) but nothing in it is specific to cuts: a *proposal* is an
-//! opaque engine payload plus a **footprint** (the step-start nodes its
-//! analysis depends on), an expected **gain**, and a **legality recheck**
-//! performed at commit time against the live graph. Engines plug in
-//! through [`ProposeEngine`]; the [`Scheduler`] owns everything else:
+//! replacement) but nothing in it is specific to cuts: a [`Proposal`] is
+//! an opaque engine payload plus a **footprint** (the step-start nodes
+//! its analysis depends on) and an expected **gain**, and
+//! [`ProposeEngine::commit`] performs a **legality recheck** against the
+//! live graph. Engines plug in through [`ProposeEngine`];
+//! [`run_scheduled_converge`] owns everything else:
 //!
 //! 1. **Partition.** [`ProposeEngine::partition`] carves the live gates
 //!    into regions (the engine picks the strategy — FFR forest, level
-//!    bands, …). Unlike the original round loop, the partition is
-//!    **persistent**: it is rebuilt only when the live gate count drifts
-//!    or enough dirty nodes fall outside every region (both thresholds in
-//!    [`ShardConfig::repartition_pct`]), or for engines whose analysis is
+//!    bands, …), at most [`ShardConfig::max_regions`] of them: 4 per
+//!    thread, at least 12 gates each. Unlike the original round loop,
+//!    the partition is **persistent**: it is rebuilt only when the live
+//!    gate count drifts by more than 20% or more than 20% of the dirty
+//!    nodes fall outside every region, or for engines whose analysis is
 //!    global ([`ProposeEngine::volatile_partition`]).
 //! 2. **Schedule.** A deterministic priority queue of dirty regions —
 //!    seeded from each commit's footprint and the graph's non-draining
@@ -26,20 +28,21 @@
 //!    over the scheduled region list) call [`ProposeEngine::propose`]
 //!    read-only on a frozen graph; results land in per-region slots so
 //!    commit order is independent of scheduling.
-//! 4. **Commit serially.** The step's proposals commit one at a time on
-//!    the live graph, in the order propose returned them (region-slot
-//!    order). A proposal whose footprint intersects anything dirtied
-//!    earlier in the step was analyzed against a graph that no longer
-//!    exists: it is refused and its region retries next step.
-//!    [`ProposeEngine::commit`] re-checks its own legality against the
-//!    live graph either way.
+//! 4. **Commit serially** ([`commit_proposals`]). The step's proposals
+//!    commit one at a time on the live graph, in the order propose
+//!    returned them (region-slot order). A proposal whose footprint
+//!    intersects anything dirtied earlier in the step was analyzed
+//!    against a graph that no longer exists: it is refused and its
+//!    region retries next step. [`ProposeEngine::commit`] re-checks its
+//!    own legality against the live graph either way.
 //!
 //! Steps repeat until the queue drains (no dirty region and no dirty
 //! node outside the partition); engines whose steps are not individually
 //! monotone set a [`ShardConfig::guard`] metric — such steps run against
 //! a snapshot and are rolled back (ending the loop) when the metric
 //! fails to improve, the same guarantee the serial convergence loops
-//! provided.
+//! provided. When a step leaves 25% or more of the slots dead, the graph
+//! is compacted ([`crate::Mig::compact`]) and re-partitioned.
 //!
 //! For a fixed input graph, engine and thread count the resulting
 //! netlist is bit-deterministic: the queue order and the commit order
@@ -48,9 +51,32 @@
 
 use crate::fxhash::FxHashSet;
 use crate::{CompactMap, Mig, NodeId, RegionPartition};
-use std::collections::{BTreeMap, HashSet};
+use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
+
+/// Regions per worker thread: over-partitioning smooths load imbalance
+/// between shards of unequal rewriting opportunity.
+const REGIONS_PER_THREAD: usize = 4;
+
+/// Minimum gates per region. The floor keeps a region wide enough for a
+/// full 4-feasible cut cone plus fanout context (a sliver region sees
+/// too little, and per-region overhead would dominate) while letting
+/// graphs in the tens of gates still split into a handful of shards.
+const MIN_REGION_SIZE: usize = 12;
+
+/// Re-partition threshold, in percent of the gate count at partition
+/// time: the partition is rebuilt when the live gate count drifts by
+/// more than this, or when more than this share of the pending dirty
+/// nodes falls outside every region (nodes created after the
+/// partition). Until then a step costs only the dirty regions.
+const REPARTITION_PCT: usize = 20;
+
+/// Compaction threshold, in percent of slots on the free list: a step
+/// that ends with the dead-slot density at or past this renumbers the
+/// graph ([`Mig::compact`]), so long-churning runs keep their slot
+/// arrays dense instead of chasing ever-sparser cache lines.
+const COMPACT_PCT: u64 = 25;
 
 /// What [`ProposeEngine::commit`] did with one proposal.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -71,17 +97,117 @@ pub enum CommitVerdict {
     Rejected,
 }
 
-/// A rewriting engine pluggable into [`run_scheduler`].
+/// One proposed local rewrite, as [`ProposeEngine::propose`] returns it.
+#[derive(Debug, Clone)]
+pub struct Proposal<P> {
+    /// What the engine needs to apply the rewrite (opaque to the
+    /// scheduler; handed from the propose workers to the committing
+    /// thread).
+    pub payload: P,
+    /// The step-start nodes the proposal's analysis depends on. The
+    /// commit phase refuses the proposal if any of them was structurally
+    /// touched earlier in the step.
+    pub footprint: Vec<NodeId>,
+    /// The expected gain: the retry priority of the region when the
+    /// proposal is refused or its commit dirties nodes.
+    pub gain: i64,
+}
+
+/// A rewriting engine pluggable into [`run_scheduled_converge`].
 ///
 /// The engine analyzes regions read-only ([`ProposeEngine::propose`] runs
 /// concurrently on a frozen `&Mig`) and applies its proposals one at a
 /// time on the live graph ([`ProposeEngine::commit`], which must re-check
 /// legality itself — the driver only guarantees that the proposal's
 /// footprint is structurally untouched within the current step).
+///
+/// # Examples
+///
+/// An engine that collapses the redundant conjunction `<0 a <0 a b>>`
+/// onto its inner gate:
+///
+/// ```
+/// use mig::{
+///     run_scheduled_converge, CommitVerdict, Mig, NodeId, PartitionStrategy, ProposeEngine,
+///     Proposal, RegionPartition, ShardConfig, Signal,
+/// };
+///
+/// /// The inner gate that `root` repeats, if it matches the pattern.
+/// fn redundant_and(mig: &Mig, root: NodeId) -> Option<Signal> {
+///     if !mig.is_gate(root) {
+///         return None;
+///     }
+///     let [zero, x, y] = mig.fanins(root);
+///     let repeats = |inner: Signal, other: Signal| {
+///         zero == Signal::ZERO
+///             && !inner.is_complemented()
+///             && mig.is_gate(inner.node())
+///             && mig.fanins(inner.node())[0] == Signal::ZERO
+///             && mig.fanins(inner.node()).contains(&other)
+///     };
+///     [(x, y), (y, x)]
+///         .into_iter()
+///         .find(|&(inner, other)| repeats(inner, other))
+///         .map(|(inner, _)| inner)
+/// }
+///
+/// struct RedundantAnd;
+///
+/// impl ProposeEngine for RedundantAnd {
+///     type Payload = NodeId;
+///     type RoundState = ();
+///
+///     fn partition(&self, mig: &Mig, max_regions: usize) -> (RegionPartition, ()) {
+///         let strategy = PartitionStrategy::LevelBands { max_regions };
+///         (RegionPartition::compute(mig, strategy), ())
+///     }
+///
+///     fn propose(&self, mig: &Mig, p: &RegionPartition, _: &(), r: u32) -> Vec<Proposal<NodeId>> {
+///         let mut claimed = Vec::new();
+///         let mut props = Vec::new();
+///         for &root in p.members(r).iter().rev() {
+///             if claimed.contains(&root) || !mig.is_gate(root) {
+///                 continue;
+///             }
+///             if let Some(inner) = redundant_and(mig, root) {
+///                 let footprint = vec![root, inner.node()];
+///                 claimed.extend_from_slice(&footprint);
+///                 props.push(Proposal { payload: root, footprint, gain: 1 });
+///             }
+///         }
+///         props
+///     }
+///
+///     fn commit(&self, mig: &mut Mig, &root: &NodeId) -> CommitVerdict {
+///         match redundant_and(mig, root) {
+///             None => CommitVerdict::Conflicted,
+///             Some(inner) if mig.replace_node(root, inner) => {
+///                 CommitVerdict::Applied { replacements: 1 }
+///             }
+///             Some(_) => CommitVerdict::Rejected,
+///         }
+///     }
+/// }
+///
+/// // A ladder of 30 redundant pairs: every other gate collapses.
+/// let mut m = Mig::new(8);
+/// let mut acc = m.input(0);
+/// for i in 0..30 {
+///     let x = m.input(1 + i % 7);
+///     let inner = m.and(acc, x);
+///     acc = m.and(inner, x);
+/// }
+/// m.add_output(acc);
+/// let want = m.output_truth_tables();
+/// let cfg = ShardConfig { threads: 2, max_rounds: 50, guard: None };
+/// assert!(cfg.max_regions(&m) > 1, "large enough to shard");
+/// run_scheduled_converge(&mut m, &RedundantAnd, &cfg, &mut |_| {}, None, false);
+/// assert_eq!(m.num_gates(), 30);
+/// assert_eq!(m.output_truth_tables(), want);
+/// ```
 pub trait ProposeEngine: Sync {
-    /// One proposed local rewrite (opaque to the driver; handed from the
-    /// propose workers to the committing thread).
-    type Proposal: Send;
+    /// The engine's part of a [`Proposal`].
+    type Payload: Send;
     /// Read state shared by all workers while a partition is live (e.g.
     /// an FFR view of the graph). Use `()` when none is needed.
     type RoundState: Sync;
@@ -89,10 +215,9 @@ pub trait ProposeEngine: Sync {
     /// Partitions the live gates into regions and prepares the shared
     /// read state. Called on the first step and whenever the scheduler's
     /// re-partition policy fires (live-gate drift or region staleness
-    /// past [`ShardConfig::repartition_pct`]) — *not* every step, so the
-    /// state may lag the graph by up to that threshold. Engines that
-    /// cannot tolerate any lag return `true` from
-    /// [`ProposeEngine::volatile_partition`].
+    /// past 20%) — *not* every step, so the state may lag the graph by up
+    /// to that threshold. Engines that cannot tolerate any lag return
+    /// `true` from [`ProposeEngine::volatile_partition`].
     fn partition(&self, mig: &Mig, max_regions: usize) -> (RegionPartition, Self::RoundState);
 
     /// Whether the partition (and round state) must be rebuilt before
@@ -104,9 +229,10 @@ pub trait ProposeEngine: Sync {
         false
     }
 
-    /// Invalidation hook, called after each step with the nodes the
-    /// step's commits structurally changed. Engines carrying analysis
-    /// caches across steps (cut lists, …) stale them here.
+    /// Invalidation hook, called after each kept step with the nodes the
+    /// step structurally changed, oldest first (its slice of the graph's
+    /// dirty log). Engines carrying analysis caches across steps (cut
+    /// lists, …) stale them here.
     fn invalidate(&self, _mig: &Mig, _changed: &[NodeId]) {}
 
     /// Renumbering hook, called after the driver compacts the graph
@@ -125,19 +251,10 @@ pub trait ProposeEngine: Sync {
         partition: &RegionPartition,
         state: &Self::RoundState,
         region: u32,
-    ) -> Vec<Self::Proposal>;
-
-    /// The step-start nodes this proposal's analysis depends on. The
-    /// commit phase refuses the proposal if any of them was structurally
-    /// touched earlier in the step.
-    fn footprint<'a>(&self, proposal: &'a Self::Proposal) -> &'a [NodeId];
-
-    /// The proposal's expected gain (accumulated into [`ShardStats`] and
-    /// used as the retry priority of its region).
-    fn gain(&self, proposal: &Self::Proposal) -> i64;
+    ) -> Vec<Proposal<Self::Payload>>;
 
     /// Re-checks the proposal against the live graph and applies it.
-    fn commit(&self, mig: &mut Mig, proposal: &Self::Proposal) -> CommitVerdict;
+    fn commit(&self, mig: &mut Mig, payload: &Self::Payload) -> CommitVerdict;
 
     /// Hook for steps whose partition degenerates to a single region.
     /// Engines whose single-region proposal would merely reproduce their
@@ -149,33 +266,24 @@ pub trait ProposeEngine: Sync {
     }
 }
 
-/// A serial engine stage pluggable into [`run_scheduled_converge`]:
-/// mutates the graph and reports `(replacements, gain)`.
-pub type SerialPass<'a> = dyn FnMut(&mut Mig) -> (u64, i64) + 'a;
-
 /// A step-acceptance metric: a lexicographic pair (smaller is better)
 /// evaluated on the whole graph, e.g. `(gates, depth)` for a size
 /// script or `(depth, gates)` for a depth script.
 pub type RoundMetric = fn(&Mig) -> (u64, u64);
 
-/// The default baseline guard when an engine sets no
-/// [`ShardConfig::guard`]: plain gate count.
-fn gates_only_metric(mig: &Mig) -> (u64, u64) {
+/// Plain gate count as a [`RoundMetric`]: the guard of the bottom-up
+/// functional-hashing steps, and the baseline guard of
+/// [`run_scheduled_converge`] when the configuration sets none.
+pub fn gates_metric(mig: &Mig) -> (u64, u64) {
     (mig.num_gates() as u64, 0)
 }
 
-/// Tuning of the event-driven scheduler.
+/// What callers of the scheduler choose; everything else is fixed (see
+/// the module docs).
 #[derive(Debug, Clone, Copy)]
 pub struct ShardConfig {
     /// Worker threads for the propose phase.
     pub threads: usize,
-    /// Regions per worker thread: over-partitioning smooths load
-    /// imbalance between shards of unequal rewriting opportunity.
-    pub regions_per_thread: usize,
-    /// Minimum gates per region: small graphs are not fragmented below
-    /// this (a sliver region sees too little context, and per-region
-    /// overhead would dominate).
-    pub min_region_size: usize,
     /// Backstop on scheduler steps. Committing steps improve the graph,
     /// so this is never the expected exit.
     pub max_rounds: usize,
@@ -185,58 +293,17 @@ pub struct ShardConfig {
     /// Engines whose commits are individually improving leave this
     /// `None` and skip the snapshot cost.
     pub guard: Option<RoundMetric>,
-    /// Re-partition threshold, in percent of the gate count at partition
-    /// time: the partition is rebuilt when the live gate count drifts by
-    /// more than this, or when more than this fraction of pending dirty
-    /// nodes falls outside every region (nodes created after the
-    /// partition). Until then the scheduler reuses the partition, so a
-    /// step costs only the dirty regions.
-    pub repartition_pct: u32,
-    /// Compaction threshold, in percent of slots on the free list: after
-    /// a step ends with the dead-slot density past this, the driver
-    /// renumbers the graph ([`crate::Mig::compact`]), remaps its pending
-    /// frontier, hands engines the remap ([`ProposeEngine::remap`]) and
-    /// forces a re-partition — so long-churning runs keep their slot
-    /// arrays dense instead of chasing ever-sparser cache lines. `0`
-    /// disables scheduler-driven compaction.
-    pub compact_pct: u32,
 }
 
 impl ShardConfig {
-    /// Default tuning for `threads` workers (4 regions per thread,
-    /// 12-gate region floor, 64-step backstop, no guard, 20% drift
-    /// threshold, 25% dead-slot compaction threshold). The floor keeps
-    /// a region wide enough for a full
-    /// 4-feasible cut cone plus fanout context while letting graphs in
-    /// the tens of gates still split into a handful of shards — small
-    /// benchmarks keep exercising (and tracing) the parallel propose
-    /// phase instead of degenerating to the whole-graph hook.
-    pub fn new(threads: usize) -> Self {
-        ShardConfig {
-            threads: threads.max(1),
-            regions_per_thread: 4,
-            min_region_size: 12,
-            max_rounds: 64,
-            guard: None,
-            repartition_pct: 20,
-            compact_pct: 25,
-        }
-    }
-
     /// The region bound for the current graph: follows the live gate
     /// count, so shrinking graphs coalesce toward the single-region
-    /// degenerate case (equal to the serial engine).
+    /// degenerate case (equal to the serial engine). A graph is worth
+    /// sharding when this exceeds 1.
     pub fn max_regions(&self, mig: &Mig) -> usize {
-        (self.threads * self.regions_per_thread)
-            .min(mig.num_gates() / self.min_region_size)
+        (self.threads.max(1) * REGIONS_PER_THREAD)
+            .min(mig.num_gates() / MIN_REGION_SIZE)
             .max(1)
-    }
-
-    /// Whether `mig` is large enough for region scheduling to beat a
-    /// serial pass. Callers should fall back to their serial engine when
-    /// this is false.
-    pub fn shardable(&self, mig: &Mig) -> bool {
-        (self.threads * self.regions_per_thread).min(mig.num_gates() / self.min_region_size) > 1
     }
 }
 
@@ -255,8 +322,8 @@ pub struct RoundOutcome {
     pub gain: i64,
 }
 
-/// Event counters of the [`Scheduler`], reported by the `migopt`
-/// per-pass notes.
+/// Event counters of the scheduler, reported by the `migopt` per-pass
+/// notes.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct SchedStats {
     /// Scheduler steps run (batches of scheduled regions).
@@ -277,15 +344,6 @@ pub struct SchedStats {
 }
 
 impl SchedStats {
-    /// Accumulates another run's counters into this one.
-    pub fn absorb(&mut self, other: SchedStats) {
-        self.steps += other.steps;
-        self.proposed_regions += other.proposed_regions;
-        self.skipped_clean += other.skipped_clean;
-        self.retried += other.retried;
-        self.repartitions += other.repartitions;
-    }
-
     /// Whether any scheduler activity was recorded (serial fallbacks
     /// record none).
     pub fn any(&self) -> bool {
@@ -305,58 +363,10 @@ impl SchedStats {
     }
 }
 
-/// Accumulated statistics of a [`run_scheduler`] call.
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
-pub struct ShardStats {
-    /// Scheduler steps run (including a final empty or rolled-back
-    /// step).
-    pub rounds: usize,
-    /// Total proposals committed.
-    pub committed: u64,
-    /// Total proposals refused for retry.
-    pub conflicted: u64,
-    /// Total individual substitutions.
-    pub replacements: u64,
-    /// Total expected gain of committed proposals.
-    pub gain: i64,
-    /// Scheduler event counters.
-    pub sched: SchedStats,
-}
-
-impl ShardStats {
-    /// Accumulates another run's statistics into this one.
-    pub fn absorb(&mut self, other: ShardStats) {
-        self.rounds += other.rounds;
-        self.committed += other.committed;
-        self.conflicted += other.conflicted;
-        self.replacements += other.replacements;
-        self.gain += other.gain;
-        self.sched.absorb(other.sched);
-    }
-
-    /// Reconstructs the scheduler-attributed statistics from a
-    /// metric-registry delta. Counters a whole-graph serial hook records
-    /// under its own engine metrics (`fhash.*` / `alg.*`) are *not*
-    /// folded in here; engine-level reports sum both families.
-    pub fn from_delta(d: &obs::Delta) -> Self {
-        ShardStats {
-            rounds: d.get(obs::Metric::SchedSteps) as usize,
-            committed: d.get(obs::Metric::ShardCommitted),
-            conflicted: d.get(obs::Metric::ShardConflicted),
-            replacements: d.get(obs::Metric::ShardReplacements),
-            gain: d.geti(obs::Metric::ShardGain),
-            sched: SchedStats::from_delta(d),
-        }
-    }
-}
-
 /// The event-driven convergence core: the deterministic priority queue
 /// of dirty nodes (mapped onto regions of the current partition each
 /// step) and the re-partition bookkeeping.
-///
-/// Owned by [`run_scheduler`]; exposed for documentation of the
-/// scheduling state, not for external construction.
-pub struct Scheduler {
+struct Scheduler {
     /// Pending dirt at node granularity: `(node, priority)` where the
     /// priority is the expected gain of the commit or retry that dirtied
     /// the node. Node-level (not region-level) so the queue survives
@@ -368,13 +378,6 @@ pub struct Scheduler {
 }
 
 impl Scheduler {
-    fn new() -> Self {
-        Scheduler {
-            frontier: Vec::new(),
-            gates_at_partition: 0,
-        }
-    }
-
     /// Maps the pending frontier onto the current partition: per-region
     /// priority (maximum expected gain of the region's pending events,
     /// accumulation order independent) plus the count of live dirty
@@ -398,12 +401,11 @@ impl Scheduler {
     }
 
     /// Whether the partition must be rebuilt: live-gate drift or
-    /// unassigned-dirt staleness past the configured threshold.
-    fn needs_repartition(&self, mig: &Mig, cfg: &ShardConfig, unassigned: usize) -> bool {
+    /// unassigned-dirt staleness past [`REPARTITION_PCT`].
+    fn needs_repartition(&self, mig: &Mig, unassigned: usize) -> bool {
         let base = self.gates_at_partition.max(1);
         let drift = mig.num_gates().abs_diff(self.gates_at_partition);
-        drift * 100 > base * cfg.repartition_pct as usize
-            || unassigned * 100 > base * cfg.repartition_pct as usize
+        drift * 100 > base * REPARTITION_PCT || unassigned * 100 > base * REPARTITION_PCT
     }
 }
 
@@ -415,23 +417,19 @@ impl Scheduler {
 /// estimates) and again before returning. The graph's dirty log is
 /// *peeked* through cursors, never drained, so carried analyses outside
 /// the scheduler (a pipeline's cut set) keep their invalidation feed.
-pub fn run_scheduler<E: ProposeEngine>(mig: &mut Mig, engine: &E, cfg: &ShardConfig) -> ShardStats {
-    let (_, delta) = obs::metrics::scoped(|| run_scheduler_steps(mig, engine, cfg));
-    delta.publish();
-    ShardStats::from_delta(&delta)
-}
-
-/// The scheduler loop proper. Every counter goes to the metric registry
-/// ([`run_scheduler`] reconstructs the [`ShardStats`] report from its
-/// scope delta); each step runs inside a nested metric scope so a guard
-/// rollback drops the undone step's outcome counters while
-/// [`obs::Delta::publish_history`] keeps its event history — uniformly
-/// for every engine.
-fn run_scheduler_steps<E: ProposeEngine>(mig: &mut Mig, engine: &E, cfg: &ShardConfig) {
+///
+/// Every counter goes to the metric registry; each step runs inside a
+/// nested metric scope so a guard rollback drops the undone step's
+/// outcome counters while [`obs::Delta::publish_history`] keeps its
+/// event history — uniformly for every engine.
+fn run_scheduler<E: ProposeEngine>(mig: &mut Mig, engine: &E, cfg: &ShardConfig) {
     use obs::metrics::{add, addi};
     use obs::Metric;
     mig.sweep();
-    let mut sched = Scheduler::new();
+    let mut sched = Scheduler {
+        frontier: Vec::new(),
+        gates_at_partition: 0,
+    };
     let mut current: Option<(RegionPartition, E::RoundState)> = None;
     let mut first = true;
     let mut force_partition = false;
@@ -448,7 +446,7 @@ fn run_scheduler_steps<E: ProposeEngine>(mig: &mut Mig, engine: &E, cfg: &ShardC
         if !need_partition {
             let (partition, _) = current.as_ref().expect("checked above");
             let (q, unassigned) = sched.queue(mig, partition);
-            if sched.needs_repartition(mig, cfg, unassigned) || (q.is_empty() && unassigned > 0) {
+            if sched.needs_repartition(mig, unassigned) || (q.is_empty() && unassigned > 0) {
                 need_partition = true;
             } else {
                 queue = q;
@@ -506,21 +504,20 @@ fn run_scheduler_steps<E: ProposeEngine>(mig: &mut Mig, engine: &E, cfg: &ShardC
         add(Metric::SchedProposedRegions, active.len() as u64);
         let before_metric = cfg.guard.map(|metric| metric(mig));
         let snapshot = before_metric.is_some().then(|| mig.clone());
-        let mut changed: Vec<NodeId> = Vec::new();
+        // Everything the step changes — each commit's dirt, or the
+        // whole-graph hook's — lands in the dirty log after this cursor.
+        let step_start = mig.dirty_cursor();
         let whole_graph = partition.num_regions() <= 1;
         // The step body runs in its own metric scope: a rolled-back
         // step's engine-recorded outcome counters must vanish with the
         // undone work, while its event history survives.
         let ((outcome, hooked), step_delta) = obs::metrics::scoped(|| {
             let hook = if whole_graph {
-                let cursor = mig.dirty_cursor();
                 engine.whole_graph_round(mig).map(|(replacements, gain)| {
                     // The hook bypasses the commit path; seed the next
                     // step's frontier from the dirty log directly.
-                    for &n in mig.dirty_since(cursor).unwrap_or(&[]) {
-                        changed.push(n);
-                        sched.frontier.push((n, gain));
-                    }
+                    let dirt = mig.dirty_since(step_start).unwrap_or(&[]);
+                    sched.frontier.extend(dirt.iter().map(|&n| (n, gain)));
                     RoundOutcome {
                         committed: usize::from(replacements > 0),
                         replacements,
@@ -540,9 +537,8 @@ fn run_scheduler_steps<E: ProposeEngine>(mig: &mut Mig, engine: &E, cfg: &ShardC
                         partition,
                         state,
                         &active,
-                        cfg,
-                        &mut sched,
-                        &mut changed,
+                        cfg.threads,
+                        &mut sched.frontier,
                     ),
                     false,
                 ),
@@ -590,14 +586,17 @@ fn run_scheduler_steps<E: ProposeEngine>(mig: &mut Mig, engine: &E, cfg: &ShardC
             add(Metric::ShardReplacements, outcome.replacements);
             addi(Metric::ShardGain, outcome.gain);
         }
+        let changed = mig
+            .dirty_since(step_start)
+            .expect("nothing drains the dirty log inside a step");
         if !changed.is_empty() {
-            engine.invalidate(mig, &changed);
+            engine.invalidate(mig, changed);
         }
         // Between steps the graph is quiescent: when enough slots have
         // died, renumber them out ([`Mig::compact`]) so the remaining
         // steps (and every later pass) walk dense arrays. Deterministic:
         // the trigger is a pure function of the graph state.
-        if cfg.compact_pct > 0 && mig.dead_slot_pct() >= u64::from(cfg.compact_pct) {
+        if mig.dead_slot_pct() >= COMPACT_PCT {
             let _span = obs::trace::span("sched:compact");
             let map = mig.compact();
             if !map.is_identity() {
@@ -621,24 +620,22 @@ fn run_scheduler_steps<E: ProposeEngine>(mig: &mut Mig, engine: &E, cfg: &ShardC
 
 /// One step's propose phase (parallel, read-only, per-region result
 /// slots) followed by its serial commit phase.
-#[allow(clippy::too_many_arguments)]
 fn propose_and_commit<E: ProposeEngine>(
     mig: &mut Mig,
     engine: &E,
     partition: &RegionPartition,
     state: &E::RoundState,
     active: &[u32],
-    cfg: &ShardConfig,
-    sched: &mut Scheduler,
-    changed: &mut Vec<NodeId>,
+    threads: usize,
+    frontier: &mut Vec<(NodeId, i64)>,
 ) -> RoundOutcome {
     // Workers steal region indices off a shared counter; results land in
     // per-region slots so the commit order is independent of scheduling.
-    let slots: Vec<Mutex<Vec<E::Proposal>>> =
+    let slots: Vec<Mutex<Vec<Proposal<E::Payload>>>> =
         active.iter().map(|_| Mutex::new(Vec::new())).collect();
     let next = AtomicUsize::new(0);
     let frozen: &Mig = mig;
-    let workers = cfg.threads.max(1).min(active.len());
+    let workers = threads.max(1).min(active.len());
     let work = |start: Option<&std::sync::Barrier>| {
         let _worker_span = obs::trace::span("propose:worker");
         if let Some(barrier) = start {
@@ -673,210 +670,123 @@ fn propose_and_commit<E: ProposeEngine>(
             });
         }
     }
-    let proposals: Vec<E::Proposal> = slots
+    let proposals: Vec<Proposal<E::Payload>> = slots
         .into_iter()
         .flat_map(|m| m.into_inner().unwrap())
         .collect();
     let _commit_span = obs::trace::span("commit");
-    // The scheduler's next step is driven by the frontier alone; no
-    // stale set is materialized on this path.
-    commit_serially(
-        mig,
-        engine,
-        &proposals,
-        None,
-        Some(&mut sched.frontier),
-        changed,
-    )
-}
-
-/// Applies one step's proposals through the scheduler's commit phase.
-/// `stale` receives the nodes whose regions must be re-proposed next
-/// step: everything dirtied by a commit, plus the footprints of
-/// conflicted proposals. Exposed so engines can regression-test their
-/// commit behavior against hand-built proposals.
-pub fn commit_proposals<E: ProposeEngine>(
-    mig: &mut Mig,
-    engine: &E,
-    proposals: Vec<E::Proposal>,
-    stale: &mut HashSet<NodeId>,
-) -> RoundOutcome {
-    commit_serially(mig, engine, &proposals, Some(stale), None, &mut Vec::new())
-}
-
-/// Records a refused proposal's footprint for retry.
-fn note_refused(
-    stale: &mut Option<&mut HashSet<NodeId>>,
-    frontier: &mut Option<&mut Vec<(NodeId, i64)>>,
-    footprint: &[NodeId],
-    gain: i64,
-) {
-    if let Some(stale) = stale.as_deref_mut() {
-        stale.extend(footprint.iter().copied());
-    }
-    if let Some(front) = frontier.as_deref_mut() {
-        front.extend(footprint.iter().map(|&n| (n, gain)));
-    }
-}
-
-/// Feeds one commit's dirt into the step-conflict set, the stale set,
-/// the invalidation list and the retry frontier.
-fn note_dirt(
-    step_dirty: &mut FxHashSet<NodeId>,
-    stale: &mut Option<&mut HashSet<NodeId>>,
-    frontier: &mut Option<&mut Vec<(NodeId, i64)>>,
-    changed: &mut Vec<NodeId>,
-    dirt: &[NodeId],
-    gain: i64,
-) {
-    for &n in dirt {
-        step_dirty.insert(n);
-        if let Some(stale) = stale.as_deref_mut() {
-            stale.insert(n);
-        }
-        changed.push(n);
-        if let Some(front) = frontier.as_deref_mut() {
-            front.push((n, gain));
-        }
-    }
+    commit_proposals(mig, engine, &proposals, frontier)
 }
 
 /// The commit phase (see the module docs): every proposal, in order,
 /// either commits on the live graph or — when its footprint intersects
-/// the dirt of an earlier commit in this step — is refused and queued
-/// for retry.
-fn commit_serially<E: ProposeEngine>(
+/// the dirt of an earlier commit in this call — is refused. `frontier`
+/// receives, with the proposal's gain as priority, the nodes whose
+/// regions must be proposed again: the footprints of refused proposals
+/// and everything a commit dirtied.
+pub fn commit_proposals<E: ProposeEngine>(
     mig: &mut Mig,
     engine: &E,
-    proposals: &[E::Proposal],
-    mut stale: Option<&mut HashSet<NodeId>>,
-    mut frontier: Option<&mut Vec<(NodeId, i64)>>,
-    changed: &mut Vec<NodeId>,
+    proposals: &[Proposal<E::Payload>],
+    frontier: &mut Vec<(NodeId, i64)>,
 ) -> RoundOutcome {
     let mut outcome = RoundOutcome::default();
     // Nodes touched earlier in this step; a proposal whose footprint
     // intersects it was analyzed against a graph that no longer exists.
     let mut step_dirty: FxHashSet<NodeId> = FxHashSet::default();
     for prop in proposals {
-        let footprint = engine.footprint(prop);
-        let gain = engine.gain(prop);
-        if footprint.iter().any(|n| step_dirty.contains(n)) {
-            outcome.conflicted += 1;
-            note_refused(&mut stale, &mut frontier, footprint, gain);
-            continue;
-        }
         let cursor = mig.dirty_cursor();
-        match engine.commit(mig, prop) {
+        let verdict = if prop.footprint.iter().any(|n| step_dirty.contains(n)) {
+            CommitVerdict::Conflicted
+        } else {
+            engine.commit(mig, &prop.payload)
+        };
+        match verdict {
             CommitVerdict::Applied { replacements } => {
                 outcome.committed += 1;
                 outcome.replacements += replacements;
-                outcome.gain += gain;
+                outcome.gain += prop.gain;
             }
             CommitVerdict::Conflicted => {
                 outcome.conflicted += 1;
-                note_refused(&mut stale, &mut frontier, footprint, gain);
+                frontier.extend(prop.footprint.iter().map(|&n| (n, prop.gain)));
             }
             CommitVerdict::Rejected => {}
         }
         let dirt = mig
             .dirty_since(cursor)
             .expect("nothing drains inside a commit step");
-        note_dirt(
-            &mut step_dirty,
-            &mut stale,
-            &mut frontier,
-            changed,
-            dirt,
-            gain,
-        );
+        step_dirty.extend(dirt.iter().copied());
+        frontier.extend(dirt.iter().map(|&n| (n, prop.gain)));
     }
     #[cfg(debug_assertions)]
     mig.debug_check();
     outcome
 }
 
-/// The shared convergence skeleton for engines that pair the scheduler
-/// with a serial engine (every converge driver in the workspace):
+/// The convergence skeleton every converge driver in the workspace runs
+/// (the scheduler paired with the engine's serial stages):
 ///
-/// * graphs too small to shard run `serial` alone (the degenerate case,
-///   bit-identical to a single-threaded run);
+/// * graphs too small to shard ([`ShardConfig::max_regions`] is 1) run
+///   `serial` alone (the degenerate case, bit-identical to a
+///   single-threaded run);
 /// * an optional `baseline` pass runs first under the configured guard
-///   metric and is rolled back unless it improves — the quality floor
-///   for engines whose serial analysis is global (the bottom-up
-///   candidate DP) and cannot be reproduced regionally;
+///   metric ([`gates_metric`] when none is set) and is rolled back when
+///   it replaced something without improving the metric — the quality
+///   floor for engines whose serial analysis is global (the bottom-up
+///   candidate DP) and cannot be reproduced regionally. It returns its
+///   replacement count;
 /// * the scheduler then runs to quiescence;
 /// * with `polish`, `serial` runs once more afterwards, recovering moves
 ///   that span region boundaries from the (much smaller) quiescent
 ///   graph.
 ///
-/// `serial` and `baseline` report `(replacements, gain)`; their numbers
-/// are merged into the returned [`ShardStats`].
+/// Results go to the metric registry: the scheduler's `sched.*` and
+/// `shard.*` counters, and whatever the serial stages record.
 pub fn run_scheduled_converge<E: ProposeEngine>(
     mig: &mut Mig,
     engine: &E,
     cfg: &ShardConfig,
-    serial: &mut SerialPass<'_>,
-    baseline: Option<&mut SerialPass<'_>>,
+    serial: &mut dyn FnMut(&mut Mig),
+    baseline: Option<&mut dyn FnMut(&mut Mig) -> u64>,
     polish: bool,
-) -> ShardStats {
-    // Serial stages report `(replacements, gain)` pairs that engines
-    // already record under their own metrics; they are folded into the
-    // returned struct only (not re-recorded) to avoid double counting.
-    let mut serial_repl = 0u64;
-    let mut serial_gain = 0i64;
-    let (_, delta) = obs::metrics::scoped(|| {
-        if !cfg.shardable(mig) {
-            let _span = obs::trace::span("serial");
-            let (replacements, gain) = serial(mig);
-            serial_repl += replacements;
-            serial_gain += gain;
-            return;
+) {
+    if cfg.max_regions(mig) <= 1 {
+        let _span = obs::trace::span("serial");
+        serial(mig);
+        return;
+    }
+    if let Some(baseline) = baseline {
+        let _span = obs::trace::span("baseline");
+        let metric = cfg.guard.unwrap_or(gates_metric);
+        let before = metric(mig);
+        let snapshot = mig.clone();
+        let (replacements, base_delta) = obs::metrics::scoped(|| baseline(mig));
+        if replacements > 0 && metric(mig) >= before {
+            *mig = snapshot;
+            base_delta.publish_history();
+        } else {
+            base_delta.publish();
         }
-        if let Some(baseline) = baseline {
-            let _span = obs::trace::span("baseline");
-            let metric = cfg.guard.unwrap_or(gates_only_metric);
-            let before = metric(mig);
-            let snapshot = mig.clone();
-            let ((replacements, gain), base_delta) = obs::metrics::scoped(|| baseline(mig));
-            if replacements > 0 && metric(mig) >= before {
-                *mig = snapshot;
-                base_delta.publish_history();
-            } else {
-                base_delta.publish();
-                serial_repl += replacements;
-                serial_gain += gain;
-            }
-        }
-        run_scheduler(mig, engine, cfg);
-        if polish {
-            let _span = obs::trace::span("polish");
-            let (replacements, gain) = serial(mig);
-            serial_repl += replacements;
-            serial_gain += gain;
-            mig.sweep();
-        }
-    });
-    delta.publish();
-    let mut stats = ShardStats::from_delta(&delta);
-    stats.replacements += serial_repl;
-    stats.gain += serial_gain;
-    stats
+    }
+    run_scheduler(mig, engine, cfg);
+    if polish {
+        let _span = obs::trace::span("polish");
+        serial(mig);
+        mig.sweep();
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::{PartitionStrategy, Signal};
+    use std::collections::HashSet;
 
     /// A toy engine removing redundant conjunction: `<0 a <0 a b>>`
     /// computes the same function as its inner gate, so the root can be
-    /// substituted by the inner signal (gain 1).
+    /// substituted by the inner signal (gain 1). The payload is the root.
     struct RedundantAndEngine;
-
-    struct AndProposal {
-        root: NodeId,
-        footprint: Vec<NodeId>,
-    }
 
     /// Matches the pattern at `root` and returns the replacement signal.
     fn redundant_and(mig: &Mig, root: NodeId) -> Option<Signal> {
@@ -900,8 +810,18 @@ mod tests {
         None
     }
 
+    /// The toy proposal at `root` over the current graph.
+    fn and_proposal(mig: &Mig, root: NodeId) -> Option<Proposal<NodeId>> {
+        let inner = redundant_and(mig, root)?;
+        Some(Proposal {
+            payload: root,
+            footprint: vec![root, inner.node()],
+            gain: 1,
+        })
+    }
+
     impl ProposeEngine for RedundantAndEngine {
-        type Proposal = AndProposal;
+        type Payload = NodeId;
         type RoundState = ();
 
         fn partition(&self, mig: &Mig, max_regions: usize) -> (RegionPartition, ()) {
@@ -915,36 +835,27 @@ mod tests {
             partition: &RegionPartition,
             _state: &(),
             region: u32,
-        ) -> Vec<AndProposal> {
+        ) -> Vec<Proposal<NodeId>> {
             let mut props = Vec::new();
             let mut claimed: HashSet<NodeId> = HashSet::new();
             for &v in partition.members(region).iter().rev() {
                 if claimed.contains(&v) {
                     continue;
                 }
-                if let Some(inner) = redundant_and(mig, v) {
-                    let footprint = vec![v, inner.node()];
-                    claimed.extend(footprint.iter().copied());
-                    props.push(AndProposal { root: v, footprint });
+                if let Some(p) = and_proposal(mig, v) {
+                    claimed.extend(p.footprint.iter().copied());
+                    props.push(p);
                 }
             }
             props
         }
 
-        fn footprint<'a>(&self, p: &'a AndProposal) -> &'a [NodeId] {
-            &p.footprint
-        }
-
-        fn gain(&self, _p: &AndProposal) -> i64 {
-            1
-        }
-
-        fn commit(&self, mig: &mut Mig, p: &AndProposal) -> CommitVerdict {
+        fn commit(&self, mig: &mut Mig, &root: &NodeId) -> CommitVerdict {
             // Live recheck: the pattern must still be present.
-            let Some(inner) = redundant_and(mig, p.root) else {
+            let Some(inner) = redundant_and(mig, root) else {
                 return CommitVerdict::Conflicted;
             };
-            if mig.replace_node(p.root, inner) {
+            if mig.replace_node(root, inner) {
                 CommitVerdict::Applied { replacements: 1 }
             } else {
                 CommitVerdict::Rejected
@@ -967,22 +878,31 @@ mod tests {
         m
     }
 
-    fn small_cfg(threads: usize) -> ShardConfig {
+    fn cfg(threads: usize) -> ShardConfig {
         ShardConfig {
-            min_region_size: 4,
-            ..ShardConfig::new(threads)
+            threads,
+            max_rounds: 50,
+            guard: None,
         }
+    }
+
+    /// Runs the scheduler and returns what it recorded.
+    fn scheduled(mig: &mut Mig, cfg: &ShardConfig) -> obs::Delta {
+        obs::metrics::scoped(|| run_scheduler(mig, &RedundantAndEngine, cfg)).1
     }
 
     #[test]
     fn scheduler_collapses_all_redundancy_deterministically() {
         let m = redundant_ladder(60);
         let want = m.output_truth_tables();
-        let mut results = Vec::new();
         for threads in [1usize, 2, 4] {
+            assert!(cfg(threads).max_regions(&m) >= 4, "test premise: sharded");
             let mut opt = m.clone();
-            let stats = run_scheduler(&mut opt, &RedundantAndEngine, &small_cfg(threads));
-            assert!(stats.replacements > 0, "@{threads}: nothing rewritten");
+            let d = scheduled(&mut opt, &cfg(threads));
+            assert!(
+                d.get(obs::Metric::ShardReplacements) > 0,
+                "@{threads}: nothing rewritten"
+            );
             assert_eq!(opt.output_truth_tables(), want, "@{threads}");
             // Quiescence: no redundant pair survives.
             for g in opt.gates() {
@@ -992,17 +912,14 @@ mod tests {
                 );
             }
             opt.debug_check();
-            let gates: Vec<_> = opt.gates().map(|g| (g, opt.fanins(g))).collect();
-            results.push((threads, opt.num_gates(), gates, opt.outputs().to_vec()));
-        }
-        // Determinism: repeat runs per thread count are bit-identical.
-        for &(threads, gates, ref fanins, ref outs) in &results {
+            // Determinism: a repeat run is bit-identical.
             let mut again = m.clone();
-            run_scheduler(&mut again, &RedundantAndEngine, &small_cfg(threads));
-            assert_eq!(again.num_gates(), gates, "@{threads}");
-            let fp: Vec<_> = again.gates().map(|g| (g, again.fanins(g))).collect();
-            assert_eq!(&fp, fanins, "@{threads}: nondeterministic netlist");
-            assert_eq!(&again.outputs().to_vec(), outs, "@{threads}");
+            scheduled(&mut again, &cfg(threads));
+            assert_eq!(
+                again.fingerprint(),
+                opt.fingerprint(),
+                "@{threads}: nondeterministic netlist"
+            );
         }
     }
 
@@ -1028,15 +945,15 @@ mod tests {
         m.add_output(acc);
         let want = m.output_truth_tables();
         let mut opt = m.clone();
-        let stats = run_scheduler(&mut opt, &RedundantAndEngine, &small_cfg(2));
-        assert!(stats.replacements > 0);
+        let d = scheduled(&mut opt, &cfg(2));
+        assert!(d.get(obs::Metric::ShardReplacements) > 0);
         assert_eq!(opt.output_truth_tables(), want);
+        let sched = SchedStats::from_delta(&d);
         assert!(
-            stats.sched.skipped_clean > 0,
-            "clean regions were re-proposed: {:?}",
-            stats.sched
+            sched.skipped_clean > 0,
+            "clean regions were re-proposed: {sched:?}"
         );
-        assert!(stats.sched.proposed_regions > 0);
+        assert!(sched.proposed_regions > 0);
     }
 
     #[test]
@@ -1047,23 +964,21 @@ mod tests {
         let mut opt = m.clone();
         let cfg = ShardConfig {
             guard: Some(|_m: &Mig| (0, 0)),
-            ..small_cfg(2)
+            ..cfg(2)
         };
-        let before: Vec<_> = opt.gates().map(|g| (g, opt.fanins(g))).collect();
-        let stats = run_scheduler(&mut opt, &RedundantAndEngine, &cfg);
-        assert_eq!(stats.replacements, 0, "rolled-back step must not count");
-        let after: Vec<_> = opt.gates().map(|g| (g, opt.fanins(g))).collect();
-        assert_eq!(before, after, "rollback restored the graph");
-        assert_eq!(stats.rounds, 1);
-    }
-
-    /// Builds the toy proposal at `root` over the current graph.
-    fn and_proposal(mig: &Mig, root: NodeId) -> AndProposal {
-        let inner = redundant_and(mig, root).expect("pattern present");
-        AndProposal {
-            root,
-            footprint: vec![root, inner.node()],
-        }
+        assert!(cfg.max_regions(&m) > 1, "test premise: sharded");
+        let d = scheduled(&mut opt, &cfg);
+        assert_eq!(
+            d.get(obs::Metric::ShardReplacements),
+            0,
+            "rolled-back step must not count"
+        );
+        assert_eq!(
+            opt.fingerprint(),
+            m.fingerprint(),
+            "rollback restored the graph"
+        );
+        assert_eq!(d.get(obs::Metric::SchedSteps), 1);
     }
 
     #[test]
@@ -1085,29 +1000,25 @@ mod tests {
             (m, r1.node(), r2.node())
         };
         let (mut batched, r1, r2) = build();
-        let p1 = and_proposal(&batched, r1);
-        let p2 = and_proposal(&batched, r2);
-        let mut stale = HashSet::new();
-        let outcome = commit_proposals(&mut batched, &RedundantAndEngine, vec![p1, p2], &mut stale);
+        let props: Vec<_> = [r1, r2]
+            .map(|r| and_proposal(&batched, r).expect("pattern present"))
+            .into();
+        let outcome = commit_proposals(&mut batched, &RedundantAndEngine, &props, &mut Vec::new());
         assert_eq!(outcome.committed, 2);
         assert_eq!(outcome.conflicted, 0);
         batched.debug_check();
 
         let (mut serial, r1, r2) = build();
         for root in [r1, r2] {
-            let p = and_proposal(&serial, root);
-            let mut stale = HashSet::new();
-            let o = commit_proposals(&mut serial, &RedundantAndEngine, vec![p], &mut stale);
+            let p = and_proposal(&serial, root).expect("pattern present");
+            let o = commit_proposals(&mut serial, &RedundantAndEngine, &[p], &mut Vec::new());
             assert_eq!(o.committed, 1);
         }
-        let fp_b: Vec<_> = batched.gates().map(|g| (g, batched.fanins(g))).collect();
-        let fp_s: Vec<_> = serial.gates().map(|g| (g, serial.fanins(g))).collect();
         assert_eq!(
-            fp_b, fp_s,
+            batched.fingerprint(),
+            serial.fingerprint(),
             "batched commit diverged from one-at-a-time commits"
         );
-        assert_eq!(batched.outputs(), serial.outputs());
-        assert_eq!(batched.num_nodes(), serial.num_nodes());
     }
 
     #[test]
@@ -1128,22 +1039,19 @@ mod tests {
         m.add_output(r2);
         m.add_output(r3);
         let want = m.output_truth_tables();
-        let p_low = and_proposal(&m, r1.node());
-        let p_high = and_proposal(&m, r2.node());
-        let p_other = and_proposal(&m, r3.node());
-        let high_footprint = p_high.footprint.clone();
-        let mut stale = HashSet::new();
-        let outcome = commit_proposals(
-            &mut m,
-            &RedundantAndEngine,
-            vec![p_low, p_high, p_other],
-            &mut stale,
-        );
+        let props: Vec<_> = [r1, r2, r3]
+            .map(|r| and_proposal(&m, r.node()).expect("pattern present"))
+            .into();
+        let high_footprint = props[1].footprint.clone();
+        let mut frontier = Vec::new();
+        let outcome = commit_proposals(&mut m, &RedundantAndEngine, &props, &mut frontier);
         assert_eq!(outcome.committed, 2, "lower and unrelated proposals land");
         assert_eq!(outcome.conflicted, 1, "upper proposal refused for retry");
         assert!(!m.is_gate(r3.node()), "unrelated pair collapsed");
         assert!(
-            high_footprint.iter().all(|n| stale.contains(n)),
+            high_footprint
+                .iter()
+                .all(|n| frontier.iter().any(|&(f, _)| f == *n)),
             "conflicted footprint queued for the next step"
         );
         assert_eq!(m.output_truth_tables(), want, "function preserved");
@@ -1155,14 +1063,10 @@ mod tests {
     /// `replace_node` on the same graph.
     #[test]
     fn escaped_cascade_falls_back_to_serial_application() {
+        /// Commits `replace_node(root, repl)` as proposed.
         struct CollapseEngine;
-        struct CollapseProposal {
-            root: NodeId,
-            repl: Signal,
-            footprint: Vec<NodeId>,
-        }
         impl ProposeEngine for CollapseEngine {
-            type Proposal = CollapseProposal;
+            type Payload = (NodeId, Signal);
             type RoundState = ();
             fn partition(&self, mig: &Mig, max_regions: usize) -> (RegionPartition, ()) {
                 let p =
@@ -1175,17 +1079,11 @@ mod tests {
                 _partition: &RegionPartition,
                 _state: &(),
                 _region: u32,
-            ) -> Vec<CollapseProposal> {
+            ) -> Vec<Proposal<(NodeId, Signal)>> {
                 Vec::new()
             }
-            fn footprint<'a>(&self, p: &'a CollapseProposal) -> &'a [NodeId] {
-                &p.footprint
-            }
-            fn gain(&self, _p: &CollapseProposal) -> i64 {
-                1
-            }
-            fn commit(&self, mig: &mut Mig, p: &CollapseProposal) -> CommitVerdict {
-                if mig.replace_node(p.root, p.repl) {
+            fn commit(&self, mig: &mut Mig, &(root, repl): &(NodeId, Signal)) -> CommitVerdict {
+                if mig.replace_node(root, repl) {
                     CommitVerdict::Applied { replacements: 1 }
                 } else {
                     CommitVerdict::Rejected
@@ -1206,29 +1104,21 @@ mod tests {
             (m, root.node(), inner.node(), a)
         };
         let (mut m, root, inner, a) = build();
-        let prop = CollapseProposal {
-            root,
-            repl: a,
+        let prop = Proposal {
+            payload: (root, a),
             footprint: vec![root, inner],
+            gain: 1,
         };
-        let mut stale = HashSet::new();
-        let outcome = commit_proposals(&mut m, &CollapseEngine, vec![prop], &mut stale);
+        let outcome = commit_proposals(&mut m, &CollapseEngine, &[prop], &mut Vec::new());
         assert_eq!(outcome.committed, 1, "cascading proposal lands");
         assert_eq!(outcome.conflicted, 0);
         m.debug_check();
 
         let (mut serial, root, _, a) = build();
         assert!(serial.replace_node(root, a));
-        let fp = |m: &Mig| {
-            (
-                m.num_nodes(),
-                m.gates().map(|g| (g, m.fanins(g))).collect::<Vec<_>>(),
-                m.outputs().to_vec(),
-            )
-        };
         assert_eq!(
-            fp(&m),
-            fp(&serial),
+            m.fingerprint(),
+            serial.fingerprint(),
             "commit diverged from a direct replace_node"
         );
     }

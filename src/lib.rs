@@ -17,7 +17,7 @@
 //!   paper's primary contribution) in all its variants (T/TD/TF/TFD/B/BF):
 //!   `FunctionalHashing::pass` runs one in-place pass, and
 //!   `FunctionalHashing::converge` runs the event-driven convergence
-//!   scheduler (built on `mig::run_scheduler`) to a fixpoint;
+//!   scheduler (`mig::run_scheduled_converge`) to a fixpoint;
 //! * [`migalg`] — algebraic MIG optimization (refs \[3\], \[4\]) used to
 //!   produce "heavily optimized" starting points;
 //! * [`aig`] — an AND-inverter-graph substrate and rewriting baseline;

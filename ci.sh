@@ -39,10 +39,10 @@ for f in benchmarks/full_adder.aag benchmarks/adder8.aag \
              "strash; fhash!:T@2; fhash!:B@2; cec; stats" \
              "strash; size!; fhash!:B@2; depth!; cec" \
              "strash; algebraic@2; fhash:TFD; cec" \
-             "strash; depth!@2; size!@2; fhash:T; cec; stats" \
+             "strash; depth!; size!; fhash:T; cec; stats" \
              "strash; fhash!:TFD@4; algebraic@4; cec" \
              "strash; fhash!:B@4; algebraic@4; cec" \
-             "strash; size!@4; depth!@4; fhash!:TD@4; cec; stats"; do
+             "strash; size!; depth!; fhash!:TD@4; cec; stats"; do
         echo "-- migopt -i $f -p \"$p\""
         "$MIGOPT" -q -i "$f" -p "$p"
     done
@@ -61,7 +61,7 @@ for f in benchmarks/full_adder.aag benchmarks/adder8.aag \
          benchmarks/mult4.aig benchmarks/adder4.blif; do
     t="$TRACE_DIR/$(basename "$f").trace.jsonl"
     echo "-- migopt -i $f --trace $t"
-    "$MIGOPT" -q -i "$f" -p "strash; fhash!:B@4; size!@4; cec" --trace "$t"
+    "$MIGOPT" -q -i "$f" -p "strash; fhash!:B@4; size!; cec" --trace "$t"
     ./target/release/trace_lint "$t"
 done
 

@@ -40,13 +40,11 @@ use std::collections::HashSet;
 /// A matched Ω.D right-to-left merge: `<G1 G2 z>` with `G1 = <x y u>`,
 /// `G2 = <x y v>` (plain polarity, sharing exactly the two operands
 /// `shared`), rewritten to `<x y <u v z>>`.
-pub(crate) struct SizeMove {
-    pub g1: NodeId,
-    pub g2: NodeId,
-    pub shared: [Signal; 2],
-    pub u: Signal,
-    pub v: Signal,
-    pub z: Signal,
+struct SizeMove {
+    shared: [Signal; 2],
+    u: Signal,
+    v: Signal,
+    z: Signal,
 }
 
 /// Scans gate `g` for a size merge. Read-only; mirrors the rebuild
@@ -57,7 +55,7 @@ pub(crate) struct SizeMove {
 /// from the single site), so the never-worse guarantee lives at the
 /// sweep level ([`size_rewrite`] rolls back a sweep that ends
 /// lexicographically worse).
-pub(crate) fn match_size_move(mig: &Mig, g: NodeId) -> Option<SizeMove> {
+fn match_size_move(mig: &Mig, g: NodeId) -> Option<SizeMove> {
     let ops = mig.fanins(g);
     for i in 0..3 {
         for j in 0..3 {
@@ -85,8 +83,6 @@ pub(crate) fn match_size_move(mig: &Mig, g: NodeId) -> Option<SizeMove> {
                     .find(|s| !shared.contains(s))
                     .expect("third operand");
                 return Some(SizeMove {
-                    g1: s1.node(),
-                    g2: s2.node(),
                     shared: [shared[0], shared[1]],
                     u,
                     v,
@@ -98,45 +94,36 @@ pub(crate) fn match_size_move(mig: &Mig, g: NodeId) -> Option<SizeMove> {
     None
 }
 
-/// Re-derives and applies the size merge at `g` against the live graph.
-/// Returns `false` when no merge applies (the pattern vanished or the
-/// substitution was refused); nothing is changed in that case.
-pub(crate) fn apply_size_move(mig: &mut Mig, g: NodeId) -> bool {
-    let Some(mv) = match_size_move(&*mig, g) else {
-        return false;
+/// Matches the size merge at `g` against the live graph, builds the
+/// merged cone and commits it via [`Mig::replace_node`]. Nothing is
+/// changed when no merge applies or the substitution is refused (the
+/// root reproduced itself, or a cycle through shared logic). A committed
+/// merge records into the metric registry, the single source of truth
+/// the stats structs are reconstructed from.
+fn apply_size_move(mig: &mut Mig, g: NodeId) {
+    let Some(mv) = match_size_move(mig, g) else {
+        return;
     };
-    commit_size_move(mig, g, mv)
-}
-
-/// Builds the merged cone of a matched size move and commits it via
-/// [`Mig::replace_node`]. Returns `false` when the substitution was
-/// refused (the root reproduced itself, or a cycle through shared
-/// logic) — nothing is changed in that case. A committed merge records
-/// into the metric registry, the single source of truth the stats
-/// structs are reconstructed from.
-pub(crate) fn commit_size_move(mig: &mut Mig, g: NodeId, mv: SizeMove) -> bool {
     let inner = mig.maj(mv.u, mv.v, mv.z);
     let new = mig.maj(mv.shared[0], mv.shared[1], inner);
     if new.node() == g {
         // Structural hashing reproduced the root; nothing to merge (only
         // possible when `inner` aliased an existing referenced node, so
         // there is no speculative cone to retract).
-        return false;
+        return;
     }
     if mig.replace_node(g, new) {
         obs::metrics::add(obs::Metric::AlgMerges, 1);
-        true
     } else {
         // Cycle through shared logic: retract the speculative cone.
         mig.reclaim(new.node());
-        false
     }
 }
 
 /// A matched depth move at a gate whose unique deepest operand is a
 /// plain inner gate with deepest own operand `z`. All signals are
 /// already translated to the live graph.
-pub(crate) enum DepthMove {
+enum DepthMove {
     /// Ω.A: `<x u <y u z>> = <z u <y u x>>` — swap the late-arriving `z`
     /// with the early outer operand `x` through the shared operand `u`.
     Assoc {
@@ -225,23 +212,21 @@ fn plan_depth_move(
 }
 
 /// The depth-move pattern match against the live graph only (analysis =
-/// target): what the sharded engine's propose and commit phases use — a
-/// frozen round snapshot *is* its own pass-start graph.
-pub(crate) fn match_depth_move_live(mig: &Mig, g: NodeId) -> Option<(DepthMove, NodeId)> {
+/// target): the depth sweep visits a gate before its fanin cone changes,
+/// so the live graph *is* the sweep-start graph there.
+fn match_depth_move_live(mig: &Mig, g: NodeId) -> Option<DepthMove> {
     let ops = mig.fanins(g);
     let ci = select_critical(ops, &|n| mig.level(n), &|n| mig.is_gate(n))?;
     let inner = ops[ci].node();
     let outer: Vec<Signal> = (0..3).filter(|&i| i != ci).map(|i| ops[i]).collect();
-    let mv = plan_depth_move([outer[0], outer[1]], mig.fanins(inner), &|n| mig.level(n))?;
-    Some((mv, inner))
+    plan_depth_move([outer[0], outer[1]], mig.fanins(inner), &|n| mig.level(n))
 }
 
 /// Builds the replacement cone of a depth move and commits it via
-/// [`Mig::replace_node`]. Returns the committed replacement signal, or
-/// `None` when the substitution was refused (the root reproduced itself,
-/// the root's live level would degrade, or a cycle through shared
-/// logic) — nothing is changed in that case.
-pub(crate) fn commit_depth_move(mig: &mut Mig, g: NodeId, mv: DepthMove) -> Option<Signal> {
+/// [`Mig::replace_node`]. Nothing is changed when the substitution is
+/// refused (the root reproduced itself, the root's live level would
+/// degrade, or a cycle through shared logic).
+fn commit_depth_move(mig: &mut Mig, g: NodeId, mv: DepthMove) {
     let old_level = mig.level(g);
     let (new, is_assoc) = match mv {
         DepthMove::Assoc { x, y, u, z } => {
@@ -255,20 +240,19 @@ pub(crate) fn commit_depth_move(mig: &mut Mig, g: NodeId, mv: DepthMove) -> Opti
         }
     };
     if new.node() == g {
-        return None;
+        return;
     }
     if mig.level(new.node()) > old_level || !mig.replace_node(g, new) {
         // The root's level would degrade (tie-breaking collisions), or a
         // cycle through shared logic: retract the speculative cone.
         mig.reclaim(new.node());
-        return None;
+        return;
     }
     if is_assoc {
         obs::metrics::add(obs::Metric::AlgAssocMoves, 1);
     } else {
         obs::metrics::add(obs::Metric::AlgDistribMoves, 1);
     }
-    Some(new)
 }
 
 /// The two move families of the algebraic flow.
@@ -328,10 +312,9 @@ fn depth_sweep(mig: &mut Mig, targets: Option<&HashSet<NodeId>>) {
                 continue;
             }
         }
-        let Some((mv, _inner)) = match_depth_move_live(mig, v) else {
-            continue;
-        };
-        commit_depth_move(mig, v, mv);
+        if let Some(mv) = match_depth_move_live(mig, v) {
+            commit_depth_move(mig, v, mv);
+        }
     }
     mig.sweep();
 }
@@ -400,14 +383,16 @@ fn affected_cone(mig: &Mig, dirty: &[NodeId]) -> HashSet<NodeId> {
     set
 }
 
-/// Serial convergence driver shared by [`crate::size_converge`] and
-/// [`crate::depth_converge`]: sweeps to a fixpoint, re-scanning only the
+/// The convergence loop behind [`crate::size_converge`],
+/// [`crate::depth_converge`] and the refinement stages of
+/// [`crate::optimize`]: sweeps to a fixpoint, re-scanning only the
 /// affected cones of the previous sweep's changes (seeded from the
 /// structural-change log, which is *peeked*, not drained — a pipeline's
 /// carried cut set keeps its invalidation feed). Incremental rounds that
 /// find nothing are confirmed by one full sweep. A round that fails to
 /// strictly improve `guard` is rolled back and ends the loop — the
-/// never-worse guarantee, and what bounds lateral-move churn.
+/// never-worse guarantee, and what bounds lateral-move churn. The rounds
+/// run are recorded as `alg.converge_rounds` and returned.
 pub(crate) fn converge(
     mig: &mut Mig,
     max_rounds: usize,
@@ -458,6 +443,7 @@ pub(crate) fn converge(
         }
     });
     delta.publish();
+    obs::metrics::add(obs::Metric::AlgRounds, rounds as u64);
     (AlgStats::from_delta(&delta), rounds)
 }
 
@@ -465,9 +451,9 @@ pub(crate) fn converge(
 /// selection and round acceptance — all by the shared lexicographic
 /// `(gates, depth)` metric ([`script_metric`]), the same convergence
 /// rule as the rebuild reference. A single implementation drives both
-/// the serial and the sharded stages of [`crate::optimize`] so they
-/// cannot drift. Returns the kept stats, or `None` when the round failed
-/// to improve and was rolled back.
+/// the sweep stages and the refinement stages of [`crate::optimize`] so
+/// they cannot drift. Returns the kept stats, or `None` when the round
+/// failed to improve and was rolled back.
 pub(crate) fn script_round(
     mig: &mut Mig,
     size_stage: &mut dyn FnMut(&mut Mig) -> AlgStats,

@@ -19,24 +19,21 @@
 //! network: each candidate is matched read-only, built speculatively and
 //! committed through [`Mig::replace_node`], with incrementally maintained
 //! levels driving critical-path detection and the structural-change log
-//! driving affected-cone re-scans in the convergence loops. Each
-//! pipeline pass is one call:
+//! driving affected-cone re-scans in the convergence loop. Each pipeline
+//! pass is one call:
 //!
 //! | Pass | Call |
 //! |------|------|
 //! | `size` | [`size_rewrite`]: one guarded size sweep |
 //! | `depth` | [`depth_rewrite`]: one guarded depth sweep |
-//! | `size![@T]` | [`size_converge`]: size sweeps to the fixpoint |
-//! | `depth![@T]` | [`depth_converge`]: depth sweeps to the fixpoint |
-//! | `algebraic[:N][@T]` | [`optimize`]: the size+depth script |
+//! | `size!` | [`size_converge`]: size sweeps to the fixpoint |
+//! | `depth!` | [`depth_converge`]: depth sweeps to the fixpoint |
+//! | `algebraic[:N][@T]` | [`optimize`]: the size+depth script, refined when `T` ≥ 2 |
 //!
-//! The converge loops and the sharded script run the same moves as
-//! proposals on the engine-agnostic propose/commit protocol of
-//! [`mig::ProposeEngine`] when `T > 1` and the graph is large enough to
-//! shard. [`optimize`] is also the "script" the benchmark harness uses
-//! to produce Table III starting points; every script round shares the
-//! lexicographic `(gates, depth)` acceptance ([`script_metric`]), so
-//! serial and sharded runs agree on convergence. The original
+//! Every pass runs the serial sweeps on the calling thread. [`optimize`]
+//! is also the "script" the benchmark harness uses to produce Table III
+//! starting points; every script round shares the lexicographic
+//! `(gates, depth)` acceptance ([`script_metric`]). The original
 //! rebuild-style passes survive as test-only references for the
 //! differential tests.
 
@@ -45,10 +42,10 @@
 mod inplace;
 #[cfg(test)]
 mod rebuild;
-mod shard;
 
 pub use inplace::{depth_rewrite, size_rewrite};
 
+use inplace::{converge, depth_metric, Family};
 use mig::Mig;
 
 /// Backstop on the convergence loops' rounds: improving rounds shrink
@@ -64,9 +61,6 @@ pub struct AlgStats {
     pub distrib_moves: u64,
     /// Number of distributivity (R→L) merges applied.
     pub merges: u64,
-    /// Event counters of the convergence scheduler (zero for purely
-    /// serial runs).
-    pub sched: mig::SchedStats,
 }
 
 impl AlgStats {
@@ -76,80 +70,70 @@ impl AlgStats {
     }
 
     /// Reconstructs the legacy stats struct from a metric-registry delta.
-    /// The in-place move commits record `alg.*` directly (serial sweeps
-    /// and scheduler commits alike), so no arithmetic over driver totals
-    /// is needed to attribute moves per kind.
+    /// The in-place move commits record `alg.*` directly, so no
+    /// arithmetic over driver totals is needed to attribute moves per
+    /// kind.
     pub fn from_delta(d: &obs::Delta) -> AlgStats {
         AlgStats {
             assoc_moves: d.get(obs::Metric::AlgAssocMoves),
             distrib_moves: d.get(obs::Metric::AlgDistribMoves),
             merges: d.get(obs::Metric::AlgMerges),
-            sched: mig::SchedStats::from_delta(d),
         }
     }
 }
 
 /// The optimization script's round-acceptance metric: `(gates, depth)`,
-/// compared lexicographically (smaller is better). Shared by the serial
-/// script, the sharded round guard and the rebuild reference, so all
-/// agree on what counts as progress. It is a [`mig::RoundMetric`], the
-/// type of [`mig::ShardConfig::guard`].
+/// compared lexicographically (smaller is better). Shared by the script
+/// rounds, the size sweeps' guard and the rebuild reference, so all agree
+/// on what counts as progress.
 pub fn script_metric(mig: &Mig) -> (u64, u64) {
     (mig.num_gates() as u64, u64::from(mig.depth()))
 }
 
-/// Size-rewriting convergence on the event-driven scheduler (the
-/// `size!` pipeline pass): graphs too small to shard run the serial
-/// convergence loop (affected-cone re-scans seeded from the dirty log);
-/// larger graphs run guarded scheduler steps over dirty regions —
-/// `threads` workers propose in parallel — followed by a serial polish to
-/// the serial engine's own fixpoint. Returns the applied-move counters
-/// and the number of rounds/steps run. Every step and sweep is
-/// `(gates, depth)`-guarded, so the result is never worse than the input.
-pub fn size_converge(mig: &mut Mig, threads: usize) -> (AlgStats, usize) {
-    shard::converge_threads(mig, MAX_ROUNDS, false, threads)
+/// Size-rewriting convergence (the `size!` pipeline pass): size sweeps
+/// to the fixpoint, re-scanning only the cones the previous sweep
+/// affected. Returns the applied-move counters and the number of rounds
+/// run. Every round is `(gates, depth)`-guarded, so the result is never
+/// worse than the input.
+pub fn size_converge(mig: &mut Mig) -> (AlgStats, usize) {
+    converge(mig, MAX_ROUNDS, Family::Size, script_metric)
 }
 
 /// Depth-script convergence (the `depth!` pipeline pass): like
 /// [`size_converge`] for the Ω.A/Ω.D depth moves. Every committed move
-/// strictly lowers its root's level and steps run under a
+/// strictly lowers its root's level and rounds run under a
 /// `(depth, gates)` guard, so the result never has more depth than the
 /// input.
-pub fn depth_converge(mig: &mut Mig, threads: usize) -> (AlgStats, usize) {
-    shard::converge_threads(mig, MAX_ROUNDS, true, threads)
+pub fn depth_converge(mig: &mut Mig) -> (AlgStats, usize) {
+    converge(mig, MAX_ROUNDS, Family::Depth, depth_metric)
 }
 
-/// The optimization script (the `algebraic:N@T` pipeline pass):
+/// The optimization script (the `algebraic:N` pipeline pass):
 /// alternating size and depth rounds until the lexicographic
 /// `(gates, depth)` fixpoint ([`script_metric`]) or `max_rounds`,
 /// mirroring how the paper's starting points were produced with the
 /// flows of refs \[3\] and \[4\]. Rounds that fail to improve are rolled
 /// back, so the result is never worse than the input.
 ///
-/// With `threads > 1` the serial script is the quality baseline, and
-/// event-driven size and depth stages on the scheduler run afterwards as
-/// refinement under the same round acceptance, `threads` workers
-/// proposing in parallel. The script's round acceptance is inherently
-/// serial (each round's stage selection depends on the previous round's
-/// committed graph), so this makes the sharded script never worse than
-/// the serial script on any input, bit-deterministic for a fixed input
-/// and thread count, and exactly the serial script on graphs too small
-/// to shard.
-pub fn optimize(mig: &mut Mig, max_rounds: usize, threads: usize) -> AlgStats {
+/// With `refine`, up to `max_rounds` refinement rounds follow under the
+/// same acceptance, their size and depth stages the convergence loop
+/// capped at 8 sweeps. Everything runs on the calling thread and is
+/// bit-deterministic for a fixed input.
+pub fn optimize(mig: &mut Mig, max_rounds: usize, refine: bool) -> AlgStats {
     let ((), delta) = obs::metrics::scoped(|| {
         for _ in 0..max_rounds {
             if inplace::script_round(mig, &mut size_rewrite, &mut depth_rewrite).is_none() {
                 break;
             }
         }
-        if threads <= 1 {
+        if !refine {
             return;
         }
         for _ in 0..max_rounds {
             let round = inplace::script_round(
                 mig,
-                &mut |m| shard::converge_threads(m, 8, false, threads).0,
-                &mut |m| shard::converge_threads(m, 8, true, threads).0,
+                &mut |m| converge(m, 8, Family::Size, script_metric).0,
+                &mut |m| converge(m, 8, Family::Depth, depth_metric).0,
             );
             if round.is_none() {
                 break;
@@ -244,7 +228,7 @@ mod tests {
         let top = m.maj(g1, g2, x);
         m.add_output(top);
         let mut opt = m.cleanup();
-        optimize(&mut opt, 4, 1);
+        optimize(&mut opt, 4, false);
         assert_eq!(opt.output_truth_tables(), m.output_truth_tables());
         assert!(opt.num_gates() <= m.num_gates());
     }
@@ -263,7 +247,7 @@ mod tests {
         m.add_output(acc);
         let before = m.depth();
         let mut cur = m.cleanup();
-        let (stats, rounds) = depth_converge(&mut cur, 1);
+        let (stats, rounds) = depth_converge(&mut cur);
         assert!(stats.total() > 0, "no moves applied");
         assert!(rounds >= 1);
         assert_eq!(cur.output_truth_tables(), m.output_truth_tables());
@@ -279,7 +263,7 @@ mod tests {
         let top = m.maj(g1, g2, z);
         m.add_output(top);
         let want = m.output_truth_tables();
-        let (stats, rounds) = size_converge(&mut m, 1);
+        let (stats, rounds) = size_converge(&mut m);
         assert_eq!(stats.merges, 1);
         assert!(rounds >= 2, "a confirming full sweep must run");
         assert_eq!(m.output_truth_tables(), want);

@@ -249,7 +249,7 @@ mod tests {
         for name in ["full_adder.aag", "adder8.aag", "mult4.aig", "adder4.blif"] {
             let m = io::read_mig_path(benchmarks_dir().join(name)).unwrap();
             let mut inplace = m.cleanup();
-            crate::optimize(&mut inplace, 8, 1);
+            crate::optimize(&mut inplace, 8, false);
             let rebuild = optimize_rebuild(&m, 8);
             assert!(
                 inplace.num_gates() <= rebuild.num_gates(),
@@ -264,7 +264,7 @@ mod tests {
             );
 
             let mut depth_ip = m.cleanup();
-            crate::depth_converge(&mut depth_ip, 1);
+            crate::depth_converge(&mut depth_ip);
             let mut depth_rb = m.cleanup();
             loop {
                 let (next, _) = depth_rewrite_rebuild(&depth_rb);

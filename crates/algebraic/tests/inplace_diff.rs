@@ -1,6 +1,6 @@
 //! Properties of the in-place algebraic passes over random MIGs:
 //! truth-table preservation, the never-worse guarantees of the guarded
-//! sweeps/scripts, and determinism + quality of the sharded drivers. The
+//! sweeps/scripts, and determinism + quality of the refined script. The
 //! differential tests against the rebuild reference live next to that
 //! reference, in the crate's unit tests.
 //!
@@ -66,7 +66,7 @@ fn inplace_passes_preserve_function_and_never_worsen() {
         // The full script: lexicographically never worse than the input
         // and function-preserving.
         let mut opt = m.cleanup();
-        migalg::optimize(&mut opt, 6, 1);
+        migalg::optimize(&mut opt, 6, false);
         assert_eq!(opt.output_truth_tables(), want, "case {case}: script");
         assert!(
             migalg::script_metric(&opt) <= migalg::script_metric(&base),
@@ -86,14 +86,14 @@ fn converge_loops_are_fixpoints_and_depth_monotone() {
         let base = m.cleanup();
 
         let mut s = base.clone();
-        let (_, s_rounds) = migalg::size_converge(&mut s, 1);
+        let (_, s_rounds) = migalg::size_converge(&mut s);
         assert!(s_rounds < 50, "case {case}: size converge ran away");
         assert_eq!(s.output_truth_tables(), want, "case {case}");
         assert!(migalg::script_metric(&s) <= migalg::script_metric(&base));
         // Fixpoint: a second convergence run cannot improve the metric
         // (lateral restructuring may still shuffle equal-cost shapes).
         let metric = migalg::script_metric(&s);
-        let (_, _) = migalg::size_converge(&mut s, 1);
+        let (_, _) = migalg::size_converge(&mut s);
         assert_eq!(
             migalg::script_metric(&s),
             metric,
@@ -101,7 +101,7 @@ fn converge_loops_are_fixpoints_and_depth_monotone() {
         );
 
         let mut d = base.clone();
-        let (_, d_rounds) = migalg::depth_converge(&mut d, 1);
+        let (_, d_rounds) = migalg::depth_converge(&mut d);
         assert!(d_rounds < 50, "case {case}: depth converge ran away");
         assert_eq!(d.output_truth_tables(), want, "case {case}");
         assert!(
@@ -112,12 +112,11 @@ fn converge_loops_are_fixpoints_and_depth_monotone() {
 }
 
 #[test]
-fn sharded_algebraic_is_deterministic_and_never_worse_than_serial() {
+fn refined_algebraic_is_deterministic_and_never_worse_than_serial() {
     let mut rng = Rng::new(0xA16_0003);
     for case in 0..8 {
         let num_inputs = rng.range(3, 8);
-        // Odd cases are large enough to trigger genuine multi-region
-        // sharding; even cases stay in the degenerate serial regime.
+        // Small and large graphs alternate.
         let steps = if case % 2 == 0 {
             rng.range(10, 60)
         } else {
@@ -126,45 +125,28 @@ fn sharded_algebraic_is_deterministic_and_never_worse_than_serial() {
         let m = random_build(&mut rng, num_inputs, steps, 2);
         let want = m.output_truth_tables();
         let mut serial = m.cleanup();
-        migalg::optimize(&mut serial, 6, 1);
-        for threads in [2usize, 4] {
-            let mut sharded = m.cleanup();
-            migalg::optimize(&mut sharded, 6, threads);
-            assert_eq!(
-                sharded.output_truth_tables(),
-                want,
-                "case {case} @{threads}: function changed"
-            );
-            assert!(
-                migalg::script_metric(&sharded) <= migalg::script_metric(&serial),
-                "case {case} @{threads}: sharded worse than serial ({:?} > {:?})",
-                migalg::script_metric(&sharded),
-                migalg::script_metric(&serial)
-            );
-            let mut again = m.cleanup();
-            migalg::optimize(&mut again, 6, threads);
-            assert_eq!(
-                sharded.fingerprint(),
-                again.fingerprint(),
-                "case {case} @{threads}: nondeterministic netlist"
-            );
-            sharded.debug_check();
-        }
-        // Sharded converge passes: function + depth monotonicity.
-        for threads in [2usize, 4] {
-            let base = m.cleanup();
-            let mut d = base.clone();
-            migalg::depth_converge(&mut d, threads);
-            assert_eq!(d.output_truth_tables(), want, "case {case} @{threads}");
-            assert!(
-                d.depth() <= base.depth(),
-                "case {case} @{threads}: sharded depth script not monotone"
-            );
-            let mut s = base.clone();
-            migalg::size_converge(&mut s, threads);
-            assert_eq!(s.output_truth_tables(), want, "case {case} @{threads}");
-            assert!(migalg::script_metric(&s) <= migalg::script_metric(&base));
-        }
+        migalg::optimize(&mut serial, 6, false);
+        let mut refined = m.cleanup();
+        migalg::optimize(&mut refined, 6, true);
+        assert_eq!(
+            refined.output_truth_tables(),
+            want,
+            "case {case}: function changed"
+        );
+        assert!(
+            migalg::script_metric(&refined) <= migalg::script_metric(&serial),
+            "case {case}: refined worse than serial ({:?} > {:?})",
+            migalg::script_metric(&refined),
+            migalg::script_metric(&serial)
+        );
+        let mut again = m.cleanup();
+        migalg::optimize(&mut again, 6, true);
+        assert_eq!(
+            refined.fingerprint(),
+            again.fingerprint(),
+            "case {case}: nondeterministic netlist"
+        );
+        refined.debug_check();
     }
 }
 
@@ -186,7 +168,7 @@ fn wide_adder_script_proved_equivalent_by_sat() {
     let base = m.cleanup();
 
     let mut opt = base.clone();
-    let stats = migalg::optimize(&mut opt, 8, 1);
+    let stats = migalg::optimize(&mut opt, 8, false);
     let _ = stats;
     assert_eq!(
         cec::prove_equivalent(&base, &opt, None),
@@ -195,7 +177,7 @@ fn wide_adder_script_proved_equivalent_by_sat() {
     );
 
     let mut depth_opt = base.clone();
-    let (dstats, _) = migalg::depth_converge(&mut depth_opt, 1);
+    let (dstats, _) = migalg::depth_converge(&mut depth_opt);
     assert!(dstats.total() > 0, "ripple carry chain left untouched");
     assert!(depth_opt.depth() < base.depth(), "no depth recovered");
     assert_eq!(
@@ -204,11 +186,11 @@ fn wide_adder_script_proved_equivalent_by_sat() {
         "depth script refuted by the SAT proof"
     );
 
-    let mut sharded = base.clone();
-    migalg::optimize(&mut sharded, 8, 4);
+    let mut refined = base.clone();
+    migalg::optimize(&mut refined, 8, true);
     assert_eq!(
-        cec::prove_equivalent(&base, &sharded, None),
+        cec::prove_equivalent(&base, &refined, None),
         cec::CecResult::Equivalent,
-        "sharded script refuted by the SAT proof"
+        "refined script refuted by the SAT proof"
     );
 }

@@ -106,7 +106,7 @@ fn main() {
 
     let engine = fhash::FunctionalHashing::with_default_database();
     let mut m8 = benchgen::multiplier(8).cleanup();
-    migalg::optimize(&mut m8, 2, 1);
+    migalg::optimize(&mut m8, 2, false);
     for v in fhash::Variant::ALL {
         ms.push(bench(&format!("fhash/multiplier8/{}", v.acronym()), || {
             let mut m = black_box(&m8).clone();
@@ -148,7 +148,7 @@ fn main() {
     let sq12 = benchgen::square(12);
     ms.push(bench("migalg/optimize_square12", || {
         let mut m = black_box(&sq12).cleanup();
-        migalg::optimize(&mut m, 2, 1);
+        migalg::optimize(&mut m, 2, false);
         m.num_gates()
     }));
 
@@ -172,25 +172,21 @@ fn main() {
     }));
 
     // Algebraic rewriting throughput: the depth script on an unbalanced
-    // AND ripple chain through the serial in-place convergence loop
-    // (affected-cone re-scans after the first sweep), and once sharded.
-    // The chain128 row pairs with chain512 for the per-move cost claim:
-    // the in-place engine's cost per committed move must stay flat as
-    // the graph grows 4x.
+    // AND ripple chain through the in-place convergence loop
+    // (affected-cone re-scans after the first sweep). The chain128 row
+    // pairs with chain512 for the per-move cost claim: the in-place
+    // engine's cost per committed move must stay flat as the graph grows
+    // 4x. The `@1` in the row names keeps their history comparable.
     for chain in [128usize, 512] {
         let ripple = ripple_chain(chain);
-        let threads: &[usize] = if chain == 512 { &[1, 4] } else { &[1] };
-        for &t in threads {
-            let r = ripple.clone();
-            ms.push(
-                bench(&format!("alg/inplace_depth_chain{chain}@{t}"), move || {
-                    let mut m = r.cleanup();
-                    let (stats, _) = migalg::depth_converge(&mut m, t);
-                    black_box((stats.total(), m.depth()))
-                })
-                .on_host_cores(),
-            );
-        }
+        ms.push(
+            bench(&format!("alg/inplace_depth_chain{chain}@1"), move || {
+                let mut m = ripple.cleanup();
+                let (stats, _) = migalg::depth_converge(&mut m);
+                black_box((stats.total(), m.depth()))
+            })
+            .on_host_cores(),
+        );
     }
 
     // Event-driven convergence on the chain512 tower workload, optimized

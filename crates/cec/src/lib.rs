@@ -243,7 +243,7 @@ mod tests {
             let m = random_mig(&mut rng);
             let mut opt = m.clone();
             if case % 3 == 2 {
-                migalg::optimize(&mut opt, 4, 1);
+                migalg::optimize(&mut opt, 4, false);
             } else {
                 let v = fhash::Variant::ALL[rng.usize_below(fhash::Variant::ALL.len())];
                 engine.pass(&mut opt, v, &mut None);
@@ -291,7 +291,7 @@ mod tests {
         let mut opt = m.clone();
         let engine = fhash_engine();
         engine.pass(&mut opt, fhash::Variant::TopDownFfrDepth, &mut None);
-        migalg::optimize(&mut opt, 4, 1);
+        migalg::optimize(&mut opt, 4, false);
         engine.pass(&mut opt, fhash::Variant::BottomUp, &mut None);
         assert!(equivalent_random(&m, &opt, 16, 3));
         for budget in [0, 1, 100] {

@@ -17,11 +17,11 @@
 //! | Pass | Effect |
 //! |------|--------|
 //! | `strash`          | rebuild with structural hashing, drop dangling gates |
-//! | `algebraic[:N][@T]` | in-place algebraic size+depth script, at most N rounds (default 2), sharded over T workers |
+//! | `algebraic[:N][@T]` | in-place algebraic size+depth script, at most N rounds (default 2); at T ≥ 2 refinement rounds of size and depth convergence follow |
 //! | `size`            | one in-place algebraic size-rewriting sweep (Ω.D right-to-left) |
 //! | `depth`           | one in-place algebraic depth-rewriting sweep (Ω.A / Ω.D) |
-//! | `size![@T]`       | size sweeps repeated until no merge fires |
-//! | `depth![@T]`      | depth sweeps repeated to the depth fixpoint |
+//! | `size!`           | size sweeps repeated until no merge fires |
+//! | `depth!`          | depth sweeps repeated to the depth fixpoint |
 //! | `fhash:V[@N]`     | one in-place functional-hashing pass, V ∈ {T, TD, TF, TFD, B, BF}; at N ≥ 2 threads it runs the convergence scheduler, exactly like `fhash!:V@N` |
 //! | `fhash!:V[@N]`    | functional hashing repeated until no replacement fires, over N worker threads |
 //! | `compact`         | renumber node slots densely in topological order ([`Mig::compact`]) |
@@ -31,22 +31,22 @@
 //! | `map[:k]`         | k-LUT mapping report (does not change the MIG) |
 //! | `stats`           | print the current size/depth |
 //!
-//! An `fhash`, `size!`, `depth!` or `algebraic` pass without an explicit
-//! `@N` uses the pipeline's default thread count ([`run_pipeline_jobs`],
-//! the `migopt -j` flag); `@1` forces single-threaded proposing. Thread
-//! counts from outside — `@N`, `-j` and the `migd` job `threads` field —
-//! must lie in `1..=`[`MAX_THREADS`]. Every rewriting pass runs in place
-//! on the managed network, so consecutive `fhash` *and algebraic* passes
-//! share one incrementally maintained cut set: all consumers of the
-//! structural-change log — the carried cut set, the convergence
-//! scheduler, the converge re-scan frontiers — read it through their own
-//! cursors without draining it, so the set survives sharded and converge
-//! passes too. Only passes that rebuild the graph wholesale (`strash`,
-//! `balance`, `rewrite`) invalidate the shared set.
+//! An `fhash` or `algebraic` pass without an explicit `@N` uses the
+//! pipeline's default thread count ([`run_pipeline_jobs`], the `migopt
+//! -j` flag); `@1` forces single-threaded proposing, and on `algebraic`
+//! skips the refinement rounds. The algebraic passes always run on the
+//! calling thread. Thread counts from outside — `@N`, `-j` and the `migd`
+//! job `threads` field — must lie in `1..=`[`MAX_THREADS`]. Every
+//! rewriting pass runs in place on the managed network, so consecutive
+//! `fhash` *and algebraic* passes share one incrementally maintained cut
+//! set: all consumers of the structural-change log — the carried cut
+//! set, the convergence scheduler, the converge re-scan frontiers — read
+//! it through their own cursors without draining it, so the set survives
+//! sharded and converge passes too. Only passes that rebuild the graph
+//! wholesale (`strash`, `balance`, `rewrite`) invalidate the shared set.
 //! Passes driven by the convergence scheduler (`fhash!`, `fhash:V@N` for
-//! N ≥ 2, `size!`/`depth!`/`algebraic` on shardable graphs) report its
-//! event counters — regions proposed / skipped clean / retried —
-//! alongside the applied-move counts.
+//! N ≥ 2) report its event counters — regions proposed / skipped clean /
+//! retried — alongside the applied-move counts.
 
 use mig::Mig;
 use std::fmt;
@@ -62,12 +62,12 @@ pub enum Pass {
     /// Rebuild with structural hashing and drop dangling nodes.
     Strash,
     /// In-place algebraic optimization script with a round budget,
-    /// sharded over `threads` workers (`None`: the pipeline default; 1:
-    /// the serial engine).
+    /// followed by refinement rounds when `threads` (`None`: the pipeline
+    /// default) is at least 2.
     Algebraic {
         /// Maximum script rounds.
         rounds: usize,
-        /// Worker threads (`@T` suffix); `None` uses the pipeline default.
+        /// The `@T` suffix; `None` uses the pipeline default.
         threads: Option<usize>,
     },
     /// A single in-place size-oriented algebraic sweep.
@@ -75,15 +75,9 @@ pub enum Pass {
     /// A single in-place depth-oriented algebraic sweep.
     DepthRewrite,
     /// Size sweeps repeated until no merge fires (`size!`).
-    SizeConverge {
-        /// Worker threads (`@T` suffix); `None` uses the pipeline default.
-        threads: Option<usize>,
-    },
+    SizeConverge,
     /// Depth sweeps repeated to the depth fixpoint (`depth!`).
-    DepthConverge {
-        /// Worker threads (`@T` suffix); `None` uses the pipeline default.
-        threads: Option<usize>,
-    },
+    DepthConverge,
     /// One in-place functional-hashing pass with the given paper variant
     /// (`threads` 1), or the convergence scheduler over `threads` ≥ 2
     /// worker threads, exactly like [`Pass::FhashConverge`] (`None`: the
@@ -136,20 +130,8 @@ impl fmt::Display for Pass {
             }
             Pass::SizeRewrite => write!(f, "size"),
             Pass::DepthRewrite => write!(f, "depth"),
-            Pass::SizeConverge { threads } => {
-                write!(f, "size!")?;
-                if let Some(t) = threads {
-                    write!(f, "@{t}")?;
-                }
-                Ok(())
-            }
-            Pass::DepthConverge { threads } => {
-                write!(f, "depth!")?;
-                if let Some(t) = threads {
-                    write!(f, "@{t}")?;
-                }
-                Ok(())
-            }
+            Pass::SizeConverge => write!(f, "size!"),
+            Pass::DepthConverge => write!(f, "depth!"),
             Pass::Fhash { variant, threads } => {
                 write!(f, "fhash:{}", variant.acronym())?;
                 if let Some(t) = threads {
@@ -228,9 +210,9 @@ pub fn parse_pipeline(s: &str) -> Result<Vec<Pass>, PipelineParseError> {
             Some((n, a)) => (n.trim(), Some(a.trim())),
             None => (text, None),
         };
-        // Optional `@T` worker-thread suffix on the pass *name*
-        // (`size!@4`, `algebraic@2`); `fhash` carries it on its variant
-        // argument instead (`fhash:T@4`).
+        // Optional `@T` thread suffix on the pass *name* (`algebraic@2`);
+        // `fhash` carries it on its variant argument instead
+        // (`fhash:T@4`).
         let (name, mut name_threads) = match name.split_once('@') {
             None => (name, None),
             Some((n, t)) => (n.trim(), Some(parse_threads(t)?)),
@@ -245,12 +227,8 @@ pub fn parse_pipeline(s: &str) -> Result<Vec<Pass>, PipelineParseError> {
             "strash" => no_arg(Pass::Strash)?,
             "size" => no_arg(Pass::SizeRewrite)?,
             "depth" => no_arg(Pass::DepthRewrite)?,
-            "size!" => no_arg(Pass::SizeConverge {
-                threads: name_threads.take(),
-            })?,
-            "depth!" => no_arg(Pass::DepthConverge {
-                threads: name_threads.take(),
-            })?,
+            "size!" => no_arg(Pass::SizeConverge)?,
+            "depth!" => no_arg(Pass::DepthConverge)?,
             "compact" => no_arg(Pass::Compact)?,
             "balance" => no_arg(Pass::Balance)?,
             "rewrite" => no_arg(Pass::RewriteAig)?,
@@ -504,9 +482,9 @@ pub fn run_pipeline(input: &Mig, passes: &[Pass]) -> Result<(Mig, Vec<PassReport
     run_pipeline_jobs(input, passes, 1)
 }
 
-/// [`run_pipeline`] with a default worker-thread count for the `fhash`
-/// passes (the `migopt -j/--threads` flag). A pass's own `@N` suffix
-/// always wins over the default.
+/// [`run_pipeline`] with a default thread count for the `fhash` and
+/// `algebraic` passes (the `migopt -j/--threads` flag). A pass's own `@N`
+/// suffix always wins over the default.
 ///
 /// Consecutive `fhash` passes share one [`cuts::CutSet`]: it is
 /// enumerated on first use and afterwards only refreshed from the
@@ -570,11 +548,10 @@ pub fn run_pipeline_session(
                     Note::Text(String::new())
                 }
                 Pass::Algebraic { rounds, threads } => {
-                    // Both the serial script and the scheduler-driven
-                    // stages only *append* to the structural-change log
-                    // (the scheduler peeks through cursors), so the
-                    // carried cut set stays refreshable either way.
-                    migalg::optimize(&mut cur, *rounds, threads.unwrap_or(default_threads));
+                    // The script only *appends* to the structural-change
+                    // log, so the carried cut set stays refreshable.
+                    let refine = threads.unwrap_or(default_threads) >= 2;
+                    migalg::optimize(&mut cur, *rounds, refine);
                     Note::Moves {
                         rounds: false,
                         moves: NoteMoves::Script,
@@ -594,15 +571,15 @@ pub fn run_pipeline_session(
                         moves: NoteMoves::DepthMoves,
                     }
                 }
-                Pass::SizeConverge { threads } => {
-                    migalg::size_converge(&mut cur, threads.unwrap_or(default_threads));
+                Pass::SizeConverge => {
+                    migalg::size_converge(&mut cur);
                     Note::Moves {
                         rounds: true,
                         moves: NoteMoves::Merges,
                     }
                 }
-                Pass::DepthConverge { threads } => {
-                    migalg::depth_converge(&mut cur, threads.unwrap_or(default_threads));
+                Pass::DepthConverge => {
+                    migalg::depth_converge(&mut cur);
                     Note::Moves {
                         rounds: true,
                         moves: NoteMoves::DepthMoves,
@@ -874,19 +851,20 @@ mod tests {
         assert_eq!(
             parse_pipeline("size!; depth!; size; depth").unwrap(),
             vec![
-                Pass::SizeConverge { threads: None },
-                Pass::DepthConverge { threads: None },
+                Pass::SizeConverge,
+                Pass::DepthConverge,
                 Pass::SizeRewrite,
                 Pass::DepthRewrite,
             ]
         );
-        assert_eq!(
-            parse_pipeline("size!@4; depth!@2").unwrap(),
-            vec![
-                Pass::SizeConverge { threads: Some(4) },
-                Pass::DepthConverge { threads: Some(2) },
-            ]
-        );
+        // The converge loops run on the calling thread: a thread suffix
+        // fails at its pass and names it.
+        let e = parse_pipeline("size!@4; depth!@2").unwrap_err();
+        assert_eq!((e.index, e.text.as_str()), (0, "size!@4"));
+        assert!(e.message.contains("\"size!\" takes no @N"), "{e}");
+        let e = parse_pipeline("depth!; depth!@2").unwrap_err();
+        assert_eq!((e.index, e.text.as_str()), (1, "depth!@2"));
+        assert!(e.message.contains("\"depth!\" takes no @N"), "{e}");
         assert_eq!(
             parse_pipeline("algebraic@4").unwrap(),
             vec![Pass::Algebraic {
@@ -902,8 +880,12 @@ mod tests {
             }]
         );
         // Round-trip rendering.
-        assert_eq!(parse_pipeline("size!@4").unwrap()[0].to_string(), "size!@4");
+        assert_eq!(parse_pipeline("size!").unwrap()[0].to_string(), "size!");
         assert_eq!(parse_pipeline("depth!").unwrap()[0].to_string(), "depth!");
+        assert_eq!(
+            parse_pipeline("algebraic@4").unwrap()[0].to_string(),
+            "algebraic:2@4"
+        );
         assert_eq!(
             parse_pipeline("algebraic:3@4").unwrap()[0].to_string(),
             "algebraic:3@4"

@@ -40,7 +40,7 @@ OPTIONS:
     -p, --passes <spec>    ';'-separated pipeline, e.g.
                            \"strash; algebraic; fhash:TFD; fhash:B; cec\"
                            (default: \"stats\")
-    -j, --threads <N>      default worker threads for fhash and algebraic
+    -j, --threads <N>      default thread count for fhash and algebraic
                            passes without an explicit @N suffix (default: 1;
                            at most 256, like every @N)
     -q, --quiet            suppress per-pass reporting
@@ -60,7 +60,8 @@ OPTIONS:
     -h, --help             show this help
 
 PASSES:
-    strash  algebraic[:N][@T]  size  depth  size![@T]  depth![@T]
+    strash  size  depth  size!  depth!
+    algebraic[:N][@T]  (N script rounds; at T >= 2 refinement rounds follow)
     fhash:{T,TD,TF,TFD,B,BF}[@N] (one pass; at N >= 2 it runs the
                                   convergence scheduler like fhash!:V@N)
     fhash!:{T,TD,TF,TFD,B,BF}[@N] (repeat to convergence)

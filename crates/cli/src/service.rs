@@ -28,8 +28,8 @@ pub fn result_cacheable(passes: &[Pass]) -> bool {
                     | Pass::Algebraic { .. }
                     | Pass::SizeRewrite
                     | Pass::DepthRewrite
-                    | Pass::SizeConverge { .. }
-                    | Pass::DepthConverge { .. }
+                    | Pass::SizeConverge
+                    | Pass::DepthConverge
                     | Pass::Fhash { .. }
                     | Pass::FhashConverge { .. }
                     | Pass::Compact

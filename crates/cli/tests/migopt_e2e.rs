@@ -117,34 +117,30 @@ fn sharded_fhash_acceptance_on_all_benchmarks() {
 
 #[test]
 fn event_driven_converge_never_worse_than_round_based_drivers() {
-    // On every checked-in benchmark, the event-driven algebraic converge
-    // drivers reach quiescence never worse than their input under the
-    // family metrics their guards enforce, and stay SAT-proved
-    // CEC-equivalent. (The functional-hashing half, which compares
-    // against the private round-based driver, is a unit test of `fhash`.)
+    // On every checked-in benchmark, the algebraic converge loops reach
+    // their fixpoint never worse than their input under the family
+    // metrics their guards enforce, and stay SAT-proved CEC-equivalent.
+    // (The functional-hashing half, which compares the event-driven
+    // scheduler against the private round-based driver, is a unit test
+    // of `fhash`.)
     for name in ["full_adder.aag", "adder8.aag", "mult4.aig", "adder4.blif"] {
         let m = io::read_mig_path(benchmarks_dir().join(name)).unwrap();
         let base = m.cleanup();
-        for threads in [1usize, 4] {
-            let mut s = base.clone();
-            migalg::size_converge(&mut s, threads);
-            assert!(
-                migalg::script_metric(&s) <= migalg::script_metric(&base),
-                "{name}@{threads}: size converge worsened"
+        let mut s = base.clone();
+        migalg::size_converge(&mut s);
+        assert!(
+            migalg::script_metric(&s) <= migalg::script_metric(&base),
+            "{name}: size converge worsened"
+        );
+        let mut d = base.clone();
+        migalg::depth_converge(&mut d);
+        assert!(d.depth() <= base.depth(), "{name}: depth converge worsened");
+        for opt in [&s, &d] {
+            assert_eq!(
+                cec::prove_equivalent(&m, opt, None),
+                cec::CecResult::Equivalent,
+                "{name}: algebraic converge result not equivalent"
             );
-            let mut d = base.clone();
-            migalg::depth_converge(&mut d, threads);
-            assert!(
-                d.depth() <= base.depth(),
-                "{name}@{threads}: depth converge worsened"
-            );
-            for opt in [&s, &d] {
-                assert_eq!(
-                    cec::prove_equivalent(&m, opt, None),
-                    cec::CecResult::Equivalent,
-                    "{name}@{threads}: algebraic converge result not equivalent"
-                );
-            }
         }
     }
 }
@@ -153,22 +149,33 @@ fn event_driven_converge_never_worse_than_round_based_drivers() {
 fn pipelines_keep_their_recorded_qor_on_all_benchmarks() {
     // Quality of results pinned as recorded literals: (gates, depth)
     // after each pipeline at its default thread count. A change that
-    // moves QoR on purpose updates this table and says so.
-    const PIPELINES: [(&str, usize); 5] = [
+    // moves QoR on purpose updates this table and says so. The last two
+    // pipelines pin both sides of the `algebraic@T` refinement switch.
+    const PIPELINES: [(&str, usize); 6] = [
         ("strash; fhash!:TFD; algebraic; fhash!:B", 1),
         ("strash; fhash!:TFD; algebraic; fhash!:B", 2),
         ("strash; fhash:TF; fhash:T; fhash:B", 1),
         ("strash; fhash:T@2; fhash:B@2", 1),
         ("strash; size!; depth!; algebraic:3@2", 1),
+        ("strash; size!; depth!; algebraic:3@1", 1),
     ];
-    let recorded: [(&str, [(usize, u32); 5]); 4] = [
-        ("full_adder.aag", [(3, 2), (3, 2), (3, 2), (3, 2), (7, 4)]),
-        ("adder8.aag", [(24, 9), (24, 9), (24, 9), (24, 9), (49, 12)]),
+    let recorded: [(&str, [(usize, u32); 6]); 4] = [
+        (
+            "full_adder.aag",
+            [(3, 2), (3, 2), (3, 2), (3, 2), (7, 4), (7, 4)],
+        ),
+        (
+            "adder8.aag",
+            [(24, 9), (24, 9), (24, 9), (24, 9), (49, 12), (54, 12)],
+        ),
         (
             "mult4.aig",
-            [(52, 12), (52, 12), (54, 13), (52, 12), (122, 23)],
+            [(52, 12), (52, 12), (54, 13), (52, 12), (122, 23), (122, 23)],
         ),
-        ("adder4.blif", [(12, 5), (12, 5), (12, 5), (12, 5), (12, 5)]),
+        (
+            "adder4.blif",
+            [(12, 5), (12, 5), (12, 5), (12, 5), (12, 5), (12, 5)],
+        ),
     ];
     for (name, want) in recorded {
         let m = io::read_mig_path(benchmarks_dir().join(name)).unwrap();
@@ -188,14 +195,15 @@ fn pipelines_keep_their_recorded_qor_on_all_benchmarks() {
 fn scheduler_pipelines_keep_their_recorded_netlists() {
     // The scheduler's netlists pinned as recorded `Mig::fingerprint`s on
     // a generated multiplier, which re-partitions and compacts on the
-    // way. A change that moves a netlist on purpose updates this table
-    // and says so.
+    // way (in the fhash passes; the algebraic row pins the serial
+    // engine between them). A change that moves a netlist on purpose
+    // updates this table and says so.
     let recorded: [(&str, usize, u64); 6] = [
         ("fhash!:TFD; algebraic; fhash!:B", 1, 0xc50c_8e66_456d_ca04),
         ("fhash!:TFD; algebraic; fhash!:B", 2, 0xdcf0_5114_6c75_c6af),
         ("fhash!:TFD; algebraic; fhash!:B", 4, 0xeaf0_44de_c929_68d9),
         ("fhash:T@2; fhash:B@2", 1, 0xdcf0_5114_6c75_c6af),
-        ("size!@2; depth!@2; algebraic:3@2", 1, 0x0c23_a100_78a1_175a),
+        ("size!; depth!; algebraic:3@2", 1, 0x0c23_a100_78a1_175a),
         ("fhash!:BF@4", 1, 0x9c51_ec62_6489_946f),
     ];
     // `gen_bench mult:8`: the multiplier AND-expanded, 8 bits wide.
@@ -222,19 +230,25 @@ fn scheduler_pipelines_keep_their_recorded_netlists() {
 fn scheduler_reports_event_counters_in_pass_notes() {
     // The per-pass report of scheduler-driven passes carries the event
     // counters (regions proposed / skipped clean / retried) in the
-    // applied-move-count format.
+    // applied-move-count format; the serial `size!` loop reports its
+    // move counts and no scheduler counters.
     let m = io::read_mig_path(benchmarks_dir().join("adder8.aag")).unwrap();
-    let passes = parse_pipeline("strash; fhash!:T; size!@2; cec").unwrap();
+    let passes = parse_pipeline("strash; fhash!:T; size!; cec").unwrap();
     let (_, reports) = run_pipeline(&m, &passes).unwrap();
-    for (i, what) in [(1, "fhash!"), (2, "size!@2")] {
-        assert!(
-            reports[i].note.contains("regions proposed")
-                && reports[i].note.contains("skipped clean")
-                && reports[i].note.contains("retried"),
-            "{what} note lacks scheduler counters: {}",
-            reports[i].note
-        );
-    }
+    let fh = &reports[1].note;
+    assert!(
+        fh.contains("regions proposed") && fh.contains("skipped clean") && fh.contains("retried"),
+        "fhash! note lacks scheduler counters: {fh}"
+    );
+    let size = &reports[2].note;
+    assert!(
+        size.contains("rounds") && size.contains("merges"),
+        "size! note lacks move counts: {size}"
+    );
+    assert!(
+        !size.contains("regions proposed"),
+        "size! note carries scheduler counters: {size}"
+    );
 }
 
 #[test]
@@ -252,38 +266,35 @@ fn sharded_pipelines_prove_equivalence_on_all_benchmarks() {
 }
 
 #[test]
-fn sharded_algebraic_acceptance_on_all_benchmarks() {
-    // ISSUE 4 acceptance: sharded `algebraic@N` runs are SAT-proved
-    // CEC-equivalent, never worse than the serial script, and
-    // bit-deterministic per thread count (1/2/4).
+fn refined_algebraic_acceptance_on_all_benchmarks() {
+    // The script with and without its refinement rounds (`algebraic@1`
+    // and `algebraic@N`, N >= 2) is SAT-proved CEC-equivalent, never
+    // worse than the unrefined script, and bit-deterministic.
     for name in ["full_adder.aag", "adder8.aag", "mult4.aig", "adder4.blif"] {
         let m = io::read_mig_path(benchmarks_dir().join(name)).unwrap();
         let mut serial = m.cleanup();
-        migalg::optimize(&mut serial, 8, 1);
-        for threads in [1usize, 2, 4] {
-            let mut sharded = m.cleanup();
-            migalg::optimize(&mut sharded, 8, threads);
+        migalg::optimize(&mut serial, 8, false);
+        for refine in [false, true] {
+            let mut opt = m.cleanup();
+            migalg::optimize(&mut opt, 8, refine);
             assert!(
-                migalg::script_metric(&sharded) <= migalg::script_metric(&serial),
-                "{name}@{threads}: sharded {:?} worse than serial {:?}",
-                migalg::script_metric(&sharded),
+                migalg::script_metric(&opt) <= migalg::script_metric(&serial),
+                "{name} refine={refine}: {:?} worse than the script {:?}",
+                migalg::script_metric(&opt),
                 migalg::script_metric(&serial)
             );
             assert_eq!(
-                cec::prove_equivalent(&m, &sharded, None),
+                cec::prove_equivalent(&m, &opt, None),
                 cec::CecResult::Equivalent,
-                "{name}@{threads}: sharded script result not equivalent"
+                "{name} refine={refine}: script result not equivalent"
             );
             // Determinism: a second run builds the identical netlist.
             let mut again = m.cleanup();
-            migalg::optimize(&mut again, 8, threads);
-            assert_eq!(again.num_nodes(), sharded.num_nodes(), "{name}@{threads}");
-            assert_eq!(again.outputs(), sharded.outputs(), "{name}@{threads}");
-            let gates_a: Vec<_> = again.gates().map(|g| (g, again.fanins(g))).collect();
-            let gates_b: Vec<_> = sharded.gates().map(|g| (g, sharded.fanins(g))).collect();
+            migalg::optimize(&mut again, 8, refine);
             assert_eq!(
-                gates_a, gates_b,
-                "{name}@{threads}: nondeterministic netlist"
+                again.fingerprint(),
+                opt.fingerprint(),
+                "{name} refine={refine}: nondeterministic netlist"
             );
         }
     }
@@ -441,6 +452,17 @@ fn binary_rejects_bad_pipeline_and_missing_file() {
         .unwrap();
     assert_eq!(r.status.code(), Some(1));
     assert!(String::from_utf8_lossy(&r.stderr).contains("unknown pass"));
+
+    // The converge loops take no thread suffix.
+    let r = Command::new(env!("CARGO_BIN_EXE_migopt"))
+        .arg("-i")
+        .arg(benchmarks_dir().join("full_adder.aag"))
+        .args(["-p", "size!@2"])
+        .output()
+        .unwrap();
+    assert_eq!(r.status.code(), Some(1));
+    let stderr = String::from_utf8_lossy(&r.stderr);
+    assert!(stderr.contains("\"size!\" takes no @N"), "{stderr}");
 
     let r = Command::new(env!("CARGO_BIN_EXE_migopt"))
         .arg("-i")

@@ -34,8 +34,7 @@ fn span_nesting_well_formed_across_thread_counts() {
     for threads in [1usize, 2, 4] {
         let _g = trace_lock();
         obs::trace::start();
-        let passes =
-            parse_pipeline(&format!("strash; fhash!:B@{threads}; size!@{threads}")).unwrap();
+        let passes = parse_pipeline(&format!("strash; fhash!:B@{threads}; size!")).unwrap();
         run_pipeline_jobs(&m, &passes, 1).unwrap();
         let events = obs::trace::finish();
         let spans = obs::trace::validate(&events)
@@ -75,13 +74,15 @@ fn registry_reconstructed_stats_match_engine_returns() {
             "{name}: FhStats diverges from its registry delta"
         );
 
-        let mut alg = m.cleanup();
-        let (stats, delta) = obs::metrics::scoped(|| migalg::optimize(&mut alg, 4, 1));
-        assert_eq!(
-            migalg::AlgStats::from_delta(&delta),
-            stats,
-            "{name}: AlgStats diverges from its registry delta"
-        );
+        for refine in [false, true] {
+            let mut alg = m.cleanup();
+            let (stats, delta) = obs::metrics::scoped(|| migalg::optimize(&mut alg, 4, refine));
+            assert_eq!(
+                migalg::AlgStats::from_delta(&delta),
+                stats,
+                "{name} refine={refine}: AlgStats diverges from its registry delta"
+            );
+        }
     }
 }
 
@@ -113,10 +114,9 @@ fn history_counters_survive_fruitless_rounds_in_both_drivers() {
     );
 
     let mut alg_fixed = m.cleanup();
-    migalg::size_converge(&mut alg_fixed, 1);
+    migalg::size_converge(&mut alg_fixed);
     let mut alg_again = alg_fixed.clone();
-    let ((stats, rounds), delta) =
-        obs::metrics::scoped(|| migalg::size_converge(&mut alg_again, 1));
+    let ((stats, rounds), delta) = obs::metrics::scoped(|| migalg::size_converge(&mut alg_again));
     assert_eq!(stats.merges, 0, "already at the fixpoint");
     assert!(rounds >= 1);
     assert_eq!(delta.get(obs::Metric::AlgMerges), 0);

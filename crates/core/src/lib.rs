@@ -119,9 +119,9 @@ impl std::fmt::Display for Variant {
 /// depth-preserving locally).
 const ALLOWED_DEPTH_INCREASE: u32 = 0;
 
-/// Backstop on [`FunctionalHashing::converge`]: serial rounds, or
-/// scheduler steps. Improving rounds shrink the graph, so this is never
-/// the expected exit.
+/// Backstop on the serial round loop of [`FunctionalHashing::converge`]
+/// (the scheduler keeps its own 50-step backstop). Improving rounds
+/// shrink the graph, so this is never the expected exit.
 const MAX_ROUNDS: usize = 50;
 
 /// Statistics reported by a functional-hashing run.

@@ -38,7 +38,7 @@
 //! worker scheduling).
 
 use crate::common::{cut_is_fanout_legal, internal_nodes, select_best_cut, Replacement};
-use crate::{FhStats, FunctionalHashing, Variant, ALLOWED_DEPTH_INCREASE, MAX_ROUNDS};
+use crate::{FhStats, FunctionalHashing, Variant, ALLOWED_DEPTH_INCREASE};
 use cuts::{Cut, CutConfig, LocalCuts};
 use mig::{
     gates_metric, run_scheduled_converge, CommitVerdict, FfrPartition, Mig, NodeId,
@@ -431,7 +431,6 @@ pub(crate) fn converge(
     // does. Top-down commits each shrink the graph.
     let cfg = ShardConfig {
         threads,
-        max_rounds: MAX_ROUNDS,
         guard: bottom_up.then_some(gates_metric as RoundMetric),
     };
     // Serial fixpoint driver: the fallback for graphs too small to
@@ -471,7 +470,6 @@ pub(crate) fn converge(
                 &cfg,
                 &mut serial,
                 Some(&mut baseline),
-                true,
             );
         } else {
             let cut_engine = CutEngine {
@@ -480,7 +478,7 @@ pub(crate) fn converge(
                 use_ffr,
                 carried: Mutex::new(HashMap::new()),
             };
-            run_scheduled_converge(mig, &cut_engine, &cfg, &mut serial, None, false);
+            run_scheduled_converge(mig, &cut_engine, &cfg, &mut serial, None);
         }
         mig.sweep();
     });
@@ -662,11 +660,10 @@ mod tests {
         };
         let cfg = ShardConfig {
             threads: 2,
-            max_rounds: MAX_ROUNDS,
             guard: None,
         };
         let ((), run) = obs::metrics::scoped(|| {
-            run_scheduled_converge(&mut m, &cut_engine, &cfg, &mut |_| {}, None, false)
+            run_scheduled_converge(&mut m, &cut_engine, &cfg, &mut |_| {}, None)
         });
         let steps = run.get(obs::Metric::SchedSteps);
         assert!(steps >= 3, "test premise: {steps} scheduler steps");

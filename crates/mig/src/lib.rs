@@ -17,15 +17,14 @@
 //! * [`RegionPartition`] — sharding the gates into disjoint regions
 //!   (FFR forest or level bands) for parallel propose rewriting;
 //! * [`ProposeEngine`] / [`run_scheduled_converge`] — the
-//!   engine-agnostic event-driven convergence scheduler: any
-//!   local-rewriting engine (functional hashing, algebraic Ω.A/Ω.D, …)
-//!   returns [`Proposal`]s (a payload with its footprint and gain) into
-//!   the same parallel-propose, serial-commit machinery
-//!   ([`commit_proposals`]), driven by a deterministic priority queue of
-//!   dirty regions instead of full re-traversal per round, inside the
-//!   shared serial-baseline / fallback / polish skeleton. Callers choose
-//!   only the [`ShardConfig`]: threads, a step backstop and an optional
-//!   step guard.
+//!   engine-agnostic event-driven convergence scheduler behind the
+//!   functional-hashing converge passes: an engine returns
+//!   [`Proposal`]s (a payload with its footprint and gain) into the
+//!   parallel-propose, serial-commit machinery ([`commit_proposals`]),
+//!   driven by a deterministic priority queue of dirty regions instead
+//!   of full re-traversal per round, inside the shared serial-baseline /
+//!   fallback / polish skeleton. Callers choose only the
+//!   [`ShardConfig`]: threads and an optional step guard.
 //!
 //! # Examples
 //!

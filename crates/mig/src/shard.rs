@@ -37,7 +37,7 @@
 //!    own legality against the live graph either way.
 //!
 //! Steps repeat until the queue drains (no dirty region and no dirty
-//! node outside the partition); engines whose steps are not individually
+//! node outside the partition), with a backstop of 50 steps; engines whose steps are not individually
 //! monotone set a [`ShardConfig::guard`] metric — such steps run against
 //! a snapshot and are rolled back (ending the loop) when the metric
 //! fails to improve, the same guarantee the serial convergence loops
@@ -71,6 +71,10 @@ const MIN_REGION_SIZE: usize = 12;
 /// nodes falls outside every region (nodes created after the
 /// partition). Until then a step costs only the dirty regions.
 const REPARTITION_PCT: usize = 20;
+
+/// Backstop on scheduler steps. Committing steps improve the graph, so
+/// this is never the expected exit.
+const MAX_STEPS: usize = 50;
 
 /// Compaction threshold, in percent of slots on the free list: a step
 /// that ends with the dead-slot density at or past this renumbers the
@@ -199,9 +203,9 @@ pub struct Proposal<P> {
 /// }
 /// m.add_output(acc);
 /// let want = m.output_truth_tables();
-/// let cfg = ShardConfig { threads: 2, max_rounds: 50, guard: None };
+/// let cfg = ShardConfig { threads: 2, guard: None };
 /// assert!(cfg.max_regions(&m) > 1, "large enough to shard");
-/// run_scheduled_converge(&mut m, &RedundantAnd, &cfg, &mut |_| {}, None, false);
+/// run_scheduled_converge(&mut m, &RedundantAnd, &cfg, &mut |_| {}, None);
 /// assert_eq!(m.num_gates(), 30);
 /// assert_eq!(m.output_truth_tables(), want);
 /// ```
@@ -284,9 +288,6 @@ pub fn gates_metric(mig: &Mig) -> (u64, u64) {
 pub struct ShardConfig {
     /// Worker threads for the propose phase.
     pub threads: usize,
-    /// Backstop on scheduler steps. Committing steps improve the graph,
-    /// so this is never the expected exit.
-    pub max_rounds: usize,
     /// Optional per-step acceptance metric (lexicographic, smaller is
     /// better). When set, every step runs against a snapshot and is
     /// rolled back — ending the loop — if the metric fails to improve.
@@ -410,7 +411,7 @@ impl Scheduler {
 }
 
 /// Runs event-driven propose/commit steps to quiescence (no dirty region
-/// left, a guarded step fails to improve, or `cfg.max_rounds` is hit).
+/// left, a guarded step fails to improve, or [`MAX_STEPS`] is hit).
 ///
 /// Sweeps dangling cones up front (regions are analyzed in isolation;
 /// dangling logic would pollute membership, boundary sets and gain
@@ -434,7 +435,7 @@ fn run_scheduler<E: ProposeEngine>(mig: &mut Mig, engine: &E, cfg: &ShardConfig)
     let mut first = true;
     let mut force_partition = false;
     let mut rounds = 0usize;
-    while rounds < cfg.max_rounds {
+    while rounds < MAX_STEPS {
         let _step_span = obs::trace::span_dyn(|| format!("sched:step{rounds}"));
         // (Re-)partition when there is none, the engine demands a fresh
         // one, the previous step asked for one, or drift/staleness
@@ -553,7 +554,7 @@ fn run_scheduler<E: ProposeEngine>(mig: &mut Mig, engine: &E, cfg: &ShardConfig)
         add(Metric::SchedRetried, outcome.conflicted as u64);
         if outcome.committed == 0 {
             step_delta.publish();
-            if outcome.conflicted > 0 && rounds < cfg.max_rounds {
+            if outcome.conflicted > 0 && rounds < MAX_STEPS {
                 // Everything this step proposed was refused; the stale
                 // regions were re-queued against a partition that may no
                 // longer describe the graph. Re-partition before the
@@ -724,8 +725,8 @@ pub fn commit_proposals<E: ProposeEngine>(
     outcome
 }
 
-/// The convergence skeleton every converge driver in the workspace runs
-/// (the scheduler paired with the engine's serial stages):
+/// The convergence skeleton of a scheduled converge pass (the scheduler
+/// paired with the engine's serial stages):
 ///
 /// * graphs too small to shard ([`ShardConfig::max_regions`] is 1) run
 ///   `serial` alone (the degenerate case, bit-identical to a
@@ -737,8 +738,8 @@ pub fn commit_proposals<E: ProposeEngine>(
 ///   candidate DP) and cannot be reproduced regionally. It returns its
 ///   replacement count;
 /// * the scheduler then runs to quiescence;
-/// * with `polish`, `serial` runs once more afterwards, recovering moves
-///   that span region boundaries from the (much smaller) quiescent
+/// * after a baseline, `serial` runs once more as the polish, recovering
+///   moves that span region boundaries from the (much smaller) quiescent
 ///   graph.
 ///
 /// Results go to the metric registry: the scheduler's `sched.*` and
@@ -749,13 +750,13 @@ pub fn run_scheduled_converge<E: ProposeEngine>(
     cfg: &ShardConfig,
     serial: &mut dyn FnMut(&mut Mig),
     baseline: Option<&mut dyn FnMut(&mut Mig) -> u64>,
-    polish: bool,
 ) {
     if cfg.max_regions(mig) <= 1 {
         let _span = obs::trace::span("serial");
         serial(mig);
         return;
     }
+    let polish = baseline.is_some();
     if let Some(baseline) = baseline {
         let _span = obs::trace::span("baseline");
         let metric = cfg.guard.unwrap_or(gates_metric);
@@ -881,7 +882,6 @@ mod tests {
     fn cfg(threads: usize) -> ShardConfig {
         ShardConfig {
             threads,
-            max_rounds: 50,
             guard: None,
         }
     }

@@ -617,12 +617,26 @@ mod tests {
         assert!(parse_result(lines.last().unwrap()).is_some());
         obs::export::validate_jsonl(&(lines.join("\n") + "\n")).unwrap();
 
-        // A malformed request gets an error result, not a hangup.
-        let mut s = UnixStream::connect(&socket).unwrap();
-        s.write_all(b"{\"type\":\"job\",\"id\":1}\n").unwrap();
-        let mut line = String::new();
-        BufReader::new(s).read_line(&mut line).unwrap();
-        assert!(!parse_result(line.trim_end()).unwrap().outcome.ok);
+        // A malformed request gets an error result, not a hangup; a JSON
+        // defect names the byte where it starts.
+        for (request, error) in [
+            (
+                r#"{"type":"job","id":1}"#,
+                r#"job missing string field "id""#,
+            ),
+            (
+                r#"{"type":"job","id":"j","pipeline":"strash\q","circuit":""}"#,
+                r"bad escape '\q' at byte 41",
+            ),
+        ] {
+            let mut s = UnixStream::connect(&socket).unwrap();
+            s.write_all(format!("{request}\n").as_bytes()).unwrap();
+            let mut line = String::new();
+            BufReader::new(s).read_line(&mut line).unwrap();
+            let outcome = parse_result(line.trim_end()).unwrap().outcome;
+            assert!(!outcome.ok);
+            assert_eq!(outcome.error, error);
+        }
 
         shutdown(&socket).unwrap();
         server.join().unwrap().unwrap();

@@ -198,7 +198,11 @@ impl Parser<'_> {
         }
     }
 
+    /// Parses a string. Errors name the byte where their defect starts:
+    /// the opening quote of an unterminated string, the backslash of a
+    /// bad escape.
     fn string(&mut self) -> Result<String, String> {
+        let open = self.pos;
         self.expect(b'"')?;
         let mut out = String::new();
         loop {
@@ -209,7 +213,7 @@ impl Parser<'_> {
             let run = self.bytes[start..]
                 .iter()
                 .position(|&b| b == b'"' || b == b'\\')
-                .ok_or("unterminated string")?;
+                .ok_or_else(|| format!("unterminated string at byte {open}"))?;
             let text = std::str::from_utf8(&self.bytes[start..start + run])
                 .map_err(|e| format!("invalid UTF-8 at byte {}", start + e.valid_up_to()))?;
             out.push_str(text);
@@ -217,7 +221,10 @@ impl Parser<'_> {
             if self.bytes[start + run] == b'"' {
                 return Ok(out);
             }
-            let esc = self.peek().ok_or("unterminated escape")?;
+            let backslash = start + run;
+            let esc = self
+                .peek()
+                .ok_or_else(|| format!("unterminated escape at byte {backslash}"))?;
             self.pos += 1;
             match esc {
                 b'"' => out.push('"'),
@@ -232,15 +239,25 @@ impl Parser<'_> {
                     let hex = self
                         .bytes
                         .get(self.pos..self.pos + 4)
-                        .ok_or("truncated \\u escape")?;
-                    let hex = std::str::from_utf8(hex).map_err(|e| e.to_string())?;
-                    let code = u32::from_str_radix(hex, 16).map_err(|e| e.to_string())?;
+                        .ok_or_else(|| format!("truncated \\u escape at byte {backslash}"))?;
+                    // Four hex digits exactly: `from_str_radix` alone would
+                    // also take a sign.
+                    let code = std::str::from_utf8(hex)
+                        .ok()
+                        .filter(|h| h.bytes().all(|b| b.is_ascii_hexdigit()))
+                        .and_then(|h| u32::from_str_radix(h, 16).ok())
+                        .ok_or_else(|| format!("bad \\u escape at byte {backslash}"))?;
                     self.pos += 4;
                     // Surrogate pairs don't occur in our exports;
                     // map lone surrogates to the replacement char.
                     out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
                 }
-                other => return Err(format!("bad escape '\\{}'", other as char)),
+                other => {
+                    return Err(format!(
+                        "bad escape '\\{}' at byte {backslash}",
+                        other as char
+                    ))
+                }
             }
         }
     }
@@ -306,6 +323,25 @@ mod tests {
         let doc = format!("{{\"k\": \"{}\"}}", escape(s));
         let v = parse(&doc).unwrap();
         assert_eq!(v.get("k").unwrap().as_str(), Some(s));
+    }
+
+    #[test]
+    fn string_errors_name_the_byte_where_the_defect_starts() {
+        // One malformed document per error site of `Parser::string`: the
+        // offset is the opening quote of an unterminated string, or the
+        // backslash of a bad escape.
+        let cases = [
+            (r#"{"k": "abc"#, "unterminated string at byte 6"),
+            (r#"{"k": "ab\"#, "unterminated escape at byte 9"),
+            (r#"["x", "\u12"#, "truncated \\u escape at byte 7"),
+            ("[\"x\", \"\\u123\u{e9}\"]", "bad \\u escape at byte 7"),
+            (r#"{"k": "a\u12zz"}"#, "bad \\u escape at byte 8"),
+            (r#"{"k": "a\u+041"}"#, "bad \\u escape at byte 8"),
+            (r#"{"k": "ok", "q": "\q"}"#, "bad escape '\\q' at byte 18"),
+        ];
+        for (doc, want) in cases {
+            assert_eq!(parse(doc), Err(want.to_string()), "{doc:?}");
+        }
     }
 
     #[test]

@@ -151,9 +151,11 @@ cargo bench -p bench_harness --bench micro
 cargo bench -p bench_harness --bench io_throughput
 
 echo "== parallel-propose speedup gate (sched/mult_big@4 vs @1)"
-# Commits are serial at every thread count, so the @4 gain comes from the
-# propose phase alone (cut enumeration, NPN lookup and scoring fanned out
-# over region workers). It must pay off where there are cores to show it:
+# Commits are serial at every thread count, and so is the cut enumeration:
+# the committing thread brings the scheduler's one cut set up to date
+# before each propose phase. The @4 gain therefore comes from the propose
+# phase alone (NPN lookup and scoring fanned out over region workers).
+# It must pay off where there are cores to show it:
 # with >= 4 hardware threads, the @4 mean must come in under 0.7x the @1
 # mean (>= 1.4x speedup). On smaller machines the workers timeshare too
 # few cores for that, so the gate degrades to a no-pathological-overhead
@@ -190,6 +192,21 @@ else
     }
     echo "skip: only $CORES core(s) — speedup target waived, overhead bound ok (@4 = $M4 ns, @1 = $M1 ns)"
 fi
+
+echo "== FFR scheduler gate (sched/mult_big_tfd@1 <= 1.3x sched/mult_big@1)"
+# The FFR-partitioned, depth-preserving variant (the engine of the
+# fhash!:TFD pipelines) reads the same graph-wide cut set as the
+# level-band variant, so its single-thread run must stay within a small
+# factor of the level-band row; per-region cut stores that re-enumerate
+# each region's whole fanin cone would blow past it. Both rows come from
+# the same run, so the ratio needs no machine-speed constant.
+T1=$(mean_of "sched/mult_big_tfd@1")
+[ -n "$T1" ] || { echo "missing sched/mult_big_tfd@1 row"; exit 1; }
+awk -v t="$T1" -v m="$M1" 'BEGIN { exit !(t <= 1.3 * m) }' || {
+    echo "FAIL: sched/mult_big_tfd@1 ($T1 ns) past 1.3x sched/mult_big@1 ($M1 ns)"
+    exit 1
+}
+echo "ok: sched/mult_big_tfd@1 = $T1 ns <= 1.3x sched/mult_big@1 = $M1 ns"
 
 echo "== allocation-free cut-kernel gate (fhash/propose_kernel_mult_big@1)"
 # The arena-backed cut kernels (ISSUE 10) must hold their win: one

@@ -210,21 +210,29 @@ fn main() {
     }
 
     // Parallel propose: the AND-expanded 64-bit multiplier (~44k gates,
-    // ~4k replacements) through the event-driven scheduler. Commits are
-    // serial at every thread count; @4/@8 fan the propose phase (cut
-    // enumeration, NPN lookup, scoring) out over workers, so the row
-    // triple is the CI speedup gate's input (`ci.sh` compares @4 against
-    // @1 when the machine has the cores to show it).
+    // ~4k replacements) through the event-driven scheduler. Commits and
+    // the cut-set update before each propose phase are serial at every
+    // thread count; @4/@8 fan the propose phase (NPN lookup and scoring)
+    // out over workers, so the row triple is the CI speedup gate's input
+    // (`ci.sh` compares @4 against @1 when the machine has the cores to
+    // show it). The `_tfd` rows run the FFR-partitioned, depth-preserving
+    // variant the `fhash!:TFD` pipelines use; `ci.sh` holds its @1 row
+    // within a constant factor of the level-band @1 row.
     let mult = mult_big_and();
-    for threads in [1usize, 4, 8] {
-        ms.push(
-            bench(&format!("sched/mult_big@{threads}"), || {
-                let mut m = black_box(mult).clone();
-                let (stats, _) = engine.converge(&mut m, fhash::Variant::TopDown, threads);
-                black_box((stats.replacements, m.num_gates()))
-            })
-            .on_host_cores(),
-        );
+    for (label, variant, counts) in [
+        ("", fhash::Variant::TopDown, &[1usize, 4, 8][..]),
+        ("_tfd", fhash::Variant::TopDownFfrDepth, &[1, 4][..]),
+    ] {
+        for &threads in counts {
+            ms.push(
+                bench(&format!("sched/mult_big{label}@{threads}"), || {
+                    let mut m = black_box(mult).clone();
+                    let (stats, _) = engine.converge(&mut m, variant, threads);
+                    black_box((stats.replacements, m.num_gates()))
+                })
+                .on_host_cores(),
+            );
+        }
     }
 
     // Propose-kernel row (ISSUE 10): one full single-thread in-place
@@ -446,15 +454,12 @@ fn main() {
     // instrumented sched/chain512@4 run contributes regions/sec and the
     // cut-cache hit rate, so the timing rows above carry workload
     // context in BENCH_micro.json.
-    let global_before = obs::metrics::global_snapshot();
     let t0 = std::time::Instant::now();
-    let ((), mut delta) = obs::metrics::scoped(|| {
+    let ((), delta) = obs::metrics::scoped(|| {
         let mut m = chains.clone();
         let _ = engine.converge(&mut m, fhash::Variant::TopDown, 4);
     });
     let elapsed = t0.elapsed().as_secs_f64();
-    // Worker-thread profiling counters bypass the main-thread scope.
-    delta.merge(&obs::metrics::global_snapshot().since(&global_before));
     let mut rates = obs::export::derived_rates(&delta, elapsed);
     // Corpus / storage context for the rows above: instance sizes, the
     // churned graph's layout gauges and the compaction count of one
@@ -473,12 +478,10 @@ fn main() {
         "mig.dead_slot_pct_churned".into(),
         churned.dead_slot_pct() as f64,
     ));
-    let before = obs::metrics::global_snapshot();
-    let ((), mut big_delta) = obs::metrics::scoped(|| {
+    let ((), big_delta) = obs::metrics::scoped(|| {
         let mut m = epfl.clone();
         let _ = engine.converge(&mut m, fhash::Variant::TopDown, 1);
     });
-    big_delta.merge(&obs::metrics::global_snapshot().since(&before));
     rates.push((
         "sched.compactions_epfl_big".into(),
         big_delta.get(obs::Metric::SchedCompactions) as f64,

@@ -53,10 +53,10 @@ impl migd::JobRunner for PipelineRunner {
     /// by the server, so the whole per-connection stream validates
     /// against the JSONL schema (`trace_lint`).
     ///
-    /// Metric caveat: the delta is a diff of the process-wide registry
-    /// over the job, exact when jobs run serially; concurrent jobs on
-    /// other workers bleed into it (same policy as sharded in-process
-    /// workers).
+    /// The metric lines are the job's own: the job runs in a metric scope
+    /// on this worker (threads it spawns publish into it), so concurrent
+    /// jobs on other workers do not bleed into them. The delta is then
+    /// published to the process totals.
     fn run(
         &self,
         req: &migd::JobRequest,
@@ -95,11 +95,11 @@ impl migd::JobRunner for PipelineRunner {
             span(emit, "span_end", &name, worker, end);
             cursor = end;
         };
-        let before = obs::metrics::global_snapshot();
-        let run = self
-            .service
-            .run_job(&input, &passes, req.threads, Some(&mut on_pass));
-        let delta = obs::metrics::global_snapshot().since(&before);
+        let (run, delta) = obs::metrics::scoped(|| {
+            self.service
+                .run_job(&input, &passes, req.threads, Some(&mut on_pass))
+        });
+        delta.publish();
         span(
             emit,
             "span_end",

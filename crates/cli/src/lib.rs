@@ -535,12 +535,9 @@ pub fn run_pipeline_session(
         let depth_before = cur.depth();
         let t0 = Instant::now();
         let _pass_span = obs::trace::span_dyn(|| format!("pass:{pass}"));
-        // Everything the pass records lands in this scope — except
-        // profiling counters recorded on scheduler worker threads, which
-        // bypass the (thread-local) scope and go straight to the global
-        // registry; the snapshot diff folds those back in.
-        let global_before = obs::metrics::global_snapshot();
-        let (outcome, mut delta) = obs::metrics::scoped(|| -> Result<Note, PipelineError> {
+        // Everything the pass records lands in this scope, worker
+        // threads included (they publish into it after their join).
+        let (outcome, delta) = obs::metrics::scoped(|| -> Result<Note, PipelineError> {
             Ok(match pass {
                 Pass::Strash => {
                     cur = cur.cleanup();
@@ -687,15 +684,7 @@ pub fn run_pipeline_session(
                 }
             })
         });
-        // Worker threads record straight into the global registry (they
-        // run outside the main thread's scope stack); capture that diff
-        // before publishing the scoped part outward, then fold it into
-        // the report's copy only. Publishing first and snapshotting
-        // after (or merging before publishing) would push one half into
-        // the process totals twice (`migopt --metrics` double-counts).
-        let worker_records = obs::metrics::global_snapshot().since(&global_before);
         delta.publish();
-        delta.merge(&worker_records);
         let note = match outcome? {
             Note::Text(s) => s,
             Note::Moves { rounds, moves } => render_note(&delta, rounds, moves),

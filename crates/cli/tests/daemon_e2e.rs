@@ -2,17 +2,19 @@
 //! `migd` daemon: cold/warm bit-identity, result-tier hits, graceful
 //! cold starts from corrupt cache files, when a flush appends to the
 //! file and when it rewrites it, SAT-proved equivalence of
-//! daemon-served results, and per-job stream validation.
+//! daemon-served results, per-job stream validation, and per-job
+//! metrics under concurrent workers.
 
 use cli::daemon::PipelineRunner;
 use cli::service::OptService;
 use mig::Mig;
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
+use std::time::Instant;
 
-/// Serializes the tests in this binary: they diff the process-wide
-/// metric registry through the daemon streams, and parallel tests would
-/// bleed counts into each other's jobs.
+/// Serializes the tests in this binary, so each test's daemons have the
+/// host to themselves (the concurrent-jobs test reads wall-clock
+/// windows).
 fn lock() -> MutexGuard<'static, ()> {
     static LOCK: OnceLock<Mutex<()>> = OnceLock::new();
     match LOCK.get_or_init(|| Mutex::new(())).lock() {
@@ -533,6 +535,112 @@ fn concurrent_clients_on_the_same_netlist_get_identical_circuits() {
     assert_eq!(third.outcome.circuit, results[0].outcome.circuit);
     stop_daemon(&socket, handle);
     std::fs::remove_file(&cache).ok();
+}
+
+/// The deterministic part of a job stream's metric lines: counters and
+/// gauges whole, histograms by observation count (their sums are
+/// timings).
+fn stream_metrics(stream: &str) -> Vec<String> {
+    let mut out: Vec<String> = stream
+        .lines()
+        .filter_map(|l| obs::json::parse(l).ok())
+        .filter_map(|v| {
+            let name = v.get("name").and_then(obs::json::Value::as_str)?;
+            let field = match v.get("type").and_then(obs::json::Value::as_str)? {
+                "counter" | "gauge" => "value",
+                "hist" | "vhist" => "count",
+                _ => return None,
+            };
+            let n = v.get(field).and_then(obs::json::Value::as_i64)?;
+            Some(format!("{name} {field} {n}"))
+        })
+        .collect();
+    out.sort();
+    out
+}
+
+/// A served job: its result, its captured stream, and the client-side
+/// instants it was submitted and answered.
+type Served = (migd::JobResult, String, Instant, Instant);
+
+/// Runs `jobs` on a fresh two-worker daemon, all submitted at once.
+fn run_together(tag: &str, jobs: &[migd::JobRequest]) -> Vec<Served> {
+    let (socket, handle) = start_daemon(tag, 2, None);
+    let start = Arc::new(std::sync::Barrier::new(jobs.len()));
+    let clients: Vec<_> = jobs
+        .iter()
+        .cloned()
+        .map(|req| {
+            let (socket, start) = (socket.clone(), Arc::clone(&start));
+            std::thread::spawn(move || {
+                start.wait();
+                let sent = Instant::now();
+                let (result, stream) = submit_captured(&socket, &req);
+                (result, stream, sent, Instant::now())
+            })
+        })
+        .collect();
+    let out = clients
+        .into_iter()
+        .map(|c| c.join().expect("client thread"))
+        .collect();
+    stop_daemon(&socket, handle);
+    out
+}
+
+/// Two different sharded jobs served side by side by two workers report
+/// exactly the metric lines each reports when it runs alone: a job's
+/// counters are its own, not a diff of the process-wide registry that
+/// the other job's scheduler workers also feed.
+#[test]
+fn concurrent_jobs_report_only_their_own_metrics() {
+    // Three passes over two circuits of similar run time, so the runs
+    // outweigh the fixed cost of shipping and parsing the circuits and
+    // overlap for most of their length (the premise below).
+    const PIPELINE: &str = "fhash!:TFD; algebraic; fhash!:B";
+    let _serial = lock();
+    let job = |id: &str, raw: Mig| blif_job(id, &aig::to_mig(&aig::from_mig(&raw)), PIPELINE, 2);
+    let jobs = [
+        job("mult", benchgen::multiplier(16)),
+        job("hyp", benchgen::hypotenuse(8)),
+    ];
+    let alone: Vec<Vec<String>> = jobs
+        .iter()
+        .enumerate()
+        .map(|(i, job)| {
+            let (result, stream, _, _) =
+                run_together(&format!("own{i}"), std::slice::from_ref(job))
+                    .pop()
+                    .expect("one job");
+            assert!(result.outcome.ok, "{}: {}", job.id, result.outcome.error);
+            stream_metrics(&stream)
+        })
+        .collect();
+    let together = run_together("own2", &jobs);
+    // Both server-side runs lie inside the clients' common window; if
+    // their runtimes add up to more than that window, they overlapped.
+    let first_sent = together.iter().map(|t| t.2).min().expect("two jobs");
+    let last_answer = together.iter().map(|t| t.3).max().expect("two jobs");
+    let busy: u64 = together.iter().map(|t| t.0.outcome.runtime_ns).sum();
+    let window = (last_answer - first_sent).as_nanos() as u64;
+    assert!(
+        busy > window,
+        "test premise: the jobs overlapped ({busy} ns of runs in a {window} ns window)"
+    );
+    for ((job, (result, stream, _, _)), own) in jobs.iter().zip(&together).zip(&alone) {
+        assert!(result.outcome.ok, "{}: {}", job.id, result.outcome.error);
+        assert!(
+            own.iter().any(|l| l.starts_with("shard.replacements ")),
+            "test premise: {} ran the scheduler",
+            job.id
+        );
+        assert_eq!(
+            &stream_metrics(stream),
+            own,
+            "{}: metrics of the concurrent run differ from the job's own",
+            job.id
+        );
+    }
 }
 
 #[test]

@@ -86,35 +86,41 @@ pub(crate) fn gate_candidates(
 
     // Cut-based candidates (Algorithm 2, lines 5-10): enumerate
     // combinations of leaf candidates, capped (the paper notes the cross
-    // product "may lead to a tremendous number of candidates").
+    // product "may lead to a tremendous number of candidates"). The
+    // combinations come in lexicographic order from all-zeros (lists are
+    // sorted best-first, so early combinations pair good candidates);
+    // eligible cuts have at most 4 leaves, so fixed arrays hold them.
     for (cut, repl) in cut_choices {
-        let lens: Vec<usize> = cut
-            .leaves()
-            .iter()
-            .map(|&l| cand[l as usize].len())
-            .collect();
-        let combos = bounded_combinations(&lens, MAX_COMBINATIONS);
-        for combo in combos {
-            let chosen: Vec<Candidate> = combo
-                .iter()
-                .zip(cut.leaves())
-                .map(|(&i, &l)| cand[l as usize][i])
-                .collect();
+        let k = cut.len();
+        let mut lens = [0usize; 4];
+        for (len, &l) in lens.iter_mut().zip(cut.leaves()) {
+            *len = cand[l as usize].len();
+        }
+        let mut idx = [0usize; 4];
+        // Filler past `k`: the constant's candidate.
+        let mut chosen = [cand[0][0]; 4];
+        for _ in 0..MAX_COMBINATIONS {
+            for ((c, &i), &l) in chosen.iter_mut().zip(&idx).zip(cut.leaves()) {
+                *c = cand[l as usize][i];
+            }
+            let chosen = &chosen[..k];
             let af = f64::from(repl.class.size)
                 + cut
                     .leaves()
                     .iter()
-                    .zip(&chosen)
+                    .zip(chosen)
                     .map(|(&l, c)| c.af / refs[l as usize])
                     .sum::<f64>();
             let depth = repl.estimated_level(cut, |pos| chosen[pos].depth);
             // Only instantiate candidates that can enter the list (bounds
             // the graph's speculative growth).
-            if !would_enter(&list, af, depth, MAX_CANDIDATES) {
-                continue;
+            if would_enter(&list, af, depth, MAX_CANDIDATES) {
+                let sig = build(Build::Template(repl, cut, chosen));
+                insert_candidate(&mut list, Candidate { sig, af, depth }, MAX_CANDIDATES);
             }
-            let sig = build(Build::Template(repl, cut, &chosen));
-            insert_candidate(&mut list, Candidate { sig, af, depth }, MAX_CANDIDATES);
+            if !next_combination(&mut idx[..k], &lens[..k]) {
+                break;
+            }
         }
     }
     list
@@ -171,28 +177,18 @@ pub(crate) fn insert_candidate(list: &mut Vec<Candidate>, c: Candidate, max_cand
     list.truncate(max_cand);
 }
 
-/// Index combinations over `lens` lists, in lexicographic order starting
-/// from all-zeros (lists are sorted best-first, so early combinations pair
-/// good candidates), capped at `cap`.
-pub(crate) fn bounded_combinations(lens: &[usize], cap: usize) -> Vec<Vec<usize>> {
-    let mut out = Vec::with_capacity(cap);
-    let mut idx = vec![0usize; lens.len()];
-    'outer: loop {
-        out.push(idx.clone());
-        if out.len() >= cap {
-            break;
+/// Advances `idx` to the next index combination over lists of lengths
+/// `lens` in lexicographic order (an odometer: the last position turns
+/// fastest). Returns `false` after the last combination.
+fn next_combination(idx: &mut [usize], lens: &[usize]) -> bool {
+    for (i, &len) in idx.iter_mut().zip(lens).rev() {
+        *i += 1;
+        if *i < len {
+            return true;
         }
-        // Odometer increment.
-        for i in (0..lens.len()).rev() {
-            idx[i] += 1;
-            if idx[i] < lens[i] {
-                continue 'outer;
-            }
-            idx[i] = 0;
-        }
-        break;
+        *i = 0;
     }
-    out
+    false
 }
 
 #[cfg(test)]
@@ -201,15 +197,24 @@ mod tests {
 
     #[test]
     fn bounded_combinations_enumerate_lexicographically() {
-        let combos = bounded_combinations(&[2, 3], 100);
+        // Every combination from all-zeros, as the candidate loop walks
+        // them when the cap does not bind.
+        let all = |lens: &[usize]| {
+            let mut idx = vec![0usize; lens.len()];
+            let mut out = vec![idx.clone()];
+            while next_combination(&mut idx, lens) {
+                out.push(idx.clone());
+            }
+            out
+        };
+        let combos = all(&[2, 3]);
         assert_eq!(combos.len(), 6);
         assert_eq!(combos[0], vec![0, 0]);
         assert_eq!(combos[1], vec![0, 1]);
+        assert_eq!(combos[3], vec![1, 0]);
         assert_eq!(combos[5], vec![1, 2]);
-        let capped = bounded_combinations(&[2, 3], 4);
-        assert_eq!(capped.len(), 4);
-        let single = bounded_combinations(&[1, 1, 1, 1], 8);
-        assert_eq!(single, vec![vec![0, 0, 0, 0]]);
+        assert_eq!(all(&[1, 1, 1, 1]), vec![vec![0, 0, 0, 0]]);
+        assert_eq!(all(&[]), vec![Vec::<usize>::new()]);
     }
 
     #[test]

@@ -244,8 +244,9 @@ impl FunctionalHashing {
     /// The event-driven convergence scheduler partitions the graph into
     /// regions (FFR forest for the FFR-restricted variants, level bands
     /// otherwise); workers *propose* replacements concurrently over a
-    /// frozen step snapshot (cut enumeration, NPN lookup and scoring are
-    /// read-only), and a serial *commit* phase applies non-conflicting
+    /// frozen step snapshot (NPN lookup and scoring are read-only, over
+    /// one cut set the committing thread brings up to date before each
+    /// step), and a serial *commit* phase applies non-conflicting
     /// proposals in stable region order. After the first step only the
     /// regions a commit dirtied are proposed again, until none is left.
     /// The bottom-up variants run the scheduler between a guarded serial

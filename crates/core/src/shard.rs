@@ -2,21 +2,23 @@
 //! event-driven convergence scheduler ([`mig::ProposeEngine`]).
 //!
 //! The functional-hashing flow is local — a replacement touches a cut's
-//! cone and its fanout frontier — so the expensive part (cut enumeration,
-//! NPN canonization, database lookup, candidate scoring) runs
-//! concurrently over a *frozen* graph while only the cheap part (the
-//! actual `replace_node` substitutions) stays serial. The scheduling —
-//! persistent partition with drift-triggered re-partition, the priority
-//! queue of dirty regions, parallel propose, serial deterministic commit
-//! with footprint-conflict resolution, stale-region retry — lives
-//! in [`mig::run_scheduled_converge`]; this module plugs in two engines:
+//! cone and its fanout frontier — so the analysis (NPN canonization,
+//! database lookup, candidate scoring) runs concurrently over a *frozen*
+//! graph while the mutations (the actual `replace_node` substitutions)
+//! and the upkeep of the cut lists they stale stay serial. The
+//! scheduling — persistent partition with
+//! drift-triggered re-partition, the priority queue of dirty regions,
+//! parallel propose, serial deterministic commit with footprint-conflict
+//! resolution, stale-region retry — lives in
+//! [`mig::run_scheduled_converge`]; this module plugs in two engines:
 //!
 //! * [`CutEngine`] (the top-down variants): per gate, the best legal
-//!   database replacement selected from shard-local cut lists
-//!   ([`cuts::LocalCuts`]). The per-region lists are **carried across
-//!   steps** — staled through the scheduler's invalidation events, like
-//!   the global `CutSet` — so incremental steps only re-enumerate the
-//!   cuts a commit actually touched. Commit re-checks fanout legality
+//!   database replacement selected from one graph-wide [`CutSet`] — the
+//!   lists the serial pass reads. The set is **carried across steps**:
+//!   before each propose phase the committing thread refreshes it
+//!   through its own dirty-log cursor and re-enumerates only the lists
+//!   the last commits staled (everything after a compaction), so the
+//!   workers only score. Commit re-checks fanout legality
 //!   (strash inside an earlier commit can resurrect a shared node
 //!   without dirtying it) and, for the depth-preserving variants, the
 //!   level bound against live levels. The FFR legality view may lag the
@@ -39,19 +41,12 @@
 
 use crate::common::{cut_is_fanout_legal, internal_nodes, select_best_cut, Replacement};
 use crate::{FhStats, FunctionalHashing, Variant, ALLOWED_DEPTH_INCREASE};
-use cuts::{Cut, CutConfig, LocalCuts};
+use cuts::{enumerate_cuts, Cut, CutConfig, CutSet};
 use mig::{
     gates_metric, run_scheduled_converge, CommitVerdict, FfrPartition, Mig, NodeId,
     PartitionStrategy, Proposal, ProposeEngine, RegionPartition, RoundMetric, ShardConfig, Signal,
 };
 use std::collections::{HashMap, HashSet};
-use std::sync::Mutex;
-
-/// Leaf horizon of the shard-local cut lists: nodes this many levels
-/// below a region's lowest member act as cut leaves. Bounds a worker's
-/// cut enumeration to its region's neighborhood instead of the whole
-/// transitive fanin cone; 4-feasible cuts rarely span more levels.
-const CUT_HORIZON: u32 = 8;
 
 /// A top-down proposal: substitute `root` by the instantiation of the
 /// database template `repl` over the leaves of `cut`. Its footprint is
@@ -76,17 +71,16 @@ struct RegionPayload {
     boundary: Vec<NodeId>,
 }
 
-/// Top-down propose engine: database cut replacements from shard-local
-/// cut lists, with per-region list reuse across scheduler steps.
+/// Top-down propose engine: database cut replacements scored from one
+/// graph-wide cut set.
 struct CutEngine<'e> {
     engine: &'e FunctionalHashing,
     depth_preserving: bool,
     use_ffr: bool,
-    /// Per-region [`LocalCuts`] carried across steps. Workers take
-    /// their region's store out under the lock, refresh it lock-free and
-    /// put it back; the scheduler's [`ProposeEngine::invalidate`] events
-    /// stale exactly what each step's commits touched.
-    carried: Mutex<HashMap<u32, LocalCuts>>,
+    /// The cut lists of every live gate, enumerated by the first
+    /// [`ProposeEngine::prepare`] and kept up to date by the later ones;
+    /// the propose workers only read it.
+    cuts: Option<CutSet>,
 }
 
 impl ProposeEngine for CutEngine<'_> {
@@ -110,20 +104,19 @@ impl ProposeEngine for CutEngine<'_> {
         }
     }
 
-    fn invalidate(&self, mig: &Mig, changed: &[NodeId]) {
-        let mut carried = self.carried.lock().unwrap();
-        for store in carried.values_mut() {
-            store.invalidate(mig, changed.iter().copied());
+    /// Brings every live gate's list up to date: the refresh stales what
+    /// the commits since the last call touched (all of it after a
+    /// compaction, whose log gap the set's cursor sees), and the
+    /// topological walk re-enumerates exactly the stale lists.
+    fn prepare(&mut self, mig: &Mig) {
+        let Some(cuts) = &mut self.cuts else {
+            self.cuts = Some(enumerate_cuts(mig, &CutConfig::default()));
+            return;
+        };
+        cuts.refresh(mig);
+        for &g in mig.topo_gates_shared().iter() {
+            cuts.of_updated(mig, g);
         }
-    }
-
-    fn remap(&self, _map: &mig::CompactMap) {
-        // The carried lists are node-indexed: after a compaction every
-        // cached cut describes a renumbered (or vanished) slot. Drop
-        // them wholesale — the next propose re-enumerates from the
-        // dense graph, which is exactly the access pattern compaction
-        // exists to speed up.
-        self.carried.lock().unwrap().clear();
     }
 
     /// Top-down proposals for one region: best legal database replacement
@@ -137,43 +130,20 @@ impl ProposeEngine for CutEngine<'_> {
         ffr: &Option<FfrPartition>,
         region: u32,
     ) -> Vec<Proposal<CutPayload>> {
-        let members = partition.members(region);
+        let cuts = self.cuts.as_ref().expect("prepare runs before propose");
         let mut props = Vec::new();
-        if members.is_empty() {
-            return props;
-        }
-        // A persistent partition can hold members that died since it was
-        // computed (dead slots report level 0 and would wreck the
-        // horizon); the floor follows the live members only.
-        let floor = members
-            .iter()
-            .filter(|&&g| mig.is_gate(g))
-            .map(|&g| mig.level(g))
-            .min()
-            .unwrap_or(0)
-            .saturating_sub(CUT_HORIZON);
-        // Sharded cut refresh reuse: take the region's carried lists when
-        // the leaf horizon is unchanged (lists are valid per node, and
-        // the scheduler's invalidation events already staled everything
-        // the last commits touched); otherwise start fresh.
-        let mut local = {
-            let mut carried = self.carried.lock().unwrap();
-            match carried.remove(&region) {
-                Some(store) if store.floor_level() == floor => store,
-                _ => LocalCuts::new(CutConfig::default(), floor),
-            }
-        };
         let mut claimed: HashSet<NodeId> = HashSet::new();
-        for &v in members.iter().rev() {
+        // A persistent partition can hold members that died since it was
+        // computed; only live gates are scored.
+        for &v in partition.members(region).iter().rev() {
             if claimed.contains(&v) || !mig.is_gate(v) {
                 continue;
             }
-            let list = local.of(mig, v);
             let Some(sel) = select_best_cut(
                 self.engine,
                 mig,
                 v,
-                list,
+                cuts.of(v),
                 ffr.as_ref(),
                 self.depth_preserving,
                 |n| mig.level(n),
@@ -203,7 +173,6 @@ impl ProposeEngine for CutEngine<'_> {
                 gain: i64::from(sel.gain),
             });
         }
-        self.carried.lock().unwrap().insert(region, local);
         props
     }
 
@@ -462,7 +431,7 @@ pub(crate) fn converge(
             };
             run_scheduled_converge(
                 mig,
-                &RegionEngine {
+                &mut RegionEngine {
                     engine,
                     variant,
                     threads,
@@ -472,13 +441,13 @@ pub(crate) fn converge(
                 Some(&mut baseline),
             );
         } else {
-            let cut_engine = CutEngine {
+            let mut cut_engine = CutEngine {
                 engine,
                 depth_preserving,
                 use_ffr,
-                carried: Mutex::new(HashMap::new()),
+                cuts: None,
             };
-            run_scheduled_converge(mig, &cut_engine, &cfg, &mut serial, None);
+            run_scheduled_converge(mig, &mut cut_engine, &cfg, &mut serial, None);
         }
         mig.sweep();
     });
@@ -521,10 +490,9 @@ mod tests {
 
         // Build two genuine proposals over the frozen graph whose
         // footprints overlap on `x`'s cone.
-        let mut local = LocalCuts::new(CutConfig::default(), 0);
-        let mk = |v: mig::NodeId, local: &mut LocalCuts| {
-            let list = local.of(&frozen, v).to_vec();
-            let sel = select_best_cut(&e, &frozen, v, &list, None, false, |n| frozen.level(n))
+        let cuts = enumerate_cuts(&frozen, &CutConfig::default());
+        let mk = |v: mig::NodeId| {
+            let sel = select_best_cut(&e, &frozen, v, cuts.of(v), None, false, |n| frozen.level(n))
                 .expect("profitable cut");
             let internal = internal_nodes(&frozen, v, &sel.cut);
             let mut footprint = internal.clone();
@@ -546,8 +514,8 @@ mod tests {
                 gain: i64::from(sel.gain),
             }
         };
-        let p_top = mk(w.node(), &mut local);
-        let p_low = mk(y.node(), &mut local);
+        let p_top = mk(w.node());
+        let p_low = mk(y.node());
         assert!(
             p_top.footprint.iter().any(|n| p_low.footprint.contains(n)),
             "test premise: the two MFFCs share frontier nodes"
@@ -558,7 +526,7 @@ mod tests {
             engine: &e,
             depth_preserving: false,
             use_ffr: false,
-            carried: Mutex::new(HashMap::new()),
+            cuts: None,
         };
         let low_footprint = p_low.footprint.clone();
         let mut frontier = Vec::new();
@@ -573,50 +541,6 @@ mod tests {
         );
         assert_eq!(m.output_truth_tables(), want, "function preserved");
         m.debug_check();
-    }
-
-    /// The function of `root`'s cone over `leaves` (leaf `i` is variable
-    /// `i`) in the low `2^leaves` bits, or `None` when the cone reaches a
-    /// terminal or dead slot that is not a leaf (the leaves do not cut it).
-    fn cone_table(mig: &Mig, root: NodeId, leaves: &[NodeId]) -> Option<u64> {
-        const VARS: [u64; 6] = [
-            0xAAAA_AAAA_AAAA_AAAA,
-            0xCCCC_CCCC_CCCC_CCCC,
-            0xF0F0_F0F0_F0F0_F0F0,
-            0xFF00_FF00_FF00_FF00,
-            0xFFFF_0000_FFFF_0000,
-            0xFFFF_FFFF_0000_0000,
-        ];
-        fn eval(
-            mig: &Mig,
-            n: NodeId,
-            leaves: &[NodeId],
-            memo: &mut HashMap<NodeId, u64>,
-        ) -> Option<u64> {
-            if let Some(i) = leaves.iter().position(|&l| l == n) {
-                return Some(VARS[i]);
-            }
-            if n == 0 {
-                return Some(0);
-            }
-            if !mig.is_gate(n) {
-                return None;
-            }
-            if let Some(&t) = memo.get(&n) {
-                return Some(t);
-            }
-            let mut ops = [0u64; 3];
-            for (op, s) in ops.iter_mut().zip(mig.fanins(n)) {
-                let t = eval(mig, s.node(), leaves, memo)?;
-                *op = if s.is_complemented() { !t } else { t };
-            }
-            let [a, b, c] = ops;
-            let t = (a & b) | (a & c) | (b & c);
-            memo.insert(n, t);
-            Some(t)
-        }
-        let mask = u64::MAX >> (64 - (1u32 << leaves.len()));
-        eval(mig, root, leaves, &mut HashMap::new()).map(|t| t & mask)
     }
 
     /// A seeded random network of naively built xors, ands and
@@ -642,60 +566,89 @@ mod tests {
         m
     }
 
-    /// The cut lists the cut engine carries across scheduler steps stay
-    /// sound: after a multi-step run, every cut a carried store serves
-    /// for a live gate has live leaves and the truth table of the gate's
-    /// cone over them. Stale lists (an invalidation event lost between
-    /// steps) would serve cuts of a cone that no longer exists.
+    /// The cut engine, checking after every prepare that its set serves
+    /// each live gate exactly the list a fresh enumeration of the graph
+    /// computes.
+    struct CheckedCuts<'e> {
+        inner: CutEngine<'e>,
+        prepares: usize,
+    }
+
+    impl ProposeEngine for CheckedCuts<'_> {
+        type Payload = CutPayload;
+        type RoundState = Option<FfrPartition>;
+
+        fn partition(&self, mig: &Mig, max_regions: usize) -> (RegionPartition, Self::RoundState) {
+            self.inner.partition(mig, max_regions)
+        }
+
+        fn prepare(&mut self, mig: &Mig) {
+            self.inner.prepare(mig);
+            self.prepares += 1;
+            let fresh = enumerate_cuts(mig, &CutConfig::default());
+            let cuts = self.inner.cuts.as_ref().expect("prepared");
+            for g in mig.gates() {
+                assert!(
+                    cuts.is_valid(g),
+                    "prepare {}: gate {g} stale",
+                    self.prepares
+                );
+                assert_eq!(
+                    cuts.of(g),
+                    fresh.of(g),
+                    "prepare {}: gate {g} served a stale list",
+                    self.prepares
+                );
+            }
+        }
+
+        fn propose(
+            &self,
+            mig: &Mig,
+            partition: &RegionPartition,
+            state: &Self::RoundState,
+            region: u32,
+        ) -> Vec<Proposal<CutPayload>> {
+            self.inner.propose(mig, partition, state, region)
+        }
+
+        fn commit(&self, mig: &mut Mig, payload: &CutPayload) -> CommitVerdict {
+            self.inner.commit(mig, payload)
+        }
+    }
+
+    /// The cut set the engine carries across scheduler steps stays sound:
+    /// at every step, and once more on the final graph, the lists the
+    /// workers read equal a fresh enumeration — also after a compaction
+    /// renumbered the graph under them.
     #[test]
     fn carried_cut_lists_stay_sound_across_scheduler_steps() {
         let e = engine();
         let mut m = naive_random_network(5, 200);
         let want = m.output_truth_tables();
-        let cut_engine = CutEngine {
-            engine: &e,
-            depth_preserving: false,
-            use_ffr: false,
-            carried: Mutex::new(HashMap::new()),
+        let mut checked = CheckedCuts {
+            inner: CutEngine {
+                engine: &e,
+                depth_preserving: false,
+                use_ffr: false,
+                cuts: None,
+            },
+            prepares: 0,
         };
         let cfg = ShardConfig {
             threads: 2,
             guard: None,
         };
         let ((), run) = obs::metrics::scoped(|| {
-            run_scheduled_converge(&mut m, &cut_engine, &cfg, &mut |_| {}, None)
+            run_scheduled_converge(&mut m, &mut checked, &cfg, &mut |_| {}, None)
         });
         let steps = run.get(obs::Metric::SchedSteps);
         assert!(steps >= 3, "test premise: {steps} scheduler steps");
+        let compactions = run.get(obs::Metric::SchedCompactions);
+        assert!(compactions >= 1, "test premise: {compactions} compactions");
+        assert_eq!(checked.prepares as u64, steps, "one prepare per step");
         assert_eq!(m.output_truth_tables(), want, "function preserved");
-        let mut carried = cut_engine.carried.into_inner().unwrap();
-        assert!(!carried.is_empty(), "test premise: lists carried");
-        // In topological order a gate's list is computed at its own visit
-        // at the earliest, so every cache hit serves a carried list.
-        let gates = m.topo_gates();
-        let ((), check) = obs::metrics::scoped(|| {
-            for (region, store) in carried.iter_mut() {
-                for &g in &gates {
-                    for cut in store.of(&m, g) {
-                        let leaves = cut.leaves();
-                        assert!(
-                            leaves.iter().all(|&l| !m.is_dead(l)),
-                            "region {region}: gate {g} served a cut with dead leaves {leaves:?}"
-                        );
-                        let mask = u64::MAX >> (64 - (1u32 << leaves.len()));
-                        assert_eq!(
-                            cone_table(&m, g, leaves),
-                            Some(cut.truth_table() & mask),
-                            "region {region}: gate {g} served a stale cut over {leaves:?}"
-                        );
-                    }
-                }
-            }
-        });
-        assert!(
-            check.get(obs::Metric::CutsCacheHits) > 0,
-            "no carried list was served"
-        );
+        checked.prepare(&m);
     }
 
     /// The same overlap, resolved by the driver across rounds: the

@@ -310,8 +310,8 @@ struct CutRange {
 /// retires the old range (its slots become dead); when dead slots
 /// outnumber live ones the pool is compacted in place. Whole-arena
 /// invalidation is an epoch bump + `pool.clear()` — O(1), no per-node
-/// traffic — which is what makes [`LocalCuts`] stores cheap to recycle
-/// across rounds.
+/// traffic — so a [`CutSet`] whose change feed has a gap (a compaction)
+/// restarts without freeing its pool.
 #[derive(Debug, Default)]
 struct CutArena {
     pool: Vec<Cut>,
@@ -471,9 +471,8 @@ impl CutArena {
 }
 
 /// Reusable working memory for cut recomputation: the merge kernel's
-/// output list and the invalidation/recursion stack. Owned by [`CutSet`]
-/// and [`LocalCuts`] (one per store, so sharded workers each carry their
-/// own), warmed on first use and reused allocation-free afterwards.
+/// output list and the invalidation/recursion stack. Each [`CutSet`]
+/// owns one, warmed on first use and reused allocation-free afterwards.
 #[derive(Debug, Default)]
 pub struct CutScratch {
     /// Merge kernel output, swapped into the arena per node.
@@ -707,8 +706,9 @@ fn compute_node_into(
 /// three fanin cut lists into caller-owned `out` — merged leaf sets
 /// within the width bound, truth tables composed through the fanin
 /// polarities, dominance-filtered, priority-bounded, trivial cut first.
-/// Shared by the global [`CutSet`] enumeration and the shard-local
-/// [`LocalCuts`] refresh so the two can never drift.
+/// Shared by the full enumeration ([`enumerate_cuts`]) and the
+/// on-demand recomputation ([`CutSet::of_updated`]) so the two can never
+/// drift.
 ///
 /// Allocation-free in steady state: permutation maps are stack arrays,
 /// dominance filtering works in place on `out`, and the priority sort is
@@ -800,149 +800,6 @@ pub fn merge_gate_cuts_into(
     out.truncate(config.max_cuts.saturating_sub(1));
     // The trivial cut is always available (needed by parents).
     out.insert(0, Cut::trivial(v));
-}
-
-/// Shard-local cut refresh for parallel proposal workers: computes cut
-/// lists on demand from a *shared, read-only* graph, memoizing per node.
-///
-/// Workers cannot use the global [`CutSet`] (its refresh consumes the
-/// graph's dirty log mutably and is shared state); instead each region
-/// gets a `LocalCuts` over the frozen round snapshot. To bound the work
-/// to the region instead of its whole transitive fanin, nodes *below*
-/// `floor_level` contribute only their trivial cut — sound, because any
-/// node may serve as a cut leaf; the floor only prunes cuts reaching
-/// deeper than the horizon, which a 4-feasible replacement would not use
-/// anyway when the floor sits comfortably below the region.
-///
-/// The store holds no graph reference, so it can outlive the round that
-/// filled it: a shard driver carries each region's `LocalCuts` across
-/// rounds, calling [`LocalCuts::invalidate`] with the nodes the previous
-/// round's commits dirtied (the same transitive-fanout staleness rule as
-/// [`CutSet::refresh`]) instead of re-enumerating the region from
-/// scratch. Storage is the same arena + scratch pair as [`CutSet`], so a
-/// carried store performs no steady-state allocations either.
-#[derive(Debug)]
-pub struct LocalCuts {
-    config: CutConfig,
-    floor_level: u32,
-    arena: CutArena,
-    scratch: CutScratch,
-}
-
-impl LocalCuts {
-    /// Creates a shard-local cut view. `floor_level` is the leaf horizon
-    /// (0 reproduces the exact global enumeration).
-    pub fn new(config: CutConfig, floor_level: u32) -> Self {
-        LocalCuts {
-            config,
-            floor_level,
-            arena: CutArena::new(),
-            scratch: CutScratch::default(),
-        }
-    }
-
-    /// The leaf horizon the memoized lists were computed under. Carried
-    /// stores are only reusable while the owning region's floor is
-    /// unchanged (a different horizon changes which cuts are pruned).
-    pub fn floor_level(&self) -> u32 {
-        self.floor_level
-    }
-
-    /// Drops the memoized lists of `dirty` nodes and their transitive
-    /// fanout (computed against the live graph), so a store can be
-    /// carried across rewriting rounds. Mirrors [`CutSet::refresh`]; the
-    /// walk stops at never-computed nodes, whose dependents are
-    /// necessarily uncomputed too (a list is only memoized once all its
-    /// fanin lists are). The traversal stack is the store's own scratch,
-    /// reused across calls — no per-invalidation allocation.
-    pub fn invalidate(&mut self, mig: &Mig, dirty: impl IntoIterator<Item = NodeId>) {
-        self.arena.ensure_len(mig.num_nodes());
-        let LocalCuts { arena, scratch, .. } = self;
-        let stack = &mut scratch.stack;
-        stack.clear();
-        stack.extend(dirty);
-        while let Some(v) = stack.pop() {
-            if !arena.is_valid(v) {
-                continue; // never computed, or fanout already invalidated
-            }
-            arena.invalidate(v);
-            for p in mig.fanout_gates(v) {
-                stack.push(p);
-            }
-        }
-    }
-
-    /// The cut list of `n`, computing (and memoizing) it and any missing
-    /// fanin lists above the horizon.
-    pub fn of(&mut self, mig: &Mig, n: NodeId) -> &[Cut] {
-        self.arena.ensure_len(mig.num_nodes());
-        if self.arena.is_valid(n) {
-            obs::metrics::add(obs::Metric::CutsCacheHits, 1);
-        } else {
-            obs::metrics::add(obs::Metric::CutsCacheMisses, 1);
-            let LocalCuts {
-                arena,
-                scratch,
-                config,
-                floor_level,
-            } = self;
-            scratch.note_use();
-            let CutScratch { out, stack, .. } = scratch;
-            stack.clear();
-            stack.push(n);
-            while let Some(&v) = stack.last() {
-                if arena.is_valid(v) {
-                    stack.pop();
-                    continue;
-                }
-                if leaf_list_into(mig, v, *floor_level, out) {
-                    arena.set(v, out);
-                    stack.pop();
-                    continue;
-                }
-                let mut ready = true;
-                for s in mig.fanins(v) {
-                    let m = s.node();
-                    if !arena.is_valid(m) {
-                        ready = false;
-                        stack.push(m);
-                    }
-                }
-                if !ready {
-                    continue;
-                }
-                stack.pop();
-                let fanins = mig.fanins(v);
-                let lists = fanins.map(|s| arena.get(s.node()));
-                merge_gate_cuts_into(v, fanins, lists, config, out);
-                arena.set(v, out);
-            }
-        }
-        self.arena.get(n)
-    }
-}
-
-/// Writes the fixed list of `v` into `out` when it needs no fanin
-/// recursion — terminals, dead slots and gates at or below the leaf
-/// horizon — returning whether `v` was such a leaf.
-fn leaf_list_into(mig: &Mig, v: NodeId, floor_level: u32, out: &mut Vec<Cut>) -> bool {
-    out.clear();
-    if v == 0 {
-        out.push(Cut::constant());
-        return true;
-    }
-    if mig.is_terminal(v) {
-        out.push(Cut::trivial(v));
-        return true;
-    }
-    if !mig.is_gate(v) {
-        return true; // dead slot: valid, empty list
-    }
-    if mig.level(v) < floor_level {
-        out.push(Cut::trivial(v));
-        return true;
-    }
-    false
 }
 
 /// Enumerates all k-feasible cuts of `mig` under `config`.
@@ -1412,88 +1269,6 @@ mod tests {
     }
 
     #[test]
-    fn local_cuts_match_global_enumeration_without_horizon() {
-        let mut m = Mig::new(4);
-        let (a, b, c, d) = (m.input(0), m.input(1), m.input(2), m.input(3));
-        let g1 = m.maj(a, b, !c);
-        let g2 = m.maj(g1, c, d);
-        let g3 = m.xor(g2, a);
-        let g4 = m.maj(g1, !g3, b);
-        m.add_output(g4);
-        let cfg = CutConfig::default();
-        let global = enumerate_cuts(&m, &cfg);
-        let mut local = LocalCuts::new(cfg, 0);
-        for g in m.gates() {
-            assert_eq!(local.of(&m, g), global.of(g), "cuts of gate {g} diverged");
-        }
-    }
-
-    #[test]
-    fn local_cuts_invalidate_matches_fresh_computation() {
-        // Fill a store, rewrite in place, invalidate with the dirty log
-        // and compare every list against a freshly computed store.
-        let mut m = Mig::new(5);
-        let ins: Vec<Signal> = m.inputs().collect();
-        let left = m.maj(ins[0], ins[1], ins[2]);
-        let right = m.xor(ins[3], ins[4]);
-        let mid = m.maj(left, right, ins[0]);
-        let top = m.maj(mid, left, !ins[4]);
-        m.add_output(top);
-        let _ = m.drain_dirty();
-        let cfg = CutConfig::default();
-        let mut carried = LocalCuts::new(cfg, 0);
-        for g in m.gates() {
-            let _ = carried.of(&m, g);
-        }
-        let fresh_node = m.maj(ins[3], !ins[4], ins[0]);
-        assert!(m.replace_node(right.node(), fresh_node));
-        let dirty = m.drain_dirty();
-        carried.invalidate(&m, dirty);
-        let mut fresh = LocalCuts::new(cfg, 0);
-        for g in m.gates() {
-            assert_eq!(
-                carried.of(&m, g),
-                fresh.of(&m, g),
-                "carried list of gate {g} diverged after invalidation"
-            );
-        }
-        // The untouched left cone was not recomputed needlessly: its list
-        // was still memoized before the comparison walked it.
-        assert!(m.is_gate(left.node()));
-    }
-
-    #[test]
-    fn local_cuts_horizon_truncates_to_trivial_leaves() {
-        // A chain: with a floor above the bottom, low gates become
-        // leaf-only and high gates' cuts never reach below the floor.
-        let mut m = Mig::new(6);
-        let mut t = m.input(0);
-        for i in 1..6 {
-            let x = m.input(i);
-            t = m.maj(t, x, Signal::ZERO);
-        }
-        m.add_output(t);
-        let cfg = CutConfig::default();
-        let floor = 3;
-        let mut local = LocalCuts::new(cfg, floor);
-        assert_eq!(local.floor_level(), floor);
-        for g in m.gates() {
-            if m.level(g) < floor {
-                assert_eq!(local.of(&m, g), &[Cut::trivial(g)], "gate {g} below floor");
-            } else {
-                for cut in local.of(&m, g) {
-                    for &l in cut.leaves() {
-                        assert!(
-                            m.is_terminal(l) || m.level(l) >= floor - 1,
-                            "cut of gate {g} reaches below the horizon"
-                        );
-                    }
-                }
-            }
-        }
-    }
-
-    #[test]
     fn expand_tt_scatters_variables() {
         // x0 & x1 over 2 vars, mapped to positions {2, 0} of 3 vars.
         let and2 = 0b1000u64;
@@ -1665,26 +1440,6 @@ mod differential {
     }
 
     #[test]
-    fn local_cuts_match_nested_vec_reference() {
-        for seed in [3u64, 17, 2026] {
-            let m = random_mig(seed, 6, 40);
-            let cfg = CutConfig::default();
-            let reference = ref_enumerate(&m, &cfg);
-            let mut local = LocalCuts::new(cfg, 0);
-            // Walk in reverse topological order so the miss-walk exercises
-            // deep recursion through the arena.
-            let gates: Vec<NodeId> = m.gates().collect();
-            for &g in gates.iter().rev() {
-                assert_eq!(
-                    local.of(&m, g),
-                    reference[g as usize].as_slice(),
-                    "seed {seed}, gate {g}: local list diverged from reference"
-                );
-            }
-        }
-    }
-
-    #[test]
     fn post_compact_remap_matches_reference() {
         for seed in [5u64, 88, 4096] {
             let mut m = random_mig(seed, 8, 50);
@@ -1743,7 +1498,10 @@ mod differential {
             }
             cs.refresh(&m);
             let reference = ref_enumerate(&m, &cfg);
-            for g in m.gates() {
+            // Descending ids, upper gates first: a stale root's miss-walk
+            // recurses through the stale lists of its fanin cone.
+            let gates: Vec<NodeId> = m.gates().collect();
+            for &g in gates.iter().rev() {
                 assert_eq!(
                     cs.of_updated(&m, g),
                     reference[g as usize].as_slice(),

@@ -24,10 +24,12 @@
 //!    gain then stable region id — decides what gets proposed. After the
 //!    first step, only queued (dirty) regions are re-proposed; clean
 //!    regions are skipped entirely.
-//! 3. **Propose.** Worker threads (`std::thread::scope`, work-stealing
-//!    over the scheduled region list) call [`ProposeEngine::propose`]
-//!    read-only on a frozen graph; results land in per-region slots so
-//!    commit order is independent of scheduling.
+//! 3. **Propose.** [`ProposeEngine::prepare`] first brings the engine's
+//!    shared read state up to date on the committing thread. Then worker
+//!    threads (`std::thread::scope`, work-stealing over the scheduled
+//!    region list) call [`ProposeEngine::propose`] read-only on a frozen
+//!    graph; results land in per-region slots so commit order is
+//!    independent of scheduling.
 //! 4. **Commit serially** ([`commit_proposals`]). The step's proposals
 //!    commit one at a time on the live graph, in the order propose
 //!    returned them (region-slot order). A proposal whose footprint
@@ -50,7 +52,7 @@
 //! analyzes each region.
 
 use crate::fxhash::FxHashSet;
-use crate::{CompactMap, Mig, NodeId, RegionPartition};
+use crate::{Mig, NodeId, RegionPartition};
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
@@ -123,7 +125,10 @@ pub struct Proposal<P> {
 /// concurrently on a frozen `&Mig`) and applies its proposals one at a
 /// time on the live graph ([`ProposeEngine::commit`], which must re-check
 /// legality itself — the driver only guarantees that the proposal's
-/// footprint is structurally untouched within the current step).
+/// footprint is structurally untouched within the current step). State
+/// the proposals read and the steps carry forward (cut lists, …) is
+/// brought up to date in [`ProposeEngine::prepare`], the one hook with
+/// `&mut self`.
 ///
 /// # Examples
 ///
@@ -205,7 +210,7 @@ pub struct Proposal<P> {
 /// let want = m.output_truth_tables();
 /// let cfg = ShardConfig { threads: 2, guard: None };
 /// assert!(cfg.max_regions(&m) > 1, "large enough to shard");
-/// run_scheduled_converge(&mut m, &RedundantAnd, &cfg, &mut |_| {}, None);
+/// run_scheduled_converge(&mut m, &mut RedundantAnd, &cfg, &mut |_| {}, None);
 /// assert_eq!(m.num_gates(), 30);
 /// assert_eq!(m.output_truth_tables(), want);
 /// ```
@@ -233,18 +238,14 @@ pub trait ProposeEngine: Sync {
         false
     }
 
-    /// Invalidation hook, called after each kept step with the nodes the
-    /// step structurally changed, oldest first (its slice of the graph's
-    /// dirty log). Engines carrying analysis caches across steps (cut
-    /// lists, …) stale them here.
-    fn invalidate(&self, _mig: &Mig, _changed: &[NodeId]) {}
-
-    /// Renumbering hook, called after the driver compacts the graph
-    /// ([`crate::Mig::compact`]): every node id may have changed, so
-    /// engines carrying *node-indexed* caches must remap or drop them
-    /// here. The driver re-partitions unconditionally afterwards, so
-    /// partition-derived round state needs no migration.
-    fn remap(&self, _map: &CompactMap) {}
+    /// Runs on the committing thread before every propose phase (the
+    /// first step, retries and steps after a re-partition alike), with
+    /// the graph as the workers will see it. Engines carrying analysis
+    /// state across steps bring it up to date here — reading the graph's
+    /// dirty log through their own cursor ([`crate::Mig::dirty_since`]),
+    /// which also reports the gap a compaction leaves — so that
+    /// [`ProposeEngine::propose`] only reads it.
+    fn prepare(&mut self, _mig: &Mig) {}
 
     /// Generates the proposals of one region, read-only. A worker's own
     /// proposals should not overlap (the driver would refuse the later
@@ -423,7 +424,7 @@ impl Scheduler {
 /// nested metric scope so a guard rollback drops the undone step's
 /// outcome counters while [`obs::Delta::publish_history`] keeps its
 /// event history — uniformly for every engine.
-fn run_scheduler<E: ProposeEngine>(mig: &mut Mig, engine: &E, cfg: &ShardConfig) {
+fn run_scheduler<E: ProposeEngine>(mig: &mut Mig, engine: &mut E, cfg: &ShardConfig) {
     use obs::metrics::{add, addi};
     use obs::Metric;
     mig.sweep();
@@ -531,8 +532,12 @@ fn run_scheduler<E: ProposeEngine>(mig: &mut Mig, engine: &E, cfg: &ShardConfig)
             };
             match hook {
                 Some(outcome) => (outcome, true),
-                None => (
-                    propose_and_commit(
+                None => {
+                    {
+                        let _span = obs::trace::span("sched:prepare");
+                        engine.prepare(mig);
+                    }
+                    let outcome = propose_and_commit(
                         mig,
                         engine,
                         partition,
@@ -540,9 +545,9 @@ fn run_scheduler<E: ProposeEngine>(mig: &mut Mig, engine: &E, cfg: &ShardConfig)
                         &active,
                         cfg.threads,
                         &mut sched.frontier,
-                    ),
-                    false,
-                ),
+                    );
+                    (outcome, false)
+                }
             }
         });
         rounds += 1;
@@ -587,12 +592,6 @@ fn run_scheduler<E: ProposeEngine>(mig: &mut Mig, engine: &E, cfg: &ShardConfig)
             add(Metric::ShardReplacements, outcome.replacements);
             addi(Metric::ShardGain, outcome.gain);
         }
-        let changed = mig
-            .dirty_since(step_start)
-            .expect("nothing drains the dirty log inside a step");
-        if !changed.is_empty() {
-            engine.invalidate(mig, changed);
-        }
         // Between steps the graph is quiescent: when enough slots have
         // died, renumber them out ([`Mig::compact`]) so the remaining
         // steps (and every later pass) walk dense arrays. Deterministic:
@@ -603,15 +602,15 @@ fn run_scheduler<E: ProposeEngine>(mig: &mut Mig, engine: &E, cfg: &ShardConfig)
             if !map.is_identity() {
                 add(Metric::SchedCompactions, 1);
                 // Carry the pending frontier across the renumbering
-                // (dead slots drop out), hand engines the remap for
-                // their node-indexed caches, and force a fresh
-                // partition — region assignments are node-indexed too.
+                // (dead slots drop out) and force a fresh partition —
+                // region assignments are node-indexed too. Engines see
+                // the compaction as a gap in the dirty log at their
+                // next prepare.
                 sched.frontier = sched
                     .frontier
                     .iter()
                     .filter_map(|&(n, p)| map.remap(n).map(|m| (m, p)))
                     .collect();
-                engine.remap(&map);
                 force_partition = true;
             }
         }
@@ -662,11 +661,16 @@ fn propose_and_commit<E: ProposeEngine>(
             // Workers sync on a start barrier: load imbalance then shows
             // up as idle span tails instead of thread-start skew, and the
             // per-worker spans of one phase genuinely coexist even on one
-            // hardware thread.
+            // hardware thread. Each worker records into its own metric
+            // scope, published here after the join, so the step's scope
+            // (and whatever run encloses it) sees the workers' counters.
             let barrier = std::sync::Barrier::new(workers);
             std::thread::scope(|scope| {
-                for _ in 0..workers {
-                    scope.spawn(|| work(Some(&barrier)));
+                let handles: Vec<_> = (0..workers)
+                    .map(|_| scope.spawn(|| obs::metrics::scoped(|| work(Some(&barrier))).1))
+                    .collect();
+                for h in handles {
+                    h.join().expect("propose worker").publish();
                 }
             });
         }
@@ -746,7 +750,7 @@ pub fn commit_proposals<E: ProposeEngine>(
 /// `shard.*` counters, and whatever the serial stages record.
 pub fn run_scheduled_converge<E: ProposeEngine>(
     mig: &mut Mig,
-    engine: &E,
+    engine: &mut E,
     cfg: &ShardConfig,
     serial: &mut dyn FnMut(&mut Mig),
     baseline: Option<&mut dyn FnMut(&mut Mig) -> u64>,
@@ -888,7 +892,7 @@ mod tests {
 
     /// Runs the scheduler and returns what it recorded.
     fn scheduled(mig: &mut Mig, cfg: &ShardConfig) -> obs::Delta {
-        obs::metrics::scoped(|| run_scheduler(mig, &RedundantAndEngine, cfg)).1
+        obs::metrics::scoped(|| run_scheduler(mig, &mut RedundantAndEngine, cfg)).1
     }
 
     #[test]

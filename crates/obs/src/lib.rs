@@ -13,7 +13,11 @@
 //! Every metric is declared once in a central table ([`Metric`]). Values
 //! are recorded either into a thread-local *scope* (opened with
 //! [`metrics::scoped`]) or, when no scope is active on the recording
-//! thread, into a process-wide atomic registry. Scopes nest: closing one
+//! thread, into a process-wide atomic registry. Worker threads that
+//! record (the convergence scheduler's propose workers) do so inside a
+//! scope of their own, which the spawning thread publishes after the
+//! join, so a run's scope sees its workers' counts and no other run's.
+//! Scopes nest: closing one
 //! yields a [`metrics::Delta`] the caller can inspect, then
 //! [`publish`](metrics::Delta::publish) into the enclosing scope (or the
 //! global registry) — or drop, which is how snapshot-rollback sites

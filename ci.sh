@@ -253,6 +253,25 @@ awk -v e="$ENG" -v m="$MNG" 'BEGIN { exit !(e <= 2.25 * m) }' || {
 }
 echo "ok: epfl_big@1 = $ENG ns/gate <= 2.25x mult_big@1 = $MNG ns/gate"
 
+echo "== deep-graph commit gate (fhash!/ctrl_deep@1 vs sched/mult_big@1, ns/gate)"
+# Per-gate convergence cost on deep control logic (119k gates, depth
+# 2.6k) must stay within 1.2x that of the medium multiplier. There a
+# substitution makes cones thousands of levels tall shallower; walking
+# each such cone once per replace_node costs about 1.5x, settling the
+# decreases once per commit phase about 0.8x. Same-run @1 rows, min_ns,
+# so the ratio needs no machine-speed constant.
+D1=$(min_of "fhash!/ctrl_deep@1")
+DG=$(ctx_of "corpus.ctrl_deep_gates")
+[ -n "$D1" ] && [ -n "$DG" ] || {
+    echo "missing fhash!/ctrl_deep@1 row/context in BENCH_micro.json"; exit 1;
+}
+DNG=$(awk -v d="$D1" -v g="$DG" 'BEGIN { printf "%.0f", d / g }')
+awk -v d="$DNG" -v m="$MNG" 'BEGIN { exit !(d <= 1.2 * m) }' || {
+    echo "FAIL: ctrl_deep@1 at $DNG ns/gate, past 1.2x mult_big@1 at $MNG ns/gate"
+    exit 1
+}
+echo "ok: ctrl_deep@1 = $DNG ns/gate <= 1.2x mult_big@1 = $MNG ns/gate"
+
 echo "== compacted-layout locality gate (walk ns/gate within 1.1x fresh)"
 # The renumbered post-churn graph must walk as fast as a freshly built
 # one: compaction is what keeps long-churning runs from chasing sparse

@@ -27,6 +27,14 @@
 //! whose transitive fanout could have gained a new move, and a final
 //! full sweep confirms the fixpoint.
 //!
+//! Levels: both sweeps run inside [`Mig::with_deferred_levels`], so a
+//! committed move lowers only the gates it rewires and the scope settles
+//! the rest once, when the sweep ends. Size moves read no level. A depth
+//! move reads the levels of its gate's fanin cone, which no earlier move
+//! of the sweep touched (see [`depth_sweep`]), so those levels are exact
+//! without settling — except at a recycled slot, which the sweep
+//! settles first. Every decision is the one eager upkeep would make.
+//!
 //! Safety is layered on top of liberal, rebuild-parity moves: every
 //! public sweep runs guarded — size sweeps roll back when they end
 //! `(gates, depth)`-worse, depth sweeps when they end
@@ -267,12 +275,14 @@ pub(crate) enum Family {
 /// One sweep over the live gates (topological order), trying the
 /// family's move on each. `targets` restricts the sweep to an
 /// affected-cone set (`None` = every gate). Dangling roots are skipped
-/// (they are reclaimed by the final sweep, not optimized).
+/// (they are reclaimed by the final sweep, not optimized). Level
+/// decreases are deferred to the end of the sweep (module docs), so
+/// the levels are exact again when it returns.
 fn sweep(mig: &mut Mig, targets: Option<&HashSet<NodeId>>, family: Family) {
-    match family {
+    mig.with_deferred_levels(|mig| match family {
         Family::Size => size_sweep(mig, targets),
         Family::Depth => depth_sweep(mig, targets),
-    }
+    });
 }
 
 fn size_sweep(mig: &mut Mig, targets: Option<&HashSet<NodeId>>) {
@@ -301,9 +311,18 @@ fn size_sweep(mig: &mut Mig, targets: Option<&HashSet<NodeId>>) {
 /// cone was subsumed by an earlier (higher) move simply dies and is
 /// skipped. This is what halves a ripple chain's depth per sweep,
 /// exactly like one rebuild pass, at in-place cost.
+///
+/// The same order keeps deferred levels harmless: an earlier move
+/// rewired only its own gate's fanout, never the fanin cone of a gate
+/// still to come, so the levels a match reads there are exact. The one
+/// exception is a *recycled slot*: a slot freed and reused for a new
+/// gate since the sweep began. The gate there is not the one the order
+/// was computed for, and its cone may hold deferred decreases, so the
+/// sweep settles them first ([`Mig::settle_levels_for`]).
 fn depth_sweep(mig: &mut Mig, targets: Option<&HashSet<NodeId>>) {
     let topo = mig.topo_gates();
-    for &v in topo.iter().rev() {
+    let generations: Vec<u32> = topo.iter().map(|&v| mig.slot_generation(v)).collect();
+    for (&v, &generation) in topo.iter().zip(&generations).rev() {
         if !mig.is_gate(v) || mig.fanout_count(v) == 0 {
             continue;
         }
@@ -311,6 +330,9 @@ fn depth_sweep(mig: &mut Mig, targets: Option<&HashSet<NodeId>>) {
             if !t.contains(&v) {
                 continue;
             }
+        }
+        if mig.slot_generation(v) != generation {
+            mig.settle_levels_for(v);
         }
         if let Some(mv) = match_depth_move_live(mig, v) {
             commit_depth_move(mig, v, mv);
@@ -452,28 +474,48 @@ pub(crate) fn converge(
 /// `(gates, depth)` metric ([`script_metric`]), the same convergence
 /// rule as the rebuild reference. A single implementation drives both
 /// the sweep stages and the refinement stages of [`crate::optimize`] so
-/// they cannot drift. Returns the kept stats, or `None` when the round
-/// failed to improve and was rolled back.
+/// they cannot drift. Returns whether the kept round discarded its depth
+/// stage, or `None` when the round failed to improve and was rolled
+/// back.
+///
+/// `depth_lost` says that the previous round, run with the same stages,
+/// was kept with its depth stage discarded. A size stage that then
+/// commits no move leaves that round's graph, so the depth stage would
+/// be discarded again and the round rolled back: the round is rolled
+/// back at once, without running the depth stage.
 pub(crate) fn script_round(
     mig: &mut Mig,
     size_stage: &mut dyn FnMut(&mut Mig) -> AlgStats,
     depth_stage: &mut dyn FnMut(&mut Mig) -> AlgStats,
-) -> Option<AlgStats> {
+    depth_lost: bool,
+) -> Option<bool> {
     let before = script_metric(mig);
     let snapshot = mig.clone();
-    let (_, size_d) = obs::metrics::scoped(|| size_stage(mig));
+    let (size_stats, size_d) = {
+        let _span = obs::trace::span("alg:size_stage");
+        obs::metrics::scoped(|| size_stage(mig))
+    };
+    if depth_lost && size_stats.total() == 0 {
+        *mig = snapshot;
+        size_d.publish_history();
+        return None;
+    }
     let mid_metric = script_metric(mig);
     let mid = mig.clone();
-    let (_, depth_d) = obs::metrics::scoped(|| depth_stage(mig));
+    let (_, depth_d) = {
+        let _span = obs::trace::span("alg:depth_stage");
+        obs::metrics::scoped(|| depth_stage(mig))
+    };
     // Stage selection mirrors the rebuild script: keep the depth stage
     // only when it is lexicographically no worse. Discarded stages and
     // rolled-back rounds keep only their event history in the registry.
     let mut round = size_d;
-    if script_metric(mig) <= mid_metric {
-        round.merge(&depth_d);
-    } else {
+    let depth_discarded = script_metric(mig) > mid_metric;
+    if depth_discarded {
         *mig = mid;
         depth_d.publish_history();
+    } else {
+        round.merge(&depth_d);
     }
     if script_metric(mig) >= before {
         *mig = snapshot;
@@ -481,5 +523,48 @@ pub(crate) fn script_round(
         return None;
     }
     round.publish();
-    Some(AlgStats::from_delta(&round))
+    Some(depth_discarded)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// `gen_bench ctrl:8:6:150:7`: the control instance, AND-expanded.
+    fn ctrl() -> Mig {
+        aig::to_mig(&aig::from_mig(&benchgen::random_control(8, 6, 150, 7)))
+    }
+
+    /// Runs one sweep of `family` with eager level upkeep and with
+    /// deferred levels; both must make the same moves and netlist.
+    /// Returns the eager result and the deferred run's settle count.
+    fn eager_and_deferred(mig: &Mig, family: Family) -> (Mig, u64) {
+        let mut eager = mig.clone();
+        let mut deferred = mig.clone();
+        let ((), e) = obs::metrics::scoped(|| match family {
+            Family::Size => size_sweep(&mut eager, None),
+            Family::Depth => depth_sweep(&mut eager, None),
+        });
+        let ((), d) = obs::metrics::scoped(|| sweep(&mut deferred, None, family));
+        let moves = AlgStats::from_delta(&d);
+        assert!(moves.total() > 0, "{family:?}: the sweep moved nothing");
+        assert_eq!(moves, AlgStats::from_delta(&e), "{family:?}");
+        assert_eq!(deferred.fingerprint(), eager.fingerprint(), "{family:?}");
+        assert_eq!(deferred.levels(), eager.levels(), "{family:?}: unsettled");
+        assert_eq!(e.get(obs::Metric::MigLevelSettles), 0);
+        (eager, d.get(obs::Metric::MigLevelSettles))
+    }
+
+    #[test]
+    fn deferred_sweeps_make_the_eager_decisions() {
+        // The first script round on the control instance: a size sweep,
+        // then a depth sweep that frees slots and reuses them for new
+        // gates. Without the recycled-slot settle, that depth sweep reads
+        // stale levels there and makes one more distributivity move.
+        let (sized, settles) = eager_and_deferred(&ctrl(), Family::Size);
+        assert_eq!(settles, 1, "the scope's end");
+        let (_, settles) = eager_and_deferred(&sized, Family::Depth);
+        // One settle ends the scope; the others ran at recycled slots.
+        assert!(settles >= 2, "{settles} settles");
+    }
 }

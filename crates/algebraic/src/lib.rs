@@ -113,7 +113,10 @@ pub fn depth_converge(mig: &mut Mig) -> (AlgStats, usize) {
 /// `(gates, depth)` fixpoint ([`script_metric`]) or `max_rounds`,
 /// mirroring how the paper's starting points were produced with the
 /// flows of refs \[3\] and \[4\]. Rounds that fail to improve are rolled
-/// back, so the result is never worse than the input.
+/// back, so the result is never worse than the input. A round whose
+/// size stage commits no move right after a round that discarded its
+/// depth stage is rolled back without running the depth stage, which
+/// would start from the same graph and be discarded again.
 ///
 /// With `refine`, up to `max_rounds` refinement rounds follow under the
 /// same acceptance, their size and depth stages the convergence loop
@@ -121,27 +124,36 @@ pub fn depth_converge(mig: &mut Mig) -> (AlgStats, usize) {
 /// bit-deterministic for a fixed input.
 pub fn optimize(mig: &mut Mig, max_rounds: usize, refine: bool) -> AlgStats {
     let ((), delta) = obs::metrics::scoped(|| {
-        for _ in 0..max_rounds {
-            if inplace::script_round(mig, &mut size_rewrite, &mut depth_rewrite).is_none() {
-                break;
-            }
-        }
-        if !refine {
-            return;
-        }
-        for _ in 0..max_rounds {
-            let round = inplace::script_round(
+        script_rounds(mig, max_rounds, &mut size_rewrite, &mut depth_rewrite);
+        if refine {
+            script_rounds(
                 mig,
+                max_rounds,
                 &mut |m| converge(m, 8, Family::Size, script_metric).0,
                 &mut |m| converge(m, 8, Family::Depth, depth_metric).0,
             );
-            if round.is_none() {
-                break;
-            }
         }
     });
     delta.publish();
     AlgStats::from_delta(&delta)
+}
+
+/// Up to `max_rounds` script rounds with the given stages, until one is
+/// rolled back. Each round learns whether its predecessor discarded the
+/// depth stage ([`inplace::script_round`]).
+fn script_rounds(
+    mig: &mut Mig,
+    max_rounds: usize,
+    size_stage: &mut dyn FnMut(&mut Mig) -> AlgStats,
+    depth_stage: &mut dyn FnMut(&mut Mig) -> AlgStats,
+) {
+    let mut depth_lost = false;
+    for _ in 0..max_rounds {
+        match inplace::script_round(mig, size_stage, depth_stage, depth_lost) {
+            Some(discarded) => depth_lost = discarded,
+            None => break,
+        }
+    }
 }
 
 #[cfg(test)]

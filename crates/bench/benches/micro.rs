@@ -10,7 +10,9 @@
 //! binaries; these benches track per-component performance.)
 
 use bench_harness::microbench::{bench, write_json_with_context};
-use bench_harness::workloads::{epfl_big, mult_big_and, parallel_chain_workload, ripple_chain};
+use bench_harness::workloads::{
+    ctrl_deep, epfl_big, mult_big_and, parallel_chain_workload, ripple_chain,
+};
 use mig::{Mig, Signal};
 use std::hint::black_box;
 
@@ -267,6 +269,21 @@ fn main() {
         );
     }
 
+    // Deep-graph commit row: the same convergence on deep control logic
+    // (119k gates, depth 2.6k), where every substitution lowers levels
+    // through a tall fanout cone. `ci.sh` holds its per-gate cost within
+    // a constant factor of `sched/mult_big@1`'s; per-substitution level
+    // walks would blow past it.
+    let deep = ctrl_deep();
+    ms.push(
+        bench("fhash!/ctrl_deep@1", || {
+            let mut m = black_box(deep).clone();
+            let (stats, _) = engine.converge(&mut m, fhash::Variant::TopDown, 1);
+            black_box((stats.replacements, m.num_gates()))
+        })
+        .on_host_cores(),
+    );
+
     // Cut-kernel row (ISSUE 10): from-scratch 4-feasible cut enumeration
     // over the production-scale instance — arena appends and the fused
     // merge kernel only, no canonization or scoring.
@@ -466,6 +483,7 @@ fn main() {
     // instrumented epfl_big run, so the JSON is self-describing.
     rates.push(("corpus.mult_big_gates".into(), mult.num_gates() as f64));
     rates.push(("corpus.epfl_big_gates".into(), epfl.num_gates() as f64));
+    rates.push(("corpus.ctrl_deep_gates".into(), deep.num_gates() as f64));
     rates.push((
         "corpus.epfl_big_churned_gates".into(),
         churned.num_gates() as f64,

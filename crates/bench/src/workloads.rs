@@ -31,6 +31,16 @@ pub fn epfl_big() -> &'static Mig {
     CACHE.get_or_init(|| and_expand(&benchgen::multiplier(128)))
 }
 
+/// Deep control logic: `gen_bench ctrl:16:16:1000:1`, AND-expanded
+/// (about 119k gates, depth 2.6k). A substitution there makes cones
+/// thousands of levels tall shallower, so the `fhash!/ctrl_deep@1` row
+/// shows what level upkeep costs the commit path. Cached once per
+/// process like [`mult_big_and`].
+pub fn ctrl_deep() -> &'static Mig {
+    static CACHE: OnceLock<Mig> = OnceLock::new();
+    CACHE.get_or_init(|| and_expand(&benchgen::random_control(16, 16, 1000, 1)))
+}
+
 /// An unbalanced AND ripple chain over `n` inputs (depth `n - 1`): the
 /// depth script's worst case, rebalanced toward a log-depth tree by the
 /// Ω.A/Ω.D moves.

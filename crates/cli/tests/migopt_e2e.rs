@@ -227,6 +227,69 @@ fn scheduler_pipelines_keep_their_recorded_netlists() {
 }
 
 #[test]
+fn algebraic_pipelines_keep_their_recorded_netlists() {
+    // The algebraic passes defer level decreases inside their sweeps and
+    // settle them once per sweep (and at recycled slots of a depth
+    // sweep); every decision must stay the one exact levels give. These
+    // fingerprints were recorded with levels kept exact after every
+    // substitution. A change that moves a netlist on purpose updates
+    // this table and says so.
+    const PIPELINES: [&str; 5] = [
+        "size!",
+        "depth!",
+        "algebraic:3@1",
+        "algebraic:3@2",
+        "size; depth; size",
+    ];
+    let recorded: [(&str, [u64; 5]); 5] = [
+        ("full_adder.aag", [0x4077_1315_d12c_cc68; 5]),
+        (
+            "adder8.aag",
+            [
+                0xacc2_f609_feb3_7992,
+                0x1632_152b_cd65_0182,
+                0x7935_794b_4bed_7d18,
+                0x7935_794b_4bed_7d18,
+                0x7935_794b_4bed_7d18,
+            ],
+        ),
+        (
+            "mult4.aig",
+            [
+                0xd7c8_c529_2fdd_1070,
+                0x42de_a200_c438_bd1f,
+                0xd7c8_c529_2fdd_1070,
+                0xd7c8_c529_2fdd_1070,
+                0x1894_e1d3_21d1_a1f1,
+            ],
+        ),
+        ("adder4.blif", [0x31ff_2256_d4d7_cc64; 5]),
+        (
+            "gen:ctrl:8:6:150:7",
+            [
+                0x9d49_f6e9_70a3_b46e,
+                0x3190_0bda_52be_af65,
+                0x9d49_f6e9_70a3_b46e,
+                0x9d49_f6e9_70a3_b46e,
+                0x5913_030e_bfbc_6682,
+            ],
+        ),
+    ];
+    for (name, want) in recorded {
+        let m = match name.strip_prefix("gen:") {
+            // `gen_bench ctrl:8:6:150:7`: the control instance, AND-expanded.
+            Some(_) => aig::to_mig(&aig::from_mig(&benchgen::random_control(8, 6, 150, 7))),
+            None => io::read_mig_path(benchmarks_dir().join(name)).unwrap(),
+        };
+        for (spec, want) in PIPELINES.into_iter().zip(want) {
+            let passes = parse_pipeline(spec).unwrap();
+            let (opt, _) = run_pipeline_jobs(&m, &passes, 1).unwrap();
+            assert_eq!(opt.fingerprint(), want, "{name}: {spec:?}");
+        }
+    }
+}
+
+#[test]
 fn scheduler_reports_event_counters_in_pass_notes() {
     // The per-pass report of scheduler-driven passes carries the event
     // counters (regions proposed / skipped clean / retried) in the

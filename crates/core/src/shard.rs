@@ -21,14 +21,17 @@
 //!   workers only score. Commit re-checks fanout legality
 //!   (strash inside an earlier commit can resurrect a shared node
 //!   without dirtying it) and, for the depth-preserving variants, the
-//!   level bound against live levels. The FFR legality view may lag the
+//!   level bound against live levels; the other variants read no level
+//!   there, so their commit phases defer level decreases to one settle
+//!   per step. The FFR legality view may lag the
 //!   graph by up to the re-partition threshold; the commit-time fanout
 //!   recheck keeps every replacement sound regardless.
 //! * [`RegionEngine`] (the bottom-up variants): the region is extracted
 //!   into a standalone MIG, optimized with the serial engine, and the
 //!   boundary gates are rerouted onto the optimized implementation.
 //!   Extraction needs a coherent member view, so the engine declares its
-//!   partition volatile (rebuilt per step). The bottom-up candidate DP
+//!   partition volatile (rebuilt per step). Reroutes read no level, so
+//!   its commit phases defer level decreases too. The bottom-up candidate DP
 //!   is global, so the scheduler runs inside the shared
 //!   baseline/refine/polish skeleton ([`mig::run_scheduled_converge`]):
 //!   one guarded serial pass up front, shrink-only scheduler refinement,
@@ -214,6 +217,12 @@ impl ProposeEngine for CutEngine<'_> {
             CommitVerdict::Rejected
         }
     }
+
+    /// Only the depth-preserving variants' level bound reads levels;
+    /// the others commit with level decreases deferred.
+    fn commit_reads_levels(&self) -> bool {
+        self.depth_preserving
+    }
 }
 
 /// Bottom-up propose engine: whole-region extraction, serial
@@ -366,6 +375,11 @@ impl ProposeEngine for RegionEngine<'_> {
         } else {
             CommitVerdict::Rejected
         }
+    }
+
+    /// Reroutes read no level, so the commit phase defers decreases.
+    fn commit_reads_levels(&self) -> bool {
+        false
     }
 
     fn whole_graph_round(&self, mig: &mut Mig) -> Option<(u64, i64)> {

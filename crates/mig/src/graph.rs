@@ -12,7 +12,8 @@
 //! Beyond append-only construction the graph is a *managed network*: every
 //! node tracks its fanout references (parent gates and primary-output
 //! slots), dead nodes are recycled through a free list, levels are
-//! maintained incrementally, and [`Mig::replace_node`] substitutes one
+//! maintained incrementally (see *Levels* below), and
+//! [`Mig::replace_node`] substitutes one
 //! node by an equivalent signal *in place* — patching fanouts, keeping the
 //! structural-hash table consistent (merging gates that become
 //! structurally identical), and recursively freeing the cone that loses
@@ -26,6 +27,20 @@
 //! later-created nodes). Algorithms that need topological order must use
 //! [`Mig::topo_gates`]; [`Mig::gates`] only guarantees ascending slot
 //! order over live gates.
+//!
+//! # Levels
+//!
+//! Every node stores a level (terminals 0, gates 1 + max fanin level).
+//! By default each [`Mig::replace_node`] keeps them exact by walking the
+//! rewired gates' transitive fanout, which on a graph thousands of
+//! levels deep costs far more than the rewrite itself. A loop that
+//! reads no level it lowers runs inside [`Mig::with_deferred_levels`]
+//! instead: there a decrease lowers only the rewired gate and records
+//! it, raises still propagate at once, and [`Mig::settle_levels`]
+//! propagates all recorded decreases in one level-ordered pass when the
+//! scope ends. Stored levels stay a topological labelling throughout
+//! (every gate above each of its fanins), so [`Mig::depends_on`] stays
+//! exact; inside a scope they are upper bounds, outside they are exact.
 
 use crate::fanout::FanoutList;
 use crate::fxhash::FxHashMap;
@@ -203,8 +218,12 @@ pub struct Mig {
     /// node references across rewrites (a persistent region partition)
     /// compare generations to detect recycling.
     slot_gen: Vec<u32>,
-    /// Incrementally maintained levels (terminals 0, gates 1 + max fanin).
+    /// Incrementally maintained levels (terminals 0, gates 1 + max
+    /// fanin): exact outside a deferral scope, upper bounds that still
+    /// form a topological labelling inside one.
     level: Vec<u32>,
+    /// Deferred level decreases and the settle's reusable buffers.
+    upkeep: LevelUpkeep,
     /// Live (non-dead) gate count.
     live_gates: usize,
     /// Structurally changed node ids (created, rewired or killed) since
@@ -224,6 +243,61 @@ pub struct Mig {
     /// Epoch-stamped scratch for [`Mig::depends_on`], replacing a fresh
     /// `HashSet` allocation per call.
     dep_scratch: Mutex<DepScratch>,
+}
+
+/// The state of [`Mig::with_deferred_levels`]: whether decreases are
+/// deferred, the gates lowered since the last settle, and the settle's
+/// worklist buffers (kept across settles).
+struct LevelUpkeep {
+    /// Inside a deferral scope.
+    deferring: bool,
+    /// Gates whose level was lowered (in place, without propagation)
+    /// since the last settle: the gates above them may hold stale
+    /// levels.
+    pending: Vec<NodeId>,
+    /// The lowest level a pending gate was lowered to. Every stale level
+    /// sits above a pending gate, so no gate at or below this level is
+    /// stale. `u32::MAX` when nothing is pending.
+    floor: u32,
+    /// The settle's worklist as a bucket queue: `buckets[l]` holds the
+    /// queued gates at level `l`, drained in increasing level order.
+    buckets: Vec<Vec<NodeId>>,
+    /// `queued[n] == epoch` marks gate `n` queued in the current settle.
+    queued: Vec<u32>,
+    epoch: u32,
+}
+
+impl LevelUpkeep {
+    fn new() -> Self {
+        LevelUpkeep {
+            deferring: false,
+            pending: Vec::new(),
+            floor: u32::MAX,
+            buckets: Vec::new(),
+            queued: Vec::new(),
+            epoch: 0,
+        }
+    }
+}
+
+/// Queues fanout entry `f` into the settle's bucket queue at its
+/// current level, once per settle (`queued` stamped with `epoch`);
+/// output references are skipped.
+fn settle_enqueue(
+    buckets: &mut Vec<Vec<NodeId>>,
+    queued: &mut [u32],
+    epoch: u32,
+    level: &[u32],
+    f: u32,
+) {
+    if f & OUT_FLAG == 0 && queued[f as usize] != epoch {
+        queued[f as usize] = epoch;
+        let l = level[f as usize] as usize;
+        if buckets.len() <= l {
+            buckets.resize_with(l + 1, Vec::new);
+        }
+        buckets[l].push(f);
+    }
 }
 
 #[derive(Default)]
@@ -249,6 +323,12 @@ impl Clone for Mig {
             free: self.free.clone(),
             slot_gen: self.slot_gen.clone(),
             level: self.level.clone(),
+            upkeep: LevelUpkeep {
+                deferring: self.upkeep.deferring,
+                pending: self.upkeep.pending.clone(),
+                floor: self.upkeep.floor,
+                ..LevelUpkeep::new()
+            },
             live_gates: self.live_gates,
             dirty: self.dirty.clone(),
             dirty_base: self.dirty_base,
@@ -277,6 +357,7 @@ impl Mig {
             free: Vec::new(),
             slot_gen: vec![0; n],
             level: vec![0; n],
+            upkeep: LevelUpkeep::new(),
             live_gates: 0,
             dirty: Vec::new(),
             dirty_base: 0,
@@ -536,11 +617,7 @@ impl Mig {
         for (k, s) in key.iter().enumerate() {
             self.fanout_pos[n as usize][k] = self.push_fanout(s.node(), n);
         }
-        self.level[n as usize] = 1 + key
-            .iter()
-            .map(|s| self.level[s.node() as usize])
-            .max()
-            .unwrap_or(0);
+        self.level[n as usize] = self.local_level(n);
         self.live_gates += 1;
         self.note_structural_change(n);
         n
@@ -585,25 +662,144 @@ impl Mig {
         self.xor3_with_maj(a, b, cin)
     }
 
-    /// The incrementally maintained level of node `n` (terminals 0, gates
-    /// 1 + max fanin level). O(1).
+    /// The level of node `n` (terminals 0, gates 1 + max fanin level).
+    /// O(1). Exact, except inside [`Mig::with_deferred_levels`], where it
+    /// is an upper bound that still exceeds every fanin's level.
     pub fn level(&self, n: NodeId) -> u32 {
         self.level[n as usize]
     }
 
     /// The level of each node, indexed by node id (dead slots report 0).
-    /// A copy of the incrementally maintained table — no recomputation.
+    /// A copy of the maintained table, no recomputation; upper bounds
+    /// inside a deferral scope, like [`Mig::level`].
     pub fn levels(&self) -> Vec<u32> {
         self.level.clone()
     }
 
-    /// The depth of the MIG: the maximum level over all outputs. O(#outputs).
+    /// The depth of the MIG: the maximum level over all outputs.
+    /// O(#outputs). An upper bound inside a deferral scope, like
+    /// [`Mig::level`].
     pub fn depth(&self) -> u32 {
         self.outputs
             .iter()
             .map(|s| self.level[s.node() as usize])
             .max()
             .unwrap_or(0)
+    }
+
+    /// Runs `f` with level decreases deferred, then settles them (see
+    /// the module docs' *Levels*).
+    ///
+    /// Inside the scope a [`Mig::replace_node`] that makes a rewired gate
+    /// shallower lowers only that gate and records it; the gates above
+    /// it keep their levels, which stay valid upper bounds. Raises
+    /// propagate at once, so levels remain a topological labelling and
+    /// [`Mig::depends_on`] stays exact, while [`Mig::level`],
+    /// [`Mig::levels`] and [`Mig::depth`] may read high. When the
+    /// outermost scope ends, [`Mig::settle_levels`] makes every level
+    /// exact again. Meant for rewrite loops whose decisions read no
+    /// level that an earlier rewrite of the loop may have lowered.
+    /// Scopes nest; [`Mig::compact`] must not run inside one.
+    ///
+    /// ```
+    /// use mig::Mig;
+    ///
+    /// let mut m = Mig::new(3);
+    /// let (a, b, c) = (m.input(0), m.input(1), m.input(2));
+    /// let inner = m.maj(a, b, c);
+    /// let mid = m.maj(inner, a, !b);
+    /// let top = m.maj(mid, b, c);
+    /// m.add_output(top);
+    /// assert_eq!(m.depth(), 3);
+    /// m.with_deferred_levels(|m| {
+    ///     // `mid` is rewired onto <a !b c> and drops to level 1; `top`
+    ///     // keeps its old level, a valid upper bound.
+    ///     assert!(m.replace_node(inner.node(), c));
+    ///     assert_eq!(m.level(mid.node()), 1);
+    ///     assert_eq!(m.depth(), 3);
+    /// });
+    /// assert_eq!(m.depth(), 2, "exact once the scope has settled");
+    /// ```
+    pub fn with_deferred_levels<R>(&mut self, f: impl FnOnce(&mut Mig) -> R) -> R {
+        let outer = std::mem::replace(&mut self.upkeep.deferring, true);
+        let r = f(self);
+        self.upkeep.deferring = outer;
+        if !outer {
+            self.settle_levels();
+        }
+        r
+    }
+
+    /// Propagates the pending level decreases of a deferral scope
+    /// through their fanout cones in increasing level order, so every
+    /// level is exact afterwards. Each gate in the affected cones is
+    /// recomputed once; the buffers are reused across calls, and the
+    /// call does nothing when no decrease is pending. Recorded as
+    /// `mig.level_settles` / `mig.level_settle_ns` and the
+    /// `levels:settle` span.
+    pub fn settle_levels(&mut self) {
+        if self.upkeep.pending.is_empty() {
+            return;
+        }
+        let _span = obs::trace::span("levels:settle");
+        let _timer = obs::metrics::timer(obs::Metric::MigLevelSettleNs);
+        obs::metrics::add(obs::Metric::MigLevelSettles, 1);
+        // Work on the buffers outside `self`, so the walk can recompute
+        // levels through `local_level`; they go back for the next settle.
+        let mut pending = std::mem::take(&mut self.upkeep.pending);
+        let mut buckets = std::mem::take(&mut self.upkeep.buckets);
+        let mut queued = std::mem::take(&mut self.upkeep.queued);
+        if queued.len() < self.fanins.len() {
+            queued.resize(self.fanins.len(), 0);
+        }
+        let up = &mut self.upkeep;
+        up.epoch = up.epoch.wrapping_add(1);
+        if up.epoch == 0 {
+            // Stamp wrap-around: old stamps could alias the new epoch.
+            queued.fill(0);
+            up.epoch = 1;
+        }
+        let epoch = up.epoch;
+        // Seeds: the parents of every lowered gate. A gate queued later
+        // sits above the gate being settled, so the buckets drain in
+        // increasing level order and every gate is recomputed after all
+        // of its fanins that change: once.
+        for &p in &pending {
+            if !self.dead[p as usize] {
+                for f in self.fanouts[p as usize].iter() {
+                    settle_enqueue(&mut buckets, &mut queued, epoch, &self.level, f);
+                }
+            }
+        }
+        let mut l = 0;
+        while l < buckets.len() {
+            while let Some(v) = buckets[l].pop() {
+                let nl = self.local_level(v);
+                debug_assert!(nl <= self.level[v as usize], "settle raised gate {v}");
+                if nl < self.level[v as usize] {
+                    self.level[v as usize] = nl;
+                    for f in self.fanouts[v as usize].iter() {
+                        settle_enqueue(&mut buckets, &mut queued, epoch, &self.level, f);
+                    }
+                }
+            }
+            l += 1;
+        }
+        pending.clear();
+        self.upkeep.pending = pending;
+        self.upkeep.buckets = buckets;
+        self.upkeep.queued = queued;
+        self.upkeep.floor = u32::MAX;
+    }
+
+    /// Makes the levels of `n` and of its transitive fanin exact. Inside
+    /// a deferral scope this settles the pending decreases, unless `n`
+    /// sits at or below the lowest pending level: a stale level lies
+    /// above some lowered gate, so such a cone holds none.
+    pub fn settle_levels_for(&mut self, n: NodeId) {
+        if self.level[n as usize] > self.upkeep.floor {
+            self.settle_levels();
+        }
     }
 
     /// Drains the log of structurally changed node ids (created, rewired
@@ -718,6 +914,11 @@ impl Mig {
     /// Returns `false` without changing anything when the substitution
     /// would create a cycle (`old` is in the transitive fanin of `new`) or
     /// is a no-op (`new` references `old` itself).
+    ///
+    /// Levels: each rewired gate's level is recomputed. A raise
+    /// propagates through its transitive fanout; a decrease does too,
+    /// except inside [`Mig::with_deferred_levels`], where it lowers only
+    /// the rewired gate and waits for [`Mig::settle_levels`].
     ///
     /// # Panics
     ///
@@ -891,19 +1092,29 @@ impl Mig {
 
     /// Recomputes the level of `p` and propagates changes through the
     /// transitive fanout (worklist; cost proportional to the affected
-    /// region).
+    /// region). Inside a deferral scope a decrease stops at `p` itself,
+    /// which is recorded for [`Mig::settle_levels`], and the walk of a
+    /// raise only raises: a gate it would lower keeps its (valid, upper
+    /// bound) level and sits above a recorded gate already.
     fn update_levels_from(&mut self, p: NodeId) {
+        let deferring = self.upkeep.deferring;
+        if deferring {
+            let nl = self.local_level(p);
+            if nl < self.level[p as usize] {
+                self.level[p as usize] = nl;
+                self.upkeep.pending.push(p);
+                self.upkeep.floor = self.upkeep.floor.min(nl);
+                return;
+            }
+        }
         let mut work = vec![p];
         while let Some(v) = work.pop() {
             if self.dead[v as usize] || self.is_terminal(v) {
                 continue;
             }
-            let nl = 1 + self.fanins[v as usize]
-                .iter()
-                .map(|s| self.level[s.node() as usize])
-                .max()
-                .unwrap_or(0);
-            if nl != self.level[v as usize] {
+            let nl = self.local_level(v);
+            let cur = self.level[v as usize];
+            if nl > cur || (nl < cur && !deferring) {
                 self.level[v as usize] = nl;
                 for f in self.fanouts[v as usize].iter() {
                     if f & OUT_FLAG == 0 {
@@ -912,6 +1123,15 @@ impl Mig {
                 }
             }
         }
+    }
+
+    /// One plus the highest stored fanin level of gate `v`.
+    fn local_level(&self, v: NodeId) -> u32 {
+        1 + self.fanins[v as usize]
+            .iter()
+            .map(|s| self.level[s.node() as usize])
+            .max()
+            .unwrap_or(0)
     }
 
     /// Frees gate `n` and, recursively, its fanin cone — but only the
@@ -940,8 +1160,10 @@ impl Mig {
 
     /// Full structural audit of the managed-network invariants: fanout
     /// lists match fanin/output references, the strash table is a
-    /// bijection over live gates, levels are consistent, the live-gate
-    /// counter is exact, and no dead node is reachable from an output.
+    /// bijection over live gates, levels are consistent (each gate's is
+    /// exactly 1 + its highest fanin's, or at least that inside a
+    /// deferral scope), the live-gate counter is exact, and no dead node
+    /// is reachable from an output.
     /// Debug builds run this after every [`Mig::replace_node`] and
     /// [`Mig::sweep`].
     ///
@@ -968,12 +1190,15 @@ impl Mig {
                 );
                 refs[s.node() as usize].push(g);
             }
-            let lvl = 1 + key
-                .iter()
-                .map(|s| self.level[s.node() as usize])
-                .max()
-                .unwrap_or(0);
-            assert_eq!(self.level[g as usize], lvl, "gate {g} level stale");
+            let lvl = self.local_level(g);
+            if self.upkeep.deferring {
+                assert!(
+                    self.level[g as usize] >= lvl,
+                    "gate {g} level below a fanin's"
+                );
+            } else {
+                assert_eq!(self.level[g as usize], lvl, "gate {g} level stale");
+            }
         }
         assert_eq!(self.strash.len(), live, "strash size != live gates");
         assert_eq!(self.live_gates, live, "live-gate counter stale");
@@ -1168,6 +1393,10 @@ impl Mig {
     /// fixpoint: nothing is touched, and the returned map is the
     /// identity.
     pub fn compact(&mut self) -> CompactMap {
+        debug_assert!(
+            !self.upkeep.deferring,
+            "compact inside a level-deferral scope"
+        );
         let old_n = self.fanins.len();
         let topo = self.topo_gates_shared();
         if self.free.is_empty()
@@ -1664,6 +1893,148 @@ mod tests {
                 .max()
                 .unwrap()
         );
+    }
+
+    /// Levels recomputed from scratch in topological order.
+    fn exact_levels(m: &Mig) -> Vec<u32> {
+        let mut lv = vec![0u32; m.num_nodes()];
+        for g in m.topo_gates() {
+            lv[g as usize] = 1 + m
+                .fanins(g)
+                .iter()
+                .map(|s| lv[s.node() as usize])
+                .max()
+                .unwrap();
+        }
+        lv
+    }
+
+    /// Whether `target` is in the fanin cone of `start` (itself
+    /// included), by a walk that reads no level.
+    fn reaches(m: &Mig, start: NodeId, target: NodeId) -> bool {
+        let mut seen = std::collections::HashSet::new();
+        let mut stack = vec![start];
+        while let Some(v) = stack.pop() {
+            if v == target {
+                return true;
+            }
+            if m.is_gate(v) && seen.insert(v) {
+                stack.extend(m.fanins(v).iter().map(|s| s.node()));
+            }
+        }
+        false
+    }
+
+    /// A random reconvergent graph: each gate draws its operands from
+    /// the inputs and the most recent gates, with random polarities.
+    fn random_graph(rng: &mut testrand::Rng, inputs: usize, gates: usize) -> Mig {
+        let mut m = Mig::new(inputs);
+        let mut pool: Vec<Signal> = m.inputs().collect();
+        for _ in 0..gates {
+            let pick = |rng: &mut testrand::Rng| {
+                let lo = pool.len().saturating_sub(24);
+                let s = if rng.below(4) == 0 {
+                    pool[rng.usize_below(pool.len())]
+                } else {
+                    pool[rng.range(lo, pool.len())]
+                };
+                s.complement_if(rng.bool())
+            };
+            let (a, b, c) = (pick(rng), pick(rng), pick(rng));
+            let g = m.maj(a, b, c);
+            if m.is_gate(g.node()) {
+                pool.push(g);
+            }
+        }
+        for &s in pool.iter().rev().take(6) {
+            m.add_output(s);
+        }
+        m.sweep();
+        m
+    }
+
+    #[test]
+    fn deferred_levels_stay_topological_upper_bounds_and_settle_exact() {
+        let mut stale_seen = 0;
+        for seed in 0..24 {
+            let mut rng = testrand::Rng::new(seed);
+            let mut m = random_graph(&mut rng, 8, 160);
+            m.with_deferred_levels(|m| {
+                for _ in 0..40 {
+                    let live: Vec<NodeId> = m.gates().filter(|&g| m.fanout_count(g) > 0).collect();
+                    if live.len() < 2 {
+                        break;
+                    }
+                    let old = live[rng.usize_below(live.len())];
+                    // Substitute by a fanin (parents get shallower), an
+                    // input, or another gate (often deeper: a raise).
+                    let new = match rng.below(3) {
+                        0 => m.fanins(old)[rng.usize_below(3)],
+                        1 => m.input(rng.usize_below(8)),
+                        _ => Signal::new(live[rng.usize_below(live.len())], false),
+                    }
+                    .complement_if(rng.bool());
+                    m.replace_node(old, new);
+                    let exact = exact_levels(m);
+                    for g in m.gates() {
+                        assert!(
+                            m.level(g) >= exact[g as usize],
+                            "seed {seed}: gate {g} below exact"
+                        );
+                        for s in m.fanins(g) {
+                            assert!(
+                                m.level(g) > m.level(s.node()),
+                                "seed {seed}: gate {g} not above fanin {}",
+                                s.node()
+                            );
+                        }
+                        if m.level(g) > exact[g as usize] {
+                            stale_seen += 1;
+                        }
+                    }
+                    let gates: Vec<NodeId> = m.gates().collect();
+                    for _ in 0..24 {
+                        let a = gates[rng.usize_below(gates.len())];
+                        let b = gates[rng.usize_below(gates.len())];
+                        assert_eq!(
+                            m.depends_on(a, b),
+                            reaches(m, a, b),
+                            "seed {seed}: {a} -> {b}"
+                        );
+                    }
+                }
+            });
+            let exact = exact_levels(&m);
+            let gates: Vec<NodeId> = m.gates().collect();
+            let levels = m.levels();
+            for &g in &gates {
+                assert_eq!(
+                    levels[g as usize], exact[g as usize],
+                    "seed {seed}: gate {g} unsettled"
+                );
+            }
+            let depth = m
+                .outputs()
+                .iter()
+                .map(|o| exact[o.node() as usize])
+                .max()
+                .unwrap();
+            assert_eq!(m.depth(), depth, "seed {seed}");
+            m.debug_check();
+        }
+        assert!(stale_seen > 0, "no decrease was ever deferred");
+    }
+
+    #[test]
+    fn settle_is_a_noop_without_pending_decreases() {
+        let mut m = churned();
+        let before = m.levels();
+        let ((), d) = obs::metrics::scoped(|| {
+            m.with_deferred_levels(|_| {});
+            m.settle_levels();
+        });
+        assert_eq!(m.levels(), before);
+        assert_eq!(d.get(obs::Metric::MigLevelSettles), 0);
     }
 
     #[test]

@@ -36,7 +36,10 @@
 //!    intersects anything dirtied earlier in the step was analyzed
 //!    against a graph that no longer exists: it is refused and its
 //!    region retries next step. [`ProposeEngine::commit`] re-checks its
-//!    own legality against the live graph either way.
+//!    own legality against the live graph either way. For engines whose
+//!    commits read no level ([`ProposeEngine::commit_reads_levels`]),
+//!    the phase defers level decreases and settles them once at its end
+//!    ([`crate::Mig::with_deferred_levels`]).
 //!
 //! Steps repeat until the queue drains (no dirty region and no dirty
 //! node outside the partition), with a backstop of 50 steps; engines whose steps are not individually
@@ -260,6 +263,16 @@ pub trait ProposeEngine: Sync {
 
     /// Re-checks the proposal against the live graph and applies it.
     fn commit(&self, mig: &mut Mig, payload: &Self::Payload) -> CommitVerdict;
+
+    /// Whether [`ProposeEngine::commit`] reads node levels. When it does
+    /// not, the commit phase runs inside [`Mig::with_deferred_levels`]:
+    /// the step's level decreases settle once when the phase ends
+    /// instead of once per substitution, and the next partition and
+    /// propose phase see exact levels again. The default `true` keeps
+    /// levels exact after every substitution.
+    fn commit_reads_levels(&self) -> bool {
+        true
+    }
 
     /// Hook for steps whose partition degenerates to a single region.
     /// Engines whose single-region proposal would merely reproduce their
@@ -680,7 +693,11 @@ fn propose_and_commit<E: ProposeEngine>(
         .flat_map(|m| m.into_inner().unwrap())
         .collect();
     let _commit_span = obs::trace::span("commit");
-    commit_proposals(mig, engine, &proposals, frontier)
+    if engine.commit_reads_levels() {
+        commit_proposals(mig, engine, &proposals, frontier)
+    } else {
+        mig.with_deferred_levels(|mig| commit_proposals(mig, engine, &proposals, frontier))
+    }
 }
 
 /// The commit phase (see the module docs): every proposal, in order,

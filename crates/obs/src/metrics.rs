@@ -120,6 +120,10 @@ metrics_table! {
         "candidate cuts scored against the database";
     SchedRepartitionNs => "sched.repartition_ns", DurationNs, true,
         "time spent rebuilding region partitions";
+    MigLevelSettles => "mig.level_settles", Counter, true,
+        "passes that settled deferred level decreases (each recomputes the affected cones once)";
+    MigLevelSettleNs => "mig.level_settle_ns", DurationNs, true,
+        "time spent settling deferred level decreases";
     CecSatCalls => "cec.sat_calls", Counter, true,
         "SAT equivalence proofs started";
     CecSatNs => "cec.sat_ns", DurationNs, true,

@@ -21,17 +21,15 @@
 //!   workers only score. Commit re-checks fanout legality
 //!   (strash inside an earlier commit can resurrect a shared node
 //!   without dirtying it) and, for the depth-preserving variants, the
-//!   level bound against live levels; the other variants read no level
-//!   there, so their commit phases defer level decreases to one settle
-//!   per step. The FFR legality view may lag the
-//!   graph by up to the re-partition threshold; the commit-time fanout
-//!   recheck keeps every replacement sound regardless.
+//!   level bound against live levels, settling the deferred level
+//!   decreases in the root's cone first. The FFR legality view may lag
+//!   the graph by up to the re-partition threshold; the commit-time
+//!   fanout recheck keeps every replacement sound regardless.
 //! * [`RegionEngine`] (the bottom-up variants): the region is extracted
 //!   into a standalone MIG, optimized with the serial engine, and the
 //!   boundary gates are rerouted onto the optimized implementation.
 //!   Extraction needs a coherent member view, so the engine declares its
-//!   partition volatile (rebuilt per step). Reroutes read no level, so
-//!   its commit phases defer level decreases too. The bottom-up candidate DP
+//!   partition volatile (rebuilt per step). The bottom-up candidate DP
 //!   is global, so the scheduler runs inside the shared
 //!   baseline/refine/polish skeleton ([`mig::run_scheduled_converge`]):
 //!   one guarded serial pass up front, shrink-only scheduler refinement,
@@ -191,14 +189,21 @@ impl ProposeEngine for CutEngine<'_> {
         // but fanout counts of internal nodes can grow without a dirty
         // entry (structural hashing inside an earlier commit can
         // resurrect a shared node), so fanout legality is re-checked
-        // against live counts. Likewise, level cascades from earlier
+        // against live counts. Likewise, level changes from earlier
         // commits are not dirty-logged, so the depth-preserving bound
-        // must be re-evaluated against live levels too.
-        let depth_ok = !self.depth_preserving
-            || repl.estimated_level(cut, |pos| mig.level(cut.leaves()[pos]))
-                <= mig.level(root) + ALLOWED_DEPTH_INCREASE;
-        if !mig.is_gate(root) || !cut_is_fanout_legal(mig, root, internal) || !depth_ok {
+        // must be re-evaluated against live levels too. It reads root's
+        // and the leaves' levels, all in root's cone, which the commit
+        // phase may hold deferred decreases in: settle them first.
+        if !mig.is_gate(root) || !cut_is_fanout_legal(mig, root, internal) {
             return CommitVerdict::Conflicted;
+        }
+        if self.depth_preserving {
+            mig.settle_levels_for(root);
+            if repl.estimated_level(cut, |pos| mig.level(cut.leaves()[pos]))
+                > mig.level(root) + ALLOWED_DEPTH_INCREASE
+            {
+                return CommitVerdict::Conflicted;
+            }
         }
         let new_sig = repl.instantiate(self.engine, mig, cut, |pos| {
             Signal::new(cut.leaves()[pos], false)
@@ -216,12 +221,6 @@ impl ProposeEngine for CutEngine<'_> {
             mig.reclaim(new_sig.node());
             CommitVerdict::Rejected
         }
-    }
-
-    /// Only the depth-preserving variants' level bound reads levels;
-    /// the others commit with level decreases deferred.
-    fn commit_reads_levels(&self) -> bool {
-        self.depth_preserving
     }
 }
 
@@ -375,11 +374,6 @@ impl ProposeEngine for RegionEngine<'_> {
         } else {
             CommitVerdict::Rejected
         }
-    }
-
-    /// Reroutes read no level, so the commit phase defers decreases.
-    fn commit_reads_levels(&self) -> bool {
-        false
     }
 
     fn whole_graph_round(&self, mig: &mut Mig) -> Option<(u64, i64)> {

@@ -34,13 +34,16 @@
 //! By default each [`Mig::replace_node`] keeps them exact by walking the
 //! rewired gates' transitive fanout, which on a graph thousands of
 //! levels deep costs far more than the rewrite itself. A loop that
-//! reads no level it lowers runs inside [`Mig::with_deferred_levels`]
-//! instead: there a decrease lowers only the rewired gate and records
-//! it, raises still propagate at once, and [`Mig::settle_levels`]
-//! propagates all recorded decreases in one level-ordered pass when the
-//! scope ends. Stored levels stay a topological labelling throughout
-//! (every gate above each of its fanins), so [`Mig::depends_on`] stays
-//! exact; inside a scope they are upper bounds, outside they are exact.
+//! rewrites in batches runs inside [`Mig::with_deferred_levels`]
+//! instead: there a decrease lowers only the rewired gate and queues
+//! the gates above it, and raises still propagate at once. The queue is
+//! drained in increasing level order, each gate recomputed once per
+//! drain: up to a node's level when a reader needs that node's cone
+//! exact ([`Mig::settle_levels_for`]), and completely when the scope
+//! ends.
+//! Stored levels stay a topological labelling throughout (every gate
+//! above each of its fanins), so [`Mig::depends_on`] stays exact;
+//! inside a scope they are upper bounds, outside they are exact.
 
 use crate::fanout::FanoutList;
 use crate::fxhash::FxHashMap;
@@ -246,57 +249,58 @@ pub struct Mig {
 }
 
 /// The state of [`Mig::with_deferred_levels`]: whether decreases are
-/// deferred, the gates lowered since the last settle, and the settle's
-/// worklist buffers (kept across settles).
+/// deferred, and the worklist of gates that may sit above their exact
+/// level because a fanin was lowered, bucketed by level so a settle can
+/// drain it in increasing level order and stop at any level. Outside a
+/// scope the buffers are empty.
+#[derive(Clone)]
 struct LevelUpkeep {
     /// Inside a deferral scope.
     deferring: bool,
-    /// Gates whose level was lowered (in place, without propagation)
-    /// since the last settle: the gates above them may hold stale
-    /// levels.
-    pending: Vec<NodeId>,
-    /// The lowest level a pending gate was lowered to. Every stale level
-    /// sits above a pending gate, so no gate at or below this level is
-    /// stale. `u32::MAX` when nothing is pending.
-    floor: u32,
-    /// The settle's worklist as a bucket queue: `buckets[l]` holds the
-    /// queued gates at level `l`, drained in increasing level order.
-    buckets: Vec<Vec<NodeId>>,
-    /// `queued[n] == epoch` marks gate `n` queued in the current settle.
-    queued: Vec<u32>,
-    epoch: u32,
+    /// `queue[l]` holds the gates queued at level `l`. An entry for gate
+    /// `n` is live only while `queued_at[n] == l`; the others are
+    /// leftovers of a gate queued again lower down, or already settled.
+    queue: Vec<Vec<NodeId>>,
+    /// The level gate `n` is queued at, `NOT_QUEUED` when it is not.
+    /// Every gate whose stored level exceeds one plus its highest fanin
+    /// level is queued at or below its level.
+    queued_at: Vec<u32>,
+    /// No live entry sits below this level, so every gate below it is
+    /// exact (a stale gate sits at or above a queued one).
+    /// `NOT_QUEUED` when the queue is empty.
+    low: u32,
 }
+
+/// [`LevelUpkeep::queued_at`] of a gate that is not queued.
+const NOT_QUEUED: u32 = u32::MAX;
 
 impl LevelUpkeep {
     fn new() -> Self {
         LevelUpkeep {
             deferring: false,
-            pending: Vec::new(),
-            floor: u32::MAX,
-            buckets: Vec::new(),
-            queued: Vec::new(),
-            epoch: 0,
+            queue: Vec::new(),
+            queued_at: Vec::new(),
+            low: NOT_QUEUED,
         }
     }
-}
 
-/// Queues fanout entry `f` into the settle's bucket queue at its
-/// current level, once per settle (`queued` stamped with `epoch`);
-/// output references are skipped.
-fn settle_enqueue(
-    buckets: &mut Vec<Vec<NodeId>>,
-    queued: &mut [u32],
-    epoch: u32,
-    level: &[u32],
-    f: u32,
-) {
-    if f & OUT_FLAG == 0 && queued[f as usize] != epoch {
-        queued[f as usize] = epoch;
-        let l = level[f as usize] as usize;
-        if buckets.len() <= l {
-            buckets.resize_with(l + 1, Vec::new);
+    /// Queues gate `n` at `level` (its stored level) unless it is queued
+    /// at or below that level already.
+    fn enqueue(&mut self, n: NodeId, level: u32) {
+        let n = n as usize;
+        if self.queued_at.len() <= n {
+            self.queued_at.resize(n + 1, NOT_QUEUED);
         }
-        buckets[l].push(f);
+        if self.queued_at[n] <= level {
+            return;
+        }
+        self.queued_at[n] = level;
+        let l = level as usize;
+        if self.queue.len() <= l {
+            self.queue.resize_with(l + 1, Vec::new);
+        }
+        self.queue[l].push(n as NodeId);
+        self.low = self.low.min(level);
     }
 }
 
@@ -323,12 +327,7 @@ impl Clone for Mig {
             free: self.free.clone(),
             slot_gen: self.slot_gen.clone(),
             level: self.level.clone(),
-            upkeep: LevelUpkeep {
-                deferring: self.upkeep.deferring,
-                pending: self.upkeep.pending.clone(),
-                floor: self.upkeep.floor,
-                ..LevelUpkeep::new()
-            },
+            upkeep: self.upkeep.clone(),
             live_gates: self.live_gates,
             dirty: self.dirty.clone(),
             dirty_base: self.dirty_base,
@@ -691,15 +690,15 @@ impl Mig {
     /// the module docs' *Levels*).
     ///
     /// Inside the scope a [`Mig::replace_node`] that makes a rewired gate
-    /// shallower lowers only that gate and records it; the gates above
-    /// it keep their levels, which stay valid upper bounds. Raises
-    /// propagate at once, so levels remain a topological labelling and
+    /// shallower lowers only that gate and queues the gates above it,
+    /// which keep their levels as valid upper bounds. Raises propagate
+    /// at once, so levels remain a topological labelling and
     /// [`Mig::depends_on`] stays exact, while [`Mig::level`],
-    /// [`Mig::levels`] and [`Mig::depth`] may read high. When the
-    /// outermost scope ends, [`Mig::settle_levels`] makes every level
-    /// exact again. Meant for rewrite loops whose decisions read no
-    /// level that an earlier rewrite of the loop may have lowered.
-    /// Scopes nest; [`Mig::compact`] must not run inside one.
+    /// [`Mig::levels`] and [`Mig::depth`] may read high. A reader that
+    /// needs exact levels inside the scope calls
+    /// [`Mig::settle_levels_for`]; when the outermost scope ends, every
+    /// level is exact again. Scopes nest; [`Mig::compact`] must not run
+    /// inside one.
     ///
     /// ```
     /// use mig::Mig;
@@ -717,88 +716,78 @@ impl Mig {
     ///     assert!(m.replace_node(inner.node(), c));
     ///     assert_eq!(m.level(mid.node()), 1);
     ///     assert_eq!(m.depth(), 3);
+    ///     m.settle_levels_for(top.node());
+    ///     assert_eq!(m.depth(), 2, "exact once settled");
     /// });
-    /// assert_eq!(m.depth(), 2, "exact once the scope has settled");
     /// ```
     pub fn with_deferred_levels<R>(&mut self, f: impl FnOnce(&mut Mig) -> R) -> R {
         let outer = std::mem::replace(&mut self.upkeep.deferring, true);
         let r = f(self);
         self.upkeep.deferring = outer;
         if !outer {
-            self.settle_levels();
+            self.settle_below(NOT_QUEUED);
+            // Hand the queue's buffers back: a scope's end is rare next
+            // to the work inside it, and the buffers would otherwise sit
+            // through every eager pass and cut enumeration that follows.
+            self.upkeep = LevelUpkeep::new();
         }
         r
     }
 
-    /// Propagates the pending level decreases of a deferral scope
-    /// through their fanout cones in increasing level order, so every
-    /// level is exact afterwards. Each gate in the affected cones is
-    /// recomputed once; the buffers are reused across calls, and the
-    /// call does nothing when no decrease is pending. Recorded as
-    /// `mig.level_settles` / `mig.level_settle_ns` and the
-    /// `levels:settle` span.
-    pub fn settle_levels(&mut self) {
-        if self.upkeep.pending.is_empty() {
+    /// Makes the levels of `n` and of its transitive fanin exact: inside
+    /// a deferral scope, settles the queued decreases up to `n`'s level
+    /// (a gate in `n`'s cone sits below it). Does nothing when no queued
+    /// gate sits that low.
+    pub fn settle_levels_for(&mut self, n: NodeId) {
+        self.settle_below(self.level[n as usize].saturating_add(1));
+    }
+
+    /// Drains the deferred-decrease queue below level `bound`, in
+    /// increasing level order, so a queued gate is normally recomputed
+    /// after its queued fanins. A gate that drops queues its parents
+    /// again, so a gate recomputed too early (one raised since it was
+    /// queued) is revisited. Afterwards every gate below `bound` is
+    /// exact: a stale gate sits at or above a queued one.
+    /// Recorded as `mig.level_settles` / `mig.level_settle_ns` and the
+    /// `levels:settle` span when there is work.
+    fn settle_below(&mut self, bound: u32) {
+        if self.upkeep.low >= bound {
             return;
         }
         let _span = obs::trace::span("levels:settle");
         let _timer = obs::metrics::timer(obs::Metric::MigLevelSettleNs);
         obs::metrics::add(obs::Metric::MigLevelSettles, 1);
-        // Work on the buffers outside `self`, so the walk can recompute
-        // levels through `local_level`; they go back for the next settle.
-        let mut pending = std::mem::take(&mut self.upkeep.pending);
-        let mut buckets = std::mem::take(&mut self.upkeep.buckets);
-        let mut queued = std::mem::take(&mut self.upkeep.queued);
-        if queued.len() < self.fanins.len() {
-            queued.resize(self.fanins.len(), 0);
-        }
-        let up = &mut self.upkeep;
-        up.epoch = up.epoch.wrapping_add(1);
-        if up.epoch == 0 {
-            // Stamp wrap-around: old stamps could alias the new epoch.
-            queued.fill(0);
-            up.epoch = 1;
-        }
-        let epoch = up.epoch;
-        // Seeds: the parents of every lowered gate. A gate queued later
-        // sits above the gate being settled, so the buckets drain in
-        // increasing level order and every gate is recomputed after all
-        // of its fanins that change: once.
-        for &p in &pending {
-            if !self.dead[p as usize] {
-                for f in self.fanouts[p as usize].iter() {
-                    settle_enqueue(&mut buckets, &mut queued, epoch, &self.level, f);
-                }
+        while self.upkeep.low < bound {
+            let l = self.upkeep.low;
+            let Some(v) = self.upkeep.queue[l as usize].pop() else {
+                // Move on to the next non-empty bucket, if any.
+                self.upkeep.low = (l as usize + 1..self.upkeep.queue.len())
+                    .find(|&k| !self.upkeep.queue[k].is_empty())
+                    .map_or(NOT_QUEUED, |k| k as u32);
+                continue;
+            };
+            if self.upkeep.queued_at[v as usize] != l {
+                continue; // queued again lower down, or settled already
+            }
+            self.upkeep.queued_at[v as usize] = NOT_QUEUED;
+            if self.dead[v as usize] {
+                continue;
+            }
+            let (cur, nl) = (self.level[v as usize], self.local_level(v));
+            debug_assert!(nl <= cur, "settle raised gate {v}");
+            if nl < cur {
+                self.level[v as usize] = nl;
+                self.queue_fanouts(v);
             }
         }
-        let mut l = 0;
-        while l < buckets.len() {
-            while let Some(v) = buckets[l].pop() {
-                let nl = self.local_level(v);
-                debug_assert!(nl <= self.level[v as usize], "settle raised gate {v}");
-                if nl < self.level[v as usize] {
-                    self.level[v as usize] = nl;
-                    for f in self.fanouts[v as usize].iter() {
-                        settle_enqueue(&mut buckets, &mut queued, epoch, &self.level, f);
-                    }
-                }
-            }
-            l += 1;
-        }
-        pending.clear();
-        self.upkeep.pending = pending;
-        self.upkeep.buckets = buckets;
-        self.upkeep.queued = queued;
-        self.upkeep.floor = u32::MAX;
     }
 
-    /// Makes the levels of `n` and of its transitive fanin exact. Inside
-    /// a deferral scope this settles the pending decreases, unless `n`
-    /// sits at or below the lowest pending level: a stale level lies
-    /// above some lowered gate, so such a cone holds none.
-    pub fn settle_levels_for(&mut self, n: NodeId) {
-        if self.level[n as usize] > self.upkeep.floor {
-            self.settle_levels();
+    /// Queues every gate that reads `v` (their levels may now read high).
+    fn queue_fanouts(&mut self, v: NodeId) {
+        for f in self.fanouts[v as usize].iter() {
+            if f & OUT_FLAG == 0 {
+                self.upkeep.enqueue(f, self.level[f as usize]);
+            }
         }
     }
 
@@ -918,7 +907,7 @@ impl Mig {
     /// Levels: each rewired gate's level is recomputed. A raise
     /// propagates through its transitive fanout; a decrease does too,
     /// except inside [`Mig::with_deferred_levels`], where it lowers only
-    /// the rewired gate and waits for [`Mig::settle_levels`].
+    /// the rewired gate and queues the gates above it for the settle.
     ///
     /// # Panics
     ///
@@ -1093,17 +1082,16 @@ impl Mig {
     /// Recomputes the level of `p` and propagates changes through the
     /// transitive fanout (worklist; cost proportional to the affected
     /// region). Inside a deferral scope a decrease stops at `p` itself,
-    /// which is recorded for [`Mig::settle_levels`], and the walk of a
-    /// raise only raises: a gate it would lower keeps its (valid, upper
-    /// bound) level and sits above a recorded gate already.
+    /// whose parents are queued for the settle, and the walk of a raise
+    /// only raises: a gate it would lower keeps its (valid, upper bound)
+    /// level and is queued already.
     fn update_levels_from(&mut self, p: NodeId) {
         let deferring = self.upkeep.deferring;
         if deferring {
             let nl = self.local_level(p);
             if nl < self.level[p as usize] {
                 self.level[p as usize] = nl;
-                self.upkeep.pending.push(p);
-                self.upkeep.floor = self.upkeep.floor.min(nl);
+                self.queue_fanouts(p);
                 return;
             }
         }
@@ -1192,10 +1180,15 @@ impl Mig {
             }
             let lvl = self.local_level(g);
             if self.upkeep.deferring {
-                assert!(
-                    self.level[g as usize] >= lvl,
-                    "gate {g} level below a fanin's"
-                );
+                let (stored, up) = (self.level[g as usize], &self.upkeep);
+                assert!(stored >= lvl, "gate {g} level below a fanin's");
+                if stored > lvl {
+                    let at = up.queued_at.get(g as usize).copied();
+                    assert!(
+                        at.is_some_and(|at| up.low <= at && at <= stored),
+                        "stale gate {g} not queued at or below its level"
+                    );
+                }
             } else {
                 assert_eq!(self.level[g as usize], lvl, "gate {g} level stale");
             }
@@ -1955,7 +1948,7 @@ mod tests {
 
     #[test]
     fn deferred_levels_stay_topological_upper_bounds_and_settle_exact() {
-        let mut stale_seen = 0;
+        let (mut stale_seen, mut partial_settles) = (0, 0);
         for seed in 0..24 {
             let mut rng = testrand::Rng::new(seed);
             let mut m = random_graph(&mut rng, 8, 160);
@@ -1975,12 +1968,41 @@ mod tests {
                     }
                     .complement_if(rng.bool());
                     m.replace_node(old, new);
+                    if rng.below(4) == 0 {
+                        // A reader settles one node's cone: that cone,
+                        // and every gate up to the node's old level,
+                        // becomes exact.
+                        let n = live[rng.usize_below(live.len())];
+                        if m.is_gate(n) {
+                            let (bound, before) = (m.level(n), m.levels());
+                            m.settle_levels_for(n);
+                            assert!(m.upkeep.low > bound, "seed {seed}: floor {bound}");
+                            if m.levels() != before {
+                                partial_settles += 1;
+                            }
+                            let exact = exact_levels(m);
+                            let mut stack = vec![n];
+                            while let Some(v) = stack.pop() {
+                                assert_eq!(m.level(v), exact[v as usize], "seed {seed}: {v}");
+                                if m.is_gate(v) {
+                                    stack.extend(m.fanins(v).iter().map(|s| s.node()));
+                                }
+                            }
+                        }
+                    }
                     let exact = exact_levels(m);
                     for g in m.gates() {
                         assert!(
                             m.level(g) >= exact[g as usize],
                             "seed {seed}: gate {g} below exact"
                         );
+                        if m.level(g) < m.upkeep.low {
+                            assert_eq!(
+                                m.level(g),
+                                exact[g as usize],
+                                "seed {seed}: gate {g} stale below the floor"
+                            );
+                        }
                         for s in m.fanins(g) {
                             assert!(
                                 m.level(g) > m.level(s.node()),
@@ -2023,15 +2045,20 @@ mod tests {
             m.debug_check();
         }
         assert!(stale_seen > 0, "no decrease was ever deferred");
+        assert!(partial_settles > 0, "no cone settle did any work");
     }
 
     #[test]
-    fn settle_is_a_noop_without_pending_decreases() {
+    fn settle_is_a_noop_without_queued_decreases() {
         let mut m = churned();
         let before = m.levels();
         let ((), d) = obs::metrics::scoped(|| {
-            m.with_deferred_levels(|_| {});
-            m.settle_levels();
+            m.with_deferred_levels(|m| {
+                let gates: Vec<NodeId> = m.gates().collect();
+                for g in gates {
+                    m.settle_levels_for(g);
+                }
+            });
         });
         assert_eq!(m.levels(), before);
         assert_eq!(d.get(obs::Metric::MigLevelSettles), 0);

@@ -36,10 +36,10 @@
 //!    intersects anything dirtied earlier in the step was analyzed
 //!    against a graph that no longer exists: it is refused and its
 //!    region retries next step. [`ProposeEngine::commit`] re-checks its
-//!    own legality against the live graph either way. For engines whose
-//!    commits read no level ([`ProposeEngine::commit_reads_levels`]),
-//!    the phase defers level decreases and settles them once at its end
-//!    ([`crate::Mig::with_deferred_levels`]).
+//!    own legality against the live graph either way. The phase defers
+//!    level decreases and settles them once at its end
+//!    ([`crate::Mig::with_deferred_levels`]); a commit that reads levels
+//!    settles what it reads first ([`crate::Mig::settle_levels_for`]).
 //!
 //! Steps repeat until the queue drains (no dirty region and no dirty
 //! node outside the partition), with a backstop of 50 steps; engines whose steps are not individually
@@ -262,17 +262,10 @@ pub trait ProposeEngine: Sync {
     ) -> Vec<Proposal<Self::Payload>>;
 
     /// Re-checks the proposal against the live graph and applies it.
+    /// Runs with level decreases deferred ([`Mig::with_deferred_levels`]):
+    /// a commit that reads levels calls [`Mig::settle_levels_for`] on
+    /// the nodes whose cones it reads first.
     fn commit(&self, mig: &mut Mig, payload: &Self::Payload) -> CommitVerdict;
-
-    /// Whether [`ProposeEngine::commit`] reads node levels. When it does
-    /// not, the commit phase runs inside [`Mig::with_deferred_levels`]:
-    /// the step's level decreases settle once when the phase ends
-    /// instead of once per substitution, and the next partition and
-    /// propose phase see exact levels again. The default `true` keeps
-    /// levels exact after every substitution.
-    fn commit_reads_levels(&self) -> bool {
-        true
-    }
 
     /// Hook for steps whose partition degenerates to a single region.
     /// Engines whose single-region proposal would merely reproduce their
@@ -693,11 +686,7 @@ fn propose_and_commit<E: ProposeEngine>(
         .flat_map(|m| m.into_inner().unwrap())
         .collect();
     let _commit_span = obs::trace::span("commit");
-    if engine.commit_reads_levels() {
-        commit_proposals(mig, engine, &proposals, frontier)
-    } else {
-        mig.with_deferred_levels(|mig| commit_proposals(mig, engine, &proposals, frontier))
-    }
+    commit_proposals(mig, engine, &proposals, frontier)
 }
 
 /// The commit phase (see the module docs): every proposal, in order,
@@ -705,8 +694,18 @@ fn propose_and_commit<E: ProposeEngine>(
 /// the dirt of an earlier commit in this call — is refused. `frontier`
 /// receives, with the proposal's gain as priority, the nodes whose
 /// regions must be proposed again: the footprints of refused proposals
-/// and everything a commit dirtied.
+/// and everything a commit dirtied. Level decreases settle once, when
+/// the phase ends.
 pub fn commit_proposals<E: ProposeEngine>(
+    mig: &mut Mig,
+    engine: &E,
+    proposals: &[Proposal<E::Payload>],
+    frontier: &mut Vec<(NodeId, i64)>,
+) -> RoundOutcome {
+    mig.with_deferred_levels(|mig| commit_each(mig, engine, proposals, frontier))
+}
+
+fn commit_each<E: ProposeEngine>(
     mig: &mut Mig,
     engine: &E,
     proposals: &[Proposal<E::Payload>],

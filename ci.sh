@@ -199,14 +199,17 @@ echo "== FFR scheduler gate (sched/mult_big_tfd@1 <= 1.3x sched/mult_big@1)"
 # level-band variant, so its single-thread run must stay within a small
 # factor of the level-band row; per-region cut stores that re-enumerate
 # each region's whole fanin cone would blow past it. Both rows come from
-# the same run, so the ratio needs no machine-speed constant.
-T1=$(mean_of "sched/mult_big_tfd@1")
-[ -n "$T1" ] || { echo "missing sched/mult_big_tfd@1 row"; exit 1; }
-awk -v t="$T1" -v m="$M1" 'BEGIN { exit !(t <= 1.3 * m) }' || {
-    echo "FAIL: sched/mult_big_tfd@1 ($T1 ns) past 1.3x sched/mult_big@1 ($M1 ns)"
+# the same run, so the ratio needs no machine-speed constant. The gate
+# reads min_ns: the means of these 3-iteration rows swing with the host
+# and failed unchanged code at up to 1.46x.
+T1=$(min_of "sched/mult_big_tfd@1")
+MM=$(min_of "sched/mult_big@1")
+[ -n "$T1" ] && [ -n "$MM" ] || { echo "missing sched/mult_big_tfd@1 or sched/mult_big@1 row"; exit 1; }
+awk -v t="$T1" -v m="$MM" 'BEGIN { exit !(t <= 1.3 * m) }' || {
+    echo "FAIL: sched/mult_big_tfd@1 ($T1 ns) past 1.3x sched/mult_big@1 ($MM ns)"
     exit 1
 }
-echo "ok: sched/mult_big_tfd@1 = $T1 ns <= 1.3x sched/mult_big@1 = $M1 ns"
+echo "ok: sched/mult_big_tfd@1 = $T1 ns <= 1.3x sched/mult_big@1 = $MM ns (min_ns)"
 
 echo "== allocation-free cut-kernel gate (fhash/propose_kernel_mult_big@1)"
 # The arena-backed cut kernels (ISSUE 10) must hold their win: one
@@ -239,7 +242,6 @@ ctx_of() {
     grep -o "\"$1\": [0-9.]*" BENCH_micro.json | head -n 1 | sed 's/.*: //'
 }
 E1=$(min_of "fhash!/epfl_big@1")
-MM=$(min_of "sched/mult_big@1")
 EG=$(ctx_of "corpus.epfl_big_gates")
 MG=$(ctx_of "corpus.mult_big_gates")
 [ -n "$E1" ] && [ -n "$MM" ] && [ -n "$EG" ] && [ -n "$MG" ] || {
@@ -276,9 +278,12 @@ echo "== compacted-layout locality gate (walk ns/gate within 1.1x fresh)"
 # The renumbered post-churn graph must walk as fast as a freshly built
 # one: compaction is what keeps long-churning runs from chasing sparse
 # cache lines, so a regression here is a storage-layout bug even when
-# every timing row above still passes.
-WF=$(mean_of "mig/walk_epfl_big_fresh")
-WC=$(mean_of "mig/walk_epfl_big_compacted")
+# every timing row above still passes. The three walk rows are timed
+# round-robin and the gate reads min_ns: one run's compacted-walk mean
+# read 1.49x its own min, and rows timed one after the other read 1.41x
+# on unchanged code even by min_ns.
+WF=$(min_of "mig/walk_epfl_big_fresh")
+WC=$(min_of "mig/walk_epfl_big_compacted")
 CG=$(ctx_of "corpus.epfl_big_churned_gates")
 [ -n "$WF" ] && [ -n "$WC" ] && [ -n "$CG" ] || {
     echo "missing walk_epfl_big rows/context in BENCH_micro.json"; exit 1;
@@ -339,5 +344,30 @@ awk -v a="$F64" -v b="$F1K" 'BEGIN { exit !(b <= 2 * a) }' || {
     exit 1
 }
 echo "ok: flush_one_into_1024 = $F1K ns <= 2x flush_one_into_64 = $F64 ns"
+
+echo "== BLIF conversion gate (io/read_blif_ctrl1k <= 6x, io/write_blif_ctrl1k <= 2x io/rebuild_ctrl1k)"
+# Every migd job reads its circuit from BLIF text and a miss writes its
+# result back. Reading (parse, then to_mig) and writing (from_mig, then
+# to_text) a 1,092-gate control circuit must cost a small multiple of
+# building the same graph without text (io::blif::round_trip): a
+# per-gate string document reads at about 12x and writes at about 8-10x.
+# The three rows are timed round-robin in one run and the gate reads
+# min_ns, so the ratios need no machine-speed constant.
+io_min_of() {
+    grep "\"$1\"" BENCH_io.json | sed 's/.*"min_ns": \([0-9.]*\).*/\1/'
+}
+BR=$(io_min_of "io/read_blif_ctrl1k")
+BW=$(io_min_of "io/write_blif_ctrl1k")
+BB=$(io_min_of "io/rebuild_ctrl1k")
+[ -n "$BR" ] && [ -n "$BW" ] && [ -n "$BB" ] || { echo "missing BLIF ctrl1k rows in BENCH_io.json"; exit 1; }
+awk -v r="$BR" -v b="$BB" 'BEGIN { exit !(r <= 6 * b) }' || {
+    echo "FAIL: io/read_blif_ctrl1k ($BR ns) past 6x io/rebuild_ctrl1k ($BB ns)"
+    exit 1
+}
+awk -v w="$BW" -v b="$BB" 'BEGIN { exit !(w <= 2 * b) }' || {
+    echo "FAIL: io/write_blif_ctrl1k ($BW ns) past 2x io/rebuild_ctrl1k ($BB ns)"
+    exit 1
+}
+echo "ok: read = $BR ns <= 6x, write = $BW ns <= 2x rebuild = $BB ns"
 
 echo "CI OK"

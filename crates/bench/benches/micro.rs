@@ -9,7 +9,7 @@
 //! (The full paper tables are regenerated by the `table*`/`fig*`
 //! binaries; these benches track per-component performance.)
 
-use bench_harness::microbench::{bench, write_json_with_context};
+use bench_harness::microbench::{bench, bench_round_robin, write_json_with_context};
 use bench_harness::workloads::{
     ctrl_deep, epfl_big, mult_big_and, parallel_chain_workload, ripple_chain,
 };
@@ -298,25 +298,28 @@ fn main() {
     // generation order), churned (an in-place optimization pass leaves
     // its replacements scattered through free-list slots) and compacted
     // (the churned graph renumbered by `Mig::compact`). The CI locality
-    // gate holds the compacted walk's ns/gate within 1.1x of fresh; the
-    // compact row itself prices the renumbering pass.
+    // gate holds the compacted walk's ns/gate within 1.1x of fresh, so
+    // the three walks are timed round-robin: a swing in host speed hits
+    // them alike. The compact row itself prices the renumbering pass.
     let inputs: Vec<u64> = (0..epfl.num_inputs())
         .map(|i| 0x9e37_79b9_7f4a_7c15u64.wrapping_mul(i as u64 + 1))
         .collect();
-    ms.push(bench("mig/walk_epfl_big_fresh", || {
-        black_box(epfl.simulate_words(black_box(&inputs)).len())
-    }));
     let mut churned = epfl.clone();
     let _ = engine.pass(&mut churned, fhash::Variant::TopDown, &mut None);
     let _ = churned.drain_dirty();
-    ms.push(bench("mig/walk_epfl_big_churned", || {
-        black_box(churned.simulate_words(black_box(&inputs)).len())
-    }));
     let mut compacted = churned.clone();
     let _ = compacted.compact();
-    ms.push(bench("mig/walk_epfl_big_compacted", || {
-        black_box(compacted.simulate_words(black_box(&inputs)).len())
-    }));
+    ms.extend(bench_round_robin(&mut [
+        ("mig/walk_epfl_big_fresh", &mut || {
+            epfl.simulate_words(black_box(&inputs)).len()
+        }),
+        ("mig/walk_epfl_big_churned", &mut || {
+            churned.simulate_words(black_box(&inputs)).len()
+        }),
+        ("mig/walk_epfl_big_compacted", &mut || {
+            compacted.simulate_words(black_box(&inputs)).len()
+        }),
+    ]));
     ms.push(bench("mig/compact_epfl_big", || {
         let mut m = black_box(&churned).clone();
         let map = m.compact();

@@ -62,11 +62,45 @@ pub fn bench<T>(name: &str, mut f: impl FnMut() -> T) -> Measurement {
         total += dt;
         min = min.min(dt);
     }
+    report(name, iters, total, min)
+}
+
+/// Times several closures round-robin, one call of each per round, for
+/// roughly 300 ms per row (at least 3, at most 1000 rounds). A gate that
+/// holds one row to a multiple of another should read both from one
+/// group: a swing in host speed then hits them alike.
+pub fn bench_round_robin(rows: &mut [(&str, &mut dyn FnMut() -> usize)]) -> Vec<Measurement> {
+    // Warm-up + calibration round.
+    let t0 = Instant::now();
+    for (_, f) in rows.iter_mut() {
+        black_box(f());
+    }
+    let round = t0.elapsed().as_secs_f64().max(1e-9);
+    let iters = (0.3 * rows.len() as f64 / round).clamp(3.0, 1000.0) as u32;
+    let mut total = vec![0.0f64; rows.len()];
+    let mut min = vec![f64::INFINITY; rows.len()];
+    for _ in 0..iters {
+        for (k, (_, f)) in rows.iter_mut().enumerate() {
+            let t = Instant::now();
+            black_box(f());
+            let dt = t.elapsed().as_secs_f64();
+            total[k] += dt;
+            min[k] = min[k].min(dt);
+        }
+    }
+    rows.iter()
+        .enumerate()
+        .map(|(k, (name, _))| report(name, iters, total[k], min[k]))
+        .collect()
+}
+
+/// Prints one row's timings and returns them.
+fn report(name: &str, iters: u32, total_s: f64, min_s: f64) -> Measurement {
     let m = Measurement {
         name: name.to_string(),
         iters,
-        mean_ns: total / f64::from(iters) * 1e9,
-        min_ns: min * 1e9,
+        mean_ns: total_s / f64::from(iters) * 1e9,
+        min_ns: min_s * 1e9,
         cores: None,
     };
     println!(

@@ -47,11 +47,17 @@ fn span(emit: &mut dyn FnMut(&str), ph: &str, name: &str, tid: usize, ts_ns: u64
 }
 
 impl migd::JobRunner for PipelineRunner {
-    /// Streams, in order: the `meta` line, a `job:<id>` span enclosing
-    /// one span per executed pass, then the job's metric delta as
+    /// Streams, in order: the `meta` line, a `migd:parse` span around
+    /// reading the request's circuit, a `job:<id>` span enclosing one
+    /// span per executed pass and, when the result cache did not render
+    /// the result, a `migd:render` span; then the job's metric delta as
     /// counter/gauge/hist lines. The terminal `result` line is appended
     /// by the server, so the whole per-connection stream validates
-    /// against the JSONL schema (`trace_lint`).
+    /// against the JSONL schema (`trace_lint`). The two text conversions
+    /// are also recorded as `obs` spans of the same names, so an
+    /// in-process trace shows them too. Timestamps count from the start
+    /// of the parse; the result's `runtime_ns` counts from the start of
+    /// the job span.
     ///
     /// The metric lines are the job's own: the job runs in a metric scope
     /// on this worker (threads it spawns publish into it), so concurrent
@@ -63,11 +69,19 @@ impl migd::JobRunner for PipelineRunner {
         worker: usize,
         emit: &mut dyn FnMut(&str),
     ) -> migd::JobOutcome {
+        let clock = Instant::now();
+        let now = || clock.elapsed().as_nanos() as u64;
         emit(&format!(
             "{{\"type\":\"meta\",\"version\":{},\"clock\":\"ns\"}}",
             obs::export::JSONL_VERSION
         ));
-        let input = match parse_circuit(&req.format, &req.circuit) {
+        span(emit, "span_begin", "migd:parse", worker, now());
+        let parsed = {
+            let _span = obs::trace::span("migd:parse");
+            parse_circuit(&req.format, &req.circuit)
+        };
+        span(emit, "span_end", "migd:parse", worker, now());
+        let input = match parsed {
             Ok(m) => m,
             Err(e) => return migd::JobOutcome::failed(e),
         };
@@ -80,13 +94,13 @@ impl migd::JobRunner for PipelineRunner {
         }
         let t0 = Instant::now();
         let job_span = format!("job:{}", req.id);
-        span(emit, "span_begin", &job_span, worker, 0);
         // Pass spans are reconstructed at report time: end is "now",
         // begin is end minus the measured pass runtime, clamped to keep
         // the stream monotone per tid (the validator requires it).
-        let mut cursor = 0u64;
+        let mut cursor = now();
+        span(emit, "span_begin", &job_span, worker, cursor);
         let mut on_pass = |r: &crate::PassReport| {
-            let end = t0.elapsed().as_nanos() as u64;
+            let end = now();
             let runtime = (r.runtime * 1e9) as u64;
             let begin = end.saturating_sub(runtime).max(cursor);
             let end = end.max(begin);
@@ -100,13 +114,21 @@ impl migd::JobRunner for PipelineRunner {
                 .run_job(&input, &passes, req.threads, Some(&mut on_pass))
         });
         delta.publish();
-        span(
-            emit,
-            "span_end",
-            &job_span,
-            worker,
-            (t0.elapsed().as_nanos() as u64).max(cursor),
-        );
+        // Cacheable jobs carry the stored text; render only the rest.
+        let run = run.map(|job| {
+            let circuit = job.circuit.unwrap_or_else(|| {
+                span(emit, "span_begin", "migd:render", worker, now().max(cursor));
+                let text = {
+                    let _span = obs::trace::span("migd:render");
+                    io::blif::Blif::from_mig(&job.result, CACHE_MODEL).to_text()
+                };
+                cursor = now().max(cursor);
+                span(emit, "span_end", "migd:render", worker, cursor);
+                text
+            });
+            (job.result, job.cached, circuit)
+        });
+        span(emit, "span_end", &job_span, worker, now().max(cursor));
         for line in obs::export::metrics_jsonl(&delta).lines() {
             emit(line);
         }
@@ -117,17 +139,13 @@ impl migd::JobRunner for PipelineRunner {
             emit("{\"type\":\"counter\",\"name\":\"cache.flush_failed\",\"value\":1}");
         }
         match run {
-            Ok(job) => migd::JobOutcome {
+            Ok((result, cached, circuit)) => migd::JobOutcome {
                 ok: true,
-                size: job.result.num_gates() as u64,
-                depth: u64::from(job.result.depth()),
-                // Cacheable jobs carry the stored text; render only the
-                // rest.
-                circuit: job.circuit.unwrap_or_else(|| {
-                    io::blif::Blif::from_mig(&job.result, CACHE_MODEL).to_text()
-                }),
+                size: result.num_gates() as u64,
+                depth: u64::from(result.depth()),
+                circuit,
                 runtime_ns: t0.elapsed().as_nanos() as u64,
-                cached: job.cached,
+                cached,
                 error: String::new(),
             },
             Err(e) => migd::JobOutcome::failed(e.to_string()),

@@ -29,7 +29,8 @@ migopt: MIG optimization pipeline driver
 USAGE:
     migopt -i <input> [-p <pipeline>] [-o <output>] [-j <threads>] [--quiet]
            [--trace <file>] [--metrics] [--json-report <file>] [--cache <file>]
-    migopt --serve <socket> [--cache <file>] [--workers <N>] [--quiet]
+    migopt --serve <socket> [--cache <file>] [--workers <N>] [--trace <file>]
+           [--quiet]
     migopt --connect <socket> -i <input> [-p <pipeline>] [-o <output>]
            [-j <threads>] [--trace <file>] [--quiet]
     migopt --shutdown <socket>
@@ -47,7 +48,9 @@ OPTIONS:
         --trace <file>     record spans; .jsonl gets the JSONL event
                            stream, anything else Chrome trace-event JSON
                            (open in Perfetto / chrome://tracing); with
-                           --connect, captures the daemon's raw JSONL stream
+                           --serve, records every job's spans until
+                           shutdown; with --connect, captures the
+                           daemon's raw JSONL stream
         --metrics          print the metric-registry totals after the run
         --json-report <file>  write per-pass reports + run metrics as JSON
         --cache <file>     persistent optimization cache: load before the
@@ -200,6 +203,10 @@ fn serve_mode(args: &Args, socket: &str) -> ExitCode {
         args.cache.as_ref().map(std::path::PathBuf::from),
     ));
     let runner = Arc::new(cli::daemon::PipelineRunner::new(Arc::clone(&service)));
+    if args.trace.is_some() {
+        obs::trace::start();
+    }
+    let serve_start = obs::metrics::global_snapshot();
     if !args.quiet {
         println!(
             "migd serving on {socket} ({} workers{})",
@@ -217,6 +224,18 @@ fn serve_mode(args: &Args, socket: &str) -> ExitCode {
     if let Err(e) = service.flush() {
         eprintln!("error: cache flush failed: {e}");
         return ExitCode::FAILURE;
+    }
+    if let Some(path) = &args.trace {
+        let events = obs::trace::finish();
+        let delta = obs::metrics::global_snapshot().since(&serve_start);
+        if let Err(e) = obs::export::write_trace(std::path::Path::new(path), &events, Some(&delta))
+        {
+            eprintln!("error: {path}: {e}");
+            return ExitCode::FAILURE;
+        }
+        if !args.quiet {
+            println!("trace written to {path} ({} events)", events.len());
+        }
     }
     ExitCode::SUCCESS
 }

@@ -166,7 +166,11 @@ impl OptService {
             let check = fcache::fnv1a(fcache::FNV_CHECK_BASIS, &material);
             if let Some(rec) = self.results.get(key, check, &pipeline) {
                 let t0 = Instant::now();
-                match self.verified_parse(input, &rec.circuit) {
+                let verified = {
+                    let _span = obs::trace::span("cache:verify");
+                    self.verified_parse(input, &rec.circuit)
+                };
+                match verified {
                     Some(result) => {
                         obs::metrics::add(Metric::CacheResultHits, 1);
                         obs::metrics::addi(Metric::MigBytesPerNode, result.bytes_per_node() as i64);
@@ -221,8 +225,12 @@ impl OptService {
         // history. Store and return the graph the BLIF text reads back
         // as instead, so a later hit parses the stored text into the
         // same graph this cold run returns.
-        let result = io::blif::round_trip(&result);
-        let circuit = io::blif::Blif::from_mig(&result, CACHE_MODEL).to_text();
+        let (result, circuit) = {
+            let _span = obs::trace::span("cache:render");
+            let result = io::blif::round_trip(&result);
+            let circuit = io::blif::Blif::from_mig(&result, CACHE_MODEL).to_text();
+            (result, circuit)
+        };
         self.results.put(fcache::ResRecord {
             key,
             check,

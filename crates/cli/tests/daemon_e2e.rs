@@ -87,6 +87,16 @@ fn stream_counter(stream: &str, name: &str) -> i64 {
         .sum()
 }
 
+/// The names of a captured job stream's spans, in the order they open.
+fn stream_spans(stream: &str) -> Vec<String> {
+    stream
+        .lines()
+        .filter_map(|l| obs::json::parse(l).ok())
+        .filter(|v| v.get("type").and_then(obs::json::Value::as_str) == Some("span_begin"))
+        .filter_map(|v| Some(v.get("name")?.as_str()?.to_string()))
+        .collect()
+}
+
 fn submit_captured(socket: &Path, req: &migd::JobRequest) -> (migd::JobResult, String) {
     let mut stream = String::new();
     let result = migd::submit(socket, req, |line| {
@@ -472,6 +482,14 @@ fn repeat_jobs_hit_the_result_tier_and_cec_jobs_rerun() {
             && stream_counter(&s2, "cache.result_hits") == 1,
         "second job's result hits must exceed the first's"
     );
+    // The request's parse is a span of its own before the job's; the
+    // result cache renders cacheable results, so the daemon renders
+    // nothing.
+    assert_eq!(
+        stream_spans(&s1),
+        ["migd:parse", "job:r1", "pass:strash", "pass:fhash!:TFD"]
+    );
+    assert_eq!(stream_spans(&s2), ["migd:parse", "job:r2", "pass:cached"]);
 
     // A cec-carrying pipeline is never served from the result tier: the
     // repeat reruns the whole pipeline on the engine the first job
@@ -496,6 +514,19 @@ fn repeat_jobs_hit_the_result_tier_and_cec_jobs_rerun() {
             "{job}: the pipeline must run, not be served from the cache"
         );
         assert_eq!(stream_counter(stream, "cache.result_hits"), 0, "{job}");
+        // The daemon renders the uncached result inside the job span.
+        let job_span = format!("job:{job}");
+        assert_eq!(
+            stream_spans(stream),
+            [
+                "migd:parse",
+                &job_span,
+                "pass:strash",
+                "pass:fhash!:TFD",
+                "pass:cec",
+                "migd:render"
+            ]
+        );
     }
     stop_daemon(&socket, handle);
 }

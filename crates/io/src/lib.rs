@@ -8,7 +8,9 @@
 //! (crate `cli`) and the table binaries' `--from` flag are built on it.
 //!
 //! * [`aiger::Aiger`] — lossless AIGER document (both encodings);
-//! * [`blif::Blif`] — lossless BLIF document (combinational subset);
+//! * [`blif::Blif`] — lossless BLIF document (combinational subset),
+//!   stored compactly: each signal name once, tables that refer to
+//!   names by index, and every cover row in one byte buffer;
 //! * [`ParseError`] — structured errors with line/column or byte
 //!   positions; parsers never panic on malformed input;
 //! * [`read_mig_path`] / [`write_mig_path`] — extension-dispatched

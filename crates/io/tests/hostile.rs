@@ -2,32 +2,11 @@
 //! `benchmarks/` files go through every parser and converter, which must
 //! return an error or a circuit and never panic.
 
+mod common;
+
 use io::aiger::Aiger;
 use io::blif::Blif;
-use std::path::PathBuf;
-use testrand::Rng;
-
-const FILES: [&str; 4] = ["full_adder.aag", "adder8.aag", "mult4.aig", "adder4.blif"];
-/// Mutants drawn from each file.
-const MUTANTS: usize = 1_000;
-/// Bytes that mean something to one of the formats, so mutations reach
-/// past the first token more often than uniform bytes do.
-const SYNTAX: &[u8] = b"0123456789 \t\r\n-.#aigcolnmdsx\\";
-
-fn read(name: &str) -> Vec<u8> {
-    let path = PathBuf::from(env!("CARGO_MANIFEST_DIR"))
-        .join("../../benchmarks")
-        .join(name);
-    std::fs::read(&path).unwrap_or_else(|e| panic!("{}: {e}", path.display()))
-}
-
-fn random_byte(rng: &mut Rng) -> u8 {
-    if rng.bool() {
-        SYNTAX[rng.usize_below(SYNTAX.len())]
-    } else {
-        rng.next_u64() as u8
-    }
-}
+use std::collections::HashMap;
 
 /// Runs every parser on `bytes` and converts what parses; returns how
 /// many conversions gave a circuit.
@@ -43,22 +22,20 @@ fn feed(bytes: &[u8]) -> usize {
 
 #[test]
 fn mutated_benchmark_files_never_panic() {
-    let mut rng = Rng::new(0xF022_10AD);
-    for name in FILES {
-        let original = read(name);
-        let mut converted = 0;
-        for case in 0..MUTANTS {
-            let bytes = rng.mutate(&original, random_byte);
-            match std::panic::catch_unwind(|| feed(&bytes)) {
-                Ok(n) => converted += n,
-                Err(_) => panic!(
-                    "{name} mutant {case} panicked: {:?}",
-                    String::from_utf8_lossy(&bytes)
-                ),
-            }
-        }
-        // Some mutants still convert, so the edits reach past the header.
-        assert!(converted > 0, "{name}: no mutant converted");
+    let mut converted: HashMap<String, usize> = HashMap::new();
+    common::for_each_mutant(
+        |name, case, bytes| match std::panic::catch_unwind(|| feed(bytes)) {
+            Ok(n) => *converted.entry(name.to_string()).or_default() += n,
+            Err(_) => panic!(
+                "{name} mutant {case} panicked: {:?}",
+                String::from_utf8_lossy(bytes)
+            ),
+        },
+    );
+    // Some mutants still convert, so the edits reach past the header.
+    for name in common::FILES {
+        let n = converted.get(name).copied().unwrap_or(0);
+        assert!(n > 0, "{name}: no mutant converted");
     }
 }
 

@@ -43,8 +43,8 @@ fn main() {
     std::fs::write("benchmarks/adder4.blif", blif.to_text()).expect("write adder4.blif");
     println!(
         "benchmarks/adder4.blif   {} inputs, {} outputs, {} tables",
-        blif.inputs.len(),
-        blif.outputs.len(),
-        blif.gates.len()
+        blif.inputs().count(),
+        blif.outputs().count(),
+        blif.num_tables()
     );
 }

@@ -38,10 +38,10 @@ for f in benchmarks/full_adder.aag benchmarks/adder8.aag \
              "strash; fhash:BF@2; fhash:B@2; cec" \
              "strash; fhash!:T@2; fhash!:B@2; cec; stats" \
              "strash; size!; fhash!:B@2; depth!; cec" \
-             "strash; algebraic@2; fhash:TFD; cec" \
+             "strash; algebraic; fhash:TFD; cec" \
              "strash; depth!; size!; fhash:T; cec; stats" \
-             "strash; fhash!:TFD@4; algebraic@4; cec" \
-             "strash; fhash!:B@4; algebraic@4; cec" \
+             "strash; fhash!:TFD@4; algebraic; cec" \
+             "strash; fhash!:B@4; algebraic; cec" \
              "strash; size!; depth!; fhash!:TD@4; cec; stats"; do
         echo "-- migopt -i $f -p \"$p\""
         "$MIGOPT" -q -i "$f" -p "$p"
@@ -76,8 +76,8 @@ GEN=./target/release/gen_bench
 for spec in hyp:24 ctrl:8:6:150:7; do
     g="$TRACE_DIR/$(echo "$spec" | tr ':' '_').blif"
     "$GEN" "$spec" "$g"
-    echo "-- migopt -i $g -p \"fhash!:B@4; compact; algebraic@4; cec:16000\""
-    "$MIGOPT" -i "$g" -p "fhash!:B@4; compact; algebraic@4; cec:16000" > "$g.log"
+    echo "-- migopt -i $g -p \"fhash!:B@4; compact; algebraic; cec:16000\""
+    "$MIGOPT" -i "$g" -p "fhash!:B@4; compact; algebraic; cec:16000" > "$g.log"
     tail -n 1 "$g.log"
 done
 grep -q "equivalent (SAT proof)" "$TRACE_DIR/ctrl_8_6_150_7.blif.log" || {

@@ -405,9 +405,12 @@ fn affected_cone(mig: &Mig, dirty: &[NodeId]) -> HashSet<NodeId> {
     set
 }
 
-/// The convergence loop behind [`crate::size_converge`],
-/// [`crate::depth_converge`] and the refinement stages of
-/// [`crate::optimize`]: sweeps to a fixpoint, re-scanning only the
+/// Backstop on the convergence loop's rounds: improving rounds shrink
+/// the guarded metric, so this is never the expected exit.
+const MAX_ROUNDS: usize = 50;
+
+/// The convergence loop behind [`crate::size_converge`] and
+/// [`crate::depth_converge`]: sweeps to a fixpoint, re-scanning only the
 /// affected cones of the previous sweep's changes (seeded from the
 /// structural-change log, which is *peeked*, not drained — a pipeline's
 /// carried cut set keeps its invalidation feed). Incremental rounds that
@@ -417,14 +420,13 @@ fn affected_cone(mig: &Mig, dirty: &[NodeId]) -> HashSet<NodeId> {
 /// run are recorded as `alg.converge_rounds` and returned.
 pub(crate) fn converge(
     mig: &mut Mig,
-    max_rounds: usize,
     family: Family,
     guard: fn(&Mig) -> (u64, u64),
 ) -> (AlgStats, usize) {
     let mut rounds = 0;
     let mut targets: Option<HashSet<NodeId>> = None;
     let ((), delta) = obs::metrics::scoped(|| {
-        while rounds < max_rounds {
+        while rounds < MAX_ROUNDS {
             let before = guard(mig);
             let snapshot = mig.clone();
             let mark = mig.dirty_cursor();
@@ -469,31 +471,24 @@ pub(crate) fn converge(
     (AlgStats::from_delta(&delta), rounds)
 }
 
-/// One optimization-script round: size stage, depth stage, stage
-/// selection and round acceptance — all by the shared lexicographic
-/// `(gates, depth)` metric ([`script_metric`]), the same convergence
-/// rule as the rebuild reference. A single implementation drives both
-/// the sweep stages and the refinement stages of [`crate::optimize`] so
-/// they cannot drift. Returns whether the kept round discarded its depth
-/// stage, or `None` when the round failed to improve and was rolled
-/// back.
+/// One optimization-script round of [`crate::optimize`]: a size sweep,
+/// a depth sweep, stage selection and round acceptance — all by the
+/// shared lexicographic `(gates, depth)` metric ([`script_metric`]), the
+/// same convergence rule as the rebuild reference. Returns whether the
+/// kept round discarded its depth stage, or `None` when the round failed
+/// to improve and was rolled back.
 ///
-/// `depth_lost` says that the previous round, run with the same stages,
-/// was kept with its depth stage discarded. A size stage that then
-/// commits no move leaves that round's graph, so the depth stage would
-/// be discarded again and the round rolled back: the round is rolled
-/// back at once, without running the depth stage.
-pub(crate) fn script_round(
-    mig: &mut Mig,
-    size_stage: &mut dyn FnMut(&mut Mig) -> AlgStats,
-    depth_stage: &mut dyn FnMut(&mut Mig) -> AlgStats,
-    depth_lost: bool,
-) -> Option<bool> {
+/// `depth_lost` says that the previous round was kept with its depth
+/// stage discarded. A size stage that then commits no move leaves that
+/// round's graph, so the depth stage would be discarded again and the
+/// round rolled back: the round is rolled back at once, without running
+/// the depth stage.
+pub(crate) fn script_round(mig: &mut Mig, depth_lost: bool) -> Option<bool> {
     let before = script_metric(mig);
     let snapshot = mig.clone();
     let (size_stats, size_d) = {
         let _span = obs::trace::span("alg:size_stage");
-        obs::metrics::scoped(|| size_stage(mig))
+        obs::metrics::scoped(|| size_rewrite(mig))
     };
     if depth_lost && size_stats.total() == 0 {
         *mig = snapshot;
@@ -504,7 +499,7 @@ pub(crate) fn script_round(
     let mid = mig.clone();
     let (_, depth_d) = {
         let _span = obs::trace::span("alg:depth_stage");
-        obs::metrics::scoped(|| depth_stage(mig))
+        obs::metrics::scoped(|| depth_rewrite(mig))
     };
     // Stage selection mirrors the rebuild script: keep the depth stage
     // only when it is lexicographically no worse. Discarded stages and

@@ -28,13 +28,14 @@
 //! | `depth` | [`depth_rewrite`]: one guarded depth sweep |
 //! | `size!` | [`size_converge`]: size sweeps to the fixpoint |
 //! | `depth!` | [`depth_converge`]: depth sweeps to the fixpoint |
-//! | `algebraic[:N][@T]` | [`optimize`]: the size+depth script, refined when `T` ≥ 2 |
+//! | `algebraic[:N]` | [`optimize`]: the size+depth script |
 //!
-//! Every pass runs the serial sweeps on the calling thread. [`optimize`]
-//! is also the "script" the benchmark harness uses to produce Table III
-//! starting points; every script round shares the lexicographic
-//! `(gates, depth)` acceptance ([`script_metric`]). The original
-//! rebuild-style passes survive as test-only references for the
+//! Every pass runs the serial sweeps on the calling thread and takes no
+//! thread count, so its netlist is the same at every `migopt -j`.
+//! [`optimize`] is also the "script" the benchmark harness uses to
+//! produce Table III starting points; every script round shares the
+//! lexicographic `(gates, depth)` acceptance ([`script_metric`]). The
+//! original rebuild-style passes survive as test-only references for the
 //! differential tests.
 
 #![deny(missing_docs)]
@@ -47,10 +48,6 @@ pub use inplace::{depth_rewrite, size_rewrite};
 
 use inplace::{converge, depth_metric, Family};
 use mig::Mig;
-
-/// Backstop on the convergence loops' rounds: improving rounds shrink
-/// the guarded metric, so this is never the expected exit.
-const MAX_ROUNDS: usize = 50;
 
 /// Statistics of an algebraic pass.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -96,7 +93,7 @@ pub fn script_metric(mig: &Mig) -> (u64, u64) {
 /// run. Every round is `(gates, depth)`-guarded, so the result is never
 /// worse than the input.
 pub fn size_converge(mig: &mut Mig) -> (AlgStats, usize) {
-    converge(mig, MAX_ROUNDS, Family::Size, script_metric)
+    converge(mig, Family::Size, script_metric)
 }
 
 /// Depth-script convergence (the `depth!` pipeline pass): like
@@ -105,7 +102,7 @@ pub fn size_converge(mig: &mut Mig) -> (AlgStats, usize) {
 /// `(depth, gates)` guard, so the result never has more depth than the
 /// input.
 pub fn depth_converge(mig: &mut Mig) -> (AlgStats, usize) {
-    converge(mig, MAX_ROUNDS, Family::Depth, depth_metric)
+    converge(mig, Family::Depth, depth_metric)
 }
 
 /// The optimization script (the `algebraic:N` pipeline pass):
@@ -116,44 +113,23 @@ pub fn depth_converge(mig: &mut Mig) -> (AlgStats, usize) {
 /// back, so the result is never worse than the input. A round whose
 /// size stage commits no move right after a round that discarded its
 /// depth stage is rolled back without running the depth stage, which
-/// would start from the same graph and be discarded again.
-///
-/// With `refine`, up to `max_rounds` refinement rounds follow under the
-/// same acceptance, their size and depth stages the convergence loop
-/// capped at 8 sweeps. Everything runs on the calling thread and is
-/// bit-deterministic for a fixed input.
-pub fn optimize(mig: &mut Mig, max_rounds: usize, refine: bool) -> AlgStats {
+/// would start from the same graph and be discarded again. Everything
+/// runs on the calling thread and is bit-deterministic for a fixed
+/// input.
+pub fn optimize(mig: &mut Mig, max_rounds: usize) -> AlgStats {
     let ((), delta) = obs::metrics::scoped(|| {
-        script_rounds(mig, max_rounds, &mut size_rewrite, &mut depth_rewrite);
-        if refine {
-            script_rounds(
-                mig,
-                max_rounds,
-                &mut |m| converge(m, 8, Family::Size, script_metric).0,
-                &mut |m| converge(m, 8, Family::Depth, depth_metric).0,
-            );
+        // Each round learns whether its predecessor discarded the depth
+        // stage.
+        let mut depth_lost = false;
+        for _ in 0..max_rounds {
+            match inplace::script_round(mig, depth_lost) {
+                Some(discarded) => depth_lost = discarded,
+                None => break,
+            }
         }
     });
     delta.publish();
     AlgStats::from_delta(&delta)
-}
-
-/// Up to `max_rounds` script rounds with the given stages, until one is
-/// rolled back. Each round learns whether its predecessor discarded the
-/// depth stage ([`inplace::script_round`]).
-fn script_rounds(
-    mig: &mut Mig,
-    max_rounds: usize,
-    size_stage: &mut dyn FnMut(&mut Mig) -> AlgStats,
-    depth_stage: &mut dyn FnMut(&mut Mig) -> AlgStats,
-) {
-    let mut depth_lost = false;
-    for _ in 0..max_rounds {
-        match inplace::script_round(mig, size_stage, depth_stage, depth_lost) {
-            Some(discarded) => depth_lost = discarded,
-            None => break,
-        }
-    }
 }
 
 #[cfg(test)]
@@ -240,7 +216,7 @@ mod tests {
         let top = m.maj(g1, g2, x);
         m.add_output(top);
         let mut opt = m.cleanup();
-        optimize(&mut opt, 4, false);
+        optimize(&mut opt, 4);
         assert_eq!(opt.output_truth_tables(), m.output_truth_tables());
         assert!(opt.num_gates() <= m.num_gates());
     }

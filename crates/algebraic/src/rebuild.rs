@@ -249,7 +249,7 @@ mod tests {
         for name in ["full_adder.aag", "adder8.aag", "mult4.aig", "adder4.blif"] {
             let m = io::read_mig_path(benchmarks_dir().join(name)).unwrap();
             let mut inplace = m.cleanup();
-            crate::optimize(&mut inplace, 8, false);
+            crate::optimize(&mut inplace, 8);
             let rebuild = optimize_rebuild(&m, 8);
             assert!(
                 inplace.num_gates() <= rebuild.num_gates(),

@@ -9,7 +9,7 @@
 //! (The full paper tables are regenerated by the `table*`/`fig*`
 //! binaries; these benches track per-component performance.)
 
-use bench_harness::microbench::{bench, bench_round_robin, write_json_with_context};
+use bench_harness::microbench::{bench, bench_round_robin, write_json_with_context, Measurement};
 use bench_harness::workloads::{
     ctrl_deep, epfl_big, mult_big_and, parallel_chain_workload, ripple_chain,
 };
@@ -108,11 +108,11 @@ fn main() {
 
     let engine = fhash::FunctionalHashing::with_default_database();
     let mut m8 = benchgen::multiplier(8).cleanup();
-    migalg::optimize(&mut m8, 2, false);
+    migalg::optimize(&mut m8, 2);
     for v in fhash::Variant::ALL {
         ms.push(bench(&format!("fhash/multiplier8/{}", v.acronym()), || {
             let mut m = black_box(&m8).clone();
-            engine.pass(&mut m, v, &mut None);
+            engine.pass(&mut m, v, &mut None, 1);
             m.num_gates()
         }));
     }
@@ -142,7 +142,7 @@ fn main() {
 
     let a16 = benchgen::adder(16);
     let mut a16_opt = a16.clone();
-    engine.pass(&mut a16_opt, fhash::Variant::BottomUpFfr, &mut None);
+    engine.pass(&mut a16_opt, fhash::Variant::BottomUpFfr, &mut None, 1);
     ms.push(bench("cec/random_sim_adder16", || {
         black_box(cec::equivalent_random(&a16, &a16_opt, 4, 7))
     }));
@@ -150,7 +150,7 @@ fn main() {
     let sq12 = benchgen::square(12);
     ms.push(bench("migalg/optimize_square12", || {
         let mut m = black_box(&sq12).cleanup();
-        migalg::optimize(&mut m, 2, false);
+        migalg::optimize(&mut m, 2);
         m.num_gates()
     }));
 
@@ -169,7 +169,7 @@ fn main() {
     let a8_and = aig::to_mig(&aig::from_mig(&benchgen::adder(8)));
     ms.push(bench("fhash/inplace_T_adder8_and", || {
         let mut m = black_box(&a8_and).clone();
-        let stats = engine.pass(&mut m, fhash::Variant::TopDown, &mut None);
+        let stats = engine.pass(&mut m, fhash::Variant::TopDown, &mut None, 1);
         black_box(stats.replacements)
     }));
 
@@ -220,21 +220,48 @@ fn main() {
     // show it). The `_tfd` rows run the FFR-partitioned, depth-preserving
     // variant the `fhash!:TFD` pipelines use; `ci.sh` holds its @1 row
     // within a constant factor of the level-band @1 row.
+    //
+    // Production-scale corpus (ISSUE 8): the same convergence on the
+    // >100k-gate instance, at the same thread counts as the mult_big
+    // triple. Its @1 row feeds the CI ns/gate gate — per-gate cost on
+    // the large instance must stay within a constant factor of the
+    // medium one, or the storage layer has stopped being cache-conscious.
+    //
+    // Deep-graph commit row: the same convergence on deep control logic
+    // (119k gates, depth 2.6k), where every substitution lowers levels
+    // through a tall fanout cone. `ci.sh` holds its per-gate cost within
+    // a constant factor of `sched/mult_big@1`'s; per-substitution level
+    // walks would blow past it.
+    //
+    // Every row a `ci.sh` ratio gate compares is timed in one round-robin
+    // group, so a swing in host speed hits both sides of each ratio alike.
     let mult = mult_big_and();
-    for (label, variant, counts) in [
-        ("", fhash::Variant::TopDown, &[1usize, 4, 8][..]),
-        ("_tfd", fhash::Variant::TopDownFfrDepth, &[1, 4][..]),
+    let epfl = epfl_big();
+    let deep = ctrl_deep();
+    let converge = |m: &Mig, variant, threads| {
+        let mut m = black_box(m).clone();
+        let (stats, _) = engine.converge(&mut m, variant, threads);
+        stats.replacements as usize + m.num_gates()
+    };
+    let (t, tfd) = (fhash::Variant::TopDown, fhash::Variant::TopDownFfrDepth);
+    ms.extend(
+        bench_round_robin(&mut [
+            ("sched/mult_big@1", &mut || converge(mult, t, 1)),
+            ("sched/mult_big@4", &mut || converge(mult, t, 4)),
+            ("sched/mult_big_tfd@1", &mut || converge(mult, tfd, 1)),
+            ("fhash!/epfl_big@1", &mut || converge(epfl, t, 1)),
+            ("fhash!/ctrl_deep@1", &mut || converge(deep, t, 1)),
+        ])
+        .into_iter()
+        .map(Measurement::on_host_cores),
+    );
+    for (name, m, variant, threads) in [
+        ("sched/mult_big@8", mult, t, 8),
+        ("sched/mult_big_tfd@4", mult, tfd, 4),
+        ("fhash!/epfl_big@4", epfl, t, 4),
+        ("fhash!/epfl_big@8", epfl, t, 8),
     ] {
-        for &threads in counts {
-            ms.push(
-                bench(&format!("sched/mult_big{label}@{threads}"), || {
-                    let mut m = black_box(mult).clone();
-                    let (stats, _) = engine.converge(&mut m, variant, threads);
-                    black_box((stats.replacements, m.num_gates()))
-                })
-                .on_host_cores(),
-            );
-        }
+        ms.push(bench(name, || converge(m, variant, threads)).on_host_cores());
     }
 
     // Propose-kernel row (ISSUE 10): one full single-thread in-place
@@ -245,40 +272,7 @@ fn main() {
     ms.push(
         bench("fhash/propose_kernel_mult_big@1", || {
             let mut m = black_box(mult).clone();
-            let stats = engine.pass(&mut m, fhash::Variant::TopDown, &mut None);
-            black_box((stats.replacements, m.num_gates()))
-        })
-        .on_host_cores(),
-    );
-
-    // Production-scale corpus (ISSUE 8): the full event-driven
-    // convergence pipeline on the >100k-gate instance, at the same
-    // thread counts as the mult_big triple. This is the scaling row the
-    // CI ns/gate gate reads — per-gate cost on the large instance must
-    // stay within a constant factor of the medium one, or the storage
-    // layer has stopped being cache-conscious.
-    let epfl = epfl_big();
-    for threads in [1usize, 4, 8] {
-        ms.push(
-            bench(&format!("fhash!/epfl_big@{threads}"), || {
-                let mut m = black_box(epfl).clone();
-                let (stats, _) = engine.converge(&mut m, fhash::Variant::TopDown, threads);
-                black_box((stats.replacements, m.num_gates()))
-            })
-            .on_host_cores(),
-        );
-    }
-
-    // Deep-graph commit row: the same convergence on deep control logic
-    // (119k gates, depth 2.6k), where every substitution lowers levels
-    // through a tall fanout cone. `ci.sh` holds its per-gate cost within
-    // a constant factor of `sched/mult_big@1`'s; per-substitution level
-    // walks would blow past it.
-    let deep = ctrl_deep();
-    ms.push(
-        bench("fhash!/ctrl_deep@1", || {
-            let mut m = black_box(deep).clone();
-            let (stats, _) = engine.converge(&mut m, fhash::Variant::TopDown, 1);
+            let stats = engine.pass(&mut m, fhash::Variant::TopDown, &mut None, 1);
             black_box((stats.replacements, m.num_gates()))
         })
         .on_host_cores(),
@@ -305,7 +299,7 @@ fn main() {
         .map(|i| 0x9e37_79b9_7f4a_7c15u64.wrapping_mul(i as u64 + 1))
         .collect();
     let mut churned = epfl.clone();
-    let _ = engine.pass(&mut churned, fhash::Variant::TopDown, &mut None);
+    let _ = engine.pass(&mut churned, fhash::Variant::TopDown, &mut None, 1);
     let _ = churned.drain_dirty();
     let mut compacted = churned.clone();
     let _ = compacted.compact();

@@ -1,19 +1,14 @@
 //! Production-corpus acceptance gate: the >100k-gate instance must run
-//! through the full event-driven convergence pipeline bit-deterministic
-//! per thread count (identical netlist fingerprints across repeated
-//! runs at 1/2/4/8 workers, equal to the recorded ones) and equivalent
-//! to the input under random word-parallel simulation. Run by `ci.sh`;
-//! exits non-zero on any violation.
+//! through the full event-driven convergence pipeline to one netlist at
+//! every thread count (the recorded fingerprint at 1/2/4/8 workers, on
+//! repeated runs too) and equivalent to the input under random
+//! word-parallel simulation. Run by `ci.sh`; exits non-zero on any
+//! violation.
 
-/// [`mig::Mig::fingerprint`] of `fhash!:T@N` on `epfl_big`, per thread
-/// count. A change that moves these netlists on purpose updates this
-/// table and says so.
-const RECORDED: [(usize, u64); 4] = [
-    (1, 0xdccd_541f_1ade_efed),
-    (2, 0x72fd_a222_75b9_e1b0),
-    (4, 0x4da4_4a49_921b_1ee3),
-    (8, 0xad9d_4499_6a27_52bd),
-];
+/// [`mig::Mig::fingerprint`] of `fhash!:T` on `epfl_big`, the same at
+/// every thread count. A change that moves this netlist on purpose
+/// updates it and says so.
+const RECORDED: u64 = 0x120f_fd84_6fcc_5acd;
 
 fn main() {
     let epfl = bench_harness::workloads::epfl_big();
@@ -28,7 +23,7 @@ fn main() {
         "corpus instance below the 100k-gate floor"
     );
     let engine = fhash::FunctionalHashing::with_default_database();
-    for (threads, recorded) in RECORDED {
+    for threads in [1usize, 2, 4, 8] {
         let mut a = epfl.clone();
         let (stats_a, _) = engine.converge(&mut a, fhash::Variant::TopDown, threads);
         let fp = a.fingerprint();
@@ -40,7 +35,7 @@ fn main() {
             "@{threads}: nondeterministic netlist across repeated runs"
         );
         assert_eq!(
-            fp, recorded,
+            fp, RECORDED,
             "@{threads}: netlist moved off its recorded fingerprint"
         );
         assert_eq!(stats_a, stats_b, "@{threads}: counters drifted");

@@ -107,7 +107,7 @@ pub fn run_benchmark_mig(name: &str, base: &Mig, validate: bool) -> BenchRow {
     for v in PAPER_VARIANTS {
         let t0 = Instant::now();
         let mut opt = base.clone();
-        engine.pass(&mut opt, v, &mut None);
+        engine.pass(&mut opt, v, &mut None, 1);
         let runtime = t0.elapsed().as_secs_f64();
         if validate {
             assert!(

@@ -243,10 +243,10 @@ mod tests {
             let m = random_mig(&mut rng);
             let mut opt = m.clone();
             if case % 3 == 2 {
-                migalg::optimize(&mut opt, 4, false);
+                migalg::optimize(&mut opt, 4);
             } else {
                 let v = fhash::Variant::ALL[rng.usize_below(fhash::Variant::ALL.len())];
-                engine.pass(&mut opt, v, &mut None);
+                engine.pass(&mut opt, v, &mut None, 1);
             }
             let broken = mutant(&opt, &mut rng);
             for other in [opt, broken] {
@@ -290,9 +290,9 @@ mod tests {
         let m = benchgen::hypotenuse(8);
         let mut opt = m.clone();
         let engine = fhash_engine();
-        engine.pass(&mut opt, fhash::Variant::TopDownFfrDepth, &mut None);
-        migalg::optimize(&mut opt, 4, false);
-        engine.pass(&mut opt, fhash::Variant::BottomUp, &mut None);
+        engine.pass(&mut opt, fhash::Variant::TopDownFfrDepth, &mut None, 1);
+        migalg::optimize(&mut opt, 4);
+        engine.pass(&mut opt, fhash::Variant::BottomUp, &mut None, 1);
         assert!(equivalent_random(&m, &opt, 16, 3));
         for budget in [0, 1, 100] {
             let (verdict, stats) = sweep::prove(&m, &opt, Some(budget));
@@ -510,7 +510,7 @@ mod tests {
         let m = benchgen_adder_like();
         let e = fhash_engine();
         let mut opt = m.clone();
-        e.pass(&mut opt, fhash::Variant::BottomUpFfr, &mut None);
+        e.pass(&mut opt, fhash::Variant::BottomUpFfr, &mut None, 1);
         assert!(equivalent_random(&m, &opt, 8, 7));
         assert_eq!(prove_equivalent(&m, &opt, None), CecResult::Equivalent);
     }

@@ -17,12 +17,12 @@
 //! | Pass | Effect |
 //! |------|--------|
 //! | `strash`          | rebuild with structural hashing, drop dangling gates |
-//! | `algebraic[:N][@T]` | in-place algebraic size+depth script, at most N rounds (default 2); at T ≥ 2 refinement rounds of size and depth convergence follow |
+//! | `algebraic[:N]`   | in-place algebraic size+depth script, at most N rounds (default 2) |
 //! | `size`            | one in-place algebraic size-rewriting sweep (Ω.D right-to-left) |
 //! | `depth`           | one in-place algebraic depth-rewriting sweep (Ω.A / Ω.D) |
 //! | `size!`           | size sweeps repeated until no merge fires |
 //! | `depth!`          | depth sweeps repeated to the depth fixpoint |
-//! | `fhash:V[@N]`     | one in-place functional-hashing pass, V ∈ {T, TD, TF, TFD, B, BF}; at N ≥ 2 threads it runs the convergence scheduler, exactly like `fhash!:V@N` |
+//! | `fhash:V[@N]`     | one in-place functional-hashing pass, V ∈ {T, TD, TF, TFD, B, BF}; N threads spread the candidate preparation of B and BF |
 //! | `fhash!:V[@N]`    | functional hashing repeated until no replacement fires, over N worker threads |
 //! | `compact`         | renumber node slots densely in topological order ([`Mig::compact`]) |
 //! | `balance`         | AIG tree-height reduction round-trip |
@@ -31,22 +31,23 @@
 //! | `map[:k]`         | k-LUT mapping report (does not change the MIG) |
 //! | `stats`           | print the current size/depth |
 //!
-//! An `fhash` or `algebraic` pass without an explicit `@N` uses the
-//! pipeline's default thread count ([`run_pipeline_jobs`], the `migopt
-//! -j` flag); `@1` forces single-threaded proposing, and on `algebraic`
-//! skips the refinement rounds. The algebraic passes always run on the
-//! calling thread. Thread counts from outside — `@N`, `-j` and the `migd`
-//! job `threads` field — must lie in `1..=`[`MAX_THREADS`]. Every
-//! rewriting pass runs in place on the managed network, so consecutive
-//! `fhash` *and algebraic* passes share one incrementally maintained cut
-//! set: all consumers of the structural-change log — the carried cut
-//! set, the convergence scheduler, the converge re-scan frontiers — read
-//! it through their own cursors without draining it, so the set survives
-//! sharded and converge passes too. Only passes that rebuild the graph
-//! wholesale (`strash`, `balance`, `rewrite`) invalidate the shared set.
-//! Passes driven by the convergence scheduler (`fhash!`, `fhash:V@N` for
-//! N ≥ 2) report its event counters — regions proposed / skipped clean /
-//! retried — alongside the applied-move counts.
+//! Only `fhash` and `fhash!` take an `@N` thread suffix; without one they
+//! use the pipeline's default thread count ([`run_pipeline_jobs`], the
+//! `migopt -j` flag). The thread count changes the speed, never the
+//! netlist: one input and one pipeline give one result at every count.
+//! The algebraic passes always run on the calling thread. Thread counts
+//! from outside — `@N`, `-j` and the `migd` job `threads` field — must
+//! lie in `1..=`[`MAX_THREADS`]. Every rewriting pass runs in place on
+//! the managed network, so consecutive `fhash` *and algebraic* passes
+//! share one incrementally maintained cut set: all consumers of the
+//! structural-change log — the carried cut set, the convergence
+//! scheduler, the converge re-scan frontiers — read it through their own
+//! cursors without draining it, so the set survives converge passes too.
+//! Only passes that rebuild the graph wholesale (`strash`, `balance`,
+//! `rewrite`) invalidate the shared set. Passes driven by the
+//! convergence scheduler (`fhash!`) report its event counters — regions
+//! proposed / skipped clean / retried — alongside the applied-move
+//! counts.
 
 use mig::Mig;
 use std::fmt;
@@ -61,14 +62,10 @@ pub mod service;
 pub enum Pass {
     /// Rebuild with structural hashing and drop dangling nodes.
     Strash,
-    /// In-place algebraic optimization script with a round budget,
-    /// followed by refinement rounds when `threads` (`None`: the pipeline
-    /// default) is at least 2.
+    /// In-place algebraic optimization script with a round budget.
     Algebraic {
         /// Maximum script rounds.
         rounds: usize,
-        /// The `@T` suffix; `None` uses the pipeline default.
-        threads: Option<usize>,
     },
     /// A single in-place size-oriented algebraic sweep.
     SizeRewrite,
@@ -78,14 +75,12 @@ pub enum Pass {
     SizeConverge,
     /// Depth sweeps repeated to the depth fixpoint (`depth!`).
     DepthConverge,
-    /// One in-place functional-hashing pass with the given paper variant
-    /// (`threads` 1), or the convergence scheduler over `threads` ≥ 2
-    /// worker threads, exactly like [`Pass::FhashConverge`] (`None`: the
-    /// pipeline default).
+    /// One in-place functional-hashing pass with the given paper variant.
     Fhash {
         /// The paper variant.
         variant: fhash::Variant,
-        /// Worker threads (`@N` suffix); `None` uses the pipeline default.
+        /// Worker threads for the bottom-up variants' candidate
+        /// preparation (`@N` suffix); `None` uses the pipeline default.
         threads: Option<usize>,
     },
     /// Functional hashing repeated to convergence (no replacement fires
@@ -121,13 +116,7 @@ impl fmt::Display for Pass {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             Pass::Strash => write!(f, "strash"),
-            Pass::Algebraic { rounds, threads } => {
-                write!(f, "algebraic:{rounds}")?;
-                if let Some(t) = threads {
-                    write!(f, "@{t}")?;
-                }
-                Ok(())
-            }
+            Pass::Algebraic { rounds } => write!(f, "algebraic:{rounds}"),
             Pass::SizeRewrite => write!(f, "size"),
             Pass::DepthRewrite => write!(f, "depth"),
             Pass::SizeConverge => write!(f, "size!"),
@@ -210,13 +199,14 @@ pub fn parse_pipeline(s: &str) -> Result<Vec<Pass>, PipelineParseError> {
             Some((n, a)) => (n.trim(), Some(a.trim())),
             None => (text, None),
         };
-        // Optional `@T` thread suffix on the pass *name* (`algebraic@2`);
-        // `fhash` carries it on its variant argument instead
-        // (`fhash:T@4`).
+        // An `@T` thread suffix on the pass *name*: only `fhash` and
+        // `fhash!` accept one, there or on their variant argument
+        // (`fhash:T@4`); every other pass refuses it.
         let (name, mut name_threads) = match name.split_once('@') {
             None => (name, None),
             Some((n, t)) => (n.trim(), Some(parse_threads(t)?)),
         };
+        let no_threads = || err(format!("pass {name:?} takes no @N thread suffix"));
         let no_arg = |pass: Pass| -> Result<Pass, PipelineParseError> {
             match arg {
                 None => Ok(pass),
@@ -234,32 +224,14 @@ pub fn parse_pipeline(s: &str) -> Result<Vec<Pass>, PipelineParseError> {
             "rewrite" => no_arg(Pass::RewriteAig)?,
             "stats" => no_arg(Pass::Stats)?,
             "algebraic" => {
-                // The round budget may carry the thread suffix too
-                // (`algebraic:3@4`).
-                let (rounds, arg_threads) = match arg {
-                    None => (2, None),
-                    Some(a) => {
-                        let (rtext, t) = match a.split_once('@') {
-                            None => (a, None),
-                            Some((r, t)) => (r.trim(), Some(parse_threads(t)?)),
-                        };
-                        let rounds = if rtext.is_empty() {
-                            2
-                        } else {
-                            rtext.parse::<usize>().map_err(|_| {
-                                err(format!("round count must be a number, got {rtext:?}"))
-                            })?
-                        };
-                        (rounds, t)
-                    }
+                let rounds = match arg {
+                    None | Some("") => 2,
+                    Some(a) if a.contains('@') => return Err(no_threads()),
+                    Some(a) => a
+                        .parse::<usize>()
+                        .map_err(|_| err(format!("round count must be a number, got {a:?}")))?,
                 };
-                let threads = match (name_threads.take(), arg_threads) {
-                    (Some(_), Some(_)) => {
-                        return Err(err("duplicate @N thread suffix".to_string()));
-                    }
-                    (a, b) => a.or(b),
-                };
-                Pass::Algebraic { rounds, threads }
+                Pass::Algebraic { rounds }
             }
             "fhash" | "fhash!" => {
                 let Some(a) = arg else {
@@ -319,7 +291,7 @@ pub fn parse_pipeline(s: &str) -> Result<Vec<Pass>, PipelineParseError> {
             other => return Err(err(format!("unknown pass {other:?}"))),
         };
         if name_threads.is_some() {
-            return Err(err(format!("pass {name:?} takes no @N thread suffix")));
+            return Err(no_threads());
         }
         passes.push(pass);
     }
@@ -482,9 +454,9 @@ pub fn run_pipeline(input: &Mig, passes: &[Pass]) -> Result<(Mig, Vec<PassReport
     run_pipeline_jobs(input, passes, 1)
 }
 
-/// [`run_pipeline`] with a default thread count for the `fhash` and
-/// `algebraic` passes (the `migopt -j/--threads` flag). A pass's own `@N`
-/// suffix always wins over the default.
+/// [`run_pipeline`] with a default thread count for the `fhash` passes
+/// (the `migopt -j/--threads` flag). A pass's own `@N` suffix always wins
+/// over the default. The result is the same at every thread count.
 ///
 /// Consecutive `fhash` passes share one [`cuts::CutSet`]: it is
 /// enumerated on first use and afterwards only refreshed from the
@@ -544,11 +516,10 @@ pub fn run_pipeline_session(
                     cut_cache = None;
                     Note::Text(String::new())
                 }
-                Pass::Algebraic { rounds, threads } => {
+                Pass::Algebraic { rounds } => {
                     // The script only *appends* to the structural-change
                     // log, so the carried cut set stays refreshable.
-                    let refine = threads.unwrap_or(default_threads) >= 2;
-                    migalg::optimize(&mut cur, *rounds, refine);
+                    migalg::optimize(&mut cur, *rounds);
                     Note::Moves {
                         rounds: false,
                         moves: NoteMoves::Script,
@@ -589,16 +560,7 @@ pub fn run_pipeline_session(
                             .get_or_insert_with(fhash::FunctionalHashing::with_default_database),
                     };
                     let t = threads.unwrap_or(default_threads);
-                    if t <= 1 {
-                        e.pass(&mut cur, *variant, &mut cut_cache);
-                    } else {
-                        // At N >= 2 threads the pass runs the convergence
-                        // scheduler, exactly like `fhash!:V@N`. It peeks
-                        // the dirty log through cursors without draining
-                        // it, so the carried cut set's invalidation feed
-                        // survives (it re-syncs on its next refresh).
-                        e.converge(&mut cur, *variant, t);
-                    }
+                    e.pass(&mut cur, *variant, &mut cut_cache, t);
                     Note::Moves {
                         rounds: false,
                         moves: NoteMoves::Replacements,
@@ -611,9 +573,10 @@ pub fn run_pipeline_session(
                             .get_or_insert_with(fhash::FunctionalHashing::with_default_database),
                     };
                     let t = threads.unwrap_or(default_threads);
-                    // Like the sharded pass: nothing in the converge
-                    // driver drains the log, so the carried set stays
-                    // sound.
+                    // The scheduler peeks the dirty log through cursors
+                    // without draining it, so the carried cut set's
+                    // invalidation feed survives (it re-syncs on its next
+                    // refresh).
                     e.converge(&mut cur, *variant, t);
                     Note::Moves {
                         rounds: true,
@@ -730,13 +693,7 @@ mod tests {
         let p = parse_pipeline("strash; algebraic; fhash:TFD; fhash:B; cec").unwrap();
         assert_eq!(p.len(), 5);
         assert_eq!(p[0], Pass::Strash);
-        assert_eq!(
-            p[1],
-            Pass::Algebraic {
-                rounds: 2,
-                threads: None
-            }
-        );
+        assert_eq!(p[1], Pass::Algebraic { rounds: 2 });
         assert_eq!(
             p[2],
             Pass::Fhash {
@@ -777,10 +734,7 @@ mod tests {
         assert_eq!(
             parse_pipeline("algebraic:5 ; map:4; cec:1000").unwrap(),
             vec![
-                Pass::Algebraic {
-                    rounds: 5,
-                    threads: None
-                },
+                Pass::Algebraic { rounds: 5 },
                 Pass::Map { k: 4 },
                 Pass::Cec { budget: Some(1000) },
             ]
@@ -846,7 +800,7 @@ mod tests {
                 Pass::DepthRewrite,
             ]
         );
-        // The converge loops run on the calling thread: a thread suffix
+        // The algebraic passes run on the calling thread: a thread suffix
         // fails at its pass and names it.
         let e = parse_pipeline("size!@4; depth!@2").unwrap_err();
         assert_eq!((e.index, e.text.as_str()), (0, "size!@4"));
@@ -854,42 +808,34 @@ mod tests {
         let e = parse_pipeline("depth!; depth!@2").unwrap_err();
         assert_eq!((e.index, e.text.as_str()), (1, "depth!@2"));
         assert!(e.message.contains("\"depth!\" takes no @N"), "{e}");
+        let e = parse_pipeline("strash; algebraic@4").unwrap_err();
+        assert_eq!((e.index, e.text.as_str()), (1, "algebraic@4"));
+        assert!(e.message.contains("\"algebraic\" takes no @N"), "{e}");
+        let e = parse_pipeline("algebraic:3@4; strash").unwrap_err();
+        assert_eq!((e.index, e.text.as_str()), (0, "algebraic:3@4"));
+        assert!(e.message.contains("\"algebraic\" takes no @N"), "{e}");
         assert_eq!(
-            parse_pipeline("algebraic@4").unwrap(),
-            vec![Pass::Algebraic {
-                rounds: 2,
-                threads: Some(4)
-            }]
-        );
-        assert_eq!(
-            parse_pipeline("algebraic:3@4").unwrap(),
-            vec![Pass::Algebraic {
-                rounds: 3,
-                threads: Some(4)
-            }]
+            parse_pipeline("algebraic:3; algebraic:").unwrap(),
+            vec![Pass::Algebraic { rounds: 3 }, Pass::Algebraic { rounds: 2 }]
         );
         // Round-trip rendering.
         assert_eq!(parse_pipeline("size!").unwrap()[0].to_string(), "size!");
         assert_eq!(parse_pipeline("depth!").unwrap()[0].to_string(), "depth!");
         assert_eq!(
-            parse_pipeline("algebraic@4").unwrap()[0].to_string(),
-            "algebraic:2@4"
-        );
-        assert_eq!(
-            parse_pipeline("algebraic:3@4").unwrap()[0].to_string(),
-            "algebraic:3@4"
+            parse_pipeline("algebraic").unwrap()[0].to_string(),
+            "algebraic:2"
         );
         // Errors: bad thread suffixes and passes that take none.
         let e = parse_pipeline("size!@0").unwrap_err();
         assert!(e.message.contains("at least 1"));
-        let e = parse_pipeline("algebraic:x@2").unwrap_err();
+        let e = parse_pipeline("algebraic:x").unwrap_err();
         assert!(e.message.contains("round count"));
         let e = parse_pipeline("strash@2").unwrap_err();
         assert!(e.message.contains("takes no @N"));
         let e = parse_pipeline("size@2").unwrap_err();
         assert!(e.message.contains("takes no @N"));
         let e = parse_pipeline("algebraic@2:3@4").unwrap_err();
-        assert!(e.message.contains("duplicate @N"));
+        assert!(e.message.contains("takes no @N"));
         let e = parse_pipeline("fhash@2:T@4").unwrap_err();
         assert!(e.message.contains("duplicate @N"));
     }
@@ -991,8 +937,8 @@ mod tests {
 
     #[test]
     fn pipeline_runs_sharded_fhash_passes() {
-        // A redundant xor chain; the sharded passes must shrink it and
-        // stay SAT-provably equivalent.
+        // A redundant xor chain; passes with thread suffixes must shrink
+        // it and stay SAT-provably equivalent.
         let mut m = Mig::new(4);
         let (a, b, c, d) = (m.input(0), m.input(1), m.input(2), m.input(3));
         let x = m.xor(a, b);
@@ -1029,7 +975,7 @@ mod tests {
             fhash::Variant::TopDown,
             fhash::Variant::BottomUp,
         ] {
-            engine.pass(&mut fresh, v, &mut None);
+            engine.pass(&mut fresh, v, &mut None, 1);
         }
         assert_eq!(cached.num_gates(), fresh.num_gates());
         assert_eq!(cached.output_truth_tables(), fresh.output_truth_tables());
@@ -1037,7 +983,7 @@ mod tests {
 
     #[test]
     fn cut_cache_survives_a_scheduler_driven_pass() {
-        // A sharded pass between two serial fhash passes: the scheduler
+        // A converge pass between two serial fhash passes: the scheduler
         // peeks the dirty log without draining it, so the carried cut
         // set must still track every change — the pipeline's result has
         // to match running the passes with per-pass fresh enumeration.
@@ -1050,13 +996,13 @@ mod tests {
         let h = m.maj(g, y, ins[5]);
         m.add_output(h);
         m.add_output(z);
-        let passes = parse_pipeline("fhash:TF; fhash:T@3; fhash:T").unwrap();
+        let passes = parse_pipeline("fhash:TF; fhash!:T@3; fhash:T").unwrap();
         let (cached, _) = run_pipeline(&m, &passes).unwrap();
         let engine = fhash::FunctionalHashing::with_default_database();
         let mut fresh = m.clone();
-        engine.pass(&mut fresh, fhash::Variant::TopDownFfr, &mut None);
+        engine.pass(&mut fresh, fhash::Variant::TopDownFfr, &mut None, 1);
         engine.converge(&mut fresh, fhash::Variant::TopDown, 3);
-        engine.pass(&mut fresh, fhash::Variant::TopDown, &mut None);
+        engine.pass(&mut fresh, fhash::Variant::TopDown, &mut None, 1);
         assert_eq!(cached.num_gates(), fresh.num_gates());
         assert_eq!(cached.output_truth_tables(), fresh.output_truth_tables());
         assert_eq!(cached.output_truth_tables(), m.output_truth_tables());

@@ -41,9 +41,10 @@ OPTIONS:
     -p, --passes <spec>    ';'-separated pipeline, e.g.
                            \"strash; algebraic; fhash:TFD; fhash:B; cec\"
                            (default: \"stats\")
-    -j, --threads <N>      default thread count for fhash and algebraic
+    -j, --threads <N>      default thread count for fhash and fhash!
                            passes without an explicit @N suffix (default: 1;
-                           at most 256, like every @N)
+                           at most 256, like every @N); it changes the
+                           speed, never the result
     -q, --quiet            suppress per-pass reporting
         --trace <file>     record spans; .jsonl gets the JSONL event
                            stream, anything else Chrome trace-event JSON
@@ -64,9 +65,8 @@ OPTIONS:
 
 PASSES:
     strash  size  depth  size!  depth!
-    algebraic[:N][@T]  (N script rounds; at T >= 2 refinement rounds follow)
-    fhash:{T,TD,TF,TFD,B,BF}[@N] (one pass; at N >= 2 it runs the
-                                  convergence scheduler like fhash!:V@N)
+    algebraic[:N]  (N script rounds)
+    fhash:{T,TD,TF,TFD,B,BF}[@N] (one pass)
     fhash!:{T,TD,TF,TFD,B,BF}[@N] (repeat to convergence)
     compact  balance  rewrite  cec[:budget]  map[:k]  stats
 ";

@@ -39,13 +39,27 @@ pub fn result_cacheable(passes: &[Pass]) -> bool {
         })
 }
 
-/// Renders the job key a result record is stored under: the resolved
-/// pipeline plus the default thread count (a pass without `@N` resolves
-/// against it, so the same pipeline text at a different `-j` is a
-/// different job).
-fn job_pipeline_key(passes: &[Pass], default_threads: usize) -> String {
-    let rendered: Vec<String> = passes.iter().map(Pass::to_string).collect();
-    format!("{} #j{}", rendered.join("; "), default_threads)
+/// Renders the job key a result record is stored under: the pipeline
+/// without its thread counts. A pipeline gives the same netlist at every
+/// thread count, so a job run at one count serves the same job at any
+/// other.
+fn job_pipeline_key(passes: &[Pass]) -> String {
+    let rendered: Vec<String> = passes
+        .iter()
+        .map(|p| match *p {
+            Pass::Fhash { variant, .. } => Pass::Fhash {
+                variant,
+                threads: None,
+            },
+            Pass::FhashConverge { variant, .. } => Pass::FhashConverge {
+                variant,
+                threads: None,
+            },
+            ref other => other.clone(),
+        })
+        .map(|p| p.to_string())
+        .collect();
+    rendered.join("; ")
 }
 
 /// The result-tier key material of a job: a binary encoding of the
@@ -140,12 +154,12 @@ impl OptService {
     /// recomputed, never served); a miss runs the pipeline on the shared
     /// engine and installs the result.
     ///
-    /// Determinism: stored results were produced by the same resolved
-    /// pipeline at the same thread count on a structurally identical
-    /// input (both hashes plus the pipeline rendering match), and the
-    /// stored text is a fixed point of BLIF parse→write — so serving
-    /// from the cache yields the same output file a fresh run would
-    /// produce.
+    /// Determinism: stored results were produced by the same pipeline,
+    /// at some thread count, on a structurally identical input (both
+    /// hashes plus the pipeline rendering match); the pipeline's netlist
+    /// is the same at every thread count, and the stored text is a fixed
+    /// point of BLIF parse→write — so serving from the cache yields the
+    /// same output file a fresh run would produce.
     ///
     /// # Errors
     ///
@@ -160,7 +174,7 @@ impl OptService {
     ) -> Result<JobRun, PipelineError> {
         let mut keys = None;
         if result_cacheable(passes) {
-            let pipeline = job_pipeline_key(passes, default_threads.max(1));
+            let pipeline = job_pipeline_key(passes);
             let material = key_material(input, &pipeline);
             let key = fcache::fnv1a(fcache::FNV_BASIS, &material);
             let check = fcache::fnv1a(fcache::FNV_CHECK_BASIS, &material);
@@ -317,9 +331,13 @@ mod tests {
     }
 
     #[test]
-    fn pipeline_key_resolves_thread_default() {
-        let p = parse_pipeline("fhash!:T; strash").unwrap();
-        assert_eq!(job_pipeline_key(&p, 4), "fhash!:T; strash #j4");
-        assert_ne!(job_pipeline_key(&p, 4), job_pipeline_key(&p, 1));
+    fn pipeline_key_carries_no_thread_count() {
+        let p = parse_pipeline("fhash!:T@4; strash; fhash:B@2; algebraic").unwrap();
+        assert_eq!(
+            job_pipeline_key(&p),
+            "fhash!:T; strash; fhash:B; algebraic:2"
+        );
+        let q = parse_pipeline("fhash!:T; strash; fhash:B; algebraic:2").unwrap();
+        assert_eq!(job_pipeline_key(&p), job_pipeline_key(&q));
     }
 }

@@ -532,6 +532,36 @@ fn repeat_jobs_hit_the_result_tier_and_cec_jobs_rerun() {
 }
 
 #[test]
+fn a_job_at_one_thread_count_serves_the_same_job_at_others() {
+    // A pipeline gives one netlist at every thread count, so the result
+    // cache keys a job by its input and pipeline alone: the record a
+    // `threads: 1` job stores serves the same job at `threads: 2`, and
+    // a pipeline spelled with `@N` suffixes, byte for byte.
+    let _serial = lock();
+    let (socket, handle) = start_daemon("jx", 1, None);
+    let input = io::read_mig_path(benchmarks_dir().join("mult4.aig")).unwrap();
+    let (one, _) = submit_captured(
+        &socket,
+        &blif_job("x1", &input, "strash; fhash!:TFD; fhash!:B", 1),
+    );
+    assert!(one.outcome.ok && !one.outcome.cached);
+    for (id, pipeline, threads) in [
+        ("x2", "strash; fhash!:TFD; fhash!:B", 2),
+        ("x4", "strash; fhash!:TFD@4; fhash!:B@4", 1),
+    ] {
+        let (other, stream) = submit_captured(&socket, &blif_job(id, &input, pipeline, threads));
+        assert!(other.outcome.ok, "{id}");
+        assert!(
+            other.outcome.cached,
+            "{id}: not served from the threads: 1 record"
+        );
+        assert!(stream.contains("\"cached\":true"), "{id}: {stream}");
+        assert_eq!(other.outcome.circuit, one.outcome.circuit, "{id}");
+    }
+    stop_daemon(&socket, handle);
+}
+
+#[test]
 fn concurrent_clients_on_the_same_netlist_get_identical_circuits() {
     let _serial = lock();
     let cache = tmp("dmn_conc.cache");

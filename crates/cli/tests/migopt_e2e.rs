@@ -83,13 +83,13 @@ fn sharded_fhash_acceptance_on_all_benchmarks() {
     // ISSUE 3 acceptance: on every checked-in benchmark, every variant of
     // the sharded engine at 4 threads is SAT-proved CEC-equivalent to
     // the input, reaches gate counts no worse than the serial in-place
-    // engine, and is bit-deterministic for a fixed thread count.
+    // engine, and is bit-deterministic.
     let engine = fhash::FunctionalHashing::with_default_database();
     for name in ["full_adder.aag", "adder8.aag", "mult4.aig", "adder4.blif"] {
         let m = io::read_mig_path(benchmarks_dir().join(name)).unwrap();
         for v in fhash::Variant::ALL {
             let mut serial = m.clone();
-            engine.pass(&mut serial, v, &mut None);
+            engine.pass(&mut serial, v, &mut None, 1);
             let mut sharded = m.clone();
             engine.converge(&mut sharded, v, 4);
             assert!(
@@ -148,45 +148,27 @@ fn event_driven_converge_never_worse_than_round_based_drivers() {
 #[test]
 fn pipelines_keep_their_recorded_qor_on_all_benchmarks() {
     // Quality of results pinned as recorded literals: (gates, depth)
-    // after each pipeline at its default thread count. A change that
-    // moves QoR on purpose updates this table and says so. The last two
-    // pipelines pin both sides of the `algebraic@T` refinement switch.
-    const PIPELINES: [(&str, usize); 6] = [
-        ("strash; fhash!:TFD; algebraic; fhash!:B", 1),
-        ("strash; fhash!:TFD; algebraic; fhash!:B", 2),
-        ("strash; fhash:TF; fhash:T; fhash:B", 1),
-        ("strash; fhash:T@2; fhash:B@2", 1),
-        ("strash; size!; depth!; algebraic:3@2", 1),
-        ("strash; size!; depth!; algebraic:3@1", 1),
+    // after each pipeline. A pipeline gives one netlist at every thread
+    // count, so one value per pipeline covers them all. A change that
+    // moves QoR on purpose updates this table and says so.
+    const PIPELINES: [&str; 4] = [
+        "strash; fhash!:TFD; algebraic; fhash!:B",
+        "strash; fhash:TF; fhash:T; fhash:B",
+        "strash; fhash!:T; fhash!:B",
+        "strash; size!; depth!; algebraic:3",
     ];
-    let recorded: [(&str, [(usize, u32); 6]); 4] = [
-        (
-            "full_adder.aag",
-            [(3, 2), (3, 2), (3, 2), (3, 2), (7, 4), (7, 4)],
-        ),
-        (
-            "adder8.aag",
-            [(24, 9), (24, 9), (24, 9), (24, 9), (49, 12), (54, 12)],
-        ),
-        (
-            "mult4.aig",
-            [(52, 12), (52, 12), (54, 13), (52, 12), (122, 23), (122, 23)],
-        ),
-        (
-            "adder4.blif",
-            [(12, 5), (12, 5), (12, 5), (12, 5), (12, 5), (12, 5)],
-        ),
+    let recorded: [(&str, [(usize, u32); 4]); 4] = [
+        ("full_adder.aag", [(3, 2), (3, 2), (3, 2), (7, 4)]),
+        ("adder8.aag", [(24, 9), (24, 9), (24, 9), (54, 12)]),
+        ("mult4.aig", [(52, 12), (54, 13), (52, 12), (122, 23)]),
+        ("adder4.blif", [(12, 5), (12, 5), (12, 5), (12, 5)]),
     ];
     for (name, want) in recorded {
         let m = io::read_mig_path(benchmarks_dir().join(name)).unwrap();
-        for (&(spec, threads), want) in PIPELINES.iter().zip(want) {
+        for (spec, want) in PIPELINES.into_iter().zip(want) {
             let passes = parse_pipeline(spec).unwrap();
-            let (opt, _) = run_pipeline_jobs(&m, &passes, threads).unwrap();
-            assert_eq!(
-                (opt.num_gates(), opt.depth()),
-                want,
-                "{name}: {spec:?} at {threads} default thread(s)"
-            );
+            let (opt, _) = run_pipeline(&m, &passes).unwrap();
+            assert_eq!((opt.num_gates(), opt.depth()), want, "{name}: {spec:?}");
         }
     }
 }
@@ -198,32 +180,72 @@ fn scheduler_pipelines_keep_their_recorded_netlists() {
     // way (in the fhash passes; the algebraic row pins the serial
     // engine between them). A change that moves a netlist on purpose
     // updates this table and says so.
-    let recorded: [(&str, usize, u64); 6] = [
-        ("fhash!:TFD; algebraic; fhash!:B", 1, 0xc50c_8e66_456d_ca04),
-        ("fhash!:TFD; algebraic; fhash!:B", 2, 0xdcf0_5114_6c75_c6af),
-        ("fhash!:TFD; algebraic; fhash!:B", 4, 0xeaf0_44de_c929_68d9),
-        ("fhash:T@2; fhash:B@2", 1, 0xdcf0_5114_6c75_c6af),
-        ("size!; depth!; algebraic:3@2", 1, 0x0c23_a100_78a1_175a),
-        ("fhash!:BF@4", 1, 0x9c51_ec62_6489_946f),
+    let recorded: [(&str, u64); 4] = [
+        ("fhash!:TFD; algebraic; fhash!:B", 0xeaf0_44de_c929_68d9),
+        ("fhash!:T; fhash!:B", 0xf5fc_630f_106e_4c00),
+        ("size!; depth!; algebraic:3", 0x0c23_a100_78a1_175a),
+        ("fhash!:BF", 0xbb7b_0aa4_2f81_bb39),
     ];
     // `gen_bench mult:8`: the multiplier AND-expanded, 8 bits wide.
     let m = aig::to_mig(&aig::from_mig(&benchgen::multiplier(8)));
     let (mut repartitions, mut compactions) = (0, 0);
-    for (spec, threads, want) in recorded {
+    for (spec, want) in recorded {
         let passes = parse_pipeline(spec).unwrap();
-        let (opt, reports) = run_pipeline_jobs(&m, &passes, threads).unwrap();
+        let (opt, reports) = run_pipeline(&m, &passes).unwrap();
         for r in &reports {
             repartitions += r.metrics.get(obs::Metric::SchedRepartitions);
             compactions += r.metrics.get(obs::Metric::SchedCompactions);
         }
-        assert_eq!(
-            opt.fingerprint(),
-            want,
-            "{spec:?} at {threads} default thread(s)"
-        );
+        assert_eq!(opt.fingerprint(), want, "{spec:?}");
     }
     assert!(repartitions >= 2, "{repartitions} re-partitions");
     assert!(compactions >= 1, "{compactions} compactions");
+}
+
+#[test]
+fn one_netlist_per_pipeline_at_every_thread_count() {
+    // The thread count changes the speed, never the netlist: every
+    // pipeline gives one `Mig::fingerprint` per input at -j 1, 2, 4, 8
+    // and 16, on the checked-in benchmarks and two generated instances
+    // large enough to partition (`gen_bench mult:8` and
+    // `ctrl:8:16:15:3`, both AND-expanded).
+    let mut pipelines = vec![
+        "fhash!:TFD; algebraic; fhash!:B".to_string(),
+        "strash; size!; depth!; algebraic:3".to_string(),
+    ];
+    for v in fhash::Variant::ALL {
+        pipelines.push(format!("fhash!:{v}"));
+        pipelines.push(format!("fhash:{v}"));
+    }
+    let mut inputs: Vec<(String, mig::Mig)> =
+        ["full_adder.aag", "adder8.aag", "mult4.aig", "adder4.blif"]
+            .into_iter()
+            .map(|name| {
+                let m = io::read_mig_path(benchmarks_dir().join(name)).unwrap();
+                (name.to_string(), m)
+            })
+            .collect();
+    let and_expanded = |m: &mig::Mig| aig::to_mig(&aig::from_mig(m));
+    inputs.push(("mult:8".into(), and_expanded(&benchgen::multiplier(8))));
+    inputs.push((
+        "ctrl:8:16:15:3".into(),
+        and_expanded(&benchgen::random_control(8, 16, 15, 3)),
+    ));
+    for (name, m) in &inputs {
+        for spec in &pipelines {
+            let passes = parse_pipeline(spec).unwrap();
+            let mut at_one = None;
+            for threads in [1usize, 2, 4, 8, 16] {
+                let (opt, _) = run_pipeline_jobs(m, &passes, threads).unwrap();
+                let want = *at_one.get_or_insert(opt.fingerprint());
+                assert_eq!(
+                    opt.fingerprint(),
+                    want,
+                    "{name}: {spec:?} at -j {threads} differs from -j 1"
+                );
+            }
+        }
+    }
 }
 
 #[test]
@@ -234,21 +256,14 @@ fn algebraic_pipelines_keep_their_recorded_netlists() {
     // fingerprints were recorded with levels kept exact after every
     // substitution. A change that moves a netlist on purpose updates
     // this table and says so.
-    const PIPELINES: [&str; 5] = [
-        "size!",
-        "depth!",
-        "algebraic:3@1",
-        "algebraic:3@2",
-        "size; depth; size",
-    ];
-    let recorded: [(&str, [u64; 5]); 5] = [
-        ("full_adder.aag", [0x4077_1315_d12c_cc68; 5]),
+    const PIPELINES: [&str; 4] = ["size!", "depth!", "algebraic:3", "size; depth; size"];
+    let recorded: [(&str, [u64; 4]); 5] = [
+        ("full_adder.aag", [0x4077_1315_d12c_cc68; 4]),
         (
             "adder8.aag",
             [
                 0xacc2_f609_feb3_7992,
                 0x1632_152b_cd65_0182,
-                0x7935_794b_4bed_7d18,
                 0x7935_794b_4bed_7d18,
                 0x7935_794b_4bed_7d18,
             ],
@@ -259,17 +274,15 @@ fn algebraic_pipelines_keep_their_recorded_netlists() {
                 0xd7c8_c529_2fdd_1070,
                 0x42de_a200_c438_bd1f,
                 0xd7c8_c529_2fdd_1070,
-                0xd7c8_c529_2fdd_1070,
                 0x1894_e1d3_21d1_a1f1,
             ],
         ),
-        ("adder4.blif", [0x31ff_2256_d4d7_cc64; 5]),
+        ("adder4.blif", [0x31ff_2256_d4d7_cc64; 4]),
         (
             "gen:ctrl:8:6:150:7",
             [
                 0x9d49_f6e9_70a3_b46e,
                 0x3190_0bda_52be_af65,
-                0x9d49_f6e9_70a3_b46e,
                 0x9d49_f6e9_70a3_b46e,
                 0x5913_030e_bfbc_6682,
             ],
@@ -320,46 +333,11 @@ fn sharded_pipelines_prove_equivalence_on_all_benchmarks() {
     // an in-pipeline SAT equivalence check on every benchmark.
     for name in ["full_adder.aag", "adder8.aag", "mult4.aig", "adder4.blif"] {
         let m = io::read_mig_path(benchmarks_dir().join(name)).unwrap();
-        let passes = parse_pipeline("strash; fhash:TF@4; fhash:B@4; cec").unwrap();
+        let passes = parse_pipeline("strash; fhash!:TF@4; fhash!:B@4; cec").unwrap();
         let (opt, reports) = run_pipeline(&m, &passes)
             .unwrap_or_else(|e| panic!("{name}: sharded pipeline not equivalent: {e}"));
         assert!(reports[3].note.contains("equivalent"), "{name}");
         assert!(opt.num_gates() <= m.cleanup().num_gates(), "{name}: grew");
-    }
-}
-
-#[test]
-fn refined_algebraic_acceptance_on_all_benchmarks() {
-    // The script with and without its refinement rounds (`algebraic@1`
-    // and `algebraic@N`, N >= 2) is SAT-proved CEC-equivalent, never
-    // worse than the unrefined script, and bit-deterministic.
-    for name in ["full_adder.aag", "adder8.aag", "mult4.aig", "adder4.blif"] {
-        let m = io::read_mig_path(benchmarks_dir().join(name)).unwrap();
-        let mut serial = m.cleanup();
-        migalg::optimize(&mut serial, 8, false);
-        for refine in [false, true] {
-            let mut opt = m.cleanup();
-            migalg::optimize(&mut opt, 8, refine);
-            assert!(
-                migalg::script_metric(&opt) <= migalg::script_metric(&serial),
-                "{name} refine={refine}: {:?} worse than the script {:?}",
-                migalg::script_metric(&opt),
-                migalg::script_metric(&serial)
-            );
-            assert_eq!(
-                cec::prove_equivalent(&m, &opt, None),
-                cec::CecResult::Equivalent,
-                "{name} refine={refine}: script result not equivalent"
-            );
-            // Determinism: a second run builds the identical netlist.
-            let mut again = m.cleanup();
-            migalg::optimize(&mut again, 8, refine);
-            assert_eq!(
-                again.fingerprint(),
-                opt.fingerprint(),
-                "{name} refine={refine}: nondeterministic netlist"
-            );
-        }
     }
 }
 
@@ -373,7 +351,7 @@ fn interleaved_algebraic_fhash_pipelines_prove_equivalence() {
         let m = io::read_mig_path(benchmarks_dir().join(name)).unwrap();
         for spec in [
             "size!; fhash!:B@2; depth!; cec",
-            "strash; algebraic@2; fhash:TFD; cec",
+            "strash; algebraic; fhash:TFD; cec",
             "depth; fhash:T; size; fhash:B; cec",
         ] {
             let passes = parse_pipeline(spec).unwrap();
@@ -456,7 +434,7 @@ fn compact_is_sat_proved_equivalent_after_churn() {
     for name in ["adder8.aag", "mult4.aig", "adder4.blif"] {
         let m = io::read_mig_path(benchmarks_dir().join(name)).unwrap();
         let mut churned = m.clone();
-        engine.pass(&mut churned, fhash::Variant::TopDown, &mut None);
+        engine.pass(&mut churned, fhash::Variant::TopDown, &mut None, 1);
         let _ = churned.drain_dirty();
         let map = churned.compact();
         assert_eq!(
@@ -516,16 +494,21 @@ fn binary_rejects_bad_pipeline_and_missing_file() {
     assert_eq!(r.status.code(), Some(1));
     assert!(String::from_utf8_lossy(&r.stderr).contains("unknown pass"));
 
-    // The converge loops take no thread suffix.
-    let r = Command::new(env!("CARGO_BIN_EXE_migopt"))
-        .arg("-i")
-        .arg(benchmarks_dir().join("full_adder.aag"))
-        .args(["-p", "size!@2"])
-        .output()
-        .unwrap();
-    assert_eq!(r.status.code(), Some(1));
-    let stderr = String::from_utf8_lossy(&r.stderr);
-    assert!(stderr.contains("\"size!\" takes no @N"), "{stderr}");
+    // The algebraic passes take no thread suffix.
+    for (spec, pass) in [("size!@2", "size!"), ("algebraic:3@2", "algebraic")] {
+        let r = Command::new(env!("CARGO_BIN_EXE_migopt"))
+            .arg("-i")
+            .arg(benchmarks_dir().join("full_adder.aag"))
+            .args(["-p", spec])
+            .output()
+            .unwrap();
+        assert_eq!(r.status.code(), Some(1));
+        let stderr = String::from_utf8_lossy(&r.stderr);
+        assert!(
+            stderr.contains(&format!("{pass:?} takes no @N")),
+            "{stderr}"
+        );
+    }
 
     let r = Command::new(env!("CARGO_BIN_EXE_migopt"))
         .arg("-i")

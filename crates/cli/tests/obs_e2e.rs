@@ -67,22 +67,20 @@ fn registry_reconstructed_stats_match_engine_returns() {
 
         let mut opt = m.clone();
         let (stats, delta) =
-            obs::metrics::scoped(|| engine.pass(&mut opt, fhash::Variant::TopDown, &mut None));
+            obs::metrics::scoped(|| engine.pass(&mut opt, fhash::Variant::TopDown, &mut None, 1));
         assert_eq!(
             fhash::FhStats::from_delta(&delta),
             stats,
             "{name}: FhStats diverges from its registry delta"
         );
 
-        for refine in [false, true] {
-            let mut alg = m.cleanup();
-            let (stats, delta) = obs::metrics::scoped(|| migalg::optimize(&mut alg, 4, refine));
-            assert_eq!(
-                migalg::AlgStats::from_delta(&delta),
-                stats,
-                "{name} refine={refine}: AlgStats diverges from its registry delta"
-            );
-        }
+        let mut alg = m.cleanup();
+        let (stats, delta) = obs::metrics::scoped(|| migalg::optimize(&mut alg, 4));
+        assert_eq!(
+            migalg::AlgStats::from_delta(&delta),
+            stats,
+            "{name}: AlgStats diverges from its registry delta"
+        );
     }
 }
 

@@ -39,7 +39,7 @@
 //!
 //! let want = m.output_truth_tables();
 //! let engine = FunctionalHashing::with_default_database();
-//! engine.pass(&mut m, Variant::TopDown, &mut None);
+//! engine.pass(&mut m, Variant::TopDown, &mut None, 1);
 //! assert_eq!(m.num_gates(), 3);
 //! assert_eq!(m.output_truth_tables(), want);
 //! ```
@@ -185,8 +185,8 @@ impl FunctionalHashing {
         FunctionalHashing { classes }
     }
 
-    /// One in-place pass of `variant` over `mig` (the `fhash:V` pipeline
-    /// pass). Cut replacements are local substitutions on the managed
+    /// One in-place pass of `variant` over `mig` (the `fhash:V[@N]`
+    /// pipeline pass). Cut replacements are local substitutions on the managed
     /// network (fanout patching, strash-consistent rehash, recursive
     /// dereference), so a single replacement costs O(affected region)
     /// instead of an O(n) rebuild. Dangling cones are swept before
@@ -205,16 +205,12 @@ impl FunctionalHashing {
     /// the set's own cursor and re-enumerates only the invalidated
     /// lists). On return the set is consistent with the optimized graph
     /// up to the final sweep, whose dirt the next refresh consumes.
-    pub fn pass(&self, mig: &mut Mig, variant: Variant, cuts: &mut Option<CutSet>) -> FhStats {
-        self.pass_threads(mig, variant, cuts, 1)
-    }
-
-    /// [`FunctionalHashing::pass`] with a worker-thread count for the
-    /// bottom-up variants' candidate preparation (cut canonization and
-    /// database lookup fan out over worker threads; the materializing DP
-    /// walk stays serial). The top-down variants ignore the count, and
-    /// the result is bit-identical at every count.
-    pub(crate) fn pass_threads(
+    ///
+    /// `threads` spreads the bottom-up variants' candidate preparation
+    /// (cut canonization and database lookup) over worker threads; the
+    /// materializing DP walk stays serial. The top-down variants ignore
+    /// the count, and the result is bit-identical at every count.
+    pub fn pass(
         &self,
         mig: &mut Mig,
         variant: Variant,
@@ -239,7 +235,7 @@ impl FunctionalHashing {
     }
 
     /// Runs `variant` to convergence on `threads` worker threads (the
-    /// `fhash!:V[@N]` pipeline pass, and `fhash:V@N` for N ≥ 2).
+    /// `fhash!:V[@N]` pipeline pass).
     ///
     /// The event-driven convergence scheduler partitions the graph into
     /// regions (FFR forest for the FFR-restricted variants, level bands
@@ -256,10 +252,12 @@ impl FunctionalHashing {
     /// gate count stops shrinking (a round that fails to shrink is rolled
     /// back).
     ///
-    /// The result is deterministic for a fixed graph and thread count,
-    /// and functionally equivalent to the input. Returns the statistics
-    /// and the rounds run: scheduler steps, or serial rounds on a graph
-    /// too small to partition.
+    /// The result is deterministic for a fixed graph and the same at every
+    /// thread count (the partition and the commit order read the graph
+    /// alone; threads only spread the analysis), and functionally
+    /// equivalent to the input. Returns the statistics and the rounds
+    /// run: scheduler steps, or serial rounds on a graph too small to
+    /// partition.
     pub fn converge(&self, mig: &mut Mig, variant: Variant, threads: usize) -> (FhStats, usize) {
         let (stats, rounds) = shard::converge(self, mig, variant, threads.max(1));
         obs::metrics::add(obs::Metric::FhRounds, rounds as u64);
@@ -290,7 +288,7 @@ impl FunctionalHashing {
                 // publishes everything, a terminal round (no-op or rolled
                 // back) keeps only its event history — outcome counters
                 // vanish with the undone work, profiling totals stay.
-                let (stats, round) = obs::metrics::scoped(|| self.pass(mig, variant, &mut None));
+                let (stats, round) = obs::metrics::scoped(|| self.pass(mig, variant, &mut None, 1));
                 rounds += 1;
                 if stats.replacements == 0 {
                     round.publish_history();
@@ -323,7 +321,7 @@ mod tests {
     /// One pass of `v` on a copy of `m`.
     fn run_with_stats(e: &FunctionalHashing, m: &Mig, v: Variant) -> (Mig, FhStats) {
         let mut opt = m.clone();
-        let stats = e.pass(&mut opt, v, &mut None);
+        let stats = e.pass(&mut opt, v, &mut None, 1);
         (opt, stats)
     }
 
@@ -529,7 +527,7 @@ mod tests {
                 let mut fixed = read_benchmark(name);
                 e.run_converge_serial(&mut fixed, v);
                 let mut probe = fixed.clone();
-                if obs::metrics::muted(|| e.pass(&mut probe, v, &mut None)).replacements > 0 {
+                if obs::metrics::muted(|| e.pass(&mut probe, v, &mut None, 1)).replacements > 0 {
                     rolled_back += 1;
                 }
                 let mut again = fixed.clone();

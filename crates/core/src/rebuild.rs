@@ -266,7 +266,7 @@ mod tests {
             for v in Variant::ALL {
                 let rebuild = engine().run_rebuild(&m, v);
                 let mut inplace = m.clone();
-                engine().pass(&mut inplace, v, &mut None);
+                engine().pass(&mut inplace, v, &mut None, 1);
                 assert_eq!(
                     inplace.output_truth_tables(),
                     want,
@@ -306,7 +306,7 @@ mod tests {
             let mut inplace = m.clone();
             let mut rebuild = m.clone();
             for &v in &seq {
-                engine().pass(&mut inplace, v, &mut None);
+                engine().pass(&mut inplace, v, &mut None, 1);
                 rebuild = engine().run_rebuild(&rebuild, v);
             }
             assert_eq!(
@@ -333,7 +333,7 @@ mod tests {
             for v in Variant::ALL {
                 let rebuild = engine().run_rebuild(&m, v);
                 let mut inplace = m.clone();
-                engine().pass(&mut inplace, v, &mut None);
+                engine().pass(&mut inplace, v, &mut None, 1);
                 assert!(
                     inplace.num_gates() <= rebuild.num_gates(),
                     "{name}/{v}: in-place {} > rebuild {}",

@@ -36,9 +36,9 @@
 //!   serial polish at the end — never worse than the serial engine on
 //!   any input.
 //!
-//! Determinism: fixed input + thread count ⇒ bit-identical netlist (a
-//! scheduler property — queue order and commit order are independent of
-//! worker scheduling).
+//! Determinism: a fixed input gives one bit-identical netlist at every
+//! thread count (a scheduler property — the partition, the queue order
+//! and the commit order read the graph alone, never the workers).
 
 use crate::common::{cut_is_fanout_legal, internal_nodes, select_best_cut, Replacement};
 use crate::{FhStats, FunctionalHashing, Variant, ALLOWED_DEPTH_INCREASE};
@@ -298,7 +298,7 @@ impl ProposeEngine for RegionEngine<'_> {
         // conflict check or never shrink), so its metrics are muted; the
         // scheduler records the committed outcome.
         let mut opt = sub;
-        obs::metrics::muted(|| self.engine.pass(&mut opt, self.variant, &mut None));
+        obs::metrics::muted(|| self.engine.pass(&mut opt, self.variant, &mut None, 1));
         let gain = view.members.len() as i64 - opt.num_gates() as i64;
         if gain < 1 {
             return Vec::new();
@@ -382,9 +382,7 @@ impl ProposeEngine for RegionEngine<'_> {
         // for no benefit) — run the serial engine directly. This also
         // makes small-graph sharded bottom-up bit-identical to the
         // serial path.
-        let stats = self
-            .engine
-            .pass_threads(mig, self.variant, &mut None, self.threads);
+        let stats = self.engine.pass(mig, self.variant, &mut None, self.threads);
         Some((stats.replacements, stats.estimated_gain))
     }
 }
@@ -432,11 +430,8 @@ pub(crate) fn converge(
             // smaller) quiescent graph to recover combinations the region
             // boundaries hid — never worse than the serial engine on any
             // input.
-            let mut baseline = |m: &mut Mig| {
-                engine
-                    .pass_threads(m, variant, &mut None, threads)
-                    .replacements
-            };
+            let mut baseline =
+                |m: &mut Mig| engine.pass(m, variant, &mut None, threads).replacements;
             run_scheduled_converge(
                 mig,
                 &mut RegionEngine {
@@ -677,7 +672,7 @@ mod tests {
         assert!(stats.replacements > 0);
         assert_eq!(sharded.output_truth_tables(), want);
         let mut serial = m.clone();
-        e.pass(&mut serial, Variant::TopDown, &mut None);
+        e.pass(&mut serial, Variant::TopDown, &mut None, 1);
         assert!(sharded.num_gates() <= serial.num_gates());
         sharded.debug_check();
     }

@@ -7,14 +7,11 @@ use fhash::{FunctionalHashing, Variant};
 use mig::{Mig, Signal};
 use testrand::Rng;
 
-/// What the `fhash:V@N` pipeline pass runs: one serial pass at one
-/// thread, the convergence scheduler from two threads on.
+/// What `fhash:V@N; fhash!:V@N` runs: one pass, then the convergence
+/// scheduler.
 fn fhash_at(e: &FunctionalHashing, m: &mut Mig, v: Variant, threads: usize) {
-    if threads <= 1 {
-        e.pass(m, v, &mut None);
-    } else {
-        e.converge(m, v, threads);
-    }
+    e.pass(m, v, &mut None, threads);
+    e.converge(m, v, threads);
 }
 
 fn random_build(rng: &mut Rng, num_inputs: usize, num_steps: usize, outs: usize) -> Mig {

@@ -49,7 +49,7 @@ fn convergence_never_worse_than_single_pass() {
         let want = m.output_truth_tables();
         for v in [Variant::TopDown, Variant::BottomUp] {
             let mut single = m.clone();
-            engine().pass(&mut single, v, &mut None);
+            engine().pass(&mut single, v, &mut None, 1);
             let mut conv = m.clone();
             let (_, rounds) = engine().converge(&mut conv, v, 1);
             assert!((1..=50).contains(&rounds), "case {case}: {rounds} rounds");
@@ -106,7 +106,7 @@ fn inplace_results_pass_managed_network_audit() {
         let m = random_build(&mut rng, ni, steps, 2);
         for v in Variant::ALL {
             let mut opt = m.clone();
-            engine().pass(&mut opt, v, &mut None);
+            engine().pass(&mut opt, v, &mut None, 1);
             opt.debug_check();
             // No dangling gates survive the pass's sweep: every gate is
             // referenced, transitively, from some output.

@@ -18,7 +18,7 @@ fn engine() -> &'static FunctionalHashing {
 /// One pass of `v` on a copy of `m`.
 fn run(m: &Mig, v: Variant) -> Mig {
     let mut opt = m.clone();
-    engine().pass(&mut opt, v, &mut None);
+    engine().pass(&mut opt, v, &mut None, 1);
     opt
 }
 

@@ -1,8 +1,8 @@
 //! Properties of the sharded propose/commit engine: functional
 //! equivalence with the serial in-place engine, gate counts no worse
-//! than serial, bit-determinism for a fixed seed and thread count, and a
-//! SAT-proved spot check on an instance too wide for exhaustive
-//! simulation.
+//! than serial, one bit-identical netlist per input at every thread
+//! count, and a SAT-proved spot check on an instance too wide for
+//! exhaustive simulation.
 //!
 //! (Randomized with the workspace's deterministic `testrand` generator —
 //! the container has no network access for a `proptest` dependency.)
@@ -15,16 +15,6 @@ use testrand::Rng;
 fn engine() -> &'static FunctionalHashing {
     static ENGINE: OnceLock<FunctionalHashing> = OnceLock::new();
     ENGINE.get_or_init(FunctionalHashing::with_default_database)
-}
-
-/// What the `fhash:V@N` pipeline pass runs: one serial pass at one
-/// thread, the convergence scheduler from two threads on.
-fn fhash_at(m: &mut Mig, v: Variant, threads: usize) {
-    if threads <= 1 {
-        engine().pass(m, v, &mut None);
-    } else {
-        engine().converge(m, v, threads);
-    }
 }
 
 fn random_build(rng: &mut Rng, num_inputs: usize, num_steps: usize, outs: usize) -> Mig {
@@ -66,10 +56,10 @@ fn sharded_is_equivalent_and_no_worse_than_serial() {
         let want = m.output_truth_tables();
         for v in Variant::ALL {
             let mut serial = m.clone();
-            engine().pass(&mut serial, v, &mut None);
+            engine().pass(&mut serial, v, &mut None, 1);
             for threads in [1usize, 2, 4] {
                 let mut sharded = m.clone();
-                fhash_at(&mut sharded, v, threads);
+                engine().converge(&mut sharded, v, threads);
                 assert_eq!(
                     sharded.output_truth_tables(),
                     want,
@@ -88,25 +78,36 @@ fn sharded_is_equivalent_and_no_worse_than_serial() {
 }
 
 #[test]
-fn sharded_is_bit_deterministic_per_thread_count() {
+fn sharded_is_one_netlist_at_every_thread_count() {
     let mut rng = Rng::new(0x5AAD_0002);
     for case in 0..8 {
         let num_inputs = rng.range(2, 7);
         let steps = rng.range(20, 120);
         let m = random_build(&mut rng, num_inputs, steps, 2);
         for v in Variant::ALL {
-            // @1 pins the single-worker case; @8 oversubscribes the
+            // The scheduler (`fhash!:V@N`) and the single pass
+            // (`fhash:V@N`) each give one netlist: @1 pins the
+            // single-worker case, and @8 and @16 oversubscribe the
             // machine's cores, so propose-worker interleavings vary
             // maximally between runs.
-            for threads in [1usize, 2, 4, 8] {
-                let mut first = m.clone();
-                fhash_at(&mut first, v, threads);
-                let mut second = m.clone();
-                fhash_at(&mut second, v, threads);
+            let mut at_one = None;
+            for threads in [1usize, 2, 4, 8, 16] {
+                let mut conv = m.clone();
+                engine().converge(&mut conv, v, threads);
+                let mut again = m.clone();
+                engine().converge(&mut again, v, threads);
                 assert_eq!(
-                    first.fingerprint(),
-                    second.fingerprint(),
+                    conv.fingerprint(),
+                    again.fingerprint(),
                     "case {case} variant {v} @{threads}: nondeterministic netlist"
+                );
+                let mut pass = m.clone();
+                engine().pass(&mut pass, v, &mut None, threads);
+                let got = (conv.fingerprint(), pass.fingerprint());
+                let want = *at_one.get_or_insert(got);
+                assert_eq!(
+                    got, want,
+                    "case {case} variant {v} @{threads}: netlist differs from @1"
                 );
             }
         }
@@ -145,7 +146,7 @@ fn converge_chain_is_bit_identical_per_thread_count() {
     let (stats, _) = engine().converge(&mut reference, Variant::TopDown, 1);
     assert!(stats.replacements > 0);
     let want = reference.fingerprint();
-    for threads in [2usize, 4, 8] {
+    for threads in [2usize, 4, 8, 16] {
         let mut opt = m.clone();
         engine().converge(&mut opt, Variant::TopDown, threads);
         assert_eq!(opt.fingerprint(), want, "@{threads}: diverged from @1");
@@ -165,7 +166,7 @@ fn stress_random_seeds_under_contention() {
         let m = random_build(&mut rng, num_inputs, steps, 3);
         let want = m.output_truth_tables();
         let mut serial = m.clone();
-        engine().pass(&mut serial, Variant::TopDown, &mut None);
+        engine().pass(&mut serial, Variant::TopDown, &mut None, 1);
         let mut opt = m.clone();
         engine().converge(&mut opt, Variant::TopDown, 8);
         assert_eq!(

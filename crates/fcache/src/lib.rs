@@ -2,8 +2,8 @@
 //! the `migd` daemon.
 //!
 //! [`ResultStore`] holds whole-job results keyed by a hash of (input
-//! circuit structure, resolved pipeline, thread count), so a repeated
-//! job skips the pipeline entirely.
+//! circuit structure, pipeline), so a repeated job — at any thread
+//! count — skips the pipeline entirely.
 //!
 //! The file follows the `npndb` persistence idiom — plain read/write,
 //! no mmap, validation on load — but is binary for compactness, and it

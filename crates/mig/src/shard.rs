@@ -12,12 +12,13 @@
 //!
 //! 1. **Partition.** [`ProposeEngine::partition`] carves the live gates
 //!    into regions (the engine picks the strategy — FFR forest, level
-//!    bands, …), at most [`ShardConfig::max_regions`] of them: 4 per
-//!    thread, at least 12 gates each. Unlike the original round loop,
-//!    the partition is **persistent**: it is rebuilt only when the live
-//!    gate count drifts by more than 20% or more than 20% of the dirty
-//!    nodes fall outside every region, or for engines whose analysis is
-//!    global ([`ProposeEngine::volatile_partition`]).
+//!    bands, …), at most 64 of them and at least 12 gates each — a
+//!    bound read from the gate count alone, never from the thread
+//!    count. Unlike the original round loop, the partition is
+//!    **persistent**: it is rebuilt only when the live gate count drifts
+//!    by more than 20% or more than 20% of the dirty nodes fall outside
+//!    every region, or for engines whose analysis is global
+//!    ([`ProposeEngine::volatile_partition`]).
 //! 2. **Schedule.** A deterministic priority queue of dirty regions —
 //!    seeded from each commit's footprint and the graph's non-draining
 //!    dirty-log cursor ([`crate::Mig::dirty_since`]), ordered by expected
@@ -49,10 +50,10 @@
 //! provided. When a step leaves 25% or more of the slots dead, the graph
 //! is compacted ([`crate::Mig::compact`]) and re-partitioned.
 //!
-//! For a fixed input graph, engine and thread count the resulting
-//! netlist is bit-deterministic: the queue order and the commit order
-//! never depend on worker scheduling — threads only decide *who*
-//! analyzes each region.
+//! For a fixed input graph and engine the resulting netlist is
+//! bit-deterministic and the same at every thread count: the partition,
+//! the queue order and the commit order depend on the graph alone —
+//! threads only decide *who* analyzes each region.
 
 use crate::fxhash::FxHashSet;
 use crate::{Mig, NodeId, RegionPartition};
@@ -60,9 +61,11 @@ use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
-/// Regions per worker thread: over-partitioning smooths load imbalance
-/// between shards of unequal rewriting opportunity.
-const REGIONS_PER_THREAD: usize = 4;
+/// Most regions per partition. Over-partitioning smooths load imbalance
+/// between shards of unequal rewriting opportunity, and a bound fixed
+/// for every thread count keeps the netlist independent of it: 64 leaves
+/// several regions per worker at every gated thread count.
+const MAX_REGIONS: usize = 64;
 
 /// Minimum gates per region. The floor keeps a region wide enough for a
 /// full 4-feasible cut cone plus fanout context (a sliver region sees
@@ -212,7 +215,6 @@ pub struct Proposal<P> {
 /// m.add_output(acc);
 /// let want = m.output_truth_tables();
 /// let cfg = ShardConfig { threads: 2, guard: None };
-/// assert!(cfg.max_regions(&m) > 1, "large enough to shard");
 /// run_scheduled_converge(&mut m, &mut RedundantAnd, &cfg, &mut |_| {}, None);
 /// assert_eq!(m.num_gates(), 30);
 /// assert_eq!(m.output_truth_tables(), want);
@@ -293,7 +295,8 @@ pub fn gates_metric(mig: &Mig) -> (u64, u64) {
 /// the module docs).
 #[derive(Debug, Clone, Copy)]
 pub struct ShardConfig {
-    /// Worker threads for the propose phase.
+    /// Worker threads for the propose phase. They change the speed, never
+    /// the netlist.
     pub threads: usize,
     /// Optional per-step acceptance metric (lexicographic, smaller is
     /// better). When set, every step runs against a snapshot and is
@@ -303,16 +306,12 @@ pub struct ShardConfig {
     pub guard: Option<RoundMetric>,
 }
 
-impl ShardConfig {
-    /// The region bound for the current graph: follows the live gate
-    /// count, so shrinking graphs coalesce toward the single-region
-    /// degenerate case (equal to the serial engine). A graph is worth
-    /// sharding when this exceeds 1.
-    pub fn max_regions(&self, mig: &Mig) -> usize {
-        (self.threads.max(1) * REGIONS_PER_THREAD)
-            .min(mig.num_gates() / MIN_REGION_SIZE)
-            .max(1)
-    }
+/// The region bound for the current graph: follows the live gate count,
+/// so shrinking graphs coalesce toward the single-region degenerate case
+/// (equal to the serial engine). A graph is worth sharding when this
+/// exceeds 1.
+fn max_regions(mig: &Mig) -> usize {
+    (mig.num_gates() / MIN_REGION_SIZE).clamp(1, MAX_REGIONS)
 }
 
 /// What happened to one step's proposals.
@@ -463,7 +462,7 @@ fn run_scheduler<E: ProposeEngine>(mig: &mut Mig, engine: &mut E, cfg: &ShardCon
         if need_partition {
             let _span = obs::trace::span("sched:partition");
             let _timer = obs::metrics::timer(Metric::SchedRepartitionNs);
-            current = Some(engine.partition(mig, cfg.max_regions(mig)));
+            current = Some(engine.partition(mig, max_regions(mig)));
             sched.gates_at_partition = mig.num_gates();
             add(Metric::SchedRepartitions, 1);
             if !first {
@@ -748,9 +747,8 @@ fn commit_each<E: ProposeEngine>(
 /// The convergence skeleton of a scheduled converge pass (the scheduler
 /// paired with the engine's serial stages):
 ///
-/// * graphs too small to shard ([`ShardConfig::max_regions`] is 1) run
-///   `serial` alone (the degenerate case, bit-identical to a
-///   single-threaded run);
+/// * graphs too small to shard (under 24 gates: one region) run
+///   `serial` alone (the degenerate case);
 /// * an optional `baseline` pass runs first under the configured guard
 ///   metric ([`gates_metric`] when none is set) and is rolled back when
 ///   it replaced something without improving the metric — the quality
@@ -771,7 +769,7 @@ pub fn run_scheduled_converge<E: ProposeEngine>(
     serial: &mut dyn FnMut(&mut Mig),
     baseline: Option<&mut dyn FnMut(&mut Mig) -> u64>,
 ) {
-    if cfg.max_regions(mig) <= 1 {
+    if max_regions(mig) <= 1 {
         let _span = obs::trace::span("serial");
         serial(mig);
         return;
@@ -915,8 +913,9 @@ mod tests {
     fn scheduler_collapses_all_redundancy_deterministically() {
         let m = redundant_ladder(60);
         let want = m.output_truth_tables();
-        for threads in [1usize, 2, 4] {
-            assert!(cfg(threads).max_regions(&m) >= 4, "test premise: sharded");
+        assert!(max_regions(&m) >= 4, "test premise: sharded");
+        let mut netlist = None;
+        for threads in [1usize, 2, 4, 8, 16] {
             let mut opt = m.clone();
             let d = scheduled(&mut opt, &cfg(threads));
             assert!(
@@ -940,6 +939,9 @@ mod tests {
                 opt.fingerprint(),
                 "@{threads}: nondeterministic netlist"
             );
+            // One netlist at every thread count.
+            let first = *netlist.get_or_insert(opt.fingerprint());
+            assert_eq!(opt.fingerprint(), first, "@{threads}: differs from @1");
         }
     }
 
@@ -986,7 +988,7 @@ mod tests {
             guard: Some(|_m: &Mig| (0, 0)),
             ..cfg(2)
         };
-        assert!(cfg.max_regions(&m) > 1, "test premise: sharded");
+        assert!(max_regions(&m) > 1, "test premise: sharded");
         let d = scheduled(&mut opt, &cfg);
         assert_eq!(
             d.get(obs::Metric::ShardReplacements),

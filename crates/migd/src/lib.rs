@@ -55,7 +55,8 @@ pub struct JobRequest {
     pub id: String,
     /// Pipeline specification (the `migopt` pass string).
     pub pipeline: String,
-    /// Default thread count for sharded passes.
+    /// Default thread count for the `fhash` passes (speed only: the
+    /// result is the same at every count).
     pub threads: usize,
     /// Circuit serialization format: `"blif"` or `"aag"`.
     pub format: String,

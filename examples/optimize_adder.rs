@@ -35,7 +35,7 @@ fn main() {
     let mut best = depth_opt.clone();
     for v in Variant::ALL {
         let mut opt = depth_opt.clone();
-        engine.pass(&mut opt, v, &mut None);
+        engine.pass(&mut opt, v, &mut None, 1);
         println!(
             "fh {:>3}:        gates {:>4}, depth {:>3}",
             v.acronym(),

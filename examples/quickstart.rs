@@ -24,7 +24,7 @@ fn main() {
 
     for variant in Variant::ALL {
         let mut optimized = m.clone();
-        engine.pass(&mut optimized, variant, &mut None);
+        engine.pass(&mut optimized, variant, &mut None, 1);
         assert!(cec::equivalent_exhaustive(&m, &optimized));
         println!(
             "variant {:>3}:   gates {} -> {}, depth {} -> {}   (verified equivalent)",

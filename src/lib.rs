@@ -51,7 +51,7 @@
 //!
 //! let before = m.num_gates();
 //! let engine = FunctionalHashing::with_default_database();
-//! engine.pass(&mut m, Variant::TopDown, &mut None);
+//! engine.pass(&mut m, Variant::TopDown, &mut None, 1);
 //! assert!(m.num_gates() <= before);
 //! ```
 

@@ -16,7 +16,7 @@ fn engine() -> FunctionalHashing {
 /// One functional-hashing pass of `v` on a copy of `m`.
 fn run(e: &FunctionalHashing, m: &Mig, v: Variant) -> Mig {
     let mut opt = m.clone();
-    e.pass(&mut opt, v, &mut None);
+    e.pass(&mut opt, v, &mut None, 1);
     opt
 }
 

@@ -139,6 +139,6 @@ fn fh_reaches_class_minimum_for_parity() {
     let z = m.xor(x, y);
     m.add_output(z);
     let e = mig_fh::fhash::FunctionalHashing::with_default_database();
-    e.pass(&mut m, mig_fh::fhash::Variant::TopDown, &mut None);
+    e.pass(&mut m, mig_fh::fhash::Variant::TopDown, &mut None, 1);
     assert_eq!(m.num_gates(), 6);
 }

@@ -23,9 +23,9 @@ RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
 echo "== migopt smoke runs over benchmarks/ (exit code 2 = CEC failure)"
 # Every pipeline ends in `cec`: a counterexample makes migopt exit 2 and
 # fails CI here. Covers the in-place fhash variants, the
-# scheduler-driven fhash! convergence pass, the sharded @2/@4 engines
-# and the interleaved in-place algebraic passes on all checked-in
-# circuits.
+# scheduler-driven fhash! convergence pass with one, two and four
+# propose workers (all six variants at @2) and the interleaved in-place
+# algebraic passes on all checked-in circuits.
 MIGOPT=./target/release/migopt
 for f in benchmarks/full_adder.aag benchmarks/adder8.aag \
          benchmarks/mult4.aig benchmarks/adder4.blif; do
@@ -33,9 +33,9 @@ for f in benchmarks/full_adder.aag benchmarks/adder8.aag \
              "strash; fhash:TFD; fhash:B; cec" \
              "strash; algebraic; fhash!:B; cec" \
              "strash; fhash!:TF; fhash!:B; cec; stats" \
-             "strash; fhash:T@2; fhash:TD@2; cec" \
-             "strash; fhash:TF@2; fhash:TFD@2; cec" \
-             "strash; fhash:BF@2; fhash:B@2; cec" \
+             "strash; fhash!:T@2; fhash!:TD@2; cec" \
+             "strash; fhash!:TF@2; fhash!:TFD@2; cec" \
+             "strash; fhash!:BF@2; fhash!:B@2; cec" \
              "strash; fhash!:T@2; fhash!:B@2; cec; stats" \
              "strash; size!; fhash!:B@2; depth!; cec" \
              "strash; algebraic; fhash:TFD; cec" \

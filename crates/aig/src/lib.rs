@@ -8,6 +8,7 @@
 //! AND2 gates.
 
 use exact::{minimum_size, GateOp, Network, SynthesisConfig};
+use mig::fxhash::FxHashMap;
 use mig::{Mig, NodeId, Signal};
 use std::collections::HashMap;
 
@@ -18,7 +19,7 @@ pub struct Aig {
     fanins: Vec<[Signal; 2]>,
     num_inputs: usize,
     outputs: Vec<Signal>,
-    strash: HashMap<[Signal; 2], NodeId>,
+    strash: FxHashMap<[Signal; 2], NodeId>,
 }
 
 impl Aig {
@@ -32,7 +33,7 @@ impl Aig {
             fanins,
             num_inputs,
             outputs: Vec::new(),
-            strash: HashMap::new(),
+            strash: FxHashMap::default(),
         }
     }
 

@@ -140,6 +140,25 @@ fn main() {
         black_box(s.solve())
     }));
 
+    // Proof-kernel row: a live SAT sweep, as in the `verify` ladder's
+    // hyp:8 rung. gen hyp:8 goes through the `arith` pipeline, and the
+    // result is proven equivalent to its input at 16,000 conflicts
+    // (about 300 solver calls); `sat/pigeonhole6` above is one crafted
+    // formula instead.
+    let hyp8 = bench_harness::generate_spec("hyp:8").expect("hyp:8 generates");
+    let arith = cli::parse_pipeline("fhash!:TFD; algebraic; fhash!:B").expect("pipeline parses");
+    let (hyp8_opt, _) = cli::run_pipeline_jobs(&hyp8, &arith, 1).expect("hyp:8 optimizes");
+    ms.push(
+        bench("cec/prove_hyp8", || {
+            black_box(cec::prove_equivalent(
+                black_box(&hyp8),
+                &hyp8_opt,
+                Some(16_000),
+            ))
+        })
+        .on_host_cores(),
+    );
+
     let a16 = benchgen::adder(16);
     let mut a16_opt = a16.clone();
     engine.pass(&mut a16_opt, fhash::Variant::BottomUpFfr, &mut None, 1);
@@ -235,6 +254,8 @@ fn main() {
     //
     // Every row a `ci.sh` ratio gate compares is timed in one round-robin
     // group, so a swing in host speed hits both sides of each ratio alike.
+    // Its rows take 0.2-0.9 s each, so the group runs the harness's floor
+    // of 7 rounds.
     let mult = mult_big_and();
     let epfl = epfl_big();
     let deep = ctrl_deep();

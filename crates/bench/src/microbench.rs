@@ -66,9 +66,11 @@ pub fn bench<T>(name: &str, mut f: impl FnMut() -> T) -> Measurement {
 }
 
 /// Times several closures round-robin, one call of each per round, for
-/// roughly 300 ms per row (at least 3, at most 1000 rounds). A gate that
+/// roughly 300 ms per row (at least 7, at most 1000 rounds). A gate that
 /// holds one row to a multiple of another should read both from one
-/// group: a swing in host speed then hits them alike.
+/// group: a swing in host speed then hits them alike. Rows of hundreds
+/// of milliseconds get only the floor; the gates read their `min_ns`,
+/// and a minimum over 7 calls swings less than one over 3.
 pub fn bench_round_robin(rows: &mut [(&str, &mut dyn FnMut() -> usize)]) -> Vec<Measurement> {
     // Warm-up + calibration round.
     let t0 = Instant::now();
@@ -76,7 +78,7 @@ pub fn bench_round_robin(rows: &mut [(&str, &mut dyn FnMut() -> usize)]) -> Vec<
         black_box(f());
     }
     let round = t0.elapsed().as_secs_f64().max(1e-9);
-    let iters = (0.3 * rows.len() as f64 / round).clamp(3.0, 1000.0) as u32;
+    let iters = (0.3 * rows.len() as f64 / round).clamp(7.0, 1000.0) as u32;
     let mut total = vec![0.0f64; rows.len()];
     let mut min = vec![f64::INFINITY; rows.len()];
     for _ in 0..iters {

@@ -6,7 +6,15 @@
 //! activity/LBD-guided learned-clause database reduction. Clauses may be
 //! added between `solve` calls (the incremental interface used by the
 //! CEGAR loop of the exact-synthesis engine).
+//!
+//! Every clause lives inline in one [`ClauseArena`], and every literal has
+//! its own value byte, so propagation reaches a clause's literals and
+//! their values without a pointer chase. Conflict analysis, minimization,
+//! LBD and `add_clause` work in reused buffers and allocate nothing once
+//! the buffers have grown; deleted clauses are reclaimed by an
+//! order-preserving compaction once they exceed half the arena.
 
+use crate::arena::ClauseArena;
 use crate::{LBool, Lit, Var};
 
 /// Outcome of a [`Solver::solve`] call.
@@ -37,14 +45,6 @@ pub struct SolverStats {
 
 const CLAUSE_NONE: u32 = u32::MAX;
 
-struct Clause {
-    lits: Vec<Lit>,
-    activity: f32,
-    lbd: u32,
-    learnt: bool,
-    deleted: bool,
-}
-
 #[derive(Clone, Copy)]
 struct Watcher {
     cref: u32,
@@ -69,9 +69,15 @@ struct Watcher {
 /// assert_eq!(s.solve(), SatResult::Unsat);
 /// ```
 pub struct Solver {
-    clauses: Vec<Clause>,
+    arena: ClauseArena,
+    /// Clauses attached so far, learned and deleted ones included: the
+    /// base of the learned-clause limit.
+    attached: usize,
+    /// Problem (non-learned) clauses; these are never deleted.
+    problem_clauses: usize,
     learnt_refs: Vec<u32>,
     watches: Vec<Vec<Watcher>>,
+    /// The value of each literal, indexed by [`Lit::code`].
     values: Vec<LBool>,
     level: Vec<u32>,
     reason: Vec<u32>,
@@ -88,6 +94,16 @@ pub struct Solver {
     cla_inc: f32,
     // Conflict analysis scratch
     seen: Vec<bool>,
+    /// The clause being learned, asserting literal first.
+    learnt: Vec<Lit>,
+    /// Literals minimization dropped from `learnt` (their `seen` flags
+    /// still need clearing).
+    dropped: Vec<Lit>,
+    /// Per decision level, the LBD count that last saw it.
+    level_stamp: Vec<u64>,
+    lbd_count: u64,
+    /// `add_clause`'s normalization buffer.
+    add_buf: Vec<Lit>,
     // State
     ok: bool,
     model: Vec<bool>,
@@ -106,7 +122,9 @@ impl Solver {
     /// Creates an empty solver.
     pub fn new() -> Self {
         Solver {
-            clauses: Vec::new(),
+            arena: ClauseArena::new(),
+            attached: 0,
+            problem_clauses: 0,
             learnt_refs: Vec::new(),
             watches: Vec::new(),
             values: Vec::new(),
@@ -122,6 +140,11 @@ impl Solver {
             saved_phase: Vec::new(),
             cla_inc: 1.0,
             seen: Vec::new(),
+            learnt: Vec::new(),
+            dropped: Vec::new(),
+            level_stamp: Vec::new(),
+            lbd_count: 0,
+            add_buf: Vec::new(),
             ok: true,
             model: Vec::new(),
             max_learnts: 0.0,
@@ -132,7 +155,8 @@ impl Solver {
 
     /// Adds a fresh variable and returns it.
     pub fn new_var(&mut self) -> Var {
-        let v = Var::from_index(self.values.len());
+        let v = Var::from_index(self.level.len());
+        self.values.push(LBool::Undef);
         self.values.push(LBool::Undef);
         self.level.push(0);
         self.reason.push(CLAUSE_NONE);
@@ -148,15 +172,12 @@ impl Solver {
 
     /// Number of variables.
     pub fn num_vars(&self) -> usize {
-        self.values.len()
+        self.level.len()
     }
 
     /// Number of problem (non-learned) clauses added so far.
     pub fn num_clauses(&self) -> usize {
-        self.clauses
-            .iter()
-            .filter(|c| !c.learnt && !c.deleted)
-            .count()
+        self.problem_clauses
     }
 
     /// Solver statistics accumulated so far.
@@ -185,36 +206,48 @@ impl Solver {
         if !self.ok {
             return false;
         }
-        // Normalize: sort, drop duplicates/false literals, detect tautology.
-        let mut c: Vec<Lit> = lits.to_vec();
+        // Normalize: sort, drop duplicates and false literals; a tautology
+        // or a literal true at level 0 satisfies the clause. After the
+        // sort a literal's complement, if present, follows it directly.
+        let mut c = std::mem::take(&mut self.add_buf);
+        c.clear();
+        c.extend_from_slice(lits);
         c.sort_unstable();
         c.dedup();
-        let mut filtered = Vec::with_capacity(c.len());
-        for &l in &c {
-            if c.binary_search(&!l).is_ok() {
-                return true; // tautology
+        let mut kept = 0;
+        let mut satisfied = false;
+        for i in 0..c.len() {
+            let l = c[i];
+            if c.get(i + 1) == Some(&!l) || self.value(l) == LBool::True {
+                satisfied = true;
+                break;
             }
-            match self.value_lit(l) {
-                LBool::True => return true, // already satisfied at level 0
-                LBool::False => {}          // drop falsified literal
-                LBool::Undef => filtered.push(l),
+            if self.value(l) == LBool::Undef {
+                c[kept] = l;
+                kept += 1;
             }
         }
-        match filtered.len() {
+        c.truncate(kept);
+        let ok = match c.len() {
+            _ if satisfied => true,
             0 => {
                 self.ok = false;
                 false
             }
             1 => {
-                self.enqueue(filtered[0], CLAUSE_NONE);
+                self.enqueue(c[0], CLAUSE_NONE);
                 self.ok = self.propagate() == CLAUSE_NONE;
                 self.ok
             }
             _ => {
-                self.attach_new(filtered, false);
+                let cref = self.arena.push(&c, false, 0);
+                self.attach(cref);
+                self.problem_clauses += 1;
                 true
             }
-        }
+        };
+        self.add_buf = c;
+        ok
     }
 
     /// Solves the formula without assumptions.
@@ -227,7 +260,7 @@ impl Solver {
         if !self.ok {
             return SatResult::Unsat;
         }
-        self.max_learnts = (self.clauses.len() as f64 / 3.0).max(1000.0);
+        self.max_learnts = (self.attached as f64 / 3.0).max(1000.0);
         let budget_start = self.stats.conflicts;
         let mut restart_idx = 0u64;
         let result = loop {
@@ -261,13 +294,8 @@ impl Solver {
 
     // ---- internals ------------------------------------------------------
 
-    fn value_lit(&self, l: Lit) -> LBool {
-        let v = self.values[l.var().index()];
-        if l.sign() {
-            v
-        } else {
-            v.negate()
-        }
+    fn value(&self, l: Lit) -> LBool {
+        self.values[l.code()]
     }
 
     fn decision_level(&self) -> u32 {
@@ -275,30 +303,32 @@ impl Solver {
     }
 
     fn enqueue(&mut self, l: Lit, reason: u32) {
-        debug_assert_eq!(self.value_lit(l), LBool::Undef);
+        debug_assert_eq!(self.value(l), LBool::Undef);
+        self.values[l.code()] = LBool::True;
+        self.values[(!l).code()] = LBool::False;
         let v = l.var().index();
-        self.values[v] = LBool::from_bool(l.sign());
         self.level[v] = self.decision_level();
         self.reason[v] = reason;
         self.trail.push(l);
     }
 
-    fn attach_new(&mut self, lits: Vec<Lit>, learnt: bool) -> u32 {
-        debug_assert!(lits.len() >= 2);
-        let cref = self.clauses.len() as u32;
-        let (w0, w1) = (lits[0], lits[1]);
-        self.clauses.push(Clause {
-            lits,
-            activity: 0.0,
-            lbd: 0,
-            learnt,
-            deleted: false,
-        });
-        if learnt {
-            self.learnt_refs.push(cref);
-        }
+    /// Watches the first two literals of the clause just pushed at `cref`.
+    fn attach(&mut self, cref: u32) {
+        let lits = self.arena.lits(cref);
+        let (w0, w1) = (
+            Lit::from_code(lits[0] as usize),
+            Lit::from_code(lits[1] as usize),
+        );
         self.watches[w0.code()].push(Watcher { cref, blocker: w1 });
         self.watches[w1.code()].push(Watcher { cref, blocker: w0 });
+        self.attached += 1;
+    }
+
+    /// Attaches `self.learnt` as a learned clause.
+    fn attach_learnt(&mut self, lbd: u32) -> u32 {
+        let cref = self.arena.push(&self.learnt, true, lbd);
+        self.learnt_refs.push(cref);
+        self.attach(cref);
         cref
     }
 
@@ -317,63 +347,49 @@ impl Solver {
             'watchers: while i < ws.len() {
                 let w = ws[i];
                 i += 1;
-                if self.value_lit(w.blocker) == LBool::True {
+                if self.values[w.blocker.code()] == LBool::True {
                     ws[j] = w;
                     j += 1;
                     continue;
                 }
-                let cref = w.cref;
-                if self.clauses[cref as usize].deleted {
+                let Some(lits) = self.arena.live_lits_mut(w.cref) else {
                     continue; // drop watcher of deleted clause
-                }
+                };
                 // Make sure the falsified literal is at position 1.
-                {
-                    let lits = &mut self.clauses[cref as usize].lits;
-                    if lits[0] == falsified {
-                        lits.swap(0, 1);
-                    }
+                if lits[0] == falsified.code() as u32 {
+                    lits.swap(0, 1);
                 }
-                let first = self.clauses[cref as usize].lits[0];
-                if first != w.blocker && self.value_lit(first) == LBool::True {
-                    ws[j] = Watcher {
-                        cref,
-                        blocker: first,
-                    };
+                let first = Lit::from_code(lits[0] as usize);
+                let kept = Watcher {
+                    cref: w.cref,
+                    blocker: first,
+                };
+                if first != w.blocker && self.values[first.code()] == LBool::True {
+                    ws[j] = kept;
                     j += 1;
                     continue;
                 }
                 // Look for a new literal to watch.
-                let len = self.clauses[cref as usize].lits.len();
-                for k in 2..len {
-                    let lk = self.clauses[cref as usize].lits[k];
-                    if self.value_lit(lk) != LBool::False {
-                        let lits = &mut self.clauses[cref as usize].lits;
+                for k in 2..lits.len() {
+                    let lk = lits[k] as usize;
+                    if self.values[lk] != LBool::False {
                         lits.swap(1, k);
-                        self.watches[lk.code()].push(Watcher {
-                            cref,
-                            blocker: first,
-                        });
+                        self.watches[lk].push(kept);
                         continue 'watchers;
                     }
                 }
                 // Clause is unit or conflicting; keep the watcher.
-                ws[j] = Watcher {
-                    cref,
-                    blocker: first,
-                };
+                ws[j] = kept;
                 j += 1;
-                if self.value_lit(first) == LBool::False {
+                if self.values[first.code()] == LBool::False {
                     // Conflict: copy the remaining watchers back verbatim.
-                    while i < ws.len() {
-                        ws[j] = ws[i];
-                        j += 1;
-                        i += 1;
-                    }
-                    confl = cref;
+                    ws.copy_within(i.., j);
+                    j += ws.len() - i;
+                    confl = w.cref;
                     self.qhead = self.trail.len();
-                } else {
-                    self.enqueue(first, cref);
+                    break;
                 }
+                self.enqueue(first, w.cref);
             }
             ws.truncate(j);
             self.watches[falsified.code()] = ws;
@@ -390,13 +406,14 @@ impl Solver {
         }
         let bound = self.trail_lim[target as usize];
         for k in (bound..self.trail.len()).rev() {
-            let v = self.trail[k].var().index();
-            self.saved_phase[v] = self.values[v] == LBool::True;
-            self.values[v] = LBool::Undef;
+            let l = self.trail[k];
+            let v = l.var().index();
+            self.saved_phase[v] = l.sign();
+            self.values[l.code()] = LBool::Undef;
+            self.values[(!l).code()] = LBool::Undef;
             self.reason[v] = CLAUSE_NONE;
-            let var = self.trail[k].var();
             if self.heap_pos[v] < 0 {
-                self.heap_insert(var);
+                self.heap_insert(l.var());
             }
         }
         self.trail.truncate(bound);
@@ -404,21 +421,23 @@ impl Solver {
         self.qhead = self.trail.len();
     }
 
-    /// First-UIP conflict analysis; returns the learned clause (asserting
-    /// literal first) and the backtrack level.
-    fn analyze(&mut self, mut confl: u32) -> (Vec<Lit>, u32) {
-        let mut learnt: Vec<Lit> = vec![Lit::from_code(0)]; // placeholder
+    /// First-UIP conflict analysis: leaves the learned clause in
+    /// `self.learnt` (asserting literal first) and returns the backtrack
+    /// level.
+    fn analyze(&mut self, mut confl: u32) -> u32 {
+        self.learnt.clear();
+        self.learnt.push(Lit::from_code(0)); // placeholder
         let mut path_count = 0u32;
         let mut p: Option<Lit> = None;
         let mut index = self.trail.len();
         loop {
             debug_assert_ne!(confl, CLAUSE_NONE);
-            if self.clauses[confl as usize].learnt {
+            if self.arena.is_learnt(confl) {
                 self.bump_clause(confl);
             }
             let start = usize::from(p.is_some());
-            for k in start..self.clauses[confl as usize].lits.len() {
-                let q = self.clauses[confl as usize].lits[k];
+            for k in start..self.arena.len(confl) {
+                let q = Lit::from_code(self.arena.lits(confl)[k] as usize);
                 let v = q.var().index();
                 if !self.seen[v] && self.level[v] > 0 {
                     self.seen[v] = true;
@@ -426,7 +445,7 @@ impl Solver {
                     if self.level[v] >= self.decision_level() {
                         path_count += 1;
                     } else {
-                        learnt.push(q);
+                        self.learnt.push(q);
                     }
                 }
             }
@@ -444,24 +463,31 @@ impl Solver {
                 break;
             }
         }
-        learnt[0] = !p.expect("resolved at least one literal");
+        self.learnt[0] = !p.expect("resolved at least one literal");
 
-        // Clause minimization: drop literals implied by the rest.
-        let keep: Vec<Lit> = learnt[1..]
-            .iter()
-            .copied()
-            .filter(|&l| !self.literal_redundant(l))
-            .collect();
-        // Clear seen flags for everything collected, including literals
-        // removed by minimization (stale flags would corrupt later calls).
-        for &l in &learnt {
+        // Clause minimization: drop literals implied by the rest. Every
+        // check reads the `seen` flags of the whole clause, so they are
+        // cleared only afterwards, for the dropped literals too (stale
+        // flags would corrupt later calls).
+        self.dropped.clear();
+        let mut kept = 1;
+        for k in 1..self.learnt.len() {
+            let l = self.learnt[k];
+            if self.literal_redundant(l) {
+                self.dropped.push(l);
+            } else {
+                self.learnt[kept] = l;
+                kept += 1;
+            }
+        }
+        self.learnt.truncate(kept);
+        for &l in self.learnt.iter().chain(&self.dropped) {
             self.seen[l.var().index()] = false;
         }
-        learnt.truncate(1);
-        learnt.extend(keep);
 
         // Find the backtrack level (highest level among learnt[1..]).
-        let bt = if learnt.len() == 1 {
+        let learnt = &mut self.learnt;
+        if learnt.len() == 1 {
             0
         } else {
             let mut max_i = 1;
@@ -472,8 +498,7 @@ impl Solver {
             }
             learnt.swap(1, max_i);
             self.level[learnt[1].var().index()]
-        };
-        (learnt, bt)
+        }
     }
 
     /// Local redundancy check: `l` is redundant if its reason clause's
@@ -483,16 +508,30 @@ impl Solver {
         if r == CLAUSE_NONE {
             return false;
         }
-        self.clauses[r as usize].lits.iter().all(|&q| {
-            q.var() == l.var() || self.seen[q.var().index()] || self.level[q.var().index()] == 0
+        let v = l.var().index();
+        self.arena.lits(r).iter().all(|&q| {
+            let qv = Lit::from_code(q as usize).var().index();
+            qv == v || self.seen[qv] || self.level[qv] == 0
         })
     }
 
-    fn compute_lbd(&self, lits: &[Lit]) -> u32 {
-        let mut levels: Vec<u32> = lits.iter().map(|l| self.level[l.var().index()]).collect();
-        levels.sort_unstable();
-        levels.dedup();
-        levels.len() as u32
+    /// The number of distinct decision levels among `self.learnt`'s
+    /// literals: each level is stamped with this count's number the first
+    /// time it is seen.
+    fn compute_lbd(&mut self) -> u32 {
+        self.lbd_count += 1;
+        let mut lbd = 0;
+        for l in &self.learnt {
+            let lv = self.level[l.var().index()] as usize;
+            if lv >= self.level_stamp.len() {
+                self.level_stamp.resize(lv + 1, 0);
+            }
+            if self.level_stamp[lv] != self.lbd_count {
+                self.level_stamp[lv] = self.lbd_count;
+                lbd += 1;
+            }
+        }
+        lbd
     }
 
     fn search(
@@ -513,33 +552,30 @@ impl Solver {
                     // Conflict within the assumption prefix.
                     return Some(SatResult::Unsat);
                 }
-                let (learnt, bt) = self.analyze(confl);
+                let bt = self.analyze(confl);
                 self.backtrack(
                     bt.max(assumptions.len() as u32)
                         .min(self.decision_level() - 1),
                 );
+                let l0 = self.learnt[0];
                 // After backtracking past assumptions the asserting literal
                 // may already be assigned; re-check.
-                if self.value_lit(learnt[0]) != LBool::Undef {
+                if self.value(l0) != LBool::Undef {
                     // Can only happen when clamped by assumptions; restart.
-                    if learnt.len() >= 2 {
-                        let lbd = self.compute_lbd(&learnt);
-                        let cref = self.attach_new(learnt, true);
-                        self.clauses[cref as usize].lbd = lbd;
+                    if self.learnt.len() >= 2 {
+                        let lbd = self.compute_lbd();
+                        self.attach_learnt(lbd);
                     }
                     return None;
                 }
-                if learnt.len() == 1 {
-                    let l0 = learnt[0];
+                if self.learnt.len() == 1 {
                     self.backtrack(0);
-                    if self.value_lit(l0) == LBool::Undef {
+                    if self.value(l0) == LBool::Undef {
                         self.enqueue(l0, CLAUSE_NONE);
                     }
                 } else {
-                    let lbd = self.compute_lbd(&learnt);
-                    let l0 = learnt[0];
-                    let cref = self.attach_new(learnt, true);
-                    self.clauses[cref as usize].lbd = lbd;
+                    let lbd = self.compute_lbd();
+                    let cref = self.attach_learnt(lbd);
                     self.bump_clause(cref);
                     self.enqueue(l0, cref);
                 }
@@ -562,7 +598,7 @@ impl Solver {
                 let dl = self.decision_level() as usize;
                 if dl < assumptions.len() {
                     let a = assumptions[dl];
-                    match self.value_lit(a) {
+                    match self.value(a) {
                         LBool::True => {
                             self.trail_lim.push(self.trail.len());
                         }
@@ -576,8 +612,12 @@ impl Solver {
                 }
                 match self.pick_branch_var() {
                     None => {
-                        // Complete assignment: record the model.
-                        self.model = self.values.iter().map(|v| *v == LBool::True).collect();
+                        // Complete assignment: record the model (the
+                        // positive literal of each variable has an even
+                        // code).
+                        self.model.clear();
+                        self.model
+                            .extend(self.values.iter().step_by(2).map(|&v| v == LBool::True));
                         return Some(SatResult::Sat);
                     }
                     Some(v) => {
@@ -593,7 +633,7 @@ impl Solver {
 
     fn pick_branch_var(&mut self) -> Option<Var> {
         while let Some(v) = self.heap_pop() {
-            if self.values[v.index()] == LBool::Undef {
+            if self.value(v.positive()) == LBool::Undef {
                 return Some(v);
             }
         }
@@ -602,37 +642,60 @@ impl Solver {
 
     fn reduce_db(&mut self) {
         // Keep the better half of learned clauses (low LBD, high activity).
+        // The sort is stable: ties keep the order of the last reduction.
         let mut refs = std::mem::take(&mut self.learnt_refs);
-        refs.retain(|&r| !self.clauses[r as usize].deleted);
+        let arena = &self.arena;
         refs.sort_by(|&a, &b| {
-            let ca = &self.clauses[a as usize];
-            let cb = &self.clauses[b as usize];
-            ca.lbd.cmp(&cb.lbd).then(
-                cb.activity
-                    .partial_cmp(&ca.activity)
+            arena.lbd(a).cmp(&arena.lbd(b)).then(
+                arena
+                    .activity(b)
+                    .partial_cmp(&arena.activity(a))
                     .unwrap_or(std::cmp::Ordering::Equal),
             )
         });
         let keep = refs.len() / 2;
         for &r in &refs[keep..] {
-            if self.is_locked(r) || self.clauses[r as usize].lbd <= 2 {
+            if self.is_locked(r) || self.arena.lbd(r) <= 2 {
                 continue;
             }
-            self.clauses[r as usize].deleted = true;
-            self.clauses[r as usize].lits = Vec::new();
+            self.arena.delete(r);
             self.stats.deleted_clauses += 1;
         }
-        refs.retain(|&r| !self.clauses[r as usize].deleted);
+        refs.retain(|&r| !self.arena.is_deleted(r));
         self.learnt_refs = refs;
+        if 2 * self.arena.wasted() > self.arena.words() {
+            self.collect_garbage();
+        }
+    }
+
+    /// Compacts the arena and moves every clause reference along: watchers
+    /// of deleted clauses go, the rest keep their order in each list.
+    fn collect_garbage(&mut self) {
+        let moved = self.arena.compact();
+        for ws in &mut self.watches {
+            ws.retain_mut(|w| match moved.get(w.cref) {
+                Some(cref) => {
+                    w.cref = cref;
+                    true
+                }
+                None => false,
+            });
+        }
+        // A reason clause is locked, so never deleted.
+        for r in self.reason.iter_mut().filter(|r| **r != CLAUSE_NONE) {
+            *r = moved.get(*r).expect("reason clauses are live");
+        }
+        for r in &mut self.learnt_refs {
+            *r = moved.get(*r).expect("learnt_refs holds live clauses");
+        }
     }
 
     fn is_locked(&self, cref: u32) -> bool {
-        let c = &self.clauses[cref as usize];
-        if c.deleted || c.lits.is_empty() {
+        if self.arena.is_deleted(cref) {
             return false;
         }
-        let v = c.lits[0].var().index();
-        self.reason[v] == cref && self.value_lit(c.lits[0]) == LBool::True
+        let l0 = Lit::from_code(self.arena.lits(cref)[0] as usize);
+        self.reason[l0.var().index()] == cref && self.value(l0) == LBool::True
     }
 
     // ---- activities ------------------------------------------------------
@@ -655,11 +718,14 @@ impl Solver {
     }
 
     fn bump_clause(&mut self, cref: u32) {
-        let c = &mut self.clauses[cref as usize];
-        c.activity += self.cla_inc;
-        if c.activity > 1e20 {
-            for cl in &mut self.clauses {
-                cl.activity *= 1e-20;
+        let activity = self.arena.activity(cref) + self.cla_inc;
+        self.arena.set_activity(cref, activity);
+        if activity > 1e20 {
+            // Only learned clauses carry activity: problem clauses stay at
+            // zero, and deleted ones are never read again.
+            for &r in &self.learnt_refs {
+                let a = self.arena.activity(r);
+                self.arena.set_activity(r, a * 1e-20);
             }
             self.cla_inc *= 1e-20;
         }
@@ -751,6 +817,7 @@ fn luby(y: f64, mut x: u64) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::arena::HEADER;
 
     fn lits(s: &mut Solver, n: usize) -> Vec<Lit> {
         (0..n).map(|_| s.new_var().positive()).collect()
@@ -896,6 +963,48 @@ mod tests {
         for l in &v {
             assert_eq!(s.model_lit(*l), Some(true));
         }
+    }
+
+    /// Deleted clauses are reclaimed: across many reductions the arena
+    /// holds at most twice the words of its live clauses and shrinks
+    /// again and again (without compaction it only grows), and every
+    /// watcher and reason still points at a clause. (The
+    /// `search_identity` pins show that compaction leaves the search as
+    /// it was.)
+    #[test]
+    fn arena_stays_within_twice_its_live_words() {
+        let mut rng = testrand::Rng::new(0xA7E4A);
+        let mut s = Solver::new();
+        let v = lits(&mut s, 200);
+        for _ in 0..820 {
+            let c: Vec<Lit> = (0..3)
+                .map(|_| v[rng.usize_below(v.len())].var().lit(rng.bool()))
+                .collect();
+            s.add_clause(&c);
+        }
+        let mut shrinks = 0;
+        let mut words = 0;
+        for _ in 0..40 {
+            s.set_conflict_budget(Some(400));
+            let a = [v[rng.usize_below(v.len())].var().lit(rng.bool())];
+            s.solve_assuming(&a);
+            shrinks += usize::from(s.arena.words() < words);
+            words = s.arena.words();
+            let crefs = s.arena.crefs();
+            let live: usize = crefs
+                .iter()
+                .filter(|&&c| !s.arena.is_deleted(c))
+                .map(|&c| HEADER + s.arena.len(c))
+                .sum();
+            assert!(words <= 2 * live, "{words} words for {live} live");
+            for w in s.watches.iter().flatten() {
+                assert!(crefs.binary_search(&w.cref).is_ok(), "watcher off a clause");
+            }
+            for &r in s.reason.iter().filter(|&&r| r != CLAUSE_NONE) {
+                assert!(crefs.binary_search(&r).is_ok() && !s.arena.is_deleted(r));
+            }
+        }
+        assert!(shrinks >= 5, "{shrinks} shrinks, {:?}", s.stats());
     }
 
     #[test]
